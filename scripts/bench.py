@@ -80,10 +80,13 @@ latency percentiles (p50/p95/p99), the parallel speedup, and that the two
 outcome digests are identical.  On a single-core container the parallel
 leg can only measure worker-process overhead, so it is skipped and marked
 ``"skipped"`` in the record; the point of the speedup is the trajectory
-on real hardware.  The stage also runs a paired engine-tier A/B (interpreted
-single-use plans — the shipped configuration — vs the columnar tier on
-the same trial stream, recorded as ``engine_tier_ab``) and exits non-zero
-if the shipped tier is more than 5% slower than the alternative.
+on real hardware.  The stage also runs a paired engine-tier A/B, recorded
+as ``engine_tier_ab``: at campaign scale the shipped configuration
+(single-use plans this small stay interpreted) vs the columnar tier on the
+same trial stream, and over a 10,000-row live-SQLite scenario the shipped
+engine (whose size rule compiles those single-use plans) vs
+``compiled=False``, digest-gated.  It exits non-zero if the shipped tier is
+more than 5% slower than the alternative at either size.
 
 Distributed stage (merged into ``BENCH_campaign.json``)
 --------------------------------------------------------
@@ -523,15 +526,80 @@ def check_ablation_digests(context, results_doc) -> bool:
     return all_match
 
 
+#: Total rows of the library scenario the live leg of the tier A/B runs
+#: over — the observatory's ``campaign_live`` size, far past the engine's
+#: single-use lowering break-even.
+LIVE_AB_ROWS = 10_000
+
+
+def _live_tier_ab(trials: int, rounds: int) -> dict:
+    """The tier A/B at the other end of the size range: the live-SQLite
+    campaign over a ``LIVE_AB_ROWS``-row library scenario, run by the
+    engine as shipped (single-use plans this large are compiled by the
+    size rule) vs the same runner on ``compiled=False``, same seeds,
+    alternating legs.  Gated on identical outcome digests and on the
+    shipped leg being within 5% of the better one."""
+    from repro.campaigns import LiveSqliteBackend
+    from repro.ingest.demo import library_scenario
+    from repro.validation.live import LiveSqliteRunner
+
+    scenario = library_scenario(LIVE_AB_ROWS, seed=1)
+    adaptive = LiveSqliteRunner(scenario)
+    interpreted = LiveSqliteRunner(scenario)
+    interpreted.engine = Engine(
+        scenario.schema, adaptive.engine.dialect, compiled=False, plan_cache_size=0
+    )
+
+    def leg(runner):
+        return run_campaign(LiveSqliteBackend(runner), trials=trials, base_seed=0)
+
+    leg(adaptive)  # warm-up: generator caches, the shape-keyed code cache
+    leg(interpreted)
+    results = {"adaptive": [], "interpreted": []}
+    for _ in range(rounds):
+        results["adaptive"].append(leg(adaptive))
+        results["interpreted"].append(leg(interpreted))
+    adaptive.close()
+    interpreted.close()
+    tps = {
+        name: statistics.median(r.trials_per_sec for r in legs)
+        for name, legs in results.items()
+    }
+    digests = {r.outcome_digest for legs in results.values() for r in legs}
+    best_vs_shipped = max(tps.values()) / tps["adaptive"]
+    ok = len(digests) == 1 and best_vs_shipped <= 1.05
+    print(
+        f"campaign tier A/B, live ({trials} trials x {rounds} paired rounds, "
+        f"{scenario.total_rows} rows): adaptive {tps['adaptive']:.0f} trials/s, "
+        f"compiled=False {tps['interpreted']:.0f} trials/s "
+        f"({tps['adaptive'] / tps['interpreted']:.2f}x), digests "
+        f"{'match' if len(digests) == 1 else 'DIFFER'}"
+        f"{'' if ok else ', GATE FAILED'}"
+    )
+    return {
+        "rows": scenario.total_rows,
+        "trials": trials,
+        "adaptive_trials_per_sec": round(tps["adaptive"], 1),
+        "interpreted_trials_per_sec": round(tps["interpreted"], 1),
+        "adaptive_speedup": round(tps["adaptive"] / tps["interpreted"], 3),
+        "digest_match": len(digests) == 1,
+        "outcome_digest": sorted(digests)[0],
+        "gate_ok": ok,
+    }
+
+
 def bench_campaign_tiers(trials: int, rows: int, rounds: int = 3) -> dict:
-    """Paired A/B of the campaign engine tier: shipped (interpreted
-    single-use plans) vs the columnar tier on the same trial stream.
+    """Paired A/B of the campaign engine tier: shipped (single-use plans
+    this small stay interpreted) vs the columnar tier on the same trial
+    stream, then the live-scenario leg (:func:`_live_tier_ab`) where the
+    shipped engine compiles.
 
     The legs alternate so both see the same scheduler noise (the same
     reasoning as ``paired_ratio``).  The gate asserts the *shipped*
-    configuration is within 5% of the better leg — if batch compilation
-    ever starts paying off at campaign scale, the bench fails instead of
-    silently shipping the slower default.
+    configuration is within 5% of the better leg at both sizes — if batch
+    compilation ever starts paying off at campaign scale, or the size
+    rule stops paying off on a 10^4-row database, the bench fails instead
+    of silently shipping the slower default.
     """
     from repro.generator import DataFillerConfig
     from repro.validation import ValidationRunner
@@ -566,6 +634,7 @@ def bench_campaign_tiers(trials: int, rows: int, rounds: int = 3) -> dict:
         f"(shipped=rowwise, best/shipped {shipped_vs_best:.3f}, gate: <= 1.05"
         f"{'' if ok else ', SHIPPED TIER REGRESSED'})"
     )
+    live = _live_tier_ab(min(300, trials), rounds)
     return {
         "trials": trials,
         "rounds": rounds,
@@ -573,7 +642,8 @@ def bench_campaign_tiers(trials: int, rows: int, rounds: int = 3) -> dict:
         "rowwise_trials_per_sec": round(rw_tps, 1),
         "vectorized_trials_per_sec": round(vec_tps, 1),
         "best_vs_shipped_ratio": round(shipped_vs_best, 3),
-        "gate_ok": ok,
+        "live": live,
+        "gate_ok": ok and live["gate_ok"],
     }
 
 

@@ -2,7 +2,11 @@
 
 ``Engine(schema, dialect)`` optimizes by default (pushdown, hash joins,
 cached subquery probes) and executes plans through the closure-generating
-compiler (:mod:`repro.engine.compile`).  Three ablation/alternative tiers
+compiler (:mod:`repro.engine.compile`) whenever lowering pays for itself:
+the plan is admitted to the plan cache, or — for single-use plans
+(``plan_cache_size=0``) — the rows bound under its scans reach the
+measured break-even ``engine.SINGLE_USE_COMPILE_ROWS``; smaller
+single-use plans run interpreted.  Three ablation/alternative tiers
 share the same plans and are digest-gated bit-identical:
 
 * ``Engine(schema, dialect, optimize=False)`` — the paper's naive

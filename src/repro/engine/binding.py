@@ -214,7 +214,9 @@ class BuildSideCache:
     share one entry (``cross_hits`` counts those).
 
     Eviction is LRU by entry count (``maxsize``) and, when ``max_bytes`` is
-    set, by total estimated bytes.  Re-storing the *identical* object only
+    set, by total estimated bytes; without a budget entries are stored
+    unsized and :meth:`info` sizes them on demand, keeping the recursive
+    estimate off the execution path.  Re-storing the *identical* object only
     re-walks the estimate when its top-level ``len()`` changed — the one
     way a harvested structure grows between executions is a memo dict
     gaining keys, and that shows in its length; build tables and tries are
@@ -229,7 +231,8 @@ class BuildSideCache:
         self.maxsize = maxsize
         self.max_bytes = max_bytes
         #: key -> (value, owner serial of the storing plan, estimated
-        #: bytes, top-level len at estimate time, observed row count)
+        #: bytes (None: not sized yet), top-level len at store time,
+        #: observed row count)
         self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -263,7 +266,7 @@ class BuildSideCache:
         rows: Optional[int] = None,
     ) -> None:
         old = self._entries.pop(key, None)
-        if old is not None:
+        if old is not None and old[2] is not None:
             self.bytes -= old[2]
         try:
             length = len(value)
@@ -273,17 +276,24 @@ class BuildSideCache:
             nbytes = old[2]
             if rows is None:
                 rows = old[4]
+        elif self.max_bytes is None:
+            # No byte budget to evict against: walking every harvested
+            # structure on the unbind path would only feed a counter, so
+            # the entry stays unsized until info() reads it.
+            nbytes = None
         else:
             nbytes = estimate_bytes(value)
         self._entries[key] = (value, owner, nbytes, length, rows)
-        self.bytes += nbytes
+        if nbytes is not None:
+            self.bytes += nbytes
         while len(self._entries) > self.maxsize or (
             self.max_bytes is not None
             and self.bytes > self.max_bytes
             and self._entries
         ):
             _entry = self._entries.popitem(last=False)[1]
-            self.bytes -= _entry[2]
+            if _entry[2] is not None:
+                self.bytes -= _entry[2]
             self.evictions += 1
 
     def clear(self) -> None:
@@ -294,6 +304,14 @@ class BuildSideCache:
         return len(self._entries)
 
     def info(self) -> Dict[str, int]:
+        # Size what store() deferred (budget-less caches only); the result
+        # is memoized on the entry, so ``bytes`` reads as if it had been
+        # estimated eagerly and repeated calls walk nothing twice.
+        for key, entry in list(self._entries.items()):
+            if entry[2] is None:
+                nbytes = estimate_bytes(entry[0])
+                self._entries[key] = entry[:2] + (nbytes,) + entry[3:]
+                self.bytes += nbytes
         return {
             "hits": self.hits,
             "misses": self.misses,

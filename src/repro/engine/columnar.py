@@ -102,8 +102,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..core.errors import CompileError
 from .compile import (
     _column_indices,
+    _assemble,
     _compile_subpred,
-    _compiled_code,
+    _Constants,
     _fold_predicate,
     _iter_fn,
     _literal_source,
@@ -616,10 +617,11 @@ _FUSE_BODY = {
 _FUSE_CAP = 4000
 
 
-class _FuseEmitter:
+class _FuseEmitter(_Constants):
     """Operand bookkeeping for one fused filter comprehension."""
 
     def __init__(self):
+        super().__init__()
         self.columns: Dict[int, str] = {}
         self.prelude: List[str] = []
         self._scalars: Dict[str, str] = {}
@@ -650,7 +652,7 @@ def _fuse_operand(emitter: _FuseEmitter, expr) -> Tuple[str, bool]:
             return emitter.column(expr.index), True
         return emitter.scalar(f"o[-{expr.depth}][{expr.index}]"), True
     if isinstance(expr, LiteralExpr):
-        text = _literal_source(expr.value)
+        text = _literal_source(emitter, expr.value)
         if text is not None:
             return text, False
     raise _Unvectorizable
@@ -744,26 +746,25 @@ def _compile_fused(pred):
         # scalar type clashes raise per row (and not at all when empty) —
         # exactly the interpreted behaviour.
         comp = f"[i for i in sel if {v}]"
-    lines = ["def _fsel(C, sel, o):"]
+    lines = [f"def _fsel({emitter.signature('C, sel, o')}):"]
     lines.extend("    " + line for line in emitter.prelude)
     lines.append("    try:")
     lines.append(f"        return {comp}")
     lines.append("    except _FALLBACK_ERRORS:")
     lines.append("        raise _ColumnarFallback")
     source = "\n".join(lines) + "\n"
-    namespace = dict(_MASK_NAMESPACE)
-    exec(_compiled_code(source), namespace)
-    return namespace["_fsel"]
+    return _assemble("_fsel", source, emitter.constants, base=_MASK_NAMESPACE)
 
 
 # -- mask code generation -----------------------------------------------------
 
 
-class _MaskEmitter:
+class _MaskEmitter(_Constants):
     """Accumulates the generated mask function: hoisted prelude lines
     (gathers, scalar loads) + mask body lines + captures."""
 
     def __init__(self):
+        super().__init__()
         self.prelude: List[str] = []
         self.body: List[str] = []
         self.captured: Dict[str, object] = {}
@@ -815,7 +816,7 @@ def _operand(emitter: _MaskEmitter, expr) -> Tuple[str, str]:
             return "v", emitter.gather(expr.index)
         return "s", emitter.scalar(f"o[-{expr.depth}][{expr.index}]")
     if isinstance(expr, LiteralExpr):
-        text = _literal_source(expr.value)
+        text = _literal_source(emitter, expr.value)
         if text is not None:
             return "s", text
     raise _Unvectorizable
@@ -932,7 +933,10 @@ def _compile_mask(pred):
     # The body runs optimistically under one except clause: any kernel or
     # probe error that the row-wise order might place (or suppress)
     # differently aborts the mask, and the filter replays per row.
-    lines = ["def _mask(C, sel, o, rows):", "    n = len(sel)"]
+    lines = [
+        f"def _mask({emitter.signature('C, sel, o, rows')}):",
+        "    n = len(sel)",
+    ]
     lines.extend("    " + line for line in emitter.prelude)
     lines.append("    try:")
     lines.extend("        " + line for line in emitter.body)
@@ -940,10 +944,9 @@ def _compile_mask(pred):
     lines.append("    except _FALLBACK_ERRORS:")
     lines.append("        raise _ColumnarFallback")
     source = "\n".join(lines) + "\n"
-    namespace = dict(_MASK_NAMESPACE)
-    namespace.update(emitter.captured)
-    exec(_compiled_code(source), namespace)
-    return namespace["_mask"]
+    return _assemble(
+        "_mask", source, emitter.captured, emitter.constants, base=_MASK_NAMESPACE
+    )
 
 
 # -- batch operators ----------------------------------------------------------

@@ -20,9 +20,10 @@ Python closures once, so executions pay none of that dispatch:
   single call frame.  Constant subtrees are folded away exactly — only
   rewrites that cannot change error behaviour are applied (total
   comparisons over literals, short-circuit absorption).  Generated code
-  objects are cached by source text, so structurally repeating predicates
-  — the normal case for generated campaign queries — compile in
-  microseconds.
+  objects are cached by source text, which spells out only the
+  predicate's shape, so structurally repeating predicates — the normal
+  case for generated campaign queries and re-bound prepared statements —
+  compile in microseconds whatever their literals, columns and operators.
 * :func:`compile_plan` turns every operator into a closure-based
   ``iter_rows`` that captures its children's compiled iterators directly:
   scans iterate their bound lists, a projection of plain columns becomes a
@@ -50,8 +51,16 @@ gate of ``scripts/bench.py --stages engine_compiled,engine_interpreted``).
 ``Engine(compiled=False)`` keeps the interpreted path as the ablation
 baseline.
 
+Who gets compiled is the engine's decision (``Engine._compile``): plans
+admitted to the plan cache, and single-use plans whose one execution binds
+enough rows (``SINGLE_USE_COMPILE_ROWS``) to amortize closure generation.
+Single-use compilation is affordable because generated sources are
+*shape-keyed*: literals, column indices and comparison operators are
+hoisted out of the text and bound as arguments, so a fresh query almost
+always finds its code objects in the process-wide cache.
+
 The columnar tier (:mod:`repro.engine.columnar`) builds on this module:
-it reuses the constant folder, the source-keyed code cache, the compiled
+it reuses the constant folder, the shape-keyed code cache, the compiled
 subquery probes (row-wise by design, preserving early termination) and
 :func:`_iter_fn` as its per-subtree fallback, so the two lowerings can
 never drift apart on the semantics they share.
@@ -174,15 +183,15 @@ def _like(a, b):
     return _LIKE_FUNC(a, b)
 
 
-#: Comparison operator -> generated helper name.
+#: Comparison operator -> the helper the generated code calls.
 _OP_HELPERS = {
-    "=": "_eq",
-    "<>": "_ne",
-    "<": "_lt",
-    "<=": "_le",
-    ">": "_gt",
-    ">=": "_ge",
-    "LIKE": "_like",
+    "=": _eq,
+    "<>": _ne,
+    "<": _lt,
+    "<=": _le,
+    ">": _gt,
+    ">=": _ge,
+    "LIKE": _like,
 }
 
 #: Total comparisons: can never raise, so literal operands fold exactly.
@@ -190,49 +199,98 @@ _TOTAL_OPS = ("=", "<>")
 
 #: The globals every generated function starts from.
 _BASE_NAMESPACE = {
-    "_eq": _eq,
-    "_ne": _ne,
-    "_lt": _lt,
-    "_le": _le,
-    "_gt": _gt,
-    "_ge": _ge,
-    "_like": _like,
     "__builtins__": {"isinstance": isinstance, "str": str, "tuple": tuple},
 }
 
-#: Generated source -> code object.  Sources embed column indices and
-#: literals but name captured objects positionally (``_c0``, ``_c1``, …),
-#: so structurally identical predicates share one compilation regardless of
-#: which subquery objects they capture — campaign query generators repeat
-#: structures constantly, making this cache the reason per-trial
-#: compilation stays in the microsecond range.
+#: Generated source -> code object.  Sources spell out only the predicate's
+#: *shape* — its 3VL structure and which operands are columns, outer
+#: references, literals or subqueries — and name everything else
+#: positionally: comparison helpers ``_fN``, column indices ``_iN``,
+#: int/str/float literals ``_kN``, captured objects ``_cN``.  The same
+#: statement over a new literal, another column or another comparison
+#: operator therefore reuses one compilation; query generators and
+#: re-bound prepared statements repeat shapes constantly, which is why
+#: compiling a fresh query stays in the microsecond range and rarely pays
+#: ``builtins.compile``.
 _CODE_CACHE: Dict[str, object] = {}
 
-#: Safety valve: generated sources are tiny, but literals are embedded, so
-#: an adversarial workload could mint unbounded variants.
-_CODE_CACHE_MAX = 8192
+#: Shapes, not literals, populate the cache, so the bound can be small
+#: (it was 8,192 when every literal minted an entry).  Workloads are a head
+#: of recurring shapes plus a tail no size catches: 1,850 live-campaign
+#: trials need 75 entries in all, while 14,000 paper-generator queries mint
+#: 22,000 distinct shapes and miss 30% of lookups unbounded, 38% at 1,024
+#: and 41% at 512.  At ~2 KB resident per entry 1,024 entries hold the head
+#: within 2 MB.
+_CODE_CACHE_MAX = 1024
 
 
 def _compiled_code(source: str):
     code = _CODE_CACHE.get(source)
     if code is None:
         if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
-            _CODE_CACHE.clear()
+            # Drop the oldest shape only: flushing the whole cache would
+            # make every live plan shape recompile at once.
+            _CODE_CACHE.pop(next(iter(_CODE_CACHE)), None)
         code = _CODE_CACHE[source] = compile(source, "<repro-compiled>", "exec")
     return code
 
 
-def _assemble(name: str, source: str, captured: Dict[str, object]):
-    namespace = dict(_BASE_NAMESPACE)
-    namespace.update(captured)
+class _Constants:
+    """The values one generated function names instead of spelling out.
+
+    Every hoisted value gets a fresh positional name — never deduped by
+    value: ``A = 1 AND B = 1`` and ``A = 1 AND B = 2`` must generate the
+    same text — and is bound as a default argument, so the source is
+    value-independent while the operand is still read with a ``LOAD_FAST``.
+    """
+
+    def __init__(self):
+        self.constants: Dict[str, object] = {}
+
+    def constant(self, value, prefix: str = "_k") -> str:
+        name = f"{prefix}{len(self.constants)}"
+        self.constants[name] = value
+        return name
+
+    def signature(self, params: str) -> str:
+        """``params`` plus one ``name=name`` default per hoisted value."""
+        return ", ".join([params, *(f"{k}={k}" for k in self.constants)])
+
+
+def _literal_source(emitter: _Constants, value) -> Optional[str]:
+    """Source text for a literal operand, or None to capture it.
+
+    NULL and booleans stay folded into the text — they steer constant
+    folding and NULL-guard emission, so they are part of the shape; every
+    other embeddable literal is hoisted (see :class:`_Constants`)."""
+    if value is None or isinstance(value, bool):
+        return repr(value)
+    if isinstance(value, (int, str, float)):
+        return emitter.constant(value)
+    return None
+
+
+def _assemble(name: str, source: str, *bindings: Dict[str, object], base=None):
+    """The function ``name`` that ``source`` defines, over ``base`` (default:
+    :data:`_BASE_NAMESPACE`) plus the emitter's captured objects and hoisted
+    constants."""
+    namespace = dict(_BASE_NAMESPACE if base is None else base)
+    for names in bindings:
+        namespace.update(names)
     exec(_compiled_code(source), namespace)
-    return namespace[name]
+    # pop, not read: the function's globals are this namespace, and leaving
+    # the function in it would make every generated function a reference
+    # cycle that only the cyclic collector frees — single-use plans would
+    # then pile up (with the build sides their probes captured) until the
+    # next full collection.
+    return namespace.pop(name)
 
 
-class _Emitter:
+class _Emitter(_Constants):
     """Accumulates generated source lines plus captured runtime objects."""
 
     def __init__(self):
+        super().__init__()
         self.lines: List[str] = []
         self.captured: Dict[str, object] = {}
         self._capture_ids: Dict[int, str] = {}
@@ -254,21 +312,15 @@ class _Emitter:
         self.lines.append("    " * (depth + 1) + line)
 
 
-def _literal_source(value) -> Optional[str]:
-    """Source text for an embeddable constant, or None to capture it."""
-    if value is None or isinstance(value, (bool, int, str, float)):
-        return repr(value)
-    return None
-
-
 def _expr_source(emitter: _Emitter, expr: RowExpr) -> str:
     """An expression string over ``r`` (row) and ``o`` (outer stack)."""
     if isinstance(expr, ColumnRef):
+        index = emitter.constant(expr.index, "_i")
         if expr.depth == 0:
-            return f"r[{expr.index}]"
-        return f"o[-{expr.depth}][{expr.index}]"
+            return f"r[{index}]"
+        return f"o[-{expr.depth}][{index}]"
     if isinstance(expr, LiteralExpr):
-        text = _literal_source(expr.value)
+        text = _literal_source(emitter, expr.value)
         if text is not None:
             return text
     return f"{emitter.capture(expr)}(r, o)"
@@ -358,9 +410,10 @@ def _generate_predicate(emitter: _Emitter, pred, depth: int) -> str:
         emitter.emit(depth, f"{target} = {pred.value!r}")
         return target
     if isinstance(pred, ComparePred) and pred.op in _OP_HELPERS:
+        helper = emitter.constant(_OP_HELPERS[pred.op], "_f")
         left = _expr_source(emitter, pred.left)
         right = _expr_source(emitter, pred.right)
-        emitter.emit(depth, f"{target} = {_OP_HELPERS[pred.op]}({left}, {right})")
+        emitter.emit(depth, f"{target} = {helper}({left}, {right})")
         return target
     if isinstance(pred, IsNullPred):
         op = "is not" if pred.negated else "is"
@@ -415,10 +468,12 @@ def compile_predicate(pred):
         return folded
     emitter = _Emitter()
     result = _generate_predicate(emitter, folded, 0)
-    source = "def _pred(r, o):\n" + "\n".join(emitter.lines) + (
-        f"\n    return {result}\n"
+    source = (
+        f"def _pred({emitter.signature('r, o')}):\n"
+        + "\n".join(emitter.lines)
+        + f"\n    return {result}\n"
     )
-    return _assemble("_pred", source, emitter.captured)
+    return _assemble("_pred", source, emitter.captured, emitter.constants)
 
 
 # -- row (projection / probe-value) compilation -------------------------------
@@ -440,8 +495,8 @@ def compile_row(exprs: Sequence[RowExpr]) -> Callable[[Row, OuterStack], Row]:
     emitter = _Emitter()
     parts = [_expr_source(emitter, expr) for expr in exprs]
     body = ", ".join(parts) + ("," if len(parts) == 1 else "")
-    source = f"def _row(r, o):\n    return ({body})\n"
-    return _assemble("_row", source, emitter.captured)
+    source = f"def _row({emitter.signature('r, o')}):\n    return ({body})\n"
+    return _assemble("_row", source, emitter.captured, emitter.constants)
 
 
 # -- subquery predicates ------------------------------------------------------

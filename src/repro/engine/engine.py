@@ -20,11 +20,18 @@ iterators directly, and per-row virtual dispatch disappears from the hot
 path.  ``compiled=False`` keeps the interpreted operator tree — the
 ablation baseline the ``engine_compiled`` / ``engine_interpreted`` bench
 stages compare (outcomes are bit-identical either way; the digest gate in
-``scripts/bench.py`` enforces it).  Compilation hooks in at plan-cache
-admission — compile once, execute many — so with ``plan_cache_size=0``
-(the campaign shape: a fresh query every trial, each executed once) plans
-stay interpreted: closure generation costs more than a single execution
-over 6-row tables saves, measured at ~17% of campaign engine time.
+``scripts/bench.py`` enforces it).  A plan is lowered when that pays for
+itself, decided per plan from what the engine can observe: it will be
+reused (plan-cache admission — compile once, execute many), or its single
+execution binds at least ``SINGLE_USE_COMPILE_ROWS`` rows under its scans
+(known exactly before planning: the engine seeds table cardinalities at
+bind time).  So ``plan_cache_size=0`` callers get the right tier at both
+ends — the paper campaign's fresh query per trial over 6-row tables stays
+interpreted (closure generation would triple its engine time), while the
+live-DBMS campaign over a 10^4-row database runs 2-3x faster compiled.
+(The service's ad-hoc ``POST /query`` opts out with ``compiled=False``:
+its admission policy keeps one-off statements out of every cache, the
+code cache included.)
 
 A fourth tier, ``vectorized=True``, swaps the row-at-a-time lowering for
 the columnar batch backend (:mod:`repro.engine.columnar`): each bound
@@ -35,11 +42,11 @@ materialized only at emission.  Outcomes remain bit-identical to every
 row-wise tier — the ``engine_vectorized`` / ``engine_rowwise`` bench
 stages gate on digest equality, and the tier wins ≥3x on selection-heavy
 workloads once tables reach thousands of rows.  Unlike the closure
-compiler it has no plan-cache admission gate: the tier is explicit
-opt-in, so even single-use plans are batch-compiled; at the campaign's
-6-row scale that codegen costs more than batch execution saves, which is
-why the validation runners keep the interpreted default (the campaign
-bench's ``engine_tier_ab`` A/B keeps that decision measured).
+compiler it has no size rule: the tier is explicit opt-in, so even tiny
+single-use plans are batch-compiled; at the campaign's 6-row scale that
+codegen costs more than batch execution saves, which is why the
+validation runners keep the default tier (the campaign bench's
+``engine_tier_ab`` A/B keeps that decision measured).
 
 Plan cache
 ----------
@@ -112,6 +119,20 @@ DEFAULT_BUILD_CACHE_SIZE = 128
 #: at rebind (ratio either way).  Damping: re-planning costs a full compile,
 #: so hair-trigger re-optimization on small fluctuations would thrash.
 REOPT_DRIFT_FACTOR = 2.0
+
+#: Rows bound under a plan's ``TableScan`` leaves (summed per scan, subquery
+#: plans included; exact, seeded at bind time) from which a *single-use*
+#: plan — one the plan cache will not retain — is still lowered into
+#: closures.  Closure generation is a fixed cost per query, interpretation
+#: a cost per row.  Measured on fresh query streams from both generators
+#: (docs/BENCHMARKS.md, "Single-use lowering break-even"): mean time
+#: breaks even at 32-64 bound rows, but below 128 the *median*
+#: paper-generator query still loses; from 128 the median query of both
+#: generators is >= 1.4x faster compiled (means 1.5x-3.9x), and the paper
+#: campaign (<= 36 bound rows, 2.9x slower when forced through the
+#: compiler) stays interpreted.  Deliberately a constant, not a knob:
+#: ``compiled=False`` stays the only ablation.
+SINGLE_USE_COMPILE_ROWS = 128
 
 
 def _estimate_plan_bytes(compiled: CompiledQuery) -> int:
@@ -234,10 +255,7 @@ class Engine:
 
     def _plan(self, query: Query) -> CompiledQuery:
         if self.plan_cache_size <= 0:
-            # Single-use plan: closure compilation would cost more than one
-            # execution saves (measured on the campaign workload), so the
-            # compiler only hooks in at plan-cache admission below.
-            return self._compile(query, admit=False)
+            return self._compile(query)  # single-use: nothing to look up
         cached = self._plan_cache.get(query)
         if cached is not None:
             self._cache_hits += 1
@@ -298,10 +316,11 @@ class Engine:
                 return True
         return False
 
-    def _compile(self, query: Query, admit: bool = True) -> CompiledQuery:
+    def _compile(self, query: Query) -> CompiledQuery:
         planner = Planner(self.schema, None, self.dialect)
         compiled = planner.compile(query)
         plan = compiled.plan
+        bound_rows = 0
         if self.optimize:
             # Cardinality feedback: seed unbound scans with the row counts
             # the engine has observed (bind-time seeding makes that exact
@@ -317,16 +336,21 @@ class Engine:
                         if node.observed_rows is not None
                         else DEFAULT_TABLE_ROWS
                     )
+                    bound_rows += node.observed_rows or 0
             plan = optimize_plan(plan, **self.optimizer_options)
             plan._planned_rows = planned_rows
         if self.vectorized:
-            # No ``admit`` gate: the tier is explicit opt-in, so even
-            # single-use plans (plan_cache_size=0) are batch-compiled.
-            # Break-even needs tables past the campaign's 6-row scale —
-            # the bench's campaign A/B records the measured gap, and the
-            # validation runners stay interpreted accordingly.
+            # No size rule: the tier is explicit opt-in, so even tiny
+            # single-use plans are batch-compiled.  Break-even needs
+            # tables past the campaign's 6-row scale — the bench's
+            # campaign A/B records the measured gap.
             run = compile_columnar(plan)
-        elif self.compiled and admit:
+        elif self.compiled and (
+            self.plan_cache_size > 0 or bound_rows >= SINGLE_USE_COMPILE_ROWS
+        ):
+            # Lowered when it pays: the plan will be reused (cache
+            # admission — compile once, execute many), or its one
+            # execution walks enough rows to amortize closure generation.
             run = compile_plan(plan)
         else:
             run = None

@@ -10,10 +10,11 @@ frameworks, per the repo's dependency rule) in front of the engine:
   values into the frozen template, run through the tenant's engine (plan
   cache + cross-query build-side sharing), stream the result.
 * ``POST /query``     ``{sql, tenant?, database?}``: the ad-hoc path —
-  parse, plan and execute from scratch on an *uncached* engine.  This is
-  deliberate admission policy, not a missing optimization: only prepared
-  statements admit plans, so one-off queries can never churn a tenant's
-  caches (and the bench's cold leg measures exactly this path).
+  parse, plan and execute from scratch on an *uncached*, interpreted
+  engine.  This is deliberate admission policy, not a missing
+  optimization: only prepared statements admit plans and generate code,
+  so one-off queries can never churn a tenant's caches or the process's
+  code cache (and the bench's cold leg measures exactly this path).
 * ``POST /load``      ``{name?, schema, tables, tenant?}``: install a
   database for a tenant (rows carry NULL as JSON null).
 * ``GET /stats``, ``GET /health``.
@@ -628,7 +629,10 @@ class QueryService:
 
         A failure of the *primary* (cached/compiled) tier that is not an
         expected client error is retried once on a fresh uncached engine —
-        parse-to-interpretation from scratch, no shared mutable state.
+        parse-to-interpretation from scratch (``compiled=False``: a
+        different implementation, whatever the tenant's size), no shared
+        mutable state.  For ``POST /query``, whose primary engine is
+        already that, the retry is a second attempt on fresh state.
         Either the retry produces the same-semantics answer (counted in
         ``tier_fallbacks``), or the request fails loudly; a wrong answer
         is never served quietly.  Consecutive hard failures trip the
@@ -649,6 +653,7 @@ class QueryService:
                 fallback = Engine(
                     db.schema,
                     tenant.dialect,
+                    compiled=False,
                     plan_cache_size=0,
                     build_cache_size=0,
                 )
@@ -703,9 +708,15 @@ class QueryService:
             await asyncio.sleep(0.25)
         # Ad-hoc admission policy: a fresh single-use engine — parse, plan
         # and execute from scratch, no plan admitted, no cache churned.
+        # That includes the process-wide code cache the prepared path's
+        # kernels live in: one-off statements of arbitrary shape stay
+        # interpreted (``compiled=False``) whatever the tenant's size,
+        # instead of taking the engine's single-use size rule.  A client
+        # that wants the compiled tier prepares its statement.
         engine = Engine(
             db.schema,
             tenant.dialect,
+            compiled=False,
             plan_cache_size=0,
             build_cache_size=0,
         )

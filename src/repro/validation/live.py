@@ -262,7 +262,11 @@ class LiveSqliteRunner:
             self.star_style = STAR_STANDARD
             dialect = DIALECT_ORACLE
         # Fresh query every trial: the plan cache can never hit (see the
-        # identical setting in ValidationRunner).
+        # identical setting in ValidationRunner).  Unlike there, plans over
+        # an imported database bind thousands of rows, so the engine's
+        # size rule compiles them (2-3x on a 10,000-row scenario); on a
+        # scenario small enough for the semantics side they stay
+        # interpreted.
         self.engine = Engine(scenario.schema, dialect, plan_cache_size=0)
         self.use_semantics = scenario.total_rows <= semantics_limit
         self.semantics = (

@@ -112,15 +112,17 @@ class ValidationRunner:
         # trial with AST hashing, LRU bookkeeping and the unbind walk
         # (~7% of campaign throughput, measured).  Workloads that do repeat
         # queries (the equivalence checker, direct Engine use) keep the
-        # default cache.  This also keeps trial plans *interpreted*: the
-        # closure compiler hooks in at plan-cache admission only, and for a
-        # plan executed once over 6-row tables closure generation costs
-        # more than it saves (see repro.engine.compile).  The columnar tier
-        # compiles even single-use plans, but at this scale its codegen
-        # likewise costs more than batch execution saves (~1.5x slower
-        # serial campaigns, measured — scripts/bench.py records the A/B),
-        # so ``vectorized`` stays an ablation knob here rather than the
-        # default.
+        # default cache.  Trial plans also stay *interpreted*, by the
+        # engine's own rule rather than by this setting: a single-use plan
+        # is lowered only when its scans bind SINGLE_USE_COMPILE_ROWS or
+        # more, and a trial binds at most a few dozen rows (closure
+        # generation would cost 3x what it saves here; raising
+        # ``data_config.max_rows`` far enough flips the decision per
+        # query).  The columnar tier compiles every plan, but at this
+        # scale its codegen likewise costs more than batch execution saves
+        # (~1.5x slower serial campaigns, measured — scripts/bench.py
+        # records the A/B), so ``vectorized`` stays an ablation knob here
+        # rather than the default.
         self.vectorized = vectorized
         if variant == "postgres":
             self.star_style = STAR_COMPOSITIONAL

@@ -214,6 +214,57 @@ def test_build_cache_byte_budget_enforced():
     assert info["bytes"] == cache.bytes and info["max_bytes"] == 4096
 
 
+@pytest.mark.parametrize("max_bytes", [None, 1 << 20])
+def test_info_bytes_equal_the_eager_estimate(max_bytes, monkeypatch):
+    """Without a byte budget entries are stored unsized and ``info()``
+    sizes them on demand; ``bytes`` must read exactly as if every store
+    had walked its value — through evictions, re-stores of the identical
+    object, a memo dict that grew in between, and replaced values."""
+    from repro.engine import binding
+
+    walks = []
+    estimate = binding.estimate_bytes
+
+    def counting(value, _depth=0):
+        if _depth == 0:
+            walks.append(value)
+        return estimate(value, _depth)
+
+    monkeypatch.setattr(binding, "estimate_bytes", counting)
+    cache = BuildSideCache(maxsize=3, max_bytes=max_bytes)
+    table = {((False, i),): [(i, "x" * i)] for i in range(30)}
+    memo = {(1,): True}
+    rows = [(i, None) for i in range(50)]
+
+    def expected():
+        return sum(estimate(entry[0]) for entry in cache._entries.values())
+
+    cache.store(("table",), table, owner=1, rows=30)
+    cache.store(("memo",), memo, owner=1)
+    cache.store(("rows",), rows, owner=2, rows=50)
+    if max_bytes is None:
+        assert walks == [] and cache.bytes == 0  # nothing sized on store
+    assert cache.info()["bytes"] == expected()
+    memo[(2,)] = False  # a harvested memo gains a key between executions
+    cache.store(("memo",), memo, owner=1)
+    cache.store(("table",), table, owner=1)  # identical object: no re-walk
+    cache.store(("flag",), False, owner=3)  # evicts the LRU entry ("rows")
+    assert cache.evictions == 1 and cache.lookup(("rows",)) is not rows
+    cache.store(("rows",), rows[:10], owner=2)  # evicts ("memo",)
+    cache.store(("flag",), [1, 2, 3], owner=3)  # same key, new value
+    walked_before_info = len(walks)
+    assert cache.info()["bytes"] == expected() == cache.bytes
+    assert cache.info()["bytes"] == expected()  # memoized: idempotent
+    if max_bytes is None:
+        # info() sized only what was stored since the last reading: the
+        # grown memo was evicted before anyone asked, and the identical
+        # table kept its earlier size.
+        assert len(walks) == walked_before_info + 2
+        assert cache.lookup_entry(("table",)) == (table, 30)
+    cache.clear()
+    assert cache.info()["bytes"] == 0
+
+
 def test_engine_build_cache_byte_budget(schema):
     engine = Engine(schema, build_cache_bytes=1)  # nothing fits
     query = annotate(JOIN_SQL, schema)

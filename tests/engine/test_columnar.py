@@ -13,8 +13,10 @@ Pins the contracts the vectorized tier must keep:
 * the tier composes with the plan cache, the build-side cache and the
   cardinality feedback exactly like the row-wise tiers;
 * invalid flag combinations are rejected eagerly, and — unlike the
-  closure compiler — batch compilation also applies to single-use plans
-  (``plan_cache_size=0``).
+  closure compiler — batch compilation applies to every single-use plan
+  (``plan_cache_size=0``), whatever its size;
+* generated fused filters and mask functions are keyed by shape: literals
+  are bound as arguments, never spelled into the cached source.
 """
 
 import pytest
@@ -169,6 +171,35 @@ def test_scalar_like_column_takes_scalar_first_kernel():
         assert [r for r in engine.execute(query, db).bag] == [(1,)]
 
 
+def test_fused_and_mask_sources_are_literal_independent():
+    """The fused single-pass filter and the kernel-mask path (forced by
+    the IN probe) both bind literals as arguments: five hundred literals
+    through one statement shape mint no code-cache entries, and every
+    execution still agrees with the interpreted tier."""
+    from repro.engine import compile as compile_module
+
+    db = make_db(
+        [(1, "a"), (2, ""), (NULL, "it's"), (4, NULL)], [(1,), (2,), (4,)]
+    )
+    shapes = (
+        "SELECT R.A FROM R WHERE R.A >= {n} OR R.B = {s}",
+        "SELECT R.A FROM R WHERE R.A < {n} AND R.B <> {s} "
+        "AND R.A IN (SELECT S.A FROM S)",
+    )
+    strings = ["''", "''''", "'\"'", "'it''s'"]
+    strings += [f"'s{i}'" for i in range(496)]
+
+    def run_all(pairs):
+        for shape in shapes:
+            for n, text in pairs:
+                assert_tiers_agree(shape.format(n=n, s=text), db)
+
+    run_all([(0, "'x'")])
+    before = len(compile_module._CODE_CACHE)
+    run_all(list(enumerate(strings)))
+    assert len(compile_module._CODE_CACHE) == before
+
+
 def test_probe_subqueries_stay_exact():
     db = make_db(
         [(1, 2), (2, NULL), (NULL, 4), (3, 3)], [(1,), (3,), (NULL,)]
@@ -283,14 +314,16 @@ def test_flag_composition_rejected_eagerly():
 
 
 def test_vectorized_compiles_single_use_plans():
-    """Unlike the closure tier, batch compilation has no plan-cache
-    admission gate: an explicit ``vectorized=True`` engine batch-compiles
-    even single-use plans."""
+    """Unlike the closure tier, batch compilation has no size rule: an
+    explicit ``vectorized=True`` engine batch-compiles even single-use
+    plans over two rows, which the closure tier leaves interpreted."""
     query = annotate("SELECT R.A FROM R", SCHEMA)
-    assert Engine(SCHEMA, "postgres", plan_cache_size=0)._plan(query).run is None
+    db = make_db([(1, 2), (NULL, 3)], [])
+    rowwise = Engine(SCHEMA, "postgres", plan_cache_size=0)
+    rowwise.execute(query, db)
+    assert rowwise._plan(query).run is None
     single_use = Engine(SCHEMA, "postgres", vectorized=True, plan_cache_size=0)
     assert single_use._plan(query).run is not None
-    db = make_db([(1, 2), (NULL, 3)], [])
     result = single_use.execute(query, db)
     assert result.same_as(Engine(SCHEMA, "postgres").execute(query, db))
 

@@ -11,8 +11,13 @@ Pins the contracts the compiler must keep:
 * compiled plans round-trip through ``bind_plan``/``unbind_plan``: cached
   compiled plans pin no database rows, per-execution memos reset, and the
   build-side cache keeps sharing structures;
-* compilation hooks in at plan-cache admission only — single-use plans
-  (``plan_cache_size=0``) stay interpreted.
+* a plan is lowered when that pays: at plan-cache admission, or — for
+  single-use plans (``plan_cache_size=0``) — once the rows bound under its
+  scans reach ``SINGLE_USE_COMPILE_ROWS``; validation trials stay
+  interpreted;
+* generated sources are shape-keyed: literals, column indices and
+  comparison operators never reach the process-wide code cache's keys, and
+  the cache sheds its oldest entry, never everything, when full.
 """
 
 import pytest
@@ -20,7 +25,9 @@ import pytest
 from repro.core import NULL, Database, Schema
 from repro.core.errors import CompileError
 from repro.engine import Engine, compile_plan, compile_predicate
-from repro.engine.binding import iter_plan_nodes
+from repro.engine import compile as compile_module
+from repro.engine import engine as engine_module
+from repro.engine.binding import bind_plan, iter_plan_nodes
 from repro.engine.compile import compile_row
 from repro.engine.expressions import (
     AndPred,
@@ -33,6 +40,7 @@ from repro.engine.expressions import (
     OrPred,
 )
 from repro.engine.operators import FilterOp, StaticScan, TableScan
+from repro.service.protocol import bind_parameters, expand_placeholders
 from repro.sql import annotate
 
 SCHEMA = Schema({"R": ("A", "B"), "S": ("A",)})
@@ -244,12 +252,12 @@ def test_compiled_engine_uses_build_side_cache():
     assert engine.build_cache_info()["hits"] > 0
 
 
-def test_compilation_hooks_in_at_plan_cache_admission_only():
+def test_compilation_hooks_in_at_plan_cache_admission_or_size():
     query = annotate("SELECT R.A FROM R", SCHEMA)
     cached_engine = Engine(SCHEMA, "postgres")
     assert cached_engine._plan(query).run is not None
     single_use = Engine(SCHEMA, "postgres", plan_cache_size=0)
-    assert single_use._plan(query).run is None
+    assert single_use._plan(query).run is None  # nothing bound yet
     ablated = Engine(SCHEMA, "postgres", compiled=False)
     assert ablated._plan(query).run is None
     # All three still agree, of course.
@@ -259,3 +267,170 @@ def test_compilation_hooks_in_at_plan_cache_admission_only():
         for engine in (cached_engine, single_use, ablated)
     ]
     assert results[0].same_as(results[1]) and results[0].same_as(results[2])
+
+
+def test_single_use_plans_compile_at_the_break_even_constant():
+    """The same query on a cache-less engine: interpreted one bound row
+    below ``SINGLE_USE_COMPILE_ROWS``, compiled at it.  Bound rows are
+    summed per scan, subquery plans included."""
+    limit = engine_module.SINGLE_USE_COMPILE_ROWS
+    query = annotate(
+        "SELECT R.A FROM R WHERE R.A IN (SELECT S.A FROM S) AND R.B > 0", SCHEMA
+    )
+    rows_s = [(i,) for i in range(10)]
+    engine = Engine(SCHEMA, "postgres", plan_cache_size=0)
+    reference = Engine(SCHEMA, "postgres", compiled=False, plan_cache_size=0)
+    for rows_in_r, compiled in ((limit - 11, False), (limit - 10, True)):
+        db = make_db([(i % 7, i) for i in range(rows_in_r)], rows_s)
+        result = engine.execute(query, db)
+        # The engine keeps the cardinalities it was last bound to, so the
+        # plan it would build for that database can be inspected.
+        assert (engine._plan(query).run is not None) is compiled
+        assert reference._plan(query).run is None
+        assert result.same_as(reference.execute(query, db))
+
+
+def test_single_use_ablation_never_compiles():
+    query = annotate("SELECT R.A FROM R WHERE R.B > 0", SCHEMA)
+    db = make_db(
+        [(i, i) for i in range(engine_module.SINGLE_USE_COMPILE_ROWS * 2)], []
+    )
+    ablated = Engine(SCHEMA, "postgres", compiled=False, plan_cache_size=0)
+    ablated.execute(query, db)
+    assert ablated._plan(query).run is None
+
+
+# -- the shape-keyed code cache -------------------------------------------------
+
+
+SCHEMA_TEXT = Schema({"T": ("N", "S")})
+
+
+def _execute_literals(literals):
+    """One statement shape, planned fresh (single-use engine) once per
+    literal — bound the way prepared statements and ad-hoc clients vary
+    them; returns each execution's row count."""
+    db = Database(
+        SCHEMA_TEXT,
+        {"T": [(1, "a"), (-5, ""), (NULL, "it's"), (7, 'say "hi"')]},
+    )
+    engine = Engine(SCHEMA_TEXT, "postgres", plan_cache_size=0)
+    templates = {}
+    for column in ("T.N", "T.S"):
+        sql, count = expand_placeholders(
+            f"SELECT T.N FROM T WHERE {column} = $1 OR {column} <> $2"
+        )
+        templates[column] = annotate(sql, SCHEMA_TEXT), count
+    counts = []
+    for literal in literals:
+        template, count = templates["T.S" if isinstance(literal, str) else "T.N"]
+        query = bind_parameters(template, [literal, literal], count)
+        counts.append(len(engine.execute(query, db)))
+        assert engine._plan(query).run is not None
+    return counts
+
+
+def test_code_cache_is_keyed_by_shape_not_literal(monkeypatch):
+    monkeypatch.setattr(engine_module, "SINGLE_USE_COMPILE_ROWS", 0)
+    cache = compile_module._CODE_CACHE
+    ints = list(range(-500, 500))
+    strings = ["", "'", '"', "it's", 'say "hi"', "\\n", "%_", "None"] + [
+        f"s{i}" for i in range(992)
+    ]
+    _execute_literals([0, "x"])  # the two shapes themselves, once
+    before = len(cache)
+    counts = _execute_literals(ints) + _execute_literals(strings)
+    assert len(cache) == before
+    # ``col = k OR col <> k`` is TRUE exactly on the non-NULL rows.
+    assert counts == [3] * len(ints) + [4] * len(strings)
+    # NULL is part of the shape (the comparison folds to UNKNOWN), so it
+    # may mint entries of its own — a constant number, and no rows.
+    assert _execute_literals([None]) == [0]
+    assert len(cache) <= before + 2
+
+
+def _hoisted_values(fn):
+    return [d for d in fn.__defaults__ or () if not callable(d)]
+
+
+def test_null_and_boolean_literals_stay_folded_into_the_shape():
+    column = ColumnRef(0, 0)
+    for folded in (None, True, False):
+        pred = compile_predicate(ComparePred("<", column, LiteralExpr(folded)))
+        assert _hoisted_values(pred) == [0]  # the column index only
+    pred = compile_predicate(ComparePred("=", column, LiteralExpr(-7)))
+    assert _hoisted_values(pred) == [0, -7]
+    assert pred((-7,), ()) is True and pred((True,), ()) is False
+    assert compile_predicate(
+        ComparePred("=", column, LiteralExpr(True))
+    )((1,), ()) is True  # exactly what the interpreted ``_eq`` says
+
+
+def test_literals_columns_and_operators_share_one_compilation():
+    cache = compile_module._CODE_CACHE
+
+    def pred(op, index, literal):
+        return compile_predicate(
+            AndPred(
+                ComparePred(op, ColumnRef(0, index), LiteralExpr(literal)),
+                NotPred(ComparePred("=", ColumnRef(0, 0), LiteralExpr(1))),
+            )
+        )
+
+    first = pred("<", 0, 5)
+    before = len(cache)
+    others = [pred(">=", 1, "x"), pred("LIKE", 1, "a%"), pred("<>", 0, 2.5)]
+    assert len(cache) == before
+    assert all(other.__code__ is first.__code__ for other in others)
+    # ... and each still carries its own operands.
+    assert first((3, "x"), ()) is True
+    assert others[0]((3, "x"), ()) is True
+    assert others[0]((3, "a"), ()) is False
+    assert others[1]((3, "abc"), ()) is True
+    with pytest.raises(CompileError, match="type clash"):
+        first(("x", "y"), ())
+
+
+def test_code_cache_overflow_drops_the_oldest_entry_only(monkeypatch):
+    monkeypatch.setattr(compile_module, "_CODE_CACHE", {})
+    monkeypatch.setattr(compile_module, "_CODE_CACHE_MAX", 3)
+    cache = compile_module._CODE_CACHE
+    sources = [f"x{i} = {i}\n" for i in range(5)]
+    for source in sources[:3]:
+        compile_module._compiled_code(source)
+    kept = compile_module._compiled_code(sources[1])
+    compile_module._compiled_code(sources[3])
+    assert list(cache) == sources[1:4]  # oldest gone, nothing else
+    assert compile_module._compiled_code(sources[1]) is kept
+    compile_module._compiled_code(sources[4])
+    assert list(cache) == sources[2:5]
+
+
+def test_compiled_single_use_plans_die_by_refcount(monkeypatch):
+    """A generated function's globals must not contain the function: that
+    cycle would leave every single-use plan (and the probe sets its
+    predicates captured) to the cyclic collector."""
+    import gc
+    import weakref
+
+    monkeypatch.setattr(engine_module, "SINGLE_USE_COMPILE_ROWS", 0)
+    engine = Engine(SCHEMA, "postgres", plan_cache_size=0)
+    query = annotate(
+        "SELECT R.A FROM R WHERE R.B > 1 AND R.A IN (SELECT S.A FROM S) "
+        "AND EXISTS (SELECT S.A FROM S WHERE S.A = R.B)",
+        SCHEMA,
+    )
+    db = make_db([(1, 4), (3, 4)], [(1,), (4,)])
+    gc.collect()
+    gc.disable()
+    try:
+        pred = compile_predicate(ComparePred("<", ColumnRef(0, 0), LiteralExpr(3)))
+        planned = engine._plan(query)
+        assert planned.run is not None
+        bind_plan(planned.plan, db)
+        assert list(planned.run(())) == [(1,)]
+        dead = [weakref.ref(pred), weakref.ref(planned.plan), weakref.ref(planned.run)]
+        del pred, planned
+        assert [ref() for ref in dead] == [None, None, None]
+    finally:
+        gc.enable()

@@ -15,6 +15,11 @@ one compiled engine twice more (plan cache and build-side cache hot, so
 every plan executes through closures compiled at cache admission and
 build sides restored from the content-keyed cache) and demands
 bit-identical outcomes.
+
+A third battery covers the engine's size rule for *single-use* plans
+(``plan_cache_size=0``): the same workload with the break-even constant
+forced to 0 (everything compiled) and to infinity (everything
+interpreted) must agree on results, error classes and error messages.
 """
 
 import random
@@ -94,3 +99,29 @@ def test_hot_plan_cache_compiled_outcomes_are_bit_identical(dialect):
     assert engine.build_cache_info()["hits"] > 0
     for seed, (a, b) in enumerate(zip(cold, hot)):
         assert a.error == b.error and a.agrees_with(b), f"seed {seed} changed"
+
+
+@pytest.mark.parametrize("dialect", DIALECTS)
+def test_single_use_lowering_is_invisible_on_either_side_of_the_constant(
+    dialect, monkeypatch
+):
+    """The size rule only picks *which* implementation runs a single-use
+    plan.  The same battery through a cache-less engine with the break-even
+    constant forced to 0 (every plan compiled) and to infinity (every plan
+    interpreted): tables, error classes and error messages bit-identical."""
+    from repro.engine import engine as engine_module
+
+    engine = Engine(SCHEMA, dialect, plan_cache_size=0)
+    outcomes = {}
+    for limit in (0, float("inf")):
+        monkeypatch.setattr(engine_module, "SINGLE_USE_COMPILE_ROWS", limit)
+        outcomes[limit] = []
+        for seed in range(TRIALS):
+            query, db = _pair(seed)
+            outcomes[limit].append(capture(lambda: engine.execute(query, db)))
+            if not outcomes[limit][-1].is_error:
+                # The rule really did flip the tier under test.
+                assert (engine._plan(query).run is not None) is (limit == 0)
+    for seed, (a, b) in enumerate(zip(outcomes[0], outcomes[float("inf")])):
+        assert a.error == b.error and a.detail == b.detail, f"seed {seed}"
+        assert a.agrees_with(b), f"seed {seed}: compiled differs from interpreted"

@@ -151,6 +151,40 @@ def test_statement_ids_do_not_leak_across_tenants(service_url):
     run(go())
 
 
+def test_adhoc_queries_stay_interpreted_whatever_the_tenant_size(monkeypatch):
+    """``POST /query`` admits nothing: no plan, no cache entry, and no
+    generated code in the process-wide code cache the prepared path's
+    kernels share — even over tables far beyond the engine's single-use
+    lowering threshold.  The prepared path over the same data does lower."""
+    from repro.engine import engine as engine_module
+
+    lowered = []
+    real = engine_module.compile_plan
+
+    def spy(plan):
+        lowered.append(plan)
+        return real(plan)
+
+    monkeypatch.setattr(engine_module, "compile_plan", spy)
+    rows = [[i, i % 7] for i in range(4 * engine_module.SINGLE_USE_COMPILE_ROWS)]
+    with ServiceThread(QueryService()) as thread:
+
+        async def go():
+            async with ServiceClient(thread.url) as c:
+                await c.load({"R": ["A", "B"]}, {"R": rows})
+                adhoc = await c.query("SELECT R.A FROM R WHERE R.B = 3")
+                after_adhoc = len(lowered)
+                sid = await c.prepare("SELECT R.A FROM R WHERE R.B = $1")
+                prepared = await c.execute(sid, [3])
+                return adhoc, after_adhoc, prepared
+
+        adhoc, after_adhoc, prepared = run(go())
+    assert after_adhoc == 0
+    assert len(lowered) == 1
+    assert sorted(map(tuple, adhoc.rows)) == sorted(map(tuple, prepared.rows))
+    assert len(adhoc.rows) == sum(1 for _a, b in rows if b == 3)
+
+
 # -- backpressure -------------------------------------------------------------
 
 

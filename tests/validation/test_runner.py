@@ -80,3 +80,30 @@ def test_trial_result_is_reproducible():
     b = runner.run_trial(77)
     assert a.query == b.query
     assert a.agreed and b.agreed
+
+
+@pytest.mark.parametrize("variant", ["postgres", "oracle"])
+def test_paper_trials_never_reach_the_closure_compiler(variant, monkeypatch):
+    """The engine lowers a single-use plan only from SINGLE_USE_COMPILE_ROWS
+    bound rows; the paper campaign (default 6-row cap, at most a few dozen
+    rows under any query's scans) must stay on the interpreted tier — the
+    tier it was tuned on — however the engine's rule evolves."""
+    from repro.engine import engine as engine_module
+    from repro.validation import DifferentialRunner
+
+    lowered = []
+    monkeypatch.setattr(
+        engine_module, "compile_plan", lambda plan: lowered.append(plan)
+    )
+    runner = ValidationRunner(variant=variant)
+    report = runner.run(trials=400, base_seed=0)
+    assert report.agreements == report.trials == 400
+    differential = DifferentialRunner()
+    for seed in range(20):
+        differential.run_trial(seed)
+    assert lowered == []
+    # The guard itself works: a cache-admitting engine does get lowered.
+    from repro.engine import Engine
+
+    Engine(runner.schema)._plan(runner.run_trial(0).query)
+    assert len(lowered) == 1
