@@ -18,6 +18,8 @@ pipeline stage so regressions are visible.  pytest-benchmark measures:
 * worst-case-optimal multiway joins (``GenericJoin``) against the
   ``wcoj=False`` ablation (DP-ordered binary hash joins) on cyclic
   triangle/4-cycle workloads, paired at the same two scales,
+* set-at-a-time subquery predicates (equality-correlated EXISTS/IN as
+  keyed probes) against ``optimize=False`` on a selective-outer workload,
 * the full Theorem 1 translation (to SQL-RA + desugaring).
 
 ``scripts/bench.py`` runs the same workloads standalone and writes
@@ -246,6 +248,59 @@ def wcoj_pairs(rows=50, databases=2):
     ]
 
 
+# -- subquery-predicate workload -------------------------------------------------
+#
+# Equality-correlated EXISTS / NOT EXISTS / IN / NOT IN and an uncorrelated
+# IN, the shapes the optimizer answers set-at-a-time from one keyed build
+# side.  The paired engine is ``optimize=False``, which re-runs the subquery
+# per probing row, so every statement leads with a conjunct that keeps about
+# one outer row in a hundred (C is never NULL: an unknown would not
+# short-circuit the naive AND) — the naive leg stays feasible at 5,000 rows.
+# Keys repeat about four times and hold ~5% NULLs on both sides.
+
+SUBQUERY_SCHEMA = Schema({"R": ("A", "B", "C"), "S": ("A", "B")})
+
+SUBQUERY_SQL = (
+    "SELECT R.A FROM R WHERE R.C < {few} AND EXISTS "
+    "(SELECT S.B FROM S WHERE S.A = R.A AND S.B < 4)",
+    "SELECT R.A, R.B FROM R WHERE R.C < {few} AND NOT EXISTS "
+    "(SELECT * FROM S WHERE S.A = R.A AND S.B = R.B)",
+    "SELECT R.A FROM R WHERE R.C < {few} AND R.B IN "
+    "(SELECT S.B FROM S WHERE S.A = R.A)",
+    "SELECT R.A FROM R WHERE R.C < {few} AND R.B NOT IN "
+    "(SELECT S.B FROM S WHERE R.A = S.A AND S.B < 6)",
+    "SELECT R.A FROM R WHERE R.C < {few} AND R.A IN "
+    "(SELECT S.A FROM S WHERE S.B < 2)",
+)
+
+
+def subquery_db(seed, rows):
+    rng = random.Random(seed)
+    keys = max(rows // 4, 2)
+
+    def cell(domain):
+        return None if rng.random() < 0.05 else rng.randrange(domain)
+
+    return Database(
+        SUBQUERY_SCHEMA,
+        {
+            "R": [(cell(keys), cell(8), rng.randrange(rows)) for _ in range(rows)],
+            "S": [(cell(keys), cell(8)) for _ in range(rows)],
+        },
+    )
+
+
+def subquery_pairs(rows=50, databases=2):
+    """The subquery-predicate workload: every query on every database."""
+    few = max(rows // 100, 5)
+    queries = [annotate(sql.format(few=few), SUBQUERY_SCHEMA) for sql in SUBQUERY_SQL]
+    return [
+        (query, subquery_db(seed, rows))
+        for seed in range(databases)
+        for query in queries
+    ]
+
+
 def join_order_pairs(databases=4, big_rows=60):
     """The adversarial-FROM-order workload: every query on every database."""
     queries = [annotate(sql, ADVERSARIAL_SCHEMA) for sql in JOIN_ORDER_SQL]
@@ -429,6 +484,23 @@ def test_bench_engine_binary(benchmark, rows):
     pairs = wcoj_pairs(rows=rows)
     run_workload(engine, pairs)
     benchmark(run_workload, engine, pairs)
+
+
+@pytest.mark.parametrize("rows", (PAPER_ROW_CAP, 5000))
+def test_bench_engine_subquery(benchmark, rows):
+    """Keyed subquery probes on the correlated EXISTS/IN workload, at the
+    paper's row cap and at 5,000 rows (build sides rebuilt every run)."""
+    engine = Engine(SUBQUERY_SCHEMA, "postgres", build_cache_size=0)
+    pairs = subquery_pairs(rows=rows)
+    run_workload(engine, pairs)  # admit + compile every plan up front
+    benchmark(run_workload, engine, pairs)
+
+
+def test_bench_engine_subquery_naive(benchmark):
+    """Ablation: ``optimize=False`` re-runs each subquery per probing row."""
+    engine = Engine(SUBQUERY_SCHEMA, "postgres", optimize=False)
+    pairs = subquery_pairs(rows=PAPER_ROW_CAP)
+    benchmark.pedantic(run_workload, args=(engine, pairs), rounds=3, iterations=1)
 
 
 def test_bench_theorem1_translation(benchmark):

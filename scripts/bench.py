@@ -47,6 +47,14 @@ Engine stages (written to ``BENCH_engine.json``)
   binary hash joins; the pair's ``wcoj_speedup`` is recorded, and a
   three-way digest gate — wcoj vs binary vs naive — runs at the 50-row
   cap plus a wcoj-vs-binary check at ``--rows`` scale)
+* ``engine_subquery``       — equality-correlated EXISTS / NOT EXISTS /
+  IN / NOT IN and an uncorrelated IN, answered set-at-a-time from keyed
+  build sides, sized by ``--rows`` (build-side cache off: every run
+  builds and probes)
+* ``engine_subquery_naive`` — same workload, ``optimize=False`` (the
+  subquery re-runs per probing row; the statements lead with a selective
+  outer conjunct so this leg stays feasible at ``--rows 5000``; the
+  pair's ``subquery_speedup`` is recorded and digest-gated at ``--rows``)
 * ``engine_join_order``     — adversarial-FROM-order workload, cost-based
   join ordering (second-generation optimizer)
 * ``engine_join_order_fromorder`` — same workload, ordering ablated
@@ -146,11 +154,13 @@ from benchmarks.test_bench_throughput import (  # noqa: E402
     VEC_SCHEMA,
     WCOJ_SCHEMA,
     engine_pairs,
+    SUBQUERY_SCHEMA,
     join_order_pairs,
     make_db,
     make_query,
     run_workload,
     setop_pairs,
+    subquery_pairs,
     vectorized_pairs,
     wcoj_pairs,
 )
@@ -248,6 +258,8 @@ ENGINE_STAGES = (
     "engine_rowwise",
     "engine_wcoj",
     "engine_binary",
+    "engine_subquery",
+    "engine_subquery_naive",
     "engine_join_order",
     "engine_join_order_fromorder",
     "engine_setops",
@@ -265,8 +277,8 @@ def build_stages(selected, rows=50):
     workloads the reporting needs), building only what ``selected`` stages
     require (pregenerating the 50-row engine pairs costs seconds, which a
     --stages run selecting cheap stages should not pay).  ``rows`` sizes
-    the columnar-workload tables (``engine_vectorized``/``engine_rowwise``
-    only; every other stage keeps its fixed scale)."""
+    the columnar, cyclic-join and subquery workloads' tables (every other
+    stage keeps its fixed scale)."""
 
     def need(*names):
         return any(name in selected for name in names)
@@ -435,6 +447,21 @@ def build_stages(selected, rows=50):
             )
         stages["engine_wcoj"] = lambda: run_workload(wcoj_engine, cyclic_pairs)
         stages["engine_binary"] = lambda: run_workload(binary_engine, cyclic_pairs)
+    if need("engine_subquery", "engine_subquery_naive"):
+        # Subquery-predicate workload, sized by --rows.  The build-side
+        # cache is off: the stage measures building and probing the keyed
+        # structures, which sharing would absorb on a repeated timing loop.
+        sub_pairs = subquery_pairs(rows=rows)
+        subquery_engine = Engine(SUBQUERY_SCHEMA, "postgres", build_cache_size=0)
+        subquery_naive = Engine(SUBQUERY_SCHEMA, "postgres", optimize=False)
+        context["subquery"] = (
+            sub_pairs,
+            [("optimized", subquery_engine), ("naive", subquery_naive)],
+        )
+        stages["engine_subquery"] = lambda: run_workload(subquery_engine, sub_pairs)
+        stages["engine_subquery_naive"] = lambda: run_workload(
+            subquery_naive, sub_pairs
+        )
     if need("engine_repeat_cached", "engine_repeat_uncached"):
         # Plan-cache workload: few queries, many databases — the shape of
         # the trial campaigns and the equivalence checker, where
@@ -488,7 +515,8 @@ def check_ablation_digests(context, results_doc) -> bool:
     ``results_doc``.  The ``compiled`` group gates the closure compiler,
     the four-way ``vectorized`` group the columnar backend (vectorized vs
     compiled vs interpreted vs naive), and the three-way ``wcoj`` group
-    the multiway join (wcoj vs binary vs naive).
+    the multiway join (wcoj vs binary vs naive); ``subquery`` gates the
+    keyed subquery probes against the naive engine at ``--rows`` scale.
     """
     all_match = True
     for group, speedup_key, fast_stage, slow_stage in (
@@ -502,6 +530,8 @@ def check_ablation_digests(context, results_doc) -> bool:
         ("vectorized_scale", None, None, None),
         ("wcoj", "wcoj_speedup", "engine_wcoj", "engine_binary"),
         ("wcoj_scale", None, None, None),
+        ("subquery", "subquery_speedup", "engine_subquery",
+         "engine_subquery_naive"),
     ):
         if group not in context:
             continue
@@ -1621,8 +1651,9 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=5, help="rounds per stage")
     parser.add_argument(
         "--rows", type=int, default=50,
-        help="table size for the columnar workload stages "
-        "(engine_vectorized/engine_rowwise; default: the paper's 50-row cap)",
+        help="table size for the columnar, cyclic-join and subquery workload "
+        "stages (engine_vectorized/engine_rowwise, engine_wcoj/engine_binary, "
+        "engine_subquery/engine_subquery_naive; default: the paper's 50-row cap)",
     )
     parser.add_argument(
         "--stages",

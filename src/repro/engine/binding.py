@@ -15,8 +15,8 @@ execution,
   :class:`~repro.engine.operators.HashJoin` build tables,
   :class:`~repro.engine.operators.ExistsProbe` booleans and per-binding
   memos, :class:`~repro.engine.operators.InPred` binding memos, and
-  :class:`~repro.engine.operators.SemiJoinProbe` probe sets — all of which
-  are only valid for the database they were computed against.
+  :class:`~repro.engine.operators.SemiJoinProbe` probe indexes — all of
+  which are only valid for the database they were computed against.
 
 :func:`iter_plan_nodes` / :func:`iter_predicates` walk the full operator
 tree, *including* the subplans nested inside WHERE-clause predicates, which
@@ -200,6 +200,23 @@ class _Fingerprint(tuple):
         return value
 
 
+#: What a cache entry holds, for the per-kind ``entries``/``bytes``
+#: breakdown of :meth:`BuildSideCache.info`: hash-join build tables,
+#: generic-join tries, semi-join probe indexes, and subquery
+#: materializations and per-binding memos.
+CARRIER_KINDS = ("hash_join", "tries", "probes", "memos")
+
+
+def _carrier_kind(carrier) -> str:
+    if isinstance(carrier, HashJoin):
+        return "hash_join"
+    if isinstance(carrier, GenericJoin):
+        return "tries"
+    if isinstance(carrier, SemiJoinProbe):
+        return "probes"
+    return "memos"
+
+
 class BuildSideCache:
     """Content-keyed LRU cache of derived execution structures.
 
@@ -232,7 +249,7 @@ class BuildSideCache:
         self.max_bytes = max_bytes
         #: key -> (value, owner serial of the storing plan, estimated
         #: bytes (None: not sized yet), top-level len at store time,
-        #: observed row count)
+        #: observed row count, carrier kind)
         self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -251,7 +268,7 @@ class BuildSideCache:
         if entry is None:
             self.misses += 1
             return _MISSING, None
-        value, owner, _nbytes, _length, rows = entry
+        value, owner, _nbytes, _length, rows, _kind = entry
         self.hits += 1
         if reader is not None and owner is not None and owner != reader:
             self.cross_hits += 1
@@ -264,6 +281,7 @@ class BuildSideCache:
         value,
         owner: Optional[int] = None,
         rows: Optional[int] = None,
+        kind: str = "memos",
     ) -> None:
         old = self._entries.pop(key, None)
         if old is not None and old[2] is not None:
@@ -283,7 +301,7 @@ class BuildSideCache:
             nbytes = None
         else:
             nbytes = estimate_bytes(value)
-        self._entries[key] = (value, owner, nbytes, length, rows)
+        self._entries[key] = (value, owner, nbytes, length, rows, kind)
         if nbytes is not None:
             self.bytes += nbytes
         while len(self._entries) > self.maxsize or (
@@ -307,11 +325,15 @@ class BuildSideCache:
         # Size what store() deferred (budget-less caches only); the result
         # is memoized on the entry, so ``bytes`` reads as if it had been
         # estimated eagerly and repeated calls walk nothing twice.
+        kinds = {kind: {"entries": 0, "bytes": 0} for kind in CARRIER_KINDS}
         for key, entry in list(self._entries.items()):
-            if entry[2] is None:
+            nbytes = entry[2]
+            if nbytes is None:
                 nbytes = estimate_bytes(entry[0])
                 self._entries[key] = entry[:2] + (nbytes,) + entry[3:]
                 self.bytes += nbytes
+            kinds[entry[5]]["entries"] += 1
+            kinds[entry[5]]["bytes"] += nbytes
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -322,6 +344,7 @@ class BuildSideCache:
             "bytes": self.bytes,
             "maxsize": self.maxsize,
             "max_bytes": self.max_bytes or 0,
+            "kinds": kinds,
         }
 
 
@@ -333,9 +356,9 @@ class BuildSideCache:
 # carrier configuration that shapes the value (hash-join build keys,
 # generic-join variables, memo reference positions).  Everything *not* in
 # the rendering is deliberately excluded because the value does not depend
-# on it: a ``SemiJoinProbe``'s probe set is a function of its subplan only,
-# so statements probing the same subquery with different left-hand
-# expressions still share one probe set.  Anything the renderer cannot
+# on it: a ``SemiJoinProbe``'s index is a function of its subplan and the
+# grouping width only, so statements probing the same subquery with
+# different left-hand expressions — or as EXISTS and as IN — share it.  Anything the renderer cannot
 # prove pure (an opaque callable, an operator it does not know) gets a
 # fresh process-unique serial instead — private, never aliased.
 
@@ -378,6 +401,7 @@ def _pred_text(pred) -> tuple:
         return (
             "semijoinprobe",
             pred.negated,
+            pred.key_width,
             tuple(_expr_text(e) for e in pred.exprs),
             _plan_text(pred.subplan),
         )
@@ -461,7 +485,10 @@ def share_signature(carrier, subtree: PlanNode) -> str:
         # negation and the probe expressions only matter at probe time.
         signature = ("inmemo", carrier._refs, _plan_text(carrier.subplan))
     elif isinstance(carrier, SemiJoinProbe):
-        signature = ("semijoin", _plan_text(carrier.subplan))
+        # The index is a function of the subplan and of how many leading
+        # columns partition it — an EXISTS keyed on every column and a 3VL
+        # IN over the same subquery share one entry.
+        signature = ("semijoin", carrier.group_width, _plan_text(carrier.subplan))
     else:
         signature = ("node", next(_share_serial))
     return repr(signature)
@@ -509,8 +536,11 @@ def _subtree_tables(subtree: PlanNode) -> Tuple[str, ...]:
     return tuple(sorted(names))
 
 
-def _share_plan(plan: PlanNode, nodes) -> List[Tuple[object, str, Tuple[str, ...]]]:
-    """The plan's shareable carriers with their signatures and table names.
+def _share_plan(
+    plan: PlanNode, nodes
+) -> List[Tuple[object, str, Tuple[str, ...], str]]:
+    """The plan's shareable carriers with their signatures, table names and
+    kinds.
 
     Purely structural, so it is computed once per plan object and cached on
     it — the per-bind work is then only fingerprinting the bound rows of
@@ -519,7 +549,12 @@ def _share_plan(plan: PlanNode, nodes) -> List[Tuple[object, str, Tuple[str, ...
     cached = getattr(plan, "_share_analysis", None)
     if cached is None:
         cached = [
-            (carrier, share_signature(carrier, subtree), _subtree_tables(subtree))
+            (
+                carrier,
+                share_signature(carrier, subtree),
+                _subtree_tables(subtree),
+                _carrier_kind(carrier),
+            )
             for carrier, subtree in _shareable_carriers(nodes)
         ]
         plan._share_analysis = cached
@@ -545,10 +580,7 @@ def _restore(carrier, value, rows: Optional[int] = None) -> None:
     elif isinstance(carrier, InPred):
         carrier._memo = value
     elif isinstance(carrier, SemiJoinProbe):
-        carrier._keys, carrier._null_rows, carrier._rows = value
-        # Keep the cache's tuple so the next harvest returns the identical
-        # object and the re-store can skip its byte re-estimation.
-        carrier._harvested = value
+        carrier._build = value
 
 
 def _harvest(carrier):
@@ -568,17 +600,7 @@ def _harvest(carrier):
     if isinstance(carrier, InPred):
         return carrier._memo if carrier._memo else _MISSING
     if isinstance(carrier, SemiJoinProbe):
-        if carrier._rows is not None:
-            value = getattr(carrier, "_harvested", None)
-            if (
-                value is None
-                or value[0] is not carrier._keys
-                or value[1] is not carrier._null_rows
-                or value[2] is not carrier._rows
-            ):
-                value = (carrier._keys, carrier._null_rows, carrier._rows)
-                carrier._harvested = value
-            return value
+        return carrier._build if carrier._build is not None else _MISSING
     return _MISSING
 
 
@@ -641,7 +663,7 @@ def bind_plan(
         owner = _plan_owner(plan)
         fingerprints: Dict[str, tuple] = {}
         bindings = []
-        for carrier, signature, tables in _share_plan(plan, nodes):
+        for carrier, signature, tables, kind in _share_plan(plan, nodes):
             contents = []
             for name in tables:
                 fingerprint = fingerprints.get(name)
@@ -660,7 +682,7 @@ def bind_plan(
             # stores build sides in a different shape (column vectors +
             # row-id groups) than the row-wise tiers.
             key = (signature, columnar, tuple(contents))
-            bindings.append((carrier, key))
+            bindings.append((carrier, key, kind))
             value, rows = cache.lookup_entry(key, reader=owner)
             if value is not _MISSING:
                 _restore(carrier, value, rows)
@@ -719,11 +741,15 @@ def unbind_plan(
             carrier_rows[id(node)] = count
     if cache is not None:
         owner = _plan_owner(plan)
-        for carrier, key in getattr(plan, "_shared_bindings", ()):
+        for carrier, key, kind in getattr(plan, "_shared_bindings", ()):
             value = _harvest(carrier)
             if value is not _MISSING:
                 cache.store(
-                    key, value, owner=owner, rows=carrier_rows.get(id(carrier))
+                    key,
+                    value,
+                    owner=owner,
+                    rows=carrier_rows.get(id(carrier)),
+                    kind=kind,
                 )
     plan._shared_bindings = []
     for node, pred in walk:
@@ -772,9 +798,6 @@ def _reset_state(node, pred) -> None:
     elif isinstance(pred, InPred):
         pred._memo = {}
     elif isinstance(pred, SemiJoinProbe):
-        pred._keys = None
-        pred._null_rows = None
-        pred._rows = None
-        pred._harvested = None
+        pred._build = None
     elif isinstance(pred, ExistsPred):
         pass  # stateless: re-executes its subplan every probe

@@ -32,7 +32,7 @@ Python closures once, so executions pay none of that dispatch:
   (``HashJoin``, ``CachedSubplan``, ``MemoSubplan``, the subquery probes)
   compile to closures that *share state with the original plan nodes* —
   they read and write the same ``_table`` / ``_cache`` / ``_memo`` /
-  ``_keys`` attributes the interpreted path uses.
+  ``_build`` attributes the interpreted path uses.
 
 That state sharing is the bind/unbind contract: a compiled plan is
 executed via its closure tree, but :func:`repro.engine.binding.bind_plan`
@@ -109,7 +109,6 @@ from .operators import (
     StaticScan,
     TableScan,
     _in_fold,
-    typed_key,
 )
 
 __all__ = ["compile_plan", "compile_predicate", "IterFn", "RowsFn"]
@@ -502,7 +501,7 @@ def compile_row(exprs: Sequence[RowExpr]) -> Callable[[Row, OuterStack], Row]:
 # -- subquery predicates ------------------------------------------------------
 #
 # Each compiled probe captures the *original* predicate object and keeps all
-# mutable state (`_known`, `_memo`, `_keys`, …) on it, so the binding
+# mutable state (`_known`, `_memo`, `_build`, …) on it, so the binding
 # layer's reset/harvest/restore walks govern compiled execution unchanged.
 
 
@@ -590,33 +589,51 @@ def _compile_in_pred(pred: InPred):
 
 
 def _compile_semi_join_probe(pred: SemiJoinProbe):
-    sub_rows = _rows_fn(pred.subplan)
-    values_fn = compile_row(pred.exprs)
+    """The set-membership kernel behind uncorrelated IN and the decorrelated
+    EXISTS/IN probes.  The build side stays on ``pred`` (read per call, never
+    captured), so nothing derived from bound rows outlives ``unbind_plan``."""
+    sub_iter = _iter_fn(pred.subplan)
     negated = pred.negated
 
+    def built():
+        return pred.materialize(sub_iter(()))
+
+    indices = _column_indices(pred.exprs)
+    if indices is not None and len(indices) == 1:
+        # One probing-row column against a set of raw values: a subscript
+        # and a set lookup (the set holds no NULL, so a NULL probe misses).
+        (column,) = indices
+        if pred.key_width:
+
+            def exists_key(r, o):
+                build = pred._build
+                if build is None:
+                    build = built()
+                return r[column] in build[0]
+
+            return exists_key
+        hit, miss = not negated, negated
+
+        def in_column(r, o):
+            build = pred._build
+            if build is None:
+                build = built()
+            value = r[column]
+            if value in build[0]:
+                return hit
+            if build[1] or (value is None and build[0]):
+                return None
+            return miss
+
+        return in_column
+    lookup = pred.lookup
+    values_fn = compile_row(pred.exprs)
+
     def semi_join(r, o):
-        if pred._rows is None:
-            distinct = list(dict.fromkeys(sub_rows(())))
-            keys = []
-            null_rows = []
-            for sub_row in distinct:
-                key = typed_key(sub_row)
-                if key is None:
-                    null_rows.append(sub_row)
-                else:
-                    keys.append(key)
-            pred._rows = distinct
-            pred._keys = frozenset(keys)
-            pred._null_rows = null_rows
-        values = values_fn(r, o)
-        key = typed_key(values)
-        if key is not None:
-            if key in pred._keys:
-                result = True
-            else:
-                result = None if pred._maybe_null_match(values) else False
-        else:
-            result = _in_fold(values, pred._rows)
+        build = pred._build
+        if build is None:
+            build = built()
+        result = lookup(values_fn(r, o), build)
         if negated:
             return None if result is None else not result
         return result

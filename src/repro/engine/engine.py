@@ -386,21 +386,14 @@ class Engine:
 
     # -- build-side cache ----------------------------------------------------
 
-    def build_cache_info(self) -> Dict[str, int]:
+    def build_cache_info(self) -> Dict[str, object]:
         """Build-side cache counters: hits, misses, cross-query hits,
-        evictions, entry count and estimated bytes."""
+        evictions, entry count and estimated bytes, plus ``kinds`` — the
+        same ``entries``/``bytes`` split by what the entries hold
+        (hash-join builds, generic-join tries, probe indexes, subquery
+        materializations and memos)."""
         if self._build_cache is None:
-            return {
-                "hits": 0,
-                "misses": 0,
-                "cross_hits": 0,
-                "evictions": 0,
-                "size": 0,
-                "entries": 0,
-                "bytes": 0,
-                "maxsize": 0,
-                "max_bytes": 0,
-            }
+            return BuildSideCache(0).info()
         return self._build_cache.info()
 
     def clear_build_cache(self) -> None:

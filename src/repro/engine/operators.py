@@ -34,8 +34,10 @@ optimizer (:mod:`repro.engine.optimizer`):
 * the subquery predicates :class:`ExistsPred` / :class:`InPred` (the naive,
   re-executing forms the planner emits) and their optimized replacements
   :class:`ExistsProbe` (generator-based, early-terminating, result-cached
-  when the subplan is closed) and :class:`SemiJoinProbe` (a frozenset probe
-  set with 3VL-correct NULL handling for uncorrelated IN).
+  when the subplan is closed, memoized per binding when correlated) and
+  :class:`SemiJoinProbe` (one hash lookup per probing row against a closed
+  build side: uncorrelated IN under 3VL, and EXISTS/IN decorrelated on
+  their equality correlation keys).
 
 Every node also answers two static questions the optimizer asks:
 :meth:`PlanNode.free_refs` — which ``(depth, index)`` positions of the outer
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain as _chain
 from itertools import product as _iter_product
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -83,6 +86,7 @@ __all__ = [
     "ExistsProbe",
     "InPred",
     "SemiJoinProbe",
+    "build_probe_index",
     "typed_key",
     "pred_refs",
 ]
@@ -864,78 +868,120 @@ class InPred:
         )
 
 
+def build_probe_index(rows, key_width: int, width: int) -> tuple:
+    """The build side of a :class:`SemiJoinProbe`: ``(index, null_rows)``.
+
+    ``rows`` are the closed subplan's rows, ``width`` columns wide, whose
+    first ``key_width`` columns are correlation keys.  One representation
+    serves every probe, built from the row tuples themselves (no typed
+    copies: Python equality never equates a string with a number, which is
+    all :func:`typed_key`'s tag asserts):
+
+    * *flat* (``key_width`` is 0 or ``width`` — uncorrelated IN, and EXISTS
+      keyed on every column): ``index`` is the set of distinct NULL-free
+      rows — of raw values when ``width`` is 1 — and ``null_rows`` the
+      distinct rows holding a NULL (for one column: a has-NULL flag);
+    * *grouped* (correlated IN): ``index`` maps each NULL-free key — raw
+      when ``key_width`` is 1 — to the distinct value rows of its group; a
+      NULL key equals nothing, so its rows are dropped.
+    """
+    if 0 < key_width < width:
+        groups: dict = {}
+        for row in rows:
+            key = row[:key_width]
+            if None in key:
+                continue
+            if key_width == 1:
+                key = key[0]
+            groups.setdefault(key, {})[row[key_width:]] = None
+        return {key: tuple(group) for key, group in groups.items()}, ()
+    if width == 1:
+        values = {row[0] for row in rows}
+        if None in values:
+            values.discard(None)
+            return values, ((None,),)
+        return values, ()
+    distinct = set(rows)
+    null_rows = tuple(row for row in distinct if None in row)
+    distinct.difference_update(null_rows)
+    return distinct, null_rows
+
+
 class SemiJoinProbe:
-    """Optimized ``t̄ [NOT] IN Q`` for a *closed* Q: a frozenset probe.
+    """A subquery predicate answered set-at-a-time from a *closed* build
+    side: one hash lookup per probing row instead of one subquery run.
 
-    The subquery's distinct rows are materialized once and split into a
-    frozenset of typed NULL-free keys (the fast path) plus the rows that
-    contain NULL.  3VL is preserved exactly:
+    The subplan is materialized once into :func:`build_probe_index`.  The
+    first ``key_width`` probe expressions are *correlation keys*: they
+    stand for the ``inner = outer`` conjuncts of a decorrelated subquery's
+    WHERE, which keeps a row only when the equality is true, so a NULL on
+    either side matches nothing (two-valued).  The remaining expressions
+    are the left-hand side of ``t̄ [NOT] IN``, matched under 3VL:
 
-    * probe values without NULL: True on a key hit; otherwise unknown if
-      some NULL-containing row matches on every non-NULL position, else
-      False;
-    * probe values with NULL: the full 3VL fold over the (cached, distinct)
-      rows — duplicates cannot change a disjunction, so distinct suffices.
+    * ``key_width == 0`` — uncorrelated ``t̄ [NOT] IN Q``: true on a hit;
+      otherwise unknown if a NULL-holding row of Q agrees on its non-NULL
+      positions (or ``t̄`` holds a NULL and the fold over Q says so), else
+      false;
+    * ``key_width == len(exprs)`` — ``EXISTS (π(σ_{k̄ = ō ∧ rest}(F)))``:
+      true iff the outer key is NULL-free and present, false otherwise,
+      never unknown (``NOT EXISTS`` keeps NULL-key rows);
+    * in between — correlated ``t̄ [NOT] IN (π(σ_{k̄ = ō ∧ rest}(F)))``: the
+      unchanged 3VL fold over the key's group only; no group, no rows, so
+      IN is false and NOT IN true.
     """
 
-    __slots__ = (
-        "exprs",
-        "subplan",
-        "negated",
-        "_keys",
-        "_null_rows",
-        "_rows",
-        "_harvested",
-    )
+    __slots__ = ("exprs", "subplan", "negated", "key_width", "_build")
 
-    def __init__(self, exprs: Sequence[RowExpr], subplan: PlanNode, negated: bool):
+    def __init__(
+        self,
+        exprs: Sequence[RowExpr],
+        subplan: PlanNode,
+        negated: bool,
+        key_width: int = 0,
+    ):
         self.exprs = tuple(exprs)
         self.subplan = subplan
         self.negated = negated
-        self._keys: Optional[frozenset] = None
-        self._null_rows: Optional[List[Row]] = None
-        self._rows: Optional[List[Row]] = None
-        #: The last tuple handed to (or restored from) the build-side
-        #: cache, kept so repeat harvests return the identical object.
-        self._harvested: Optional[tuple] = None
+        self.key_width = key_width
+        #: ``build_probe_index`` of the subplan's rows: the one object the
+        #: build-side cache harvests and restores.
+        self._build: Optional[tuple] = None
 
-    def _materialize(self) -> None:
-        distinct = list(dict.fromkeys(self.subplan.rows(())))
-        keys = []
-        null_rows = []
-        for sub_row in distinct:
-            key = typed_key(sub_row)
-            if key is None:
-                null_rows.append(sub_row)
-            else:
-                keys.append(key)
-        self._rows = distinct
-        self._keys = frozenset(keys)
-        self._null_rows = null_rows
+    @property
+    def group_width(self) -> int:
+        """Key columns the build side is partitioned by (0: flat)."""
+        return self.key_width if self.key_width < len(self.exprs) else 0
+
+    def lookup(self, values: Row, build: tuple) -> Optional[bool]:
+        """The un-negated 3VL answer for one row of probe values."""
+        index, null_rows = build
+        keys = self.key_width
+        width = len(values)
+        if 0 < keys < width:
+            group = index.get(values[0] if keys == 1 else values[:keys])
+            return False if group is None else _in_fold(values[keys:], group)
+        if (values[0] if width == 1 else values) in index:
+            return True
+        if keys:
+            return False
+        if None not in values:
+            # Only a NULL-holding row can still make the answer unknown.
+            return _in_fold(values, null_rows)
+        if width == 1:
+            return None if index or null_rows else False
+        return _in_fold(values, _chain(index, null_rows))
+
+    def materialize(self, rows) -> tuple:
+        """Index the subplan's ``rows`` (an iterable) as this probe's build side."""
+        build = self._build = build_probe_index(rows, self.key_width, len(self.exprs))
+        return build
 
     def __call__(self, row: Row, outers: OuterStack) -> Optional[bool]:
-        if self._rows is None:
-            self._materialize()
-        values = tuple(expr(row, outers) for expr in self.exprs)
-        key = typed_key(values)
-        if key is not None:
-            if key in self._keys:
-                result: Optional[bool] = True
-            else:
-                result = None if self._maybe_null_match(values) else False
-        else:
-            result = _in_fold(values, self._rows)
+        build = self._build
+        if build is None:
+            build = self.materialize(self.subplan.iter_rows(()))
+        result = self.lookup(tuple(expr(row, outers) for expr in self.exprs), build)
         return not3(result) if self.negated else result
-
-    def _maybe_null_match(self, values: Row) -> bool:
-        """Whether some NULL-containing row is 3VL-unknown-equal to values."""
-        for sub_row in self._null_rows:
-            if all(
-                b is None or compare("=", a, b) is True
-                for a, b in zip(values, sub_row)
-            ):
-                return True
-        return False
 
     def refs(self) -> Optional[Refs]:
         return merge_refs(*(expr_refs(expr) for expr in self.exprs))

@@ -37,15 +37,32 @@ rewrites that tree into an equivalent but drastically cheaper one:
 * **subquery caching** — a *closed* EXISTS/IN subplan (one with no outer
   references, per :meth:`~repro.engine.operators.PlanNode.free_refs`) is
   materialized once: EXISTS becomes a cached boolean
-  (:class:`~repro.engine.operators.ExistsProbe`) and IN becomes a frozenset
-  semi-join probe with 3VL-correct NULL handling
+  (:class:`~repro.engine.operators.ExistsProbe`) and IN becomes a hash
+  probe with 3VL-correct NULL handling
   (:class:`~repro.engine.operators.SemiJoinProbe`); closed FROM-subqueries
   are materialized once per execution
   (:class:`~repro.engine.operators.CachedSubplan`) and *correlated* ones
   are memoized per binding of the outer values they actually read
   (:class:`~repro.engine.operators.MemoSubplan`);
-* **streaming** — correlated EXISTS probes use the operators' generator
-  iteration and stop at the first row.
+* **subquery decorrelation** — an EXISTS/IN whose body is ``[DISTINCT]
+  π(σ_θ(F))``, with ``F`` and the select list free of outer references and
+  every conjunct of ``θ`` either ``inner column = probing-row column``
+  (outer side exactly one level up) or free of outer references, becomes a
+  *keyed* :class:`~repro.engine.operators.SemiJoinProbe`: the closed
+  remainder ``σ_rest(F)`` is evaluated once and partitioned by the
+  correlation key, and each probing row is one lookup.  ``σ_θ`` keeps a
+  row only when every conjunct is true, so the body's rows for one probing
+  row are exactly the partition's group for its key, NULL keys matching
+  nothing on either side: EXISTS (two-valued, Figure 5) is group
+  non-emptiness — NOT EXISTS keeps NULL-key rows — and IN/NOT IN run the
+  unchanged 3VL fold (Figures 6–7) over the group, an absent group making
+  IN false and NOT IN true.  Unconditional: O(inner + outer) against
+  O(distinct outer bindings × inner);
+* **streaming** — every other correlated shape (a reference two levels up,
+  a non-equality or disjunctive correlation, an outer reference in the
+  select list, a set operation as body) keeps the per-binding memo: EXISTS
+  probes use the operators' generator iteration and stop at the first row,
+  IN folds over the memoized distinct rows.
 
 Semantics: on *well-typed* inputs — data on which no predicate can raise at
 runtime, which is everything the type checker (:mod:`repro.sql.typecheck`)
@@ -83,6 +100,7 @@ from .expressions import (
     ConstPred,
     NotPred,
     OrPred,
+    expr_refs,
 )
 from .operators import (
     CachedSubplan,
@@ -234,6 +252,10 @@ class _Optimizer:
             return OrPred(self._rewrite_pred(pred.left), self._rewrite_pred(pred.right))
         if isinstance(pred, NotPred):
             return NotPred(self._rewrite_pred(pred.operand))
+        if isinstance(pred, (ExistsPred, ExistsProbe, InPred)):
+            keyed = self._keyed_probe(pred)
+            if keyed is not None:
+                return keyed
         if isinstance(pred, (ExistsPred, ExistsProbe)):
             subplan = self.rewrite(pred.subplan)
             free = subplan.free_refs()
@@ -249,6 +271,64 @@ class _Optimizer:
             return InPred(pred.exprs, subplan, pred.negated, memo_refs=_sub_refs(free))
         # ComparePred / IsNullPred / ConstPred / opaque callables.
         return pred
+
+    def _keyed_probe(self, pred: Pred) -> Optional[SemiJoinProbe]:
+        """Decorrelate an equality-correlated EXISTS/IN into a keyed probe.
+
+        Applies when the body is ``[DISTINCT] π(σ_θ(F))`` with ``F`` and the
+        select list free of outer references and every conjunct of ``θ``
+        either ``inner column = probing-row column`` or free of outer
+        references itself.  ``σ_θ`` keeps a row only when each conjunct is
+        *true*, so for one probing row the body's rows are exactly the rows
+        of the closed remainder ``σ_rest(F)`` whose inner key equals the
+        outer key with no NULL on either side: the remainder, projected on
+        the inner key columns followed by the select list, is evaluated
+        once and partitioned by that key
+        (:class:`~repro.engine.operators.SemiJoinProbe`).  DISTINCT is
+        dropped: duplicates change neither EXISTS nor an IN disjunction.
+        Anything else — a reference two levels up, a non-equality or
+        disjunctive correlation, an outer reference in the select list, a
+        set operation as body — returns None and keeps the memo path.
+        """
+        body = pred.subplan
+        if isinstance(body, DistinctOp):
+            body = body.child
+        if not (isinstance(body, ProjectOp) and isinstance(body.child, FilterOp)):
+            return None
+        inner: List[ColumnRef] = []
+        outer: List[ColumnRef] = []
+        rest: List[Pred] = []
+        for conjunct in _flatten_and(body.child.predicate):
+            pair = _correlation(conjunct)
+            if pair is None:
+                rest.append(conjunct)
+            else:
+                inner.append(ColumnRef(0, pair[0]))
+                outer.append(ColumnRef(0, pair[1]))
+        # Cheapest test first: most subqueries have no such conjunct, and
+        # single-use plans pay this analysis on every query.
+        if not inner:
+            return None
+        source = body.child.child
+        if source.free_refs() != frozenset():
+            return None
+        if not all(map(_reads_own_row, rest)):
+            return None
+        if not all(map(_reads_own_row, body.expressions)):
+            return None
+        remainder = FilterOp(source, _combine(rest)) if rest else source
+        # IN appends its value columns to the keys; EXISTS needs keys only.
+        values, select, negated = (
+            (list(pred.exprs), list(body.expressions), pred.negated)
+            if isinstance(pred, InPred)
+            else ([], [], False)
+        )
+        return SemiJoinProbe(
+            outer + values,
+            self.rewrite(ProjectOp(remainder, inner + select)),
+            negated,
+            key_width=len(inner),
+        )
 
     # -- filter placement ----------------------------------------------------
 
@@ -667,6 +747,28 @@ class _Conjunct:
         else:
             self.local = frozenset(i for d, i in refs if d == 0)
             self.max_local = max(self.local, default=-1)
+
+
+def _reads_own_row(node) -> bool:
+    """Whether an expression or predicate reads depth-0 positions only."""
+    refs = expr_refs(node)
+    return refs is not None and all(depth == 0 for depth, _ in refs)
+
+
+def _correlation(pred: Pred) -> Optional[Tuple[int, int]]:
+    """``(inner index, outer index)`` if pred equates a column of its own
+    row with a column of the probing row (depth exactly 1), else None."""
+    if (
+        isinstance(pred, ComparePred)
+        and pred.op == "="
+        and isinstance(pred.left, ColumnRef)
+        and isinstance(pred.right, ColumnRef)
+    ):
+        if pred.left.depth == 0 and pred.right.depth == 1:
+            return pred.left.index, pred.right.index
+        if pred.left.depth == 1 and pred.right.depth == 0:
+            return pred.right.index, pred.left.index
+    return None
 
 
 def _is_cyclic(n: int, edge_spans: Sequence[Tuple[int, int]]) -> bool:

@@ -195,17 +195,17 @@ class ServiceRegistry:
         for name, tenant in self.tenants.items():
             engines = [engine.cache_info() for engine in tenant.engines.values()]
             build = {
-                "hits": sum(e["build"]["hits"] for e in engines),
-                "misses": sum(e["build"]["misses"] for e in engines),
-                "cross_hits": sum(e["build"]["cross_hits"] for e in engines),
-                "entries": sum(e["build"]["entries"] for e in engines),
-                "bytes": sum(e["build"]["bytes"] for e in engines),
+                counter: sum(e["build"][counter] for e in engines)
+                for counter in (
+                    "hits", "misses", "cross_hits", "evictions", "entries", "bytes"
+                )
             }
             plan = {
-                "hits": sum(e["hits"] for e in engines),
-                "misses": sum(e["misses"] for e in engines),
-                "entries": sum(e["entries"] for e in engines),
-                "bytes": sum(e["bytes"] for e in engines),
+                counter: sum(e[counter] for e in engines)
+                for counter in (
+                    "hits", "misses", "evictions", "reoptimizations",
+                    "entries", "bytes",
+                )
             }
             tenants[name] = {
                 "databases": sorted(tenant.databases),

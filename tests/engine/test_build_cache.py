@@ -120,6 +120,10 @@ def test_disabled_build_cache(schema):
     assert engine.build_cache_info() == {
         "hits": 0, "misses": 0, "cross_hits": 0, "evictions": 0,
         "size": 0, "entries": 0, "bytes": 0, "maxsize": 0, "max_bytes": 0,
+        "kinds": {
+            kind: {"entries": 0, "bytes": 0}
+            for kind in ("hash_join", "tries", "probes", "memos")
+        },
     }
 
 
@@ -325,3 +329,83 @@ def test_plans_unbound_even_with_sharing_hits(schema):
         for node, _pred in iter_plan_nodes(compiled.plan):
             if isinstance(node, TableScan):
                 assert node.data is None
+
+
+# -- where the bytes go, and that they go nowhere else --------------------------
+
+KEYED_SQL = [
+    PROBE_SQL,
+    CORRELATED_SQL,
+    "SELECT R.A FROM R WHERE R.B NOT IN (SELECT T.D FROM T WHERE T.C = R.A)",
+]
+
+
+def test_info_breaks_entries_and_bytes_down_by_carrier_kind(schema):
+    engine = Engine(schema)
+    statements = [JOIN_SQL, *KEYED_SQL, "SELECT U.A FROM (SELECT S.A FROM S) AS U, R"]
+    for sql in statements:
+        query = annotate(sql, schema)
+        engine.execute(query, make_db(schema))
+        engine.execute(query, make_db(schema))  # second bind: harvested
+    info = engine.build_cache_info()
+    kinds = info["kinds"]
+    assert set(kinds) == {"hash_join", "tries", "probes", "memos"}
+    assert kinds["hash_join"]["entries"] == 1
+    assert kinds["probes"]["entries"] == 3
+    assert kinds["memos"]["entries"] == 1  # the cached FROM-subquery
+    assert kinds["tries"] == {"entries": 0, "bytes": 0}
+    assert sum(kind["entries"] for kind in kinds.values()) == info["entries"]
+    assert sum(kind["bytes"] for kind in kinds.values()) == info["bytes"]
+    assert all(kind["bytes"] > 0 for kind in kinds.values() if kind["entries"])
+
+
+def test_probe_build_sides_survive_unbind_in_the_build_cache_only(schema):
+    """After ``unbind_plan`` the only reference to a probe's index is the
+    cache entry: no plan node, predicate or compiled closure keeps a second
+    copy (or the first) alive."""
+    import gc
+    import types
+
+    engine = Engine(schema)
+    for sql in KEYED_SQL:
+        query = annotate(sql, schema)
+        engine.execute(query, make_db(schema))
+        engine.execute(query, make_db(schema))
+    for compiled in engine._plan_cache.values():
+        for _node, pred in iter_plan_nodes(compiled.plan):
+            assert getattr(pred, "_build", None) is None
+    entries = list(engine._build_cache._entries.values())
+    assert len(entries) == len(KEYED_SQL)
+
+    def holders(obj):
+        return [
+            ref
+            for ref in gc.get_referrers(obj)
+            if not isinstance(ref, types.FrameType) and ref is not entries
+        ]
+
+    for entry in entries:
+        build = entry[0]
+        index, null_rows = build
+        assert holders(build) == [entry]
+        assert holders(index) == [build]
+        for group in index.values() if isinstance(index, dict) else ():
+            assert holders(group) == [index]
+
+
+def test_probe_entry_is_smaller_than_the_typed_key_triple():
+    """The representation this one replaced kept ``(frozenset of typed key
+    tuples, NULL-holding rows, distinct rows)`` per probe."""
+    from repro.engine.binding import estimate_bytes
+    from repro.engine.operators import build_probe_index, typed_key
+
+    def old_triple(rows):
+        distinct = list(dict.fromkeys(rows))
+        keys = frozenset(filter(None, map(typed_key, distinct)))
+        return keys, [row for row in distinct if None in row], distinct
+
+    one = [(i % 700,) for i in range(1000)] + [(None,)]
+    two = [(i % 700, str(i % 13)) for i in range(1000)] + [(None, "x"), (5, None)]
+    for rows, width in ((one, 1), (two, 2)):
+        new = estimate_bytes(build_probe_index(iter(rows), 0, width))
+        assert new < estimate_bytes(old_triple(rows)) / 2

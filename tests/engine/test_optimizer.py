@@ -82,13 +82,77 @@ def test_closed_exists_becomes_cached_probe(schema, db):
     assert isinstance(probe, ExistsProbe) and probe.closed
 
 
-def test_correlated_exists_probe_not_closed(schema, db):
+def test_equality_correlated_exists_becomes_keyed_probe(schema, db):
     c = compiled(
         schema, db, "SELECT R.A FROM R WHERE EXISTS (SELECT S.A FROM S WHERE S.A = R.A)"
     )
     plan = optimize_plan(c.plan)
     probe = plan.child.predicate
-    assert isinstance(probe, ExistsProbe) and not probe.closed
+    # Keyed on every column (two-valued), probing R.A, over a closed build
+    # side that projects the inner key column only.
+    assert isinstance(probe, SemiJoinProbe)
+    assert probe.key_width == 1 and probe.group_width == 0
+    assert probe.exprs == (ColumnRef(0, 0),) and not probe.negated
+    assert probe.subplan.free_refs() == frozenset()
+    assert probe.subplan.expressions == [ColumnRef(0, 0)]
+
+
+def test_equality_correlated_in_becomes_grouped_probe(schema, db):
+    c = compiled(
+        schema,
+        db,
+        "SELECT R.A FROM R WHERE R.B NOT IN "
+        "(SELECT DISTINCT T.C FROM T WHERE T.D = R.A AND T.C > 1)",
+    )
+    plan = optimize_plan(c.plan)
+    probe = plan.child.predicate
+    assert isinstance(probe, SemiJoinProbe) and probe.negated
+    # The correlation key R.A leads, the IN value R.B follows; the build
+    # side is keyed by T.D and keeps the local conjunct T.C > 1.
+    assert probe.key_width == probe.group_width == 1
+    assert probe.exprs == (ColumnRef(0, 0), ColumnRef(0, 1))
+    assert probe.subplan.expressions == [ColumnRef(0, 1), ColumnRef(0, 0)]
+    assert isinstance(probe.subplan.child, FilterOp)
+    assert probe.subplan.free_refs() == frozenset()
+
+
+@pytest.mark.parametrize(
+    "sql, kind",
+    [
+        # a reference two levels up
+        (
+            "SELECT R.A FROM R WHERE EXISTS (SELECT S.A FROM S WHERE EXISTS "
+            "(SELECT T.C FROM T WHERE T.C = R.B))",
+            ExistsProbe,
+        ),
+        # a non-equality correlation
+        ("SELECT R.A FROM R WHERE EXISTS (SELECT S.A FROM S WHERE S.A < R.A)", ExistsProbe),
+        # a correlation under OR
+        (
+            "SELECT R.A FROM R WHERE EXISTS "
+            "(SELECT S.A FROM S WHERE S.A = R.A OR S.A = 1)",
+            ExistsProbe,
+        ),
+        # an outer reference in the select list
+        ("SELECT R.A FROM R WHERE R.B IN (SELECT R.A FROM S WHERE S.A = R.A)", InPred),
+        # a set operation as body
+        (
+            "SELECT R.A FROM R WHERE R.B IN (SELECT T.C FROM T WHERE T.D = R.A "
+            "UNION SELECT S.A FROM S)",
+            InPred,
+        ),
+        # an outer-only equality
+        ("SELECT R.A FROM R WHERE EXISTS (SELECT S.A FROM S WHERE R.A = R.B)", ExistsProbe),
+    ],
+)
+def test_other_correlated_shapes_keep_the_memo_path(schema, db, sql, kind):
+    plan = optimize_plan(compiled(schema, db, sql).plan)
+    probe = plan.child.predicate
+    assert type(probe) is kind
+    if kind is ExistsProbe:
+        assert not probe.closed and probe._refs
+    else:
+        assert probe._refs
 
 
 def test_closed_in_becomes_semi_join_probe(schema, db):
@@ -108,9 +172,11 @@ def test_closed_from_subquery_cached_inside_correlated_exists(schema, db):
     )
     plan = optimize_plan(c.plan)
     probe = plan.child.predicate
-    # The EXISTS is correlated, but its closed FROM-subquery is materialized
-    # once instead of once per probing row.
-    assert not probe.closed
+    # The EXISTS is decorrelated on S.A = R.A; the closed remainder keeps
+    # the FROM product, whose closed FROM-subquery is still materialized
+    # once (with U.C = 2 sunk into it).
+    assert isinstance(probe, SemiJoinProbe) and probe.key_width == 1
+    assert probe.subplan.free_refs() == frozenset()
     cached = [
         node
         for node in _walk(probe.subplan)
@@ -127,16 +193,6 @@ def _walk(plan):
             yield from _walk(node)
     for node in getattr(plan, "children", ()):
         yield from _walk(node)
-
-
-def test_correlated_in_stays_in_pred(schema, db):
-    c = compiled(
-        schema,
-        db,
-        "SELECT R.A FROM R WHERE R.B IN (SELECT T.C FROM T WHERE T.D = R.A)",
-    )
-    plan = optimize_plan(c.plan)
-    assert isinstance(plan.child.predicate, InPred)
 
 
 def test_opaque_predicates_survive_untouched(schema, db):

@@ -85,6 +85,10 @@ def test_cache_disabled_and_eviction():
         "build": {
             "hits": 0, "misses": 0, "cross_hits": 0, "evictions": 0,
             "size": 0, "entries": 0, "bytes": 0, "maxsize": 128, "max_bytes": 0,
+            "kinds": {
+                kind: {"entries": 0, "bytes": 0}
+                for kind in ("hash_join", "tries", "probes", "memos")
+            },
         },
     }
     tiny = Engine(SCHEMA, "postgres", plan_cache_size=2)

@@ -108,3 +108,28 @@ def test_stats_aggregates_caches_per_tenant():
     assert entry["plan_cache"]["entries"] >= 1
     assert stats["statement_evictions"] == 0
     assert stats["uptime_s"] >= 0
+
+
+def test_stats_passes_eviction_counters_through():
+    """``/stats`` reports what ``Engine.cache_info()`` counts: a plan cache
+    and a build cache too small for the workload both show evictions."""
+    registry, db = make_registry(plan_cache_size=2, build_cache_size=1)
+    _sid, statement = registry.prepare(
+        "t1", "SELECT R.A FROM R, T WHERE R.B = T.C AND R.A IN "
+        "(SELECT R.A FROM R WHERE R.B = $1)", "default",
+    )
+    engine = registry.tenant("t1").engine_for(db.schema)
+    # The repeat harvests two build sides into a one-entry cache; three
+    # bindings cycle through a two-entry plan cache.
+    for value in (1, 1, 2, 3, 1):
+        engine.execute(statement.bind([value]), db)
+    entry = registry.stats()["tenants"]["t1"]
+    info = engine.cache_info()
+    assert entry["plan_cache"]["evictions"] == info["evictions"] > 0
+    assert entry["plan_cache"]["reoptimizations"] == info["reoptimizations"]
+    assert entry["build_cache"]["evictions"] == info["build"]["evictions"] > 0
+    # Additive: the counters that were there keep their names.
+    assert {"hits", "misses", "entries", "bytes"} <= set(entry["plan_cache"])
+    assert {"hits", "misses", "cross_hits", "entries", "bytes"} <= set(
+        entry["build_cache"]
+    )
