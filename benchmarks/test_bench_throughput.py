@@ -20,6 +20,9 @@ pipeline stage so regressions are visible.  pytest-benchmark measures:
   triangle/4-cycle workloads, paired at the same two scales,
 * set-at-a-time subquery predicates (equality-correlated EXISTS/IN as
   keyed probes) against ``optimize=False`` on a selective-outer workload,
+* scan kernels (filters over base-table scans as fused selections over
+  column vectors) against ``compiled=False`` on scan-, join-input- and
+  set-operation-shaped statements,
 * the full Theorem 1 translation (to SQL-RA + desugaring).
 
 ``scripts/bench.py`` runs the same workloads standalone and writes
@@ -301,6 +304,35 @@ def subquery_pairs(rows=50, databases=2):
     ]
 
 
+# -- scan-kernel workload --------------------------------------------------------
+#
+# Filters over base-table scans in the three places they sit: under a
+# projection, as a join input, and as set-operation operands — plus one whose
+# range conjuncts lead an IN probe (the prefix split).  Ranges are fractions
+# of the value domain (which scales with the table), so selectivities hold at
+# any ``--rows``.  Runs on the columnar workload's schema and data.
+
+SCAN_SQL = (
+    "SELECT R.A, R.C FROM R WHERE R.B >= {lo} AND R.B < {hi}",
+    "SELECT R.A FROM R WHERE R.B < {hi} AND R.C IS NOT NULL AND NOT (R.A = R.C)",
+    "SELECT T.B, R.C FROM R, T WHERE R.A = T.A AND R.B >= {lo} AND R.B < {hi}",
+    "SELECT R.A FROM R WHERE R.B < {hi} EXCEPT SELECT S.A FROM S WHERE S.B < {mid}",
+    "SELECT DISTINCT R.B FROM R WHERE R.C < {lo} UNION SELECT S.B FROM S WHERE S.A < {lo}",
+    "SELECT R.A FROM R WHERE R.B >= {lo} AND R.B < {hi} AND R.A IN "
+    "(SELECT S.A FROM S WHERE S.B < {mid})",
+)
+
+
+def scan_pairs(rows=50, databases=2):
+    """The scan-kernel workload: every query on every database."""
+    domain = max(rows, 2)
+    bounds = {"lo": domain // 10, "mid": domain // 4, "hi": domain // 5}
+    queries = [annotate(sql.format(**bounds), VEC_SCHEMA) for sql in SCAN_SQL]
+    return [
+        (query, vec_db(seed, rows)) for seed in range(databases) for query in queries
+    ]
+
+
 def join_order_pairs(databases=4, big_rows=60):
     """The adversarial-FROM-order workload: every query on every database."""
     queries = [annotate(sql, ADVERSARIAL_SCHEMA) for sql in JOIN_ORDER_SQL]
@@ -501,6 +533,25 @@ def test_bench_engine_subquery_naive(benchmark):
     engine = Engine(SUBQUERY_SCHEMA, "postgres", optimize=False)
     pairs = subquery_pairs(rows=PAPER_ROW_CAP)
     benchmark.pedantic(run_workload, args=(engine, pairs), rounds=3, iterations=1)
+
+
+@pytest.mark.parametrize("rows", (PAPER_ROW_CAP, 5000))
+def test_bench_engine_scan(benchmark, rows):
+    """Scan kernels on the filter-over-scan workload, plan cache hot, at
+    the paper's row cap and at 5,000 rows (build sides rebuilt every run)."""
+    engine = Engine(VEC_SCHEMA, "postgres", build_cache_size=0)
+    pairs = scan_pairs(rows=rows)
+    run_workload(engine, pairs)  # admit + compile every plan up front
+    benchmark(run_workload, engine, pairs)
+
+
+@pytest.mark.parametrize("rows", (PAPER_ROW_CAP, 5000))
+def test_bench_engine_scan_interpreted(benchmark, rows):
+    """Ablation: the same optimized plans, one predicate call per row."""
+    engine = Engine(VEC_SCHEMA, "postgres", compiled=False, build_cache_size=0)
+    pairs = scan_pairs(rows=rows)
+    run_workload(engine, pairs)
+    benchmark(run_workload, engine, pairs)
 
 
 def test_bench_theorem1_translation(benchmark):

@@ -39,7 +39,12 @@ Engine stages (written to ``BENCH_engine.json``)
   four-way digest gate — vectorized vs compiled vs interpreted vs naive
   — runs at the 50-row cap, where the naive product engine is feasible,
   plus a vectorized-vs-rowwise check at ``--rows`` scale, and any
-  mismatch fails the run)
+  mismatch fails the run).  Since the closure tier's filters over
+  base-table scans run the columnar tier's own fused selection kernel
+  (``engine_scan`` below), ``vectorized_speedup`` reads about 1x on this
+  workload by design — it was 2.9x at 5,000 rows while only the columnar
+  tier had the kernel; the pair stays as the digest gate and as the
+  measure of what batch-at-a-time joins and set operations still add
 * ``engine_wcoj``           — worst-case-optimal multiway joins
   (``GenericJoin``) on the cyclic triangle/4-cycle workload, sized by
   ``--rows``
@@ -55,6 +60,15 @@ Engine stages (written to ``BENCH_engine.json``)
   subquery re-runs per probing row; the statements lead with a selective
   outer conjunct so this leg stays feasible at ``--rows 5000``; the
   pair's ``subquery_speedup`` is recorded and digest-gated at ``--rows``)
+* ``engine_scan``           — filters over base-table scans under a
+  projection, as a join input, as set-operation operands and in front of
+  an IN probe: the compiled tier's scan kernels (fused selections over the
+  tables' column vectors), sized by ``--rows`` (plan cache hot, build-side
+  cache off)
+* ``engine_scan_interpreted`` — same workload, ``compiled=False`` (one
+  predicate call per row; the pair's ``scan_speedup`` is recorded, with a
+  three-way digest gate — default vs interpreted vs naive — at the 50-row
+  cap plus a default-vs-interpreted check at ``--rows`` scale)
 * ``engine_join_order``     — adversarial-FROM-order workload, cost-based
   join ordering (second-generation optimizer)
 * ``engine_join_order_fromorder`` — same workload, ordering ablated
@@ -160,6 +174,7 @@ from benchmarks.test_bench_throughput import (  # noqa: E402
     make_query,
     run_workload,
     setop_pairs,
+    scan_pairs,
     subquery_pairs,
     vectorized_pairs,
     wcoj_pairs,
@@ -260,6 +275,8 @@ ENGINE_STAGES = (
     "engine_binary",
     "engine_subquery",
     "engine_subquery_naive",
+    "engine_scan",
+    "engine_scan_interpreted",
     "engine_join_order",
     "engine_join_order_fromorder",
     "engine_setops",
@@ -277,8 +294,8 @@ def build_stages(selected, rows=50):
     workloads the reporting needs), building only what ``selected`` stages
     require (pregenerating the 50-row engine pairs costs seconds, which a
     --stages run selecting cheap stages should not pay).  ``rows`` sizes
-    the columnar, cyclic-join and subquery workloads' tables (every other
-    stage keeps its fixed scale)."""
+    the columnar, cyclic-join, subquery and scan-kernel workloads' tables
+    (every other stage keeps its fixed scale)."""
 
     def need(*names):
         return any(name in selected for name in names)
@@ -462,6 +479,35 @@ def build_stages(selected, rows=50):
         stages["engine_subquery_naive"] = lambda: run_workload(
             subquery_naive, sub_pairs
         )
+    if need("engine_scan", "engine_scan_interpreted"):
+        # Scan-kernel workload, sized by --rows.  Plan caches are on, so
+        # after warm-up the pair isolates the kernels against a predicate
+        # call per row on identical plans; the build-side cache is off, so
+        # the join statement scans and builds on every run.
+        kernel_pairs = scan_pairs(rows=rows)
+        scan_engine = Engine(VEC_SCHEMA, "postgres", build_cache_size=0)
+        scan_interpreted = Engine(
+            VEC_SCHEMA, "postgres", compiled=False, build_cache_size=0
+        )
+        # As for the columnar pair: the naive engine joins the gate at the
+        # 50-row cap only, the pair is checked again at --rows scale.
+        context["scan"] = (
+            kernel_pairs if rows <= 50 else scan_pairs(rows=50),
+            [
+                ("kernels", scan_engine),
+                ("interpreted", scan_interpreted),
+                ("naive", Engine(VEC_SCHEMA, "postgres", optimize=False)),
+            ],
+        )
+        if rows > 50:
+            context["scan_scale"] = (
+                kernel_pairs,
+                [("kernels", scan_engine), ("interpreted", scan_interpreted)],
+            )
+        stages["engine_scan"] = lambda: run_workload(scan_engine, kernel_pairs)
+        stages["engine_scan_interpreted"] = lambda: run_workload(
+            scan_interpreted, kernel_pairs
+        )
     if need("engine_repeat_cached", "engine_repeat_uncached"):
         # Plan-cache workload: few queries, many databases — the shape of
         # the trial campaigns and the equivalence checker, where
@@ -516,7 +562,9 @@ def check_ablation_digests(context, results_doc) -> bool:
     the four-way ``vectorized`` group the columnar backend (vectorized vs
     compiled vs interpreted vs naive), and the three-way ``wcoj`` group
     the multiway join (wcoj vs binary vs naive); ``subquery`` gates the
-    keyed subquery probes against the naive engine at ``--rows`` scale.
+    keyed subquery probes against the naive engine at ``--rows`` scale, and
+    the three-way ``scan`` group the scan kernels (default vs interpreted
+    vs naive).
     """
     all_match = True
     for group, speedup_key, fast_stage, slow_stage in (
@@ -532,6 +580,8 @@ def check_ablation_digests(context, results_doc) -> bool:
         ("wcoj_scale", None, None, None),
         ("subquery", "subquery_speedup", "engine_subquery",
          "engine_subquery_naive"),
+        ("scan", "scan_speedup", "engine_scan", "engine_scan_interpreted"),
+        ("scan_scale", None, None, None),
     ):
         if group not in context:
             continue
@@ -1651,9 +1701,10 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=5, help="rounds per stage")
     parser.add_argument(
         "--rows", type=int, default=50,
-        help="table size for the columnar, cyclic-join and subquery workload "
-        "stages (engine_vectorized/engine_rowwise, engine_wcoj/engine_binary, "
-        "engine_subquery/engine_subquery_naive; default: the paper's 50-row cap)",
+        help="table size for the columnar, cyclic-join, subquery and scan-kernel "
+        "workload stages (engine_vectorized/engine_rowwise, "
+        "engine_wcoj/engine_binary, engine_subquery/engine_subquery_naive, "
+        "engine_scan/engine_scan_interpreted; default: the paper's 50-row cap)",
     )
     parser.add_argument(
         "--stages",

@@ -47,8 +47,9 @@ class Table:
         self._columns = columns
         self._bag = bag
         #: Engine-side memos (see repro.engine.binding.bind_plan): the rows
-        #: converted to the executor's value domain, and their transposition
-        #: into column vectors for the columnar tier.  Pure functions of the
+        #: converted to the executor's value domain, and their column
+        #: vectors — one slot per column, None until a scan kernel or the
+        #: columnar tier first reads that column.  Pure functions of the
         #: immutable bag, computed lazily, excluded from eq/hash.
         self._scan_rows = None
         self._scan_cols = None

@@ -6,8 +6,12 @@ compiler (:mod:`repro.engine.compile`) whenever lowering pays for itself:
 the plan is admitted to the plan cache, or — for single-use plans
 (``plan_cache_size=0``) — the rows bound under its scans reach the
 measured break-even ``engine.SINGLE_USE_COMPILE_ROWS``; smaller
-single-use plans run interpreted.  Three ablation/alternative tiers
-share the same plans and are digest-gated bit-identical:
+single-use plans run interpreted.  In a lowered plan a filter over a
+base-table scan runs as a *scan kernel*: one fused comprehension over the
+table's memoized column vectors, replayed row-wise on a type clash
+(``Engine.cache_info()["scan_kernels"]`` counts both).  Three
+ablation/alternative tiers share the same plans and are digest-gated
+bit-identical:
 
 * ``Engine(schema, dialect, optimize=False)`` — the paper's naive
   product-then-filter evaluation;
@@ -16,7 +20,8 @@ share the same plans and are digest-gated bit-identical:
 * ``Engine(schema, dialect, vectorized=True)`` — the columnar batch
   backend (:mod:`repro.engine.columnar`): operators exchange column
   vectors plus row-id selections, WHERE trees evaluate as paired 3VL
-  (value, null) masks, and tuples materialize only at result emission.
+  (value, null) masks or the scan kernels' fused selections, and tuples
+  materialize only at result emission.
 """
 
 from .binding import bind_plan, reset_plan

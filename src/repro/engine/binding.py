@@ -239,9 +239,9 @@ class BuildSideCache:
     gaining keys, and that shows in its length; build tables and tries are
     immutable once built.
 
-    Entries also carry the row count :func:`unbind_plan` observed for the
-    structure, so a plan that restores a cached build side can report
-    cardinality feedback without re-walking it.
+    Entries also carry the row count the structure was built with, so a
+    plan that restores a cached build side reports the same cardinality
+    feedback as the plan that built it.
     """
 
     def __init__(self, maxsize: int = 128, max_bytes: Optional[int] = None):
@@ -568,10 +568,10 @@ def _restore(carrier, value, rows: Optional[int] = None) -> None:
         carrier._memo = value
     elif isinstance(carrier, HashJoin):
         carrier._table = value
-        carrier._restored_rows = rows
+        carrier._build_rows = rows
     elif isinstance(carrier, GenericJoin):
         carrier._tries = value
-        carrier._restored_rows = rows
+        carrier._build_rows = rows
     elif isinstance(carrier, ExistsProbe):
         if carrier.closed:
             carrier._known = value
@@ -614,13 +614,17 @@ def bind_plan(
 
     Returns the same plan object (mutated in place): binding is cheap — one
     tree walk — compared to re-planning and re-optimizing the query, which
-    is the point of the plan cache.  The Null -> None row conversion (and,
-    with ``columnar=True``, the row -> column transposition the vectorized
-    tier scans from) is a pure function of the immutable
-    :class:`~repro.core.table.Table`, so both are memoized *on the table*:
-    rebinding the same database — or another plan reading the same table —
-    pays for the conversion exactly once, and the memos die with the
-    database rather than pinning it to a cached plan.
+    is the point of the plan cache.  The Null -> None row conversion and
+    the column vectors the scan kernels and the vectorized tier read are
+    pure functions of the immutable :class:`~repro.core.table.Table`, so
+    both are memoized *on the table*: rebinding the same database — or
+    another plan reading the same table — pays for the conversion exactly
+    once, and the memos die with the database rather than pinning it to a
+    cached plan.  The vectors are a per-column memo (one slot per column,
+    None until something reads that column) that each scan receives next to
+    its rows; whoever reads a column first pivots it
+    (:func:`repro.engine.compile._scan_vectors`).  ``columnar`` says which
+    tier's build-side shapes the content keys below address.
 
     With a ``cache``, shareable structures whose content key hits are
     restored instead of recomputed, and the (carrier, key) pairs are
@@ -632,11 +636,11 @@ def bind_plan(
     per generated query, empty cache — pay none of the bookkeeping.
     """
     nodes = []
-    bound: Dict[str, list] = {}
+    bound: Dict[str, tuple] = {}
     for node, pred in iter_plan_nodes(plan):
         if isinstance(node, TableScan):
-            node.data = bound.get(node.table)
-            if node.data is None:
+            memos = bound.get(node.table)
+            if memos is None:
                 table = db.table(node.table)
                 rows = table._scan_rows
                 if rows is None:
@@ -644,17 +648,12 @@ def bind_plan(
                         tuple(None if isinstance(v, Null) else v for v in record)
                         for record in table.bag
                     ]
-                node.data = bound[node.table] = rows
-            if columnar:
-                table = db.table(node.table)
-                cols = table._scan_cols
-                if cols is None:
-                    if table._scan_rows:
-                        cols = list(map(list, zip(*table._scan_rows)))
-                    else:
-                        cols = [[] for _ in range(node.arity)]
-                    table._scan_cols = cols
-                node._columns = (node.data, cols)
+                vectors = table._scan_cols
+                if vectors is None:
+                    vectors = table._scan_cols = [None] * node.arity
+                memos = bound[node.table] = (rows, vectors)
+            node.data = memos[0]
+            node._columns = memos
         _reset_state(node, pred)
         nodes.append((node, pred))
     binds = getattr(plan, "_bind_count", 0) + 1
@@ -675,7 +674,7 @@ def bind_plan(
                     table = db.table(name)
                     fingerprint = table._scan_fp
                     if fingerprint is None:
-                        fingerprint = table._scan_fp = _Fingerprint(bound[name])
+                        fingerprint = table._scan_fp = _Fingerprint(bound[name][0])
                     fingerprints[name] = fingerprint
                 contents.append((name, fingerprint))
             # The execution tier is part of the key: the columnar backend
@@ -712,9 +711,8 @@ def unbind_plan(
     """
     observed_tables: Dict[str, int] = {}
     observed_nodes: Dict[str, int] = {}
-    # Carrier id -> rows observed, recorded alongside the cache entry so a
-    # future execution that restores the structure replays the count
-    # instead of re-walking an unchanged build table or trie forest.
+    # Carrier id -> rows its build side holds, recorded alongside the cache
+    # entry so an execution that restores the structure replays the count.
     carrier_rows: Dict[int, int] = {}
     walk = list(iter_plan_nodes(plan))
     for position, (node, pred) in enumerate(walk):
@@ -727,18 +725,11 @@ def unbind_plan(
             node._columns = None  # the columnar memo references the rows
         elif isinstance(node, CachedSubplan) and node._cache is not None:
             observed_nodes[f"{position}:CachedSubplan"] = len(node._cache)
-        elif isinstance(node, HashJoin) and node._table is not None:
-            count = getattr(node, "_restored_rows", None)
-            if count is None:
-                count = _build_size(node._table)
-            observed_nodes[f"{position}:HashJoin"] = count
-            carrier_rows[id(node)] = count
-        elif isinstance(node, GenericJoin) and node._tries is not None:
-            count = getattr(node, "_restored_rows", None)
-            if count is None:
-                count = sum(_trie_size(trie) for trie in node._tries)
-            observed_nodes[f"{position}:GenericJoin"] = count
-            carrier_rows[id(node)] = count
+        elif isinstance(node, (HashJoin, GenericJoin)) and node._build_rows is not None:
+            # Counted by whoever built the structure (or recorded with the
+            # cache entry it was restored from): nothing is re-walked here.
+            observed_nodes[f"{position}:{type(node).__name__}"] = node._build_rows
+            carrier_rows[id(node)] = node._build_rows
     if cache is not None:
         owner = _plan_owner(plan)
         for carrier, key, kind in getattr(plan, "_shared_bindings", ()):
@@ -762,23 +753,6 @@ def unbind_plan(
     return plan
 
 
-def _build_size(table) -> int:
-    """Rows in a hash-join build side, either tier's shape: the row-wise
-    tier stores ``key -> [row, ...]``, the columnar tier ``(right columns,
-    key -> [row id, ...])``."""
-    if isinstance(table, tuple):
-        table = table[1]
-    return sum(len(group) for group in table.values())
-
-
-def _trie_size(trie) -> int:
-    """Rows indexed by one generic-join trie (or held by a variable-free
-    child's plain row list)."""
-    if isinstance(trie, dict):
-        return sum(_trie_size(level) for level in trie.values())
-    return len(trie)
-
-
 def _reset_state(node, pred) -> None:
     # Memo dicts are *re-bound*, never cleared in place: the harvested dict
     # may live on in the build-side cache, where clearing would wipe it.
@@ -788,10 +762,10 @@ def _reset_state(node, pred) -> None:
         node._memo = {}
     elif isinstance(node, HashJoin):
         node._table = None
-        node._restored_rows = None
+        node._build_rows = None
     elif isinstance(node, GenericJoin):
         node._tries = None
-        node._restored_rows = None
+        node._build_rows = None
     if isinstance(pred, ExistsProbe):
         pred._known = None
         pred._memo = {}

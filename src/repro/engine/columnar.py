@@ -1,9 +1,11 @@
 """Columnar (vectorized) execution: the engine's fourth tier.
 
 The compiled tier (:mod:`repro.engine.compile`) removed interpreter
-dispatch but still moves one Python tuple per row through a chain of
-generator frames.  This module amortizes that remaining per-row cost the
-way production engines do: operators exchange **batches** — a list of
+dispatch but — apart from its scan kernels, which run the fused selection
+both tiers share over a base table's column vectors — still moves one Python
+tuple per row through a chain of generator frames.  This module amortizes
+that remaining per-row cost throughout the plan, the way production
+engines do: operators exchange **batches** — a list of
 column vectors plus a selection of row ids — and materialize tuples only
 at result emission.  Per-element work then happens inside C-speed list
 comprehensions, ``zip`` transpositions and ``map`` gathers instead of
@@ -42,6 +44,12 @@ combine whole masks:
 The filter keeps the row ids whose ``v`` entry is truthy — exactly the
 interpreted ``predicate(row) is True`` rule.
 
+Probe-free trees skip the masks: they compile into one fused selection
+comprehension.  That emitter (``_FuseEmitter`` / ``_fuse`` /
+``_compile_fused``) lives in :mod:`repro.engine.compile`, whose scan
+kernels run the same generated function over row tuples instead of row
+ids; this module imports it — there is one copy.
+
 Error exactness
 ---------------
 
@@ -79,11 +87,14 @@ columnar program is a side-car closure over the same nodes, exactly like
 the compiled tier — so :func:`~repro.engine.binding.bind_plan` /
 :func:`~repro.engine.binding.unbind_plan`, the row-pinning guarantees
 and the content-keyed :class:`~repro.engine.binding.BuildSideCache` work
-unchanged.  ``TableScan`` columns are converted once per bind (memoized
-against the bound list's identity; the binding layer clears the memo on
-unbind so cached plans pin no rows).  Subquery caches (``CachedSubplan``
-/ ``MemoSubplan``) store plain row tuples, the same values the row-wise
-tiers store, so harvested entries stay tier-portable; hash-join build
+unchanged.  ``TableScan`` columns come from the per-column memo on the
+immutable ``Table`` that the compiled tier's scan kernels read too
+(:func:`repro.engine.compile._scan_vectors`; this tier pivots every
+column, a kernel only those it reads; the binding layer clears the
+scan's reference on unbind so cached plans pin no rows).  Subquery caches
+(``CachedSubplan`` / ``MemoSubplan``) store plain row tuples, the same
+values the row-wise tiers store, so harvested entries stay tier-portable;
+hash-join build
 sides store ``(compacted right columns, key -> row ids)`` — a different
 shape than the row-wise tier, but private to the node/cache of the one
 engine that built them, and valid across cache restores because an
@@ -99,16 +110,21 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.errors import CompileError
 from .compile import (
-    _column_indices,
+    ScanKernelStats,
     _assemble,
+    _column_indices,
+    _compile_folded,
+    _compile_fused,
     _compile_subpred,
     _Constants,
+    _FALLBACK_ERRORS,
     _fold_predicate,
     _iter_fn,
     _literal_source,
-    compile_predicate,
+    _probe_segments,
+    _scan_vectors,
+    _Unvectorizable,
 )
 from .expressions import (
     AndPred,
@@ -392,12 +408,6 @@ def _like_sv_v(s, y):
     return [b is not None and like(s, b) for b in y]
 
 
-#: Errors that abort a mask and send the filter to the per-row replay:
-#: Python's own mixed-type ordering error plus the engine's comparison
-#: error.  Anything the replay re-raises is exactly the interpreted error.
-_FALLBACK_ERRORS = (TypeError, CompileError)
-
-
 # -- Kleene mask combination --------------------------------------------------
 
 
@@ -553,209 +563,6 @@ _CMP_KERNELS = {
     ("LIKE", "sv"): ("_like_sv", False),
 }
 
-# -- fused filter code generation ---------------------------------------------
-#
-# Probe-free predicate trees compile into a *single* list comprehension
-# that produces the new selection directly — one pass over the zipped
-# operand columns, no intermediate mask lists:
-#
-#     [i for i, c1, c2 in zip(sel, g1, g2)
-#        if c1 is not None and c2 is not None and c1 < c2 and c0 == 7]
-#
-# The generated expression is evaluation-congruent with the row-wise
-# tier, so a type clash raises on exactly the executions the interpreted
-# order raises on (the fallback replay then reproduces the exact error):
-#
-# * NOT is pushed to the leaves first — De Morgan is exact in Kleene 3VL,
-#   and a negated comparison is just the complementary operator over the
-#   same operands (same raise set); the AND/OR swap flips which truth
-#   value short-circuits, matching the negated left operand exactly.
-# * OR lowers to Python ``or`` over the operand TRUE-expressions: Python
-#   skips the right side exactly when it is True — the rows where the
-#   row-wise OR skips its right operand.
-# * AND lowers to Python ``and``, which *under*-evaluates: the row-wise
-#   AND evaluates its right side on left-UNKNOWN rows too (it must
-#   distinguish FALSE from UNKNOWN).  When the right subtree contains
-#   raising operators, the codegen appends an error-probe term
-#   ``or (U_L and (R or True) and False)`` — value-neutral, but it
-#   touches the right subtree on exactly the left-UNKNOWN rows.  The
-#   UNKNOWN-expressions are ordered so their embedded value
-#   subexpressions only run where the row-wise trace ran them.
-
-
-class _Unvectorizable(Exception):
-    """The predicate tree has a shape this module evaluates per row."""
-
-
-#: Negating a comparison swaps it for the complementary operator over the
-#: same operands: same UNKNOWN set (NULL operands), same raise set.
-_NEG_OP = {"=": "<>", "<>": "=", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
-
-#: Operators whose evaluation can raise on a type clash.
-_RAISING_OPS = frozenset(("<", "<=", ">", ">=", "LIKE"))
-
-#: op -> comparison body over operand sources ``x`` and ``y``; NULL
-#: guards are prepended per *nullable* operand (columns and outer-row
-#: scalars — literals are known at codegen time and need none).
-#: Equality drops the row-wise isinstance tag, redundant over the int/str
-#: value domain, and guards only one operand: ``x == y`` is False against
-#: a single None and never raises, so a guard is needed just for the
-#: both-None case.
-_FUSE_BODY = {
-    "=": "{x} == {y}",
-    "<>": "{x} != {y}",
-    "<": "{x} < {y}",
-    "<=": "{x} <= {y}",
-    ">": "{x} > {y}",
-    ">=": "{x} >= {y}",
-    "LIKE": "_LF({x}, {y})",
-    "NOT LIKE": "not _LF({x}, {y})",
-}
-
-#: Expression size cap: past this the duplication inside UNKNOWN
-#: expressions stops paying for itself; the kernel path takes over.
-_FUSE_CAP = 4000
-
-
-class _FuseEmitter(_Constants):
-    """Operand bookkeeping for one fused filter comprehension."""
-
-    def __init__(self):
-        super().__init__()
-        self.columns: Dict[int, str] = {}
-        self.prelude: List[str] = []
-        self._scalars: Dict[str, str] = {}
-
-    def column(self, index: int) -> str:
-        name = self.columns.get(index)
-        if name is None:
-            name = self.columns[index] = f"c{index}"
-        return name
-
-    def scalar(self, source: str) -> str:
-        name = self._scalars.get(source)
-        if name is None:
-            name = f"s{len(self._scalars)}"
-            self._scalars[source] = name
-            self.prelude.append(f"{name} = {source}")
-        return name
-
-
-def _fuse_operand(emitter: _FuseEmitter, expr) -> Tuple[str, bool]:
-    """``(source, nullable)`` for an operand expression.
-
-    Literals are known at codegen time, so they are never *nullable* in
-    the guard-emission sense: a ``LiteralExpr(None)`` operand folds the
-    whole comparison at its use site instead of being guarded per row."""
-    if isinstance(expr, ColumnRef):
-        if expr.depth == 0:
-            return emitter.column(expr.index), True
-        return emitter.scalar(f"o[-{expr.depth}][{expr.index}]"), True
-    if isinstance(expr, LiteralExpr):
-        text = _literal_source(emitter, expr.value)
-        if text is not None:
-            return text, False
-    raise _Unvectorizable
-
-
-def _fuse(emitter: _FuseEmitter, pred, neg: bool) -> Tuple[str, str, bool]:
-    """``(v_expr, u_expr, has_raising)`` for ``pred`` (negated if ``neg``).
-
-    ``v_expr`` is the TRUE-expression; ``u_expr`` the UNKNOWN-expression,
-    ordered so that any embedded value subexpression evaluates only where
-    the row-wise trace evaluated it (see the section comment)."""
-    if isinstance(pred, NotPred):
-        return _fuse(emitter, pred.operand, not neg)
-    if isinstance(pred, ConstPred):
-        value = pred.value if not neg else (None if pred.value is None else not pred.value)
-        return repr(value is True), repr(value is None), False
-    if isinstance(pred, IsNullPred):
-        wants_null = pred.negated == neg
-        if isinstance(pred.expr, LiteralExpr):
-            return repr((pred.expr.value is None) == wants_null), "False", False
-        operand, _ = _fuse_operand(emitter, pred.expr)
-        test = "is" if wants_null else "is not"
-        return f"({operand} {test} None)", "False", False
-    if isinstance(pred, ComparePred):
-        op = pred.op
-        if neg:
-            op = _NEG_OP.get(op, "NOT LIKE" if op == "LIKE" else None)
-            if op is None:
-                raise _Unvectorizable
-        body = _FUSE_BODY.get(op)
-        if body is None:
-            raise _Unvectorizable
-        if (isinstance(pred.left, LiteralExpr) and pred.left.value is None) or (
-            isinstance(pred.right, LiteralExpr) and pred.right.value is None
-        ):
-            # A NULL literal operand makes the comparison UNKNOWN on every
-            # row before any type check runs — fold it (never raises).
-            return "False", "True", False
-        x, xn = _fuse_operand(emitter, pred.left)
-        y, yn = _fuse_operand(emitter, pred.right)
-        # NULL guards per nullable operand; equality guards only one —
-        # ``x == y`` is already False against a single None and never
-        # raises, so the guard exists just for the both-None case.
-        if op == "=":
-            guards = [f"{x} is not None"] if xn and yn else []
-        else:
-            guards = [f"{s} is not None" for s, n in ((x, xn), (y, yn)) if n]
-        terms = guards + [body.format(x=x, y=y)]
-        v = f"({' and '.join(terms)})" if len(terms) > 1 else terms[0]
-        nulls = [f"{s} is None" for s, n in ((x, xn), (y, yn)) if n]
-        u = f"({' or '.join(nulls)})" if nulls else "False"
-        return v, u, pred.op in _RAISING_OPS or op in _RAISING_OPS
-    if isinstance(pred, (AndPred, OrPred)):
-        is_and = isinstance(pred, AndPred) != neg  # De Morgan under neg
-        lv, lu, lraise = _fuse(emitter, pred.left, neg)
-        rv, ru, rraise = _fuse(emitter, pred.right, neg)
-        if is_and:
-            v = f"({lv} and {rv})"
-            if rraise:
-                # Error-probe: the row-wise AND touches its right side on
-                # left-UNKNOWN rows; value-neutral, raise-faithful.
-                v = f"({v} or ({lu} and ({rv} or True) and False))"
-            # u(AND) = (p∨x) ∧ (q∨y) ∧ (x∨y), ordered left-first so the
-            # right side only runs where the row-wise trace ran it.
-            u = f"(({lv} or {lu}) and ({rv} or {ru}) and ({lu} or {ru}))"
-        else:
-            v = f"({lv} or {rv})"
-            # u(OR) = ¬p ∧ ¬q ∧ (x∨y), same ordering discipline.
-            u = f"(not {lv} and not {rv} and ({lu} or {ru}))"
-        if len(v) + len(u) > _FUSE_CAP:
-            raise _Unvectorizable
-        return v, u, lraise or rraise
-    raise _Unvectorizable  # probes never reach here (_probe_segments gate)
-
-
-def _compile_fused(pred):
-    """The generated ``(C, sel, o) -> new sel`` single-pass filter for a
-    probe-free predicate tree, or None for shapes it cannot fuse."""
-    emitter = _FuseEmitter()
-    try:
-        v, _u, _raising = _fuse(emitter, pred, False)
-    except _Unvectorizable:
-        return None
-    indices = sorted(emitter.columns)
-    if indices:
-        loop_vars = ", ".join(emitter.columns[i] for i in indices)
-        gathers = ", ".join(f"_gather(C[{i}], sel)" for i in indices)
-        comp = f"[i for i, {loop_vars} in zip(sel, {gathers}) if {v}]"
-    else:
-        # All-scalar predicate: still evaluated once per selected row, so
-        # scalar type clashes raise per row (and not at all when empty) —
-        # exactly the interpreted behaviour.
-        comp = f"[i for i in sel if {v}]"
-    lines = [f"def _fsel({emitter.signature('C, sel, o')}):"]
-    lines.extend("    " + line for line in emitter.prelude)
-    lines.append("    try:")
-    lines.append(f"        return {comp}")
-    lines.append("    except _FALLBACK_ERRORS:")
-    lines.append("        raise _ColumnarFallback")
-    source = "\n".join(lines) + "\n"
-    return _assemble("_fsel", source, emitter.constants, base=_MASK_NAMESPACE)
-
-
 # -- mask code generation -----------------------------------------------------
 
 
@@ -763,8 +570,10 @@ class _MaskEmitter(_Constants):
     """Accumulates the generated mask function: hoisted prelude lines
     (gathers, scalar loads) + mask body lines + captures."""
 
-    def __init__(self):
+    def __init__(self, stats: ScanKernelStats):
         super().__init__()
+        #: Where the scan kernels of captured subquery plans count.
+        self.stats = stats
         self.prelude: List[str] = []
         self.body: List[str] = []
         self.captured: Dict[str, object] = {}
@@ -796,17 +605,6 @@ class _MaskEmitter(_Constants):
             self._scalars[source] = name
             self.prelude.append(f"{name} = {source}")
         return name
-
-
-def _probe_segments(pred) -> int:
-    """Count of row-wise segments (probes and opaque callables)."""
-    if isinstance(pred, (AndPred, OrPred)):
-        return _probe_segments(pred.left) + _probe_segments(pred.right)
-    if isinstance(pred, NotPred):
-        return _probe_segments(pred.operand)
-    if isinstance(pred, (ConstPred, ComparePred, IsNullPred)):
-        return 0
-    return 1
 
 
 def _operand(emitter: _MaskEmitter, expr) -> Tuple[str, str]:
@@ -911,21 +709,21 @@ def _gen_mask(
     # A probe (EXISTS/IN/semi-join) or opaque callable: row-wise closure
     # from the compiled tier, over the demanded rows only.  Both masks
     # fall out of the same per-row pass, so demand does not split them.
-    probe = emitter.capture(_compile_subpred(pred))
+    probe = emitter.capture(_compile_subpred(pred, emitter.stats))
     emitter.body.append(
         f"{v}, {u} = _probe_mask({probe}, rows(), o, {demand or 'None'})"
     )
     return v, u
 
 
-def _compile_mask(pred):
+def _compile_mask(pred, stats: ScanKernelStats):
     """The generated ``(C, sel, o, rows) -> v`` value-mask function for a
     vectorizable predicate tree, or None for per-row shapes."""
     if _probe_segments(pred) > 1:
         # Multiple probes interleave per row in the interpreted order;
         # evaluating one whole column before the next could move an error.
         return None
-    emitter = _MaskEmitter()
+    emitter = _MaskEmitter(stats)
     try:
         v, _u = _gen_mask(emitter, pred, None, False)
     except _Unvectorizable:
@@ -952,7 +750,7 @@ def _compile_mask(pred):
 # -- batch operators ----------------------------------------------------------
 
 
-def _scan_batch(node: TableScan) -> BatchFn:
+def _scan_batch(node: TableScan, stats: ScanKernelStats) -> BatchFn:
     def scan(outers):
         data = node.data
         if data is None:
@@ -960,31 +758,23 @@ def _scan_batch(node: TableScan) -> BatchFn:
                 f"TableScan({node.table!r}) executed without a bound "
                 f"database (see repro.engine.binding.bind_plan)"
             )
-        cached = node._columns
-        if cached is not None and cached[0] is data:
-            cols = cached[1]
-        else:
-            # Convert once per bind: the memo holds (source rows, columns)
-            # and is checked against the bound list's identity, so a rebind
-            # (fresh list) reconverts and unbind_plan clears the memo.
-            cols = _columns_of(data, node.arity)
-            node._columns = (data, cols)
-        return cols, range(len(data))
+        # Every column: downstream operators address the batch by position.
+        return _scan_vectors(node, data, range(node.arity)), range(len(data))
 
     return scan
 
 
-def _static_batch(node: StaticScan) -> BatchFn:
+def _static_batch(node: StaticScan, stats: ScanKernelStats) -> BatchFn:
     width = node.width()
     if width is None:
-        return _fallback_batch(node)
+        return _fallback_batch(node, stats)
     cols = _columns_of(node.data, width)
     sel = range(len(node.data))
     return lambda outers: (cols, sel)
 
 
-def _filter_batch(node: FilterOp) -> BatchFn:
-    child = _batch_fn(node.child)
+def _filter_batch(node: FilterOp, stats: ScanKernelStats) -> BatchFn:
+    child = _batch_fn(node.child, stats)
     folded = _fold_predicate(node.predicate)
     if isinstance(folded, ConstPred):
         if folded.value is True:
@@ -1005,26 +795,28 @@ def _filter_batch(node: FilterOp) -> BatchFn:
         # order, through the (bit-identical) closure-compiled predicate.
         row_pred = state["row_pred"]
         if row_pred is None:
-            row_pred = state["row_pred"] = compile_predicate(node.predicate)
+            row_pred = state["row_pred"] = _compile_folded(folded, stats)
         rows = _materialize(cols, sel)
         return [i for i, r in zip(sel, rows) if row_pred(r, outers) is True]
 
     if not _probe_segments(folded):
         fused = _compile_fused(folded)
         if fused is not None:
+            kernel, columns = fused
 
             def filter_fused(outers):
                 cols, sel = child(outers)
                 if not sel:
                     return cols, sel
+                vectors = {column: _gather(cols[column], sel) for column in columns}
                 try:
-                    return cols, fused(cols, sel, outers)
-                except _ColumnarFallback:
+                    return cols, kernel(sel, vectors, outers)
+                except _FALLBACK_ERRORS:
                     return cols, rowwise(cols, sel, outers)
 
             return filter_fused
 
-    mask_fn = _compile_mask(folded)
+    mask_fn = _compile_mask(folded, stats)
     if mask_fn is None:
 
         def filter_rowwise(outers):
@@ -1055,8 +847,8 @@ def _filter_batch(node: FilterOp) -> BatchFn:
     return filter_batch
 
 
-def _project_batch(node: ProjectOp) -> BatchFn:
-    child = _batch_fn(node.child)
+def _project_batch(node: ProjectOp, stats: ScanKernelStats) -> BatchFn:
+    child = _batch_fn(node.child, stats)
     indices = _column_indices(node.expressions)
     if indices is not None:
 
@@ -1074,7 +866,7 @@ def _project_batch(node: ProjectOp) -> BatchFn:
         elif isinstance(expr, ColumnRef):
             builders.append(("outer", (expr.depth, expr.index)))
         else:
-            return _fallback_batch(node)
+            return _fallback_batch(node, stats)
 
     def project_mixed(outers):
         cols, sel = child(outers)
@@ -1093,8 +885,8 @@ def _project_batch(node: ProjectOp) -> BatchFn:
     return project_mixed
 
 
-def _distinct_batch(node: DistinctOp) -> BatchFn:
-    child = _batch_fn(node.child)
+def _distinct_batch(node: DistinctOp, stats: ScanKernelStats) -> BatchFn:
+    child = _batch_fn(node.child, stats)
 
     def distinct_batch(outers):
         cols, sel = child(outers)
@@ -1104,8 +896,8 @@ def _distinct_batch(node: DistinctOp) -> BatchFn:
     return distinct_batch
 
 
-def _remap_batch(node: RemapOp) -> BatchFn:
-    child = _batch_fn(node.child)
+def _remap_batch(node: RemapOp, stats: ScanKernelStats) -> BatchFn:
+    child = _batch_fn(node.child, stats)
     mapping = node.mapping
 
     def remap_batch(outers):
@@ -1116,11 +908,11 @@ def _remap_batch(node: RemapOp) -> BatchFn:
     return remap_batch
 
 
-def _cross_join_batch(node: CrossJoin) -> BatchFn:
+def _cross_join_batch(node: CrossJoin, stats: ScanKernelStats) -> BatchFn:
     widths = [child.width() for child in node.children]
     if any(w is None for w in widths):
-        return _fallback_batch(node)
-    children = [_batch_fn(child) for child in node.children]
+        return _fallback_batch(node, stats)
+    children = [_batch_fn(child, stats) for child in node.children]
     total = sum(widths)
 
     def cross_batch(outers):
@@ -1159,13 +951,13 @@ def _typed_ids_key(values) -> Optional[tuple]:
     return tuple(key)
 
 
-def _hash_join_batch(node: HashJoin) -> BatchFn:
+def _hash_join_batch(node: HashJoin, stats: ScanKernelStats) -> BatchFn:
     lw = node.left.width()
     rw = node.right.width()
     if lw is None or rw is None:
-        return _fallback_batch(node)
-    left_fn = _batch_fn(node.left)
-    right_fn = _batch_fn(node.right)
+        return _fallback_batch(node, stats)
+    left_fn = _batch_fn(node.left, stats)
+    right_fn = _batch_fn(node.right, stats)
     left_keys = node.left_keys
     right_keys = node.right_keys
     single = len(right_keys) == 1
@@ -1175,26 +967,32 @@ def _hash_join_batch(node: HashJoin) -> BatchFn:
         rcols = [_gather(col, sel) for col in cols]
         table: dict = {}
         setdefault = table.setdefault
+        inserted = len(sel)
         if single:
             for j, a in enumerate(rcols[right_keys[0]]):
                 if a is not None:
                     setdefault(((isinstance(a, str), a),), []).append(j)
+                else:
+                    inserted -= 1
         else:
             key_cols = [rcols[k] for k in right_keys]
             for j, values in enumerate(zip(*key_cols)):
                 key = _typed_ids_key(values)
                 if key is not None:
                     setdefault(key, []).append(j)
-        return rcols, table
+                else:
+                    inserted -= 1
+        return (rcols, table), inserted
 
     def build_table(outers):
         if node._closed_build is None:
             node._closed_build = node.right.free_refs() == frozenset()
         if not node._closed_build:
-            return build(outers)
+            return build(outers)[0]
         built = node._table
         if built is None:
-            built = node._table = build(outers)
+            built, node._build_rows = build(outers)
+            node._table = built
         return built
 
     def hash_join_batch(outers):
@@ -1234,12 +1032,12 @@ def _hash_join_batch(node: HashJoin) -> BatchFn:
     return hash_join_batch
 
 
-def _hash_setop_batch(node: HashSetOp) -> BatchFn:
+def _hash_setop_batch(node: HashSetOp, stats: ScanKernelStats) -> BatchFn:
     width = node.width()
     if width is None:
-        return _fallback_batch(node)
-    left_fn = _batch_fn(node.left)
-    right_fn = _batch_fn(node.right)
+        return _fallback_batch(node, stats)
+    left_fn = _batch_fn(node.left, stats)
+    right_fn = _batch_fn(node.right, stats)
     op, all_ = node.op, node.all
     if op == "UNION":
         if all_:
@@ -1331,11 +1129,11 @@ def _hash_setop_batch(node: HashSetOp) -> BatchFn:
     raise ValueError(f"unknown set operation {op}")  # pragma: no cover
 
 
-def _cached_batch(node: CachedSubplan) -> BatchFn:
+def _cached_batch(node: CachedSubplan, stats: ScanKernelStats) -> BatchFn:
     width = node.width()
     if width is None:
-        return _fallback_batch(node)
-    child = _batch_fn(node.child)
+        return _fallback_batch(node, stats)
+    child = _batch_fn(node.child, stats)
 
     def cached_batch(outers):
         rows = node._cache
@@ -1348,11 +1146,11 @@ def _cached_batch(node: CachedSubplan) -> BatchFn:
     return cached_batch
 
 
-def _memo_batch(node: MemoSubplan) -> BatchFn:
+def _memo_batch(node: MemoSubplan, stats: ScanKernelStats) -> BatchFn:
     width = node.width()
     if width is None:
-        return _fallback_batch(node)
-    child = _batch_fn(node.child)
+        return _fallback_batch(node, stats)
+    child = _batch_fn(node.child, stats)
     memo_refs = node.memo_refs
 
     def memo_batch(outers):
@@ -1366,10 +1164,10 @@ def _memo_batch(node: MemoSubplan) -> BatchFn:
     return memo_batch
 
 
-def _fallback_batch(node: PlanNode) -> BatchFn:
+def _fallback_batch(node: PlanNode, stats: ScanKernelStats) -> BatchFn:
     """Unknown or width-less nodes run through the compiled row-wise tier
     for the whole subtree — vectorization degrades, never fails."""
-    row_iter = _iter_fn(node)
+    row_iter = _iter_fn(node, stats)
     width = node.width()
 
     def fallback_batch(outers):
@@ -1385,29 +1183,29 @@ def _fallback_batch(node: PlanNode) -> BatchFn:
 # -- dispatcher ---------------------------------------------------------------
 
 
-def _batch_fn(node: PlanNode) -> BatchFn:
+def _batch_fn(node: PlanNode, stats: ScanKernelStats) -> BatchFn:
     if isinstance(node, TableScan):
-        return _scan_batch(node)
+        return _scan_batch(node, stats)
     if isinstance(node, StaticScan):
-        return _static_batch(node)
+        return _static_batch(node, stats)
     if isinstance(node, ProjectOp):
-        return _project_batch(node)
+        return _project_batch(node, stats)
     if isinstance(node, FilterOp):
-        return _filter_batch(node)
+        return _filter_batch(node, stats)
     if isinstance(node, HashJoin):
-        return _hash_join_batch(node)
+        return _hash_join_batch(node, stats)
     if isinstance(node, CrossJoin):
-        return _cross_join_batch(node)
+        return _cross_join_batch(node, stats)
     if isinstance(node, DistinctOp):
-        return _distinct_batch(node)
+        return _distinct_batch(node, stats)
     if isinstance(node, RemapOp):
-        return _remap_batch(node)
+        return _remap_batch(node, stats)
     if isinstance(node, HashSetOp):
-        return _hash_setop_batch(node)
+        return _hash_setop_batch(node, stats)
     if isinstance(node, CachedSubplan):
-        return _cached_batch(node)
+        return _cached_batch(node, stats)
     if isinstance(node, MemoSubplan):
-        return _memo_batch(node)
+        return _memo_batch(node, stats)
     if isinstance(node, GenericJoin):
         # Deliberate stay-compiled contract: the worst-case-optimal join is
         # trie intersection, a hash-probe-per-key shape with nothing to
@@ -1416,12 +1214,12 @@ def _batch_fn(node: PlanNode) -> BatchFn:
         # fallback — which also shares the node's ``_tries`` state, keeping
         # bind/unbind and build-side sharing identical across tiers
         # (asserted by tests/engine/test_wcoj.py).
-        return _fallback_batch(node)
+        return _fallback_batch(node, stats)
     # SetOpNode (the hash_setops=False ablation), extensions, test doubles.
-    return _fallback_batch(node)
+    return _fallback_batch(node, stats)
 
 
-def compile_columnar(plan: PlanNode):
+def compile_columnar(plan: PlanNode, stats: Optional[ScanKernelStats] = None):
     """Lower a physical plan into its columnar batch program.
 
     The result is a drop-in replacement for ``plan.iter_rows`` — call it
@@ -1432,7 +1230,7 @@ def compile_columnar(plan: PlanNode):
     :func:`~repro.engine.binding.unbind_plan` round-trip columnar plans
     exactly as interpreted and compiled ones.
     """
-    batch = _batch_fn(plan)
+    batch = _batch_fn(plan, stats or ScanKernelStats())
 
     def run(outers):
         cols, sel = batch(outers)

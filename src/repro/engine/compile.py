@@ -28,7 +28,11 @@ Python closures once, so executions pay none of that dispatch:
   ``iter_rows`` that captures its children's compiled iterators directly:
   scans iterate their bound lists, a projection of plain columns becomes a
   C-level ``map(itemgetter(...), child)``, ``Filter``+``Project`` pairs
-  fuse into one generator frame, and the stateful operators
+  fuse into one generator frame, a filter over a base-table scan becomes
+  a *scan kernel* — the leading probe-free conjuncts of its predicate as
+  one fused comprehension over the table's column vectors, in lazily
+  chained batches, with an exact row-wise replay when a batch hits a type
+  clash (see the "scan kernels" section below) — and the stateful operators
   (``HashJoin``, ``CachedSubplan``, ``MemoSubplan``, the subquery probes)
   compile to closures that *share state with the original plan nodes* —
   they read and write the same ``_table`` / ``_cache`` / ``_memo`` /
@@ -60,15 +64,18 @@ hoisted out of the text and bound as arguments, so a fresh query almost
 always finds its code objects in the process-wide cache.
 
 The columnar tier (:mod:`repro.engine.columnar`) builds on this module:
-it reuses the constant folder, the shape-keyed code cache, the compiled
-subquery probes (row-wise by design, preserving early termination) and
-:func:`_iter_fn` as its per-subtree fallback, so the two lowerings can
-never drift apart on the semantics they share.
+it reuses the constant folder, the shape-keyed code cache, the fused
+selection emitter (``_FuseEmitter`` / ``_fuse`` / ``_compile_fused`` —
+the one copy, which the scan kernels here and the batch filters there
+both run), the compiled subquery probes (row-wise by design, preserving
+early termination) and :func:`_iter_fn` as its per-subtree fallback, so
+the two lowerings can never drift apart on the semantics they share.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain, islice
 from itertools import product as _iter_product
 from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -111,7 +118,13 @@ from .operators import (
     _in_fold,
 )
 
-__all__ = ["compile_plan", "compile_predicate", "IterFn", "RowsFn"]
+__all__ = [
+    "compile_plan",
+    "compile_predicate",
+    "ScanKernelStats",
+    "IterFn",
+    "RowsFn",
+]
 
 #: A compiled operator: outer-row stack in, row iterator out.
 IterFn = Callable[[OuterStack], Iterator[Row]]
@@ -120,6 +133,22 @@ IterFn = Callable[[OuterStack], Iterator[Row]]
 #: ``PlanNode.rows``, including its list-aliasing behaviour for scans and
 #: cached subplans).
 RowsFn = Callable[[OuterStack], Sequence[Row]]
+
+
+class ScanKernelStats:
+    """What the scan kernels of one engine's plans did: ``selections``
+    (kernel-run scans), ``rows_in`` / ``rows_out`` (rows they evaluated and
+    kept) and ``fallbacks`` (scans a type clash sent to the row-wise
+    replay).  The owner creates it and hands it to :func:`compile_plan`;
+    kernels add to it once per batch, never per row."""
+
+    __slots__ = ("selections", "rows_in", "rows_out", "fallbacks")
+
+    def __init__(self):
+        self.selections = self.rows_in = self.rows_out = self.fallbacks = 0
+
+    def info(self) -> Dict[str, int]:
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 # -- comparison helpers -------------------------------------------------------
@@ -216,21 +245,39 @@ _CODE_CACHE: Dict[str, object] = {}
 #: Shapes, not literals, populate the cache, so the bound can be small
 #: (it was 8,192 when every literal minted an entry).  Workloads are a head
 #: of recurring shapes plus a tail no size catches: 1,850 live-campaign
-#: trials need 75 entries in all, while 14,000 paper-generator queries mint
-#: 22,000 distinct shapes and miss 30% of lookups unbounded, 38% at 1,024
-#: and 41% at 512.  At ~2 KB resident per entry 1,024 entries hold the head
-#: within 2 MB.
+#: trials need 75 row-wise entries in all, while 14,000 paper-generator
+#: queries mint 22,000 distinct shapes and miss 30% of lookups unbounded, 38%
+#: at 1,024 and 41% at 512.  At ~2 KB resident per entry 1,024 entries hold
+#: the head within 2 MB.
 _CODE_CACHE_MAX = 1024
+
+#: ``hash(source)`` of the sources compiled once so far: a shape enters the
+#: cache the *second* time it is compiled.  The fused selections spell their
+#: comparison operators out (an inline ``c0 < _k1`` is the point of them),
+#: so their shapes multiply where the row-wise ones add up — the same 1,850
+#: live-campaign trials compile 410 of them, 280 exactly once — and a
+#: one-off's code object is garbage as soon as its single-use plan is, unless
+#: the cache pins it (2.5 KB each; +0.3 MB of peak RSS on that campaign).
+#: Recurring shapes pay one extra compilation each, once per process.
+#: Bounded like the cache, oldest first.
+_COMPILED_ONCE: Dict[int, None] = {}
 
 
 def _compiled_code(source: str):
     code = _CODE_CACHE.get(source)
     if code is None:
+        code = compile(source, "<repro-compiled>", "exec")
+        seen = hash(source)
+        if _COMPILED_ONCE.pop(seen, False) is False:
+            if len(_COMPILED_ONCE) >= _CODE_CACHE_MAX:
+                del _COMPILED_ONCE[next(iter(_COMPILED_ONCE))]
+            _COMPILED_ONCE[seen] = None
+            return code
         if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
             # Drop the oldest shape only: flushing the whole cache would
             # make every live plan shape recompile at once.
             _CODE_CACHE.pop(next(iter(_CODE_CACHE)), None)
-        code = _CODE_CACHE[source] = compile(source, "<repro-compiled>", "exec")
+        _CODE_CACHE[source] = code
     return code
 
 
@@ -288,8 +335,10 @@ def _assemble(name: str, source: str, *bindings: Dict[str, object], base=None):
 class _Emitter(_Constants):
     """Accumulates generated source lines plus captured runtime objects."""
 
-    def __init__(self):
+    def __init__(self, stats: Optional[ScanKernelStats] = None):
         super().__init__()
+        #: Where the scan kernels of captured subquery plans count.
+        self.stats = stats
         self.lines: List[str] = []
         self.captured: Dict[str, object] = {}
         self._capture_ids: Dict[int, str] = {}
@@ -450,22 +499,28 @@ def _generate_predicate(emitter: _Emitter, pred, depth: int) -> str:
         )
         return target
     # Subquery probes and opaque callables: captured as compiled closures.
-    emitter.emit(depth, f"{target} = {emitter.capture(_compile_subpred(pred))}(r, o)")
+    probe = emitter.capture(_compile_subpred(pred, emitter.stats))
+    emitter.emit(depth, f"{target} = {probe}(r, o)")
     return target
 
 
-def compile_predicate(pred):
+def compile_predicate(pred, stats: Optional[ScanKernelStats] = None):
     """Compile a predicate tree into one generated function (or a
     :class:`~repro.engine.expressions.ConstPred` when it folds away).
 
     The returned object is a ``(row, outers) -> Optional[bool]`` callable
     either way; callers that can specialize on a constant verdict (e.g.
-    dropping a ``WHERE TRUE`` filter) check for ``ConstPred``.
+    dropping a ``WHERE TRUE`` filter) check for ``ConstPred``.  ``stats``
+    is where the scan kernels of any subquery plan inside ``pred`` count.
     """
-    folded = _fold_predicate(pred)
+    return _compile_folded(_fold_predicate(pred), stats or ScanKernelStats())
+
+
+def _compile_folded(folded, stats: ScanKernelStats):
+    """:func:`compile_predicate` over an already folded tree."""
     if isinstance(folded, ConstPred):
         return folded
-    emitter = _Emitter()
+    emitter = _Emitter(stats)
     result = _generate_predicate(emitter, folded, 0)
     source = (
         f"def _pred({emitter.signature('r, o')}):\n"
@@ -473,6 +528,247 @@ def compile_predicate(pred):
         + f"\n    return {result}\n"
     )
     return _assemble("_pred", source, emitter.captured, emitter.constants)
+
+
+# -- fused selection code generation ------------------------------------------
+#
+# Probe-free predicate trees compile into a *single* list comprehension
+# that selects directly — one pass over the zipped operand columns, no
+# per-row call frame and no intermediate mask lists:
+#
+#     [x for x, c0, c1 in zip(R, C[_i0], C[_i1])
+#        if c0 is not None and c1 is not None and c0 < c1 and c0 == _k2]
+#
+# ``R`` holds what is selected from — the row tuples of a base-table scan
+# (the scan kernels below) or the row ids of a batch (the columnar tier) —
+# and ``C[i]`` the vector of column ``i``, aligned with ``R``.  Like the
+# row-wise sources, the text is shape-keyed: literals and column positions
+# are hoisted, so one compilation serves every literal and every column.
+#
+# The generated expression is evaluation-congruent with the row-wise
+# tier, so a type clash raises on exactly the executions the interpreted
+# order raises on (the caller's row-wise replay then reproduces the exact
+# error):
+#
+# * NOT is pushed to the leaves first — De Morgan is exact in Kleene 3VL,
+#   and a negated comparison is just the complementary operator over the
+#   same operands (same raise set); the AND/OR swap flips which truth
+#   value short-circuits, matching the negated left operand exactly.
+# * OR lowers to Python ``or`` over the operand TRUE-expressions: Python
+#   skips the right side exactly when it is True — the rows where the
+#   row-wise OR skips its right operand.
+# * AND lowers to Python ``and``, which *under*-evaluates: the row-wise
+#   AND evaluates its right side on left-UNKNOWN rows too (it must
+#   distinguish FALSE from UNKNOWN).  When the right subtree contains
+#   raising operators, the codegen appends an error-probe term
+#   ``or (U_L and (R or True) and False)`` — value-neutral, but it
+#   touches the right subtree on exactly the left-UNKNOWN rows.  The
+#   UNKNOWN-expressions are ordered so their embedded value
+#   subexpressions only run where the row-wise trace ran them.
+
+
+class _Unvectorizable(Exception):
+    """The predicate tree has a shape that is evaluated per row."""
+
+
+#: What a batch kernel raises on a potential runtime error — Python's own
+#: mixed-type ordering error, or the engine's comparison error from LIKE —
+#: and its caller catches: the predicate must then be replayed per row, to
+#: surface the error exactly as the interpreted tier words it or, when the
+#: offending row would never have been evaluated, to suppress it.
+_FALLBACK_ERRORS = (TypeError, CompileError)
+
+#: Negating a comparison swaps it for the complementary operator over the
+#: same operands: same UNKNOWN set (NULL operands), same raise set.
+_NEG_OP = {"=": "<>", "<>": "=", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
+
+#: Operators whose evaluation can raise on a type clash.
+_RAISING_OPS = frozenset(("<", "<=", ">", ">=", "LIKE"))
+
+#: op -> comparison body over operand sources ``x`` and ``y``; NULL
+#: guards are prepended per *nullable* operand (columns and outer-row
+#: scalars — literals are known at codegen time and need none).
+#: Equality drops the row-wise isinstance tag, redundant over the int/str
+#: value domain (Python equality never holds across the str boundary).  The
+#: ordered operators run *optimistically*: on a type clash Python's own
+#: ``int < str`` raises ``TypeError`` for exactly the operand pairs whose
+#: str-ness differs, and the clash-free common case pays no checking cost.
+_FUSE_BODY = {
+    "=": "{x} == {y}",
+    "<>": "{x} != {y}",
+    "<": "{x} < {y}",
+    "<=": "{x} <= {y}",
+    ">": "{x} > {y}",
+    ">=": "{x} >= {y}",
+    "LIKE": "_LF({x}, {y})",
+    "NOT LIKE": "not _LF({x}, {y})",
+}
+
+#: Expression size cap: past this the duplication inside UNKNOWN
+#: expressions stops paying for itself; the per-row paths take over.
+_FUSE_CAP = 4000
+
+#: Globals of every fused selection.
+_FUSE_NAMESPACE = {"_LF": _LIKE_FUNC, "__builtins__": {"zip": zip}}
+
+
+def _probe_segments(pred) -> int:
+    """Count of row-wise segments (probes and opaque callables)."""
+    if isinstance(pred, (AndPred, OrPred)):
+        return _probe_segments(pred.left) + _probe_segments(pred.right)
+    if isinstance(pred, NotPred):
+        return _probe_segments(pred.operand)
+    if isinstance(pred, (ConstPred, ComparePred, IsNullPred)):
+        return 0
+    return 1
+
+
+class _FuseEmitter(_Constants):
+    """Operand bookkeeping for one fused selection comprehension."""
+
+    def __init__(self):
+        super().__init__()
+        #: column position -> (loop variable, hoisted position name), in
+        #: first-use order so the text does not depend on the positions.
+        self.columns: Dict[int, Tuple[str, str]] = {}
+        self.prelude: List[str] = []
+        self._scalars: Dict[Tuple[int, int], str] = {}
+
+    def column(self, index: int) -> str:
+        names = self.columns.get(index)
+        if names is None:
+            names = self.columns[index] = (
+                f"c{len(self.columns)}",
+                self.constant(index, "_i"),
+            )
+        return names[0]
+
+    def scalar(self, depth: int, index: int) -> str:
+        name = self._scalars.get((depth, index))
+        if name is None:
+            name = self._scalars[depth, index] = f"s{len(self._scalars)}"
+            self.prelude.append(f"{name} = o[-{depth}][{self.constant(index, '_i')}]")
+        return name
+
+
+def _fuse_operand(emitter: _FuseEmitter, expr) -> Tuple[str, bool]:
+    """``(source, nullable)`` for an operand expression.
+
+    Literals are known at codegen time, so they are never *nullable* in
+    the guard-emission sense: a ``LiteralExpr(None)`` operand folds the
+    whole comparison at its use site instead of being guarded per row."""
+    if isinstance(expr, ColumnRef):
+        if expr.depth == 0:
+            return emitter.column(expr.index), True
+        return emitter.scalar(expr.depth, expr.index), True
+    if isinstance(expr, LiteralExpr):
+        text = _literal_source(emitter, expr.value)
+        if text is not None:
+            return text, False
+    raise _Unvectorizable
+
+
+def _fuse(emitter: _FuseEmitter, pred, neg: bool) -> Tuple[str, str, bool]:
+    """``(v_expr, u_expr, has_raising)`` for ``pred`` (negated if ``neg``).
+
+    ``v_expr`` is the TRUE-expression; ``u_expr`` the UNKNOWN-expression,
+    ordered so that any embedded value subexpression evaluates only where
+    the row-wise trace evaluated it (see the section comment)."""
+    if isinstance(pred, NotPred):
+        return _fuse(emitter, pred.operand, not neg)
+    if isinstance(pred, ConstPred):
+        value = pred.value if not neg else not3(pred.value)
+        return repr(value is True), repr(value is None), False
+    if isinstance(pred, IsNullPred):
+        wants_null = pred.negated == neg
+        if isinstance(pred.expr, LiteralExpr):
+            return repr((pred.expr.value is None) == wants_null), "False", False
+        operand, _ = _fuse_operand(emitter, pred.expr)
+        test = "is" if wants_null else "is not"
+        return f"({operand} {test} None)", "False", False
+    if isinstance(pred, ComparePred):
+        op = pred.op
+        if neg:
+            op = _NEG_OP.get(op, "NOT LIKE" if op == "LIKE" else None)
+        body = _FUSE_BODY.get(op)
+        if body is None:
+            raise _Unvectorizable
+        if (isinstance(pred.left, LiteralExpr) and pred.left.value is None) or (
+            isinstance(pred.right, LiteralExpr) and pred.right.value is None
+        ):
+            # A NULL literal operand makes the comparison UNKNOWN on every
+            # row before any type check runs — fold it (never raises).
+            return "False", "True", False
+        x, xn = _fuse_operand(emitter, pred.left)
+        y, yn = _fuse_operand(emitter, pred.right)
+        # NULL guards per nullable operand; equality guards only one —
+        # ``x == y`` is already False against a single None and never
+        # raises, so the guard exists just for the both-None case.
+        if op == "=":
+            guards = [f"{x} is not None"] if xn and yn else []
+        else:
+            guards = [f"{s} is not None" for s, n in ((x, xn), (y, yn)) if n]
+        terms = guards + [body.format(x=x, y=y)]
+        v = f"({' and '.join(terms)})" if len(terms) > 1 else terms[0]
+        nulls = [f"{s} is None" for s, n in ((x, xn), (y, yn)) if n]
+        u = f"({' or '.join(nulls)})" if nulls else "False"
+        return v, u, pred.op in _RAISING_OPS
+    if isinstance(pred, (AndPred, OrPred)):
+        is_and = isinstance(pred, AndPred) != neg  # De Morgan under neg
+        lv, lu, lraise = _fuse(emitter, pred.left, neg)
+        rv, ru, rraise = _fuse(emitter, pred.right, neg)
+        if is_and:
+            v = f"({lv} and {rv})"
+            if rraise:
+                # Error-probe: the row-wise AND touches its right side on
+                # left-UNKNOWN rows; value-neutral, raise-faithful.
+                v = f"({v} or ({lu} and ({rv} or True) and False))"
+            # u(AND) = (p∨x) ∧ (q∨y) ∧ (x∨y), ordered left-first so the
+            # right side only runs where the row-wise trace ran it.
+            u = f"(({lv} or {lu}) and ({rv} or {ru}) and ({lu} or {ru}))"
+        else:
+            v = f"({lv} or {rv})"
+            # u(OR) = ¬p ∧ ¬q ∧ (x∨y), same ordering discipline.
+            u = f"(not {lv} and not {rv} and ({lu} or {ru}))"
+        if len(v) + len(u) > _FUSE_CAP:
+            raise _Unvectorizable
+        return v, u, lraise or rraise
+    raise _Unvectorizable  # probes never reach here (_probe_segments gate)
+
+
+def _compile_fused(pred, keep_unknown: bool = False):
+    """The generated ``(R, C, o) -> [x for x in R if pred]`` single-pass
+    selection for a probe-free predicate tree, paired with the column
+    positions it reads from ``C`` — or None for shapes it cannot fuse.
+
+    With ``keep_unknown`` it keeps the items on which ``pred`` is TRUE *or
+    UNKNOWN* — the rows a row-wise AND with ``pred`` on its left goes on
+    to evaluate its right side for."""
+    emitter = _FuseEmitter()
+    try:
+        keep, unknown, _raising = _fuse(emitter, pred, False)
+    except _Unvectorizable:
+        return None
+    if keep_unknown:
+        # ``unknown`` only re-runs comparisons ``keep`` has just run on
+        # the same row, so it cannot raise where the row-wise trace does
+        # not.
+        keep = f"({keep} or {unknown})"
+    if emitter.columns:
+        loop_vars = ", ".join(var for var, _name in emitter.columns.values())
+        vectors = ", ".join(f"C[{name}]" for _var, name in emitter.columns.values())
+        comp = f"[x for x, {loop_vars} in zip(R, {vectors}) if {keep}]"
+    else:
+        # All-scalar predicate: still evaluated once per item, so scalar
+        # type clashes raise per row (and not at all when empty) —
+        # exactly the interpreted behaviour.
+        comp = f"[x for x in R if {keep}]"
+    lines = [f"def _fsel({emitter.signature('R, C, o')}):"]
+    lines.extend("    " + line for line in emitter.prelude)
+    lines.append(f"    return {comp}")
+    source = "\n".join(lines) + "\n"
+    kernel = _assemble("_fsel", source, emitter.constants, base=_FUSE_NAMESPACE)
+    return kernel, tuple(emitter.columns)
 
 
 # -- row (projection / probe-value) compilation -------------------------------
@@ -505,20 +801,20 @@ def compile_row(exprs: Sequence[RowExpr]) -> Callable[[Row, OuterStack], Row]:
 # layer's reset/harvest/restore walks govern compiled execution unchanged.
 
 
-def _compile_subpred(pred):
+def _compile_subpred(pred, stats: ScanKernelStats):
     if isinstance(pred, ExistsProbe):
-        return _compile_exists_probe(pred)
+        return _compile_exists_probe(pred, stats)
     if isinstance(pred, ExistsPred):
-        return _compile_exists_pred(pred)
+        return _compile_exists_pred(pred, stats)
     if isinstance(pred, SemiJoinProbe):
-        return _compile_semi_join_probe(pred)
+        return _compile_semi_join_probe(pred, stats)
     if isinstance(pred, InPred):
-        return _compile_in_pred(pred)
+        return _compile_in_pred(pred, stats)
     return pred  # opaque callable: invoked as-is
 
 
-def _compile_exists_pred(pred: ExistsPred):
-    sub_rows = _rows_fn(pred.subplan)
+def _compile_exists_pred(pred: ExistsPred, stats: ScanKernelStats):
+    sub_rows = _rows_fn(pred.subplan, stats)
 
     def exists_naive(r, o):
         return bool(sub_rows(o + (r,)))
@@ -526,8 +822,8 @@ def _compile_exists_pred(pred: ExistsPred):
     return exists_naive
 
 
-def _compile_exists_probe(pred: ExistsProbe):
-    sub_iter = _iter_fn(pred.subplan)
+def _compile_exists_probe(pred: ExistsProbe, stats: ScanKernelStats):
+    sub_iter = _iter_fn(pred.subplan, stats)
 
     def probe(r, o):
         for _ in sub_iter(o + (r,)):
@@ -558,8 +854,8 @@ def _compile_exists_probe(pred: ExistsProbe):
     return exists_memo
 
 
-def _compile_in_pred(pred: InPred):
-    sub_rows = _rows_fn(pred.subplan)
+def _compile_in_pred(pred: InPred, stats: ScanKernelStats):
+    sub_rows = _rows_fn(pred.subplan, stats)
     values_fn = compile_row(pred.exprs)
     negated = pred.negated
     refs = pred._refs
@@ -588,11 +884,11 @@ def _compile_in_pred(pred: InPred):
     return in_pred
 
 
-def _compile_semi_join_probe(pred: SemiJoinProbe):
+def _compile_semi_join_probe(pred: SemiJoinProbe, stats: ScanKernelStats):
     """The set-membership kernel behind uncorrelated IN and the decorrelated
     EXISTS/IN probes.  The build side stays on ``pred`` (read per call, never
     captured), so nothing derived from bound rows outlives ``unbind_plan``."""
-    sub_iter = _iter_fn(pred.subplan)
+    sub_iter = _iter_fn(pred.subplan, stats)
     negated = pred.negated
 
     def built():
@@ -684,16 +980,154 @@ def _drained(child_iter: IterFn) -> IterFn:
     return drain
 
 
-def _split_filter(node: PlanNode):
-    """Peel a FilterOp for fusion: (child, predicate | ConstPred | None)."""
-    if isinstance(node, FilterOp):
-        return node.child, compile_predicate(node.predicate)
-    return node, None
+# -- scan kernels -------------------------------------------------------------
+#
+# A filter directly over a base-table scan does not call a predicate per
+# row: its leading probe-free conjuncts run as one fused selection
+# (:func:`_compile_fused`) over the table's column vectors, which are
+# pivoted on first touch, one column at a time, into the memo
+# :func:`~repro.engine.binding.bind_plan` installs on the scan — shared,
+# through the immutable ``Table``, by every plan that scans it, and dropped
+# from the plan by ``unbind_plan`` like the rows themselves.
+#
+# Exactness needs no new argument:
+#
+# * the whole predicate fuses — a kernel that returns has run every
+#   comparison the row-wise trace runs (the emitter's error-probe terms)
+#   without a type clash, so the rows it keeps *are* the row-wise result;
+# * only a prefix fuses (``B.year >= k AND B.year < k' AND EXISTS …``) — the
+#   kernel keeps the rows on which the prefix is TRUE or UNKNOWN, exactly
+#   the rows on which the row-wise AND goes on to its next conjunct, and
+#   the unchanged full predicate then runs on those;
+# * a type clash anywhere in a batch (``_FALLBACK_ERRORS``) — the scan is
+#   replayed from that batch on, lazily, through the unchanged row-wise
+#   predicate, which raises the interpreted tier's error on the row it
+#   raises it on, or never reaches the clash at all.
+
+#: Rows in a scan kernel's first batch, and the factor each following batch
+#: grows by (the last batch takes what is left once that is no more than
+#: one further growth step).  Batches keep the scan lazy at a bounded
+#: price: a consumer that stops at its first row — an EXISTS probe — has
+#: paid for the batch that row is in, a constant factor over the rows up
+#: to it whatever the table size, while a full scan of 30,000 rows makes
+#: four kernel calls instead of one.
+_SCAN_BATCH = 256
+_SCAN_BATCH_GROWTH = 4
 
 
-def _compile_filter(node: FilterOp) -> IterFn:
-    child_iter = _iter_fn(node.child)
-    pred = compile_predicate(node.predicate)
+def _conjuncts(pred) -> List[object]:
+    """The conjuncts of an AND tree, in evaluation order.  How the ANDs
+    nest is immaterial to the row-wise trace: conjuncts run left to right
+    until the first FALSE one."""
+    if isinstance(pred, AndPred):
+        return _conjuncts(pred.left) + _conjuncts(pred.right)
+    return [pred]
+
+
+def _scan_vectors(
+    scan: TableScan, data: Sequence[Row], columns
+) -> List[Optional[list]]:
+    """The per-column memo of ``scan``'s bound rows with ``columns``
+    pivoted: ``vectors[i]`` is the list of every row's value in column
+    ``i``, or None while nothing has read that column."""
+    memo = scan._columns
+    if memo is None or memo[0] is not data:
+        # Rows installed by hand, not by bind_plan: a memo of the scan's own.
+        memo = scan._columns = (data, [None] * scan.arity)
+    vectors = memo[1]
+    for column in columns:
+        if vectors[column] is None:
+            vectors[column] = list(map(itemgetter(column), data))
+    return vectors
+
+
+def _compile_scan_kernel(node: FilterOp, folded, stats: ScanKernelStats):
+    """Lower ``σ_folded(TableScan)`` to a scan kernel, as :func:`_split_filter`
+    returns it: the kernel's row iterator plus what is left to test on each
+    row it yields — nothing when the whole predicate fused, the whole
+    predicate when only its leading conjuncts did.  None when no leading
+    conjunct fuses."""
+    conjuncts = _conjuncts(folded)
+    lead = 0
+    while lead < len(conjuncts) and not _probe_segments(conjuncts[lead]):
+        lead += 1
+    if not lead:
+        return None
+    whole = lead == len(conjuncts)
+    prefix = folded
+    if not whole:
+        prefix = conjuncts[0]
+        for conjunct in conjuncts[1:lead]:
+            prefix = AndPred(prefix, conjunct)
+    fused = _compile_fused(prefix, keep_unknown=not whole)
+    if fused is None:
+        return None
+    kernel, columns = fused
+    scan = node.child
+    scan_rows = _rows_fn(scan, stats)
+    # What the caller still has to test on the rows it is handed: after a
+    # prefix kernel, the full predicate.
+    residual = None if whole else _compile_folded(folded, stats)
+    row_pred = residual
+
+    def replay(rows, outers):
+        # A whole-predicate kernel compiles its row-wise twin on the first
+        # fallback only: a single-use plan pays for one code generation.
+        nonlocal row_pred
+        if row_pred is None:
+            row_pred = _compile_folded(folded, stats)
+        p = row_pred
+        return (row for row in rows if p(row, outers) is True)
+
+    def batches(data, outers):
+        stats.selections += 1
+        vectors = _scan_vectors(scan, data, columns)
+        rows = iter(data)
+        cursors = {column: iter(vectors[column]) for column in columns}
+        start, size, total = 0, _SCAN_BATCH, len(data)
+        while True:
+            last = total - start <= size * _SCAN_BATCH_GROWTH
+            try:
+                # zip() stops at its first exhausted argument, so bounding
+                # the rows bounds the batch: no cursor runs ahead.
+                kept = kernel(rows if last else islice(rows, size), cursors, outers)
+            except _FALLBACK_ERRORS:
+                stats.fallbacks += 1
+                rest = islice(data, start, None)
+                yield replay(rest, outers) if whole else rest
+                return
+            stats.rows_in += total - start if last else size
+            stats.rows_out += len(kept)
+            yield kept
+            if last:
+                return
+            start += size
+            size *= _SCAN_BATCH_GROWTH
+
+    def scan_kernel(outers):
+        return chain.from_iterable(batches(scan_rows(outers), outers))
+
+    return scan_kernel, residual
+
+
+def _split_filter(node: PlanNode, stats: ScanKernelStats):
+    """Peel a FilterOp for fusion: ``(compiled input, predicate | ConstPred
+    | None)`` — the rows to draw from and what is left to test on each.  A
+    filter over a base-table scan draws from its scan kernel."""
+    if not isinstance(node, FilterOp):
+        return _iter_fn(node, stats), None
+    folded = _fold_predicate(node.predicate)
+    if isinstance(node.child, TableScan) and not isinstance(folded, ConstPred):
+        lowered = _compile_scan_kernel(node, folded, stats)
+        if lowered is not None:
+            return lowered
+    return _iter_fn(node.child, stats), _compile_folded(folded, stats)
+
+
+def _compile_filter(node: FilterOp, stats: ScanKernelStats) -> IterFn:
+    child_iter, pred = _split_filter(node, stats)
+    if pred is None:
+        return child_iter
     if isinstance(pred, ConstPred):
         if pred.value is True:
             return child_iter
@@ -708,19 +1142,21 @@ def _compile_filter(node: FilterOp) -> IterFn:
     return filter_iter
 
 
-def _compile_project(node: ProjectOp) -> IterFn:
-    child, pred = _split_filter(node.child)
+def _compile_project(node: ProjectOp, stats: ScanKernelStats) -> IterFn:
+    child_iter, pred = _split_filter(node.child, stats)
     if isinstance(pred, ConstPred):
         if pred.value is True:
             pred = None
         else:
-            return _drained(_iter_fn(child))
-    child_iter = _iter_fn(child)
+            return _drained(child_iter)
     indices = _column_indices(node.expressions)
     if pred is None:
-        if indices is not None and len(indices) > 1:
+        if indices:
             getter = itemgetter(*indices)
-            return lambda outers: map(getter, child_iter(outers))
+            if len(indices) > 1:
+                return lambda outers: map(getter, child_iter(outers))
+            # One column: zip() wraps each value into its 1-tuple.
+            return lambda outers: zip(map(getter, child_iter(outers)))
         row_fn = compile_row(node.expressions)
 
         def project_iter(outers):
@@ -741,8 +1177,8 @@ def _compile_project(node: ProjectOp) -> IterFn:
     return filter_project_iter
 
 
-def _compile_distinct(node: DistinctOp) -> IterFn:
-    child_iter = _iter_fn(node.child)
+def _compile_distinct(node: DistinctOp, stats: ScanKernelStats) -> IterFn:
+    child_iter = _iter_fn(node.child, stats)
 
     def distinct_iter(outers):
         seen = set()
@@ -755,19 +1191,13 @@ def _compile_distinct(node: DistinctOp) -> IterFn:
     return distinct_iter
 
 
-def _compile_remap(node: RemapOp) -> IterFn:
-    child_iter = _iter_fn(node.child)
-    mapping = node.mapping
-    if len(mapping) > 1:
-        getter = itemgetter(*mapping)
+def _compile_remap(node: RemapOp, stats: ScanKernelStats) -> IterFn:
+    child_iter = _iter_fn(node.child, stats)
+    getter = itemgetter(*node.mapping)
+    if len(node.mapping) > 1:
         return lambda outers: map(getter, child_iter(outers))
-    (index,) = mapping
-
-    def remap1(outers):
-        for row in child_iter(outers):
-            yield (row[index],)
-
-    return remap1
+    # One column: zip() wraps each value into its 1-tuple.
+    return lambda outers: zip(map(getter, child_iter(outers)))
 
 
 def _product_rows(materialized: List[Sequence[Row]]) -> Iterator[Row]:
@@ -778,8 +1208,8 @@ def _product_rows(materialized: List[Sequence[Row]]) -> Iterator[Row]:
         yield row
 
 
-def _compile_cross_join(node: CrossJoin) -> IterFn:
-    children_rows = [_rows_fn(child) for child in node.children]
+def _compile_cross_join(node: CrossJoin, stats: ScanKernelStats) -> IterFn:
+    children_rows = [_rows_fn(child, stats) for child in node.children]
 
     def cross_iter(outers):
         # Children materialize in order with an early empty-out, exactly
@@ -799,30 +1229,33 @@ def _compile_cross_join(node: CrossJoin) -> IterFn:
     return cross_iter
 
 
-def _compile_hash_join(node: HashJoin) -> IterFn:
-    left_iter = _iter_fn(node.left)
-    right_iter = _iter_fn(node.right)
+def _compile_hash_join(node: HashJoin, stats: ScanKernelStats) -> IterFn:
+    left_iter = _iter_fn(node.left, stats)
+    right_iter = _iter_fn(node.right, stats)
     left_key = _key_fn(node.left_keys)
     right_key = _key_fn(node.right_keys)
 
     def build(outers):
         table: dict = {}
         setdefault = table.setdefault
+        inserted = 0
         for row in right_iter(outers):
             key = right_key(row)
             if key is None:
                 continue
             setdefault(key, []).append(row)
-        return table
+            inserted += 1
+        return table, inserted
 
     def build_table(outers):
         if node._closed_build is None:
             node._closed_build = node.right.free_refs() == frozenset()
         if not node._closed_build:
-            return build(outers)
+            return build(outers)[0]
         table = node._table
         if table is None:
-            table = node._table = build(outers)
+            table, node._build_rows = build(outers)
+            node._table = table
         return table
 
     def probe(table, outers):
@@ -844,14 +1277,14 @@ def _compile_hash_join(node: HashJoin) -> IterFn:
     return hash_join_iter
 
 
-def _compile_generic_join(node: GenericJoin) -> IterFn:
+def _compile_generic_join(node: GenericJoin, stats: ScanKernelStats) -> IterFn:
     """Native lowering of the worst-case-optimal join: children materialize
     through their compiled ``rows`` functions, while trie construction and
     leapfrog enumeration reuse the node's own (already loop-shaped) methods
     — and the tries live on the node (``_tries`` / ``_closed_build``), so
     the binding layer's reset/harvest/restore walks govern compiled
     execution unchanged, exactly like the hash-join build side."""
-    children_rows = [_rows_fn(child) for child in node.children]
+    children_rows = [_rows_fn(child, stats) for child in node.children]
 
     def build(outers):
         return node._build_tries([rows_fn(outers) for rows_fn in children_rows])
@@ -860,10 +1293,11 @@ def _compile_generic_join(node: GenericJoin) -> IterFn:
         if node._closed_build is None:
             node._closed_build = node.free_refs() == frozenset()
         if not node._closed_build:
-            return build(outers)
+            return build(outers)[0]
         tries = node._tries
         if tries is None:
-            tries = node._tries = build(outers)
+            tries, node._build_rows = build(outers)
+            node._tries = tries
         return tries
 
     def generic_join_iter(outers):
@@ -875,9 +1309,9 @@ def _compile_generic_join(node: GenericJoin) -> IterFn:
     return generic_join_iter
 
 
-def _compile_hash_setop(node: HashSetOp) -> IterFn:
-    left_iter = _iter_fn(node.left)
-    right_iter = _iter_fn(node.right)
+def _compile_hash_setop(node: HashSetOp, stats: ScanKernelStats) -> IterFn:
+    left_iter = _iter_fn(node.left, stats)
+    right_iter = _iter_fn(node.right, stats)
     if node.op == "UNION":
         if node.all:
 
@@ -943,11 +1377,11 @@ def _compile_hash_setop(node: HashSetOp) -> IterFn:
     raise ValueError(f"unknown set operation {node.op}")  # pragma: no cover
 
 
-def _compile_setop_counted(node: SetOpNode) -> IterFn:
+def _compile_setop_counted(node: SetOpNode, stats: ScanKernelStats) -> IterFn:
     """The naive counted-multiset set operation (``optimize=False`` plans):
     compiled children, same count-both-sides-and-re-expand algorithm."""
-    left_iter = _iter_fn(node.left)
-    right_iter = _iter_fn(node.right)
+    left_iter = _iter_fn(node.left, stats)
+    right_iter = _iter_fn(node.right, stats)
     op, all_ = node.op, node.all
 
     def setop_iter(outers):
@@ -976,7 +1410,7 @@ def _compile_setop_counted(node: SetOpNode) -> IterFn:
 # -- materializers ------------------------------------------------------------
 
 
-def _rows_fn(node: PlanNode) -> RowsFn:
+def _rows_fn(node: PlanNode, stats: ScanKernelStats) -> RowsFn:
     """Compiled equivalent of ``node.rows``: same results, same aliasing
     (scans and cached subplans hand out their stored lists; everything
     else materializes a fresh list from the compiled iterator)."""
@@ -996,7 +1430,7 @@ def _rows_fn(node: PlanNode) -> RowsFn:
         data = node.data
         return lambda outers: data
     if isinstance(node, CachedSubplan):
-        child_rows = _rows_fn(node.child)
+        child_rows = _rows_fn(node.child, stats)
 
         def cached_rows(outers):
             rows = node._cache
@@ -1007,7 +1441,7 @@ def _rows_fn(node: PlanNode) -> RowsFn:
 
         return cached_rows
     if isinstance(node, MemoSubplan):
-        child_rows = _rows_fn(node.child)
+        child_rows = _rows_fn(node.child, stats)
         memo_refs = node.memo_refs
 
         def memo_rows(outers):
@@ -1019,44 +1453,44 @@ def _rows_fn(node: PlanNode) -> RowsFn:
             return rows
 
         return memo_rows
-    iter_fn = _iter_fn(node)
+    iter_fn = _iter_fn(node, stats)
     return lambda outers: list(iter_fn(outers))
 
 
 # -- dispatcher ---------------------------------------------------------------
 
 
-def _iter_fn(node: PlanNode) -> IterFn:
+def _iter_fn(node: PlanNode, stats: ScanKernelStats) -> IterFn:
     if isinstance(node, (TableScan, StaticScan)):
-        rows_fn = _rows_fn(node)
+        rows_fn = _rows_fn(node, stats)
         return lambda outers: iter(rows_fn(outers))
     if isinstance(node, ProjectOp):
-        return _compile_project(node)
+        return _compile_project(node, stats)
     if isinstance(node, FilterOp):
-        return _compile_filter(node)
+        return _compile_filter(node, stats)
     if isinstance(node, HashJoin):
-        return _compile_hash_join(node)
+        return _compile_hash_join(node, stats)
     if isinstance(node, GenericJoin):
-        return _compile_generic_join(node)
+        return _compile_generic_join(node, stats)
     if isinstance(node, CrossJoin):
-        return _compile_cross_join(node)
+        return _compile_cross_join(node, stats)
     if isinstance(node, DistinctOp):
-        return _compile_distinct(node)
+        return _compile_distinct(node, stats)
     if isinstance(node, RemapOp):
-        return _compile_remap(node)
+        return _compile_remap(node, stats)
     if isinstance(node, HashSetOp):
-        return _compile_hash_setop(node)
+        return _compile_hash_setop(node, stats)
     if isinstance(node, SetOpNode):
-        return _compile_setop_counted(node)
+        return _compile_setop_counted(node, stats)
     if isinstance(node, (CachedSubplan, MemoSubplan)):
-        rows_fn = _rows_fn(node)
+        rows_fn = _rows_fn(node, stats)
         return lambda outers: iter(rows_fn(outers))
     # Unknown node (an extension or a test double): fall back to its own
     # interpreted iteration so compilation degrades instead of failing.
     return node.iter_rows
 
 
-def compile_plan(plan: PlanNode) -> IterFn:
+def compile_plan(plan: PlanNode, stats: Optional[ScanKernelStats] = None) -> IterFn:
     """Lower a physical plan into its compiled closure tree.
 
     The result is a drop-in replacement for ``plan.iter_rows`` — call it
@@ -1065,5 +1499,7 @@ def compile_plan(plan: PlanNode) -> IterFn:
     :func:`~repro.engine.binding.bind_plan` /
     :func:`~repro.engine.binding.unbind_plan` round-trip compiled plans
     exactly as interpreted ones: compile once, bind/execute/unbind many.
+    ``stats`` is where the plan's scan kernels count what they do (the
+    engine passes its own; without one the counts go nowhere).
     """
-    return _iter_fn(plan)
+    return _iter_fn(plan, stats or ScanKernelStats())

@@ -31,17 +31,27 @@ interpreted (closure generation would triple its engine time), while the
 live-DBMS campaign over a 10^4-row database runs 2-3x faster compiled.
 (The service's ad-hoc ``POST /query`` opts out with ``compiled=False``:
 its admission policy keeps one-off statements out of every cache, the
-code cache included.)
+code cache included.)  Within a lowered plan, a filter over a base-table
+scan runs as a *scan kernel* — the leading probe-free conjuncts of its
+predicate as one generated comprehension over the table's column vectors,
+exact by construction and replayed row-wise on a type clash
+(:mod:`repro.engine.compile`, "scan kernels").  No knob selects it: the
+plan's shape does, and ``cache_info()["scan_kernels"]`` counts the scans,
+rows and fallbacks.
 
 A fourth tier, ``vectorized=True``, swaps the row-at-a-time lowering for
 the columnar batch backend (:mod:`repro.engine.columnar`): each bound
 table is pivoted once into column vectors, operators exchange row-id
 selection batches, and WHERE predicates evaluate as paired 3VL
-value/unknown masks (or fused single-pass selections), with tuples
-materialized only at emission.  Outcomes remain bit-identical to every
-row-wise tier — the ``engine_vectorized`` / ``engine_rowwise`` bench
-stages gate on digest equality, and the tier wins ≥3x on selection-heavy
-workloads once tables reach thousands of rows.  Unlike the closure
+value/unknown masks (or the scan kernels' fused single-pass selections),
+with tuples materialized only at emission.  Outcomes remain bit-identical
+to every row-wise tier — the ``engine_vectorized`` / ``engine_rowwise``
+bench stages gate on digest equality.  The tier used to win ≥3x on
+selection-heavy workloads once tables reach thousands of rows; with scan
+kernels in the default tier the pair reads about 1x, and what the
+columnar tier still adds is batch-at-a-time joins and set operations
+(docs/BENCHMARKS.md, "Batch scan kernels", has the per-class table).
+Unlike the closure
 compiler it has no size rule: the tier is explicit opt-in, so even tiny
 single-use plans are batch-compiled; at the campaign's 6-row scale that
 codegen costs more than batch execution saves, which is why the
@@ -101,7 +111,7 @@ from .binding import (
     unbind_plan,
 )
 from .columnar import compile_columnar
-from .compile import compile_plan
+from .compile import ScanKernelStats, compile_plan
 from .operators import TableScan
 from .optimizer import DEFAULT_TABLE_ROWS, optimize_plan
 from .planner import CompiledQuery, DIALECT_ORACLE, DIALECT_POSTGRES, Planner
@@ -201,6 +211,8 @@ class Engine:
         self._cache_misses = 0
         self._cache_evictions = 0
         self._reoptimizations = 0
+        #: What the scan kernels of this engine's lowered plans did.
+        self._scan_kernels = ScanKernelStats()
         self._build_cache = (
             BuildSideCache(build_cache_size, max_bytes=build_cache_bytes)
             if build_cache_size > 0
@@ -344,14 +356,14 @@ class Engine:
             # single-use plans are batch-compiled.  Break-even needs
             # tables past the campaign's 6-row scale — the bench's
             # campaign A/B records the measured gap.
-            run = compile_columnar(plan)
+            run = compile_columnar(plan, self._scan_kernels)
         elif self.compiled and (
             self.plan_cache_size > 0 or bound_rows >= SINGLE_USE_COMPILE_ROWS
         ):
             # Lowered when it pays: the plan will be reused (cache
             # admission — compile once, execute many), or its one
             # execution walks enough rows to amortize closure generation.
-            run = compile_plan(plan)
+            run = compile_plan(plan, self._scan_kernels)
         else:
             run = None
         return CompiledQuery(plan, compiled.labels, run)
@@ -363,8 +375,11 @@ class Engine:
         ``reoptimizations`` counts cache hits whose plan was re-ordered
         because those observations contradicted its estimates.  ``entries``
         / ``bytes`` size the cache (estimated bytes, LRU-evicted against
-        ``max_bytes`` when set), and ``build`` nests the build-side cache's
-        own counters so one call sizes both caches."""
+        ``max_bytes`` when set), ``build`` nests the build-side cache's
+        own counters so one call sizes both caches, and ``scan_kernels``
+        counts what the lowered plans' scan kernels did: ``selections``
+        (kernel-run scans), ``rows_in`` / ``rows_out`` and ``fallbacks``
+        (scans a type clash sent to the row-wise replay)."""
         return {
             "hits": self._cache_hits,
             "misses": self._cache_misses,
@@ -377,6 +392,7 @@ class Engine:
             "max_bytes": self.plan_cache_bytes or 0,
             "observed_rows": dict(self._observed_tables),
             "build": self.build_cache_info(),
+            "scan_kernels": self._scan_kernels.info(),
         }
 
     def clear_plan_cache(self) -> None:

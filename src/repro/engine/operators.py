@@ -219,8 +219,9 @@ class TableScan(PlanNode):
     #: unbind walk (and seeded by the engine on freshly planned scans):
     #: the optimizer's cardinality feedback for unbound plans.
     observed_rows: Optional[int] = field(default=None, compare=False, repr=False)
-    #: Columnar tier memo: ``(source rows, column vectors)`` — converted
-    #: once per bind, invalidated by identity and cleared on unbind.
+    #: ``(bound rows, their per-column vector memo)`` for the scan kernels
+    #: and the columnar tier: installed by ``bind_plan`` from the table's
+    #: own memo, checked against ``data`` by identity, cleared on unbind.
     _columns: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def iter_rows(self, outers: OuterStack) -> Iterator[Row]:
@@ -395,28 +396,32 @@ class HashJoin(PlanNode):
     #: the build-side cache of :mod:`repro.engine.binding`).
     _table: Optional[dict] = field(default=None, repr=False, compare=False)
     _closed_build: Optional[bool] = field(default=None, repr=False, compare=False)
-    #: Row count recorded with the cache entry ``_table`` was restored
-    #: from, replayed as cardinality feedback without re-walking it.
-    _restored_rows: Optional[int] = field(default=None, repr=False, compare=False)
+    #: Rows held by ``_table`` — the cardinality feedback ``unbind_plan``
+    #: reports — counted where the build inserted them, or recorded with
+    #: the cache entry the table was restored from.
+    _build_rows: Optional[int] = field(default=None, repr=False, compare=False)
 
-    def _build(self, outers: OuterStack) -> dict:
+    def _build(self, outers: OuterStack) -> Tuple[dict, int]:
+        """``(key -> rows, rows inserted)`` of the right child."""
         table: dict = {}
         right_keys = self.right_keys
+        inserted = 0
         for row in self.right.iter_rows(outers):
             key = typed_key([row[i] for i in right_keys])
             if key is None:
                 continue
             table.setdefault(key, []).append(row)
-        return table
+            inserted += 1
+        return table, inserted
 
     def build_table(self, outers: OuterStack) -> dict:
         """The probe table, built at most once per execution when closed."""
         if self._closed_build is None:
             self._closed_build = self.right.free_refs() == frozenset()
         if not self._closed_build:
-            return self._build(outers)
+            return self._build(outers)[0]
         if self._table is None:
-            self._table = self._build(outers)
+            self._table, self._build_rows = self._build(outers)
         return self._table
 
     def iter_rows(self, outers: OuterStack) -> Iterator[Row]:
@@ -478,9 +483,10 @@ class GenericJoin(PlanNode):
     #: through the build-side cache of :mod:`repro.engine.binding`).
     _tries: Optional[List[object]] = field(default=None, repr=False, compare=False)
     _closed_build: Optional[bool] = field(default=None, repr=False, compare=False)
-    #: Row count recorded with the cache entry ``_tries`` was restored
-    #: from, replayed as cardinality feedback without re-walking it.
-    _restored_rows: Optional[int] = field(default=None, repr=False, compare=False)
+    #: Rows held by ``_tries`` — the cardinality feedback ``unbind_plan``
+    #: reports — counted where the build inserted them, or recorded with
+    #: the cache entry the tries were restored from.
+    _build_rows: Optional[int] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         # Purely structural, derived once: which variables each child binds
@@ -498,14 +504,17 @@ class GenericJoin(PlanNode):
         self._child_cols = [tuple(levels) for levels in per_child]
         self._var_children = tuple(var_children)
 
-    def _build_tries(self, children_rows: List[List[Row]]) -> List[object]:
-        """One trie per child: nested dicts keyed by the child's variables
-        in order, leaf lists holding the rows (bag multiplicity); children
-        binding no variable contribute their plain row list.  Rows with a
-        NULL variable column — or two same-variable columns that differ —
-        can never match and are left out."""
+    def _build_tries(self, children_rows: List[List[Row]]) -> Tuple[List[object], int]:
+        """One trie per child, and the rows they hold in all: nested dicts
+        keyed by the child's variables in order, leaf lists holding the rows
+        (bag multiplicity); children binding no variable contribute their
+        plain row list.  Rows with a NULL variable column — or two
+        same-variable columns that differ — can never match and are left
+        out."""
         tries: List[object] = []
+        held = 0
         for levels, rows in zip(self._child_cols, children_rows):
+            held += len(rows)
             if not levels:
                 tries.append(rows)
                 continue
@@ -527,13 +536,14 @@ class GenericJoin(PlanNode):
                         continue
                     break
                 if len(keys) < depth:
+                    held -= 1
                     continue
                 node = root
                 for key in keys[:-1]:
                     node = node.setdefault(key, {})
                 node.setdefault(keys[-1], []).append(row)
             tries.append(root)
-        return tries
+        return tries, held
 
     def build_tries(self, outers: OuterStack) -> List[object]:
         """The per-child tries, built at most once per execution when every
@@ -541,9 +551,9 @@ class GenericJoin(PlanNode):
         if self._closed_build is None:
             self._closed_build = self.free_refs() == frozenset()
         if not self._closed_build:
-            return self._build_tries([c.rows(outers) for c in self.children])
+            return self._build_tries([c.rows(outers) for c in self.children])[0]
         if self._tries is None:
-            self._tries = self._build_tries(
+            self._tries, self._build_rows = self._build_tries(
                 [c.rows(outers) for c in self.children]
             )
         return self._tries

@@ -207,6 +207,10 @@ class ServiceRegistry:
                     "entries", "bytes",
                 )
             }
+            scan_kernels = {
+                counter: sum(e["scan_kernels"][counter] for e in engines)
+                for counter in ("selections", "rows_in", "rows_out", "fallbacks")
+            }
             tenants[name] = {
                 "databases": sorted(tenant.databases),
                 "statements": len(tenant.statements),
@@ -214,6 +218,7 @@ class ServiceRegistry:
                 "executions": tenant.executions,
                 "plan_cache": plan,
                 "build_cache": build,
+                "scan_kernels": scan_kernels,
             }
         return {
             "uptime_s": round(time.time() - self.started_at, 3),

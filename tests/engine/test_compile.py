@@ -377,6 +377,7 @@ def test_literals_columns_and_operators_share_one_compilation():
             )
         )
 
+    pred("=", 1, 0)  # a shape is cached from its second compilation on
     first = pred("<", 0, 5)
     before = len(cache)
     others = [pred(">=", 1, "x"), pred("LIKE", 1, "a%"), pred("<>", 0, 2.5)]
@@ -391,18 +392,44 @@ def test_literals_columns_and_operators_share_one_compilation():
         first(("x", "y"), ())
 
 
+def test_code_cache_admits_a_shape_the_second_time_it_is_compiled(monkeypatch):
+    """One-off shapes — most of what a stream of generated single-use
+    queries compiles — never enter the cache; a recurring shape pays one
+    extra compilation, then hits."""
+    monkeypatch.setattr(compile_module, "_CODE_CACHE", {})
+    monkeypatch.setattr(compile_module, "_COMPILED_ONCE", {})
+    cache = compile_module._CODE_CACHE
+    first = compile_module._compiled_code("x = 1\n")
+    assert cache == {} and len(compile_module._COMPILED_ONCE) == 1
+    second = compile_module._compiled_code("x = 1\n")
+    assert second is not first and cache == {"x = 1\n": second}
+    assert compile_module._COMPILED_ONCE == {}
+    assert compile_module._compiled_code("x = 1\n") is second
+    # The memory of one-offs is bounded like the cache itself.
+    monkeypatch.setattr(compile_module, "_CODE_CACHE_MAX", 3)
+    for i in range(10):
+        compile_module._compiled_code(f"y = {i}\n")
+    assert len(compile_module._COMPILED_ONCE) == 3 and len(cache) == 1
+
+
 def test_code_cache_overflow_drops_the_oldest_entry_only(monkeypatch):
     monkeypatch.setattr(compile_module, "_CODE_CACHE", {})
+    monkeypatch.setattr(compile_module, "_COMPILED_ONCE", {})
     monkeypatch.setattr(compile_module, "_CODE_CACHE_MAX", 3)
     cache = compile_module._CODE_CACHE
     sources = [f"x{i} = {i}\n" for i in range(5)]
+
+    def admit(source):
+        compile_module._compiled_code(source)  # first compilation: noted
+        return compile_module._compiled_code(source)  # second: cached
+
     for source in sources[:3]:
-        compile_module._compiled_code(source)
+        admit(source)
     kept = compile_module._compiled_code(sources[1])
-    compile_module._compiled_code(sources[3])
+    admit(sources[3])
     assert list(cache) == sources[1:4]  # oldest gone, nothing else
     assert compile_module._compiled_code(sources[1]) is kept
-    compile_module._compiled_code(sources[4])
+    admit(sources[4])
     assert list(cache) == sources[2:5]
 
 

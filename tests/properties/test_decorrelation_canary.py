@@ -64,7 +64,7 @@ def null_key_makes_exists_unknown(monkeypatch):
     monkeypatch.setattr(
         compile_module,
         "_compile_semi_join_probe",
-        lambda pred: unknown_on_null_key(pred, compiled(pred)),
+        lambda pred, stats: unknown_on_null_key(pred, compiled(pred, stats)),
     )
 
 

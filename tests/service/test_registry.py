@@ -110,6 +110,22 @@ def test_stats_aggregates_caches_per_tenant():
     assert stats["uptime_s"] >= 0
 
 
+def test_stats_passes_scan_kernel_counters_through():
+    """``/stats`` sums each tenant's engines' ``cache_info()["scan_kernels"]``:
+    the prepared filter over a base table runs as a scan kernel."""
+    registry, db = make_registry()
+    _sid, statement = registry.prepare(
+        "t1", "SELECT R.A FROM R WHERE R.B >= $1", "default"
+    )
+    engine = registry.tenant("t1").engine_for(db.schema)
+    engine.execute(statement.bind([2]), db)
+    entry = registry.stats()["tenants"]["t1"]
+    assert entry["scan_kernels"] == engine.cache_info()["scan_kernels"]
+    assert entry["scan_kernels"]["selections"] == 1
+    assert entry["scan_kernels"]["rows_in"] == len(db.table("R"))
+    assert entry["scan_kernels"]["fallbacks"] == 0
+
+
 def test_stats_passes_eviction_counters_through():
     """``/stats`` reports what ``Engine.cache_info()`` counts: a plan cache
     and a build cache too small for the workload both show evictions."""

@@ -161,9 +161,9 @@ def test_adhoc_queries_stay_interpreted_whatever_the_tenant_size(monkeypatch):
     lowered = []
     real = engine_module.compile_plan
 
-    def spy(plan):
+    def spy(plan, stats):
         lowered.append(plan)
-        return real(plan)
+        return real(plan, stats)
 
     monkeypatch.setattr(engine_module, "compile_plan", spy)
     rows = [[i, i % 7] for i in range(4 * engine_module.SINGLE_USE_COMPILE_ROWS)]

@@ -93,7 +93,7 @@ def test_paper_trials_never_reach_the_closure_compiler(variant, monkeypatch):
 
     lowered = []
     monkeypatch.setattr(
-        engine_module, "compile_plan", lambda plan: lowered.append(plan)
+        engine_module, "compile_plan", lambda plan, stats: lowered.append(plan)
     )
     runner = ValidationRunner(variant=variant)
     report = runner.run(trials=400, base_seed=0)
