@@ -15,6 +15,11 @@ all implemented here on an immutable :class:`Environment`:
 * ``η ⊕r̄ Ā``     (:meth:`Environment.update`) — the composite
   ``(η ⇑ Ā); η_{Ā,r̄}`` used when entering the scope of a FROM clause.
 
+A fifth, ``η ↾ Ā`` (:meth:`Environment.restrict`, and
+:meth:`Environment.binding_key` for its hashable form), is the restriction
+the ``param`` lemma of Section 5 speaks of: a query's value depends on η
+only through η ↾ param(Q).
+
 Ambiguity is represented with a sentinel so that a name that was *shadowed by
 a repeated name* is distinguishable from a name that was never bound: the
 former is an ambiguous reference, the latter would not have compiled.
@@ -45,6 +50,9 @@ class _Ambiguous:
 
 
 _AMBIGUOUS = _Ambiguous()
+
+#: The binding state of a name η is not defined on, in a binding key.
+_UNBOUND = object()
 
 
 class Environment:
@@ -106,6 +114,25 @@ class Environment:
         return self.unbind(full_names).override(
             Environment.from_bindings(full_names, record)
         )
+
+    def restrict(self, full_names: Iterable[FullName]) -> "Environment":
+        """``η ↾ Ā``: η on the names of Ā, ambiguity marks included."""
+        bindings = self._bindings
+        return Environment(
+            {name: bindings[name] for name in full_names if name in bindings}
+        )
+
+    def binding_key(self, full_names: Sequence[FullName]) -> Tuple[tuple, tuple]:
+        """``η ↾ Ā`` as a hashable key, for a fixed order of Ā.
+
+        Holds the *binding state* of each name — its value, the ambiguity
+        mark, or "unbound" — because a lookup distinguishes all three, and
+        the states' types beside them: ``True == 1 == 1.0`` as dict keys,
+        yet they are different values (a type-clash message prints them).
+        """
+        get = self._bindings.get
+        states = tuple([get(name, _UNBOUND) for name in full_names])
+        return states, tuple(map(type, states))
 
     def binder(self, full_names: Sequence[FullName]) -> "ScopeBinder":
         """A precompiled form of ``η ⊕r̄ Ā`` for a fixed η and Ā.

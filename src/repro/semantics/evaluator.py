@@ -26,34 +26,60 @@ Two star styles are supported (Section 4's "adjustments"):
 The logic (3VL, or either two-valued interpretation of Section 6) is a
 pluggable strategy; see :mod:`repro.semantics.logic`.
 
-Performance: by default :meth:`SqlSemantics._from_where` interleaves
-filtering with the FROM product (``fast_from=True``) instead of computing
-the full Cartesian product first.  The interleaving is *provably
-inconsequential*: only WHERE conjuncts that are total (they can neither
-raise nor consult a subquery — constant conditions, ``IS NULL``, and the
-built-in total comparisons ``=`` / ``<>``), refer to unambiguous names, and
-are covered by a prefix of the FROM items are evaluated early, so results,
-multiplicities *and* error behaviour match Figures 5–7 bit for bit; any
-query outside that fragment falls back to the literal product-then-filter
-rule.  ``fast_from=False`` disables the fast path entirely.
+Performance: the rules are executed as written, except where the paper
+itself says a shortcut is unobservable.  ``fast_from=False`` takes no
+shortcut at all — it is the literal Figures 5–7 route and the reference
+every gate compares the default against.
 
-Because both routes are bit-identical, *which* one runs is purely a cost
-decision: the interleaved route pays a fixed per-query overhead (staged
-binders, taint bookkeeping) that only amortizes on large products, and on
-the small tables of the validation campaigns it used to bench *slower*
-than the literal rule.  The dispatch is therefore cost-based —
-``interleave_min_product`` (default 32, measured as the crossover on the
-benchmark and campaign workloads) is the estimated FROM-product size below
-which the literal route runs even with ``fast_from=True``; a FROM-subquery
-item makes the estimate unbounded, keeping the fast path.  Set it to 0 to
-force interleaving wherever the analysis allows.
+*The ``param`` lemma as evaluation strategy.*  ⟦Q⟧_{D,η,x} depends on η only
+through param(Q), the names Q reads from its environment (Section 5;
+:func:`repro.sql.labels.query_params`).  The literal route re-evaluates a
+subquery for every row of every enclosing FROM product; the default
+evaluates it once per distinct *(node, switch x, η ↾ param(Q))* and reuses
+the table: an uncorrelated subquery runs once, a correlated one once per
+distinct binding of the names it actually reads.  What is keyed is the
+*binding state* of each parameter — a value, the ambiguity mark of a
+repeated full name, or "unbound" — because a lookup tells the three apart,
+and values are keyed with their types, because ``1``, ``True`` and ``1.0``
+are one dict key and three values (:meth:`Environment.binding_key`).  An
+*error* needs no entry: it is an outcome like any other, but an
+evaluation that raises unwinds the whole run (nothing in here catches), so
+it surfaces on the same outer row as in Figures 5–7 and no later visit
+exists to ask for it again.  The memo belongs to the outermost
+:meth:`SqlSemantics.evaluate` call and dies with it — a table computed on
+one database never answers for another, and nothing accumulates across a
+campaign's trials; one evaluator therefore evaluates one query at a time.
+On the Section 4 campaign (6-row tables) the memo cuts query evaluations
+44,125 → 20,312 per 4,000 trials and the oracle's time from 3.1 to 1.6 s;
+the tail trials, where nested subqueries multiply, are where it comes from.
 
-The dispatch itself must also cost nothing where it cannot help:
-single-item FROM clauses (which can never stage a filter before another
-item) skip even the analysis memo lookup — correlated subqueries re-enter
-the FROM/WHERE rule once per outer row, so that lookup used to tax the
-literal route by ~10% on the benchmark workload.  ``scripts/bench.py``
-gates the residual overhead at 5% (``semantics_ratio``).
+*Interleaving.*  :meth:`SqlSemantics._from_where` filters while it builds
+the FROM product instead of computing the full Cartesian product first.
+Only WHERE conjuncts that are total (they can neither raise nor consult a
+subquery — constant conditions, ``IS NULL``, and the built-in total
+comparisons ``=`` / ``<>``), refer to unambiguous names, and are covered by
+a prefix of the FROM items are evaluated early, so results, multiplicities
+*and* error behaviour match Figures 5–7 bit for bit; any query outside that
+fragment falls back to the literal product-then-filter rule.  Which route
+runs is purely a cost decision: the interleaved one pays a fixed per-query
+overhead (staged binders, taint bookkeeping) that only amortizes on large
+products.  ``interleave_min_product`` (default 32) is the estimated
+FROM-product size below which the literal rule runs; a FROM-subquery item
+makes the estimate unbounded, keeping the fast path, and 0 forces
+interleaving wherever the analysis allows.  Re-measured under the memo,
+the threshold is a wash at campaign scale — 3,000 paper trials at 6 rows
+read 1.391 / 1.379 / 1.381 / 1.392 / 1.400 s with it at 0 / 8 / 32 / 128 /
+never (best of 5 per trial, the settings alternating; the literal route
+reads 3.186 s) — and still decides at 12 rows: 0.964 / 0.953 / 0.936 /
+1.070 / 1.076 s on the nested bench mix (literal 1.906 s).  So 32 stays.
+
+Everything env-independent about a node — ℓ(τ:β), the staging analysis,
+param(Q), the per-database cost verdict — is one :class:`_NodeAnalysis`
+record, computed when the node is first met: correlated subqueries
+re-enter here once per outer row.  ``scripts/bench.py`` gates both sides:
+``semantics_ratio <= 1.05`` on a flat mix (the default must cost nothing
+where it cannot help) and ``semantics_nested_ratio <= 0.8`` on a
+nesting-biased one (the win must not quietly disappear).
 """
 
 from __future__ import annotations
@@ -62,7 +88,12 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.bag import Bag
 from ..core.env import EMPTY_ENV, Environment
-from ..core.errors import ArityMismatchError, CompileError, DuplicateAliasError
+from ..core.errors import (
+    ArityMismatchError,
+    CompileError,
+    DuplicateAliasError,
+    ReproError,
+)
 from ..core.schema import Database, Schema
 from ..core.table import Table
 from ..core.truth import FALSE, TRUE, UNKNOWN, Truth, conj_all
@@ -87,6 +118,7 @@ from ..sql.labels import (
     from_item_labels,
     from_labels,
     query_labels,
+    query_params,
     scope_full_names,
 )
 from .logic import Logic, THREE_VALUED, get_logic
@@ -116,6 +148,36 @@ def _check_aliases(from_items: Tuple[FromItem, ...]) -> None:
         seen_aliases.add(item.alias)
 
 
+#: ``_NodeAnalysis.params`` before param(Q) has been asked for.
+_PENDING = object()
+
+
+class _NodeAnalysis:
+    """What is known of a query node before any environment is: the
+    env-independent half of evaluating it, computed once per node.
+
+    ``scope`` is ℓ(τ:β) and ``interleave`` the staging analysis of
+    :meth:`SqlSemantics._interleave_analysis`; both are None for a set
+    operation, and for a node whose labels do not compute (the literal
+    route then raises what Figure 5 raises, where it raises it).
+    ``params`` is param(Q) in a fixed order — the names whose binding
+    states key the memo — or None when the node must not be memoized; it
+    is computed when first asked for, which for a top-level query is never.
+    ``cost_db`` / ``worth`` memoize the per-database cost verdict.
+    """
+
+    __slots__ = (
+        "node", "version", "scope", "interleave", "params", "cost_db", "worth"
+    )
+
+    def __init__(self, node: Query, version: int):
+        self.node = node  # pinned: its id keys the record
+        self.version = version
+        self.scope: Optional[Tuple[FullName, ...]] = None
+        self.interleave: Optional[tuple] = None
+        self.params: object = _PENDING
+        self.cost_db: Optional[int] = None
+        self.worth = False
 
 
 class SqlSemantics:
@@ -159,10 +221,14 @@ class SqlSemantics:
         self.exists_label = exists_label
         self.fast_from = fast_from
         self.interleave_min_product = interleave_min_product
-        # Interleaving analyses are env-independent; memoized per Select
-        # node (keyed by id, with the node pinned to prevent id reuse)
-        # because correlated subqueries re-enter _from_where per outer row.
-        self._interleave_cache: Dict[int, tuple] = {}
+        # The env-independent analysis of each query node met, keyed by id
+        # (the record pins its node so the id cannot be reused): correlated
+        # subqueries re-enter evaluate/_from_where once per outer row.
+        self._analyses: Dict[int, _NodeAnalysis] = {}
+        # Outcomes of the subqueries of the evaluation in progress, keyed by
+        # (node, x, η ↾ param(node)); owned by the outermost evaluate call
+        # and None outside one, so that nothing outlives a run.
+        self._memo: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # Terms (Figure 4)
@@ -197,12 +263,84 @@ class SqlSemantics:
         env: Environment = EMPTY_ENV,
         exists_context: bool = False,
     ) -> Table:
-        """⟦Q⟧_{D,η,x}; for a top-level query, ⟦Q⟧_D = ⟦Q⟧_{D,∅,0}."""
+        """⟦Q⟧_{D,η,x}; for a top-level query, ⟦Q⟧_D = ⟦Q⟧_{D,∅,0}.
+
+        ⟦Q⟧_{D,η,x} depends on η only through param(Q) (Section 5), so a
+        subquery is evaluated once per distinct binding state of the names
+        it reads and its table reused for every other row of the enclosing
+        products.  The outermost call owns the memo and takes it down on
+        the way out.
+        """
+        memo = self._memo
+        if memo is None:
+            if not self.fast_from:
+                return self._evaluate(query, db, env, exists_context)
+            self._memo = {}
+            try:
+                return self._evaluate(query, db, env, exists_context)
+            finally:
+                self._memo = None
+        if env is EMPTY_ENV:
+            # Nothing repeats under η = ∅: it reaches only the operands of
+            # top-level set operations and their FROM items, once each.
+            return self._evaluate(query, db, env, exists_context)
+        analysis = self._analysis(query)
+        names = analysis.params
+        if names is _PENDING:
+            names = analysis.params = self._param_names(query)
+        if names is None:
+            return self._evaluate(query, db, env, exists_context)
+        key = (id(query), exists_context, env.binding_key(names))
+        table = memo.get(key)
+        if table is None:
+            # Only tables are entered: an evaluation that raises ends the
+            # run (nothing between here and the outermost call catches),
+            # so no later visit could ask for its outcome.
+            table = memo[key] = self._evaluate(query, db, env, exists_context)
+        return table
+
+    def _evaluate(
+        self, query: Query, db: Database, env: Environment, exists_context: bool
+    ) -> Table:
+        """The rules of Figures 5 and 7, by the form of Q."""
         if isinstance(query, Select):
             return self._eval_select(query, db, env, exists_context)
         if isinstance(query, SetOp):
             return self._eval_setop(query, db, env)
         raise TypeError(f"not a query: {query!r}")
+
+    def _param_names(self, query: Query) -> Optional[Tuple[FullName, ...]]:
+        """param(Q) in a fixed order, or None when it does not compute: an
+        unknown table or a column-alias arity clash, possibly in a branch
+        evaluation never reaches, is not for the memo to raise."""
+        try:
+            return tuple(query_params(query, self.schema))
+        except ReproError:
+            return None
+
+    def _analysis(self, query: Query) -> _NodeAnalysis:
+        """The :class:`_NodeAnalysis` of a node, computed on first sight.
+
+        Recomputed when stale: the staging analysis depends on the
+        predicate registry (a re-registered "=" may no longer be total),
+        so a record is validated against the registry version.
+        """
+        version = self.predicates.version
+        analysis = self._analyses.get(id(query))
+        if analysis is not None and analysis.version == version:
+            return analysis
+        if len(self._analyses) > 4096:
+            self._analyses.clear()
+        analysis = _NodeAnalysis(query, version)
+        if isinstance(query, Select):
+            try:
+                scope = scope_full_names(query.from_items, self.schema)
+                analysis.interleave = self._interleave_analysis(query, scope)
+                analysis.scope = scope
+            except ReproError:
+                pass  # an unknown table, a column-alias arity clash
+        self._analyses[id(query)] = analysis
+        return analysis
 
     def _eval_from(
         self, from_items: Tuple[FromItem, ...], db: Database, env: Environment
@@ -234,16 +372,16 @@ class SqlSemantics:
         built (see :meth:`_from_where_interleaved`); every other query takes
         the literal Figure 5 route below.
         """
-        scope = scope_full_names(query.from_items, self.schema)
-        # The fast-path dispatch must never make the literal route slower:
-        # a single-item FROM can never stage a filter before another item
-        # (the analysis would just say None), so it skips the memo lookup
-        # entirely — this matters because correlated subqueries re-enter
-        # here once per outer row.
-        if self.fast_from and len(query.from_items) > 1:
-            survivors = self._from_where_interleaved(query, db, env, scope)
-            if survivors is not None:
-                return survivors
+        scope = None
+        if self.fast_from:
+            analysis = self._analysis(query)
+            scope = analysis.scope
+            if analysis.interleave is not None:
+                survivors = self._from_where_interleaved(query, db, env, analysis)
+                if survivors is not None:
+                    return survivors
+        if scope is None:
+            scope = scope_full_names(query.from_items, self.schema)
         product = self._eval_from(query.from_items, db, env)
         survivors = []
         binder = env.binder(scope)
@@ -360,7 +498,7 @@ class SqlSemantics:
         query: Select,
         db: Database,
         env: Environment,
-        scope: Tuple[FullName, ...],
+        analysis: _NodeAnalysis,
     ) -> Optional[list[tuple[Record, int, Environment]]]:
         """Filter-during-product evaluation of ⟦FROM τ:β WHERE θ⟧.
 
@@ -375,27 +513,7 @@ class SqlSemantics:
         multiplicities, environments and error behaviour all match the
         Figure 5 product-then-filter evaluation bit for bit.
         """
-        cached = self._interleave_cache.get(id(query))
-        if cached is None or cached[1] != self.predicates.version:
-            # Recompute when absent or stale: the analysis depends on the
-            # predicate registry (a re-registered "=" may no longer be
-            # total), so it is validated against the registry version.
-            if len(self._interleave_cache) > 4096:
-                self._interleave_cache.clear()
-            # Pin the query object so its id cannot be reused.  The last
-            # two slots memoize the per-database cost verdict below.
-            cached = [
-                query,
-                self.predicates.version,
-                self._interleave_analysis(query, scope),
-                None,
-                False,
-            ]
-            self._interleave_cache[id(query)] = cached
-        analysis = cached[2]
-        if analysis is None:
-            return None
-        if cached[3] != id(db):
+        if analysis.cost_db != id(db):
             # Both routes are bit-identical, so this is purely a cost call:
             # on a small product the staged binders and taint bookkeeping
             # cost more than the filtering saves (the bench regression the
@@ -404,11 +522,12 @@ class SqlSemantics:
             # here per outer row, so it is memoized per database identity
             # (a stale id hit could at worst pick the other, equally
             # correct route).
-            cached[3] = id(db)
-            cached[4] = self._product_worth_interleaving(query.from_items, db)
-        if not cached[4]:
+            analysis.cost_db = id(db)
+            analysis.worth = self._product_worth_interleaving(query.from_items, db)
+        if not analysis.worth:
             return None
-        staged, residual, prefix_end = analysis
+        scope = analysis.scope
+        staged, residual, prefix_end = analysis.interleave
         from_items = query.from_items
         n_items = len(from_items)
         # A staged conjunct whose outer names this environment does not bind

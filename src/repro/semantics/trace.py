@@ -15,7 +15,11 @@ Example::
     print(format_trace(sem.trace))
 
 The tracer is intended for small inputs (every rule application is
-recorded); it is a debugging/teaching aid, not an execution engine.
+recorded); it is a debugging/teaching aid, not an execution engine.  It
+always takes the literal Figures 5–7 route (``fast_from=False``): the
+default evaluator answers a re-visited subquery from its memo and filters
+while it builds a FROM product, and either would leave a result in the
+tree with no derivation under it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..core.env import Environment
+from ..core.env import EMPTY_ENV, Environment
 from ..core.schema import Database
 from ..core.table import Table
 from ..core.truth import Truth
@@ -62,6 +66,7 @@ class TracingSemantics(SqlSemantics):
 
     def __init__(self, *args, max_result_rows: int = 6, **kwargs):
         super().__init__(*args, **kwargs)
+        self.fast_from = False  # every result shown has its derivation
         self.trace: Optional[TraceNode] = None
         self._stack: List[TraceNode] = []
         self.max_result_rows = max_result_rows
@@ -91,7 +96,7 @@ class TracingSemantics(SqlSemantics):
         self,
         query: Query,
         db: Database,
-        env: Environment = Environment(),
+        env: Environment = EMPTY_ENV,
         exists_context: bool = False,
     ) -> Table:
         switch = 1 if exists_context else 0

@@ -119,3 +119,23 @@ def test_consecutive_runs_replace_trace(schema, db):
     sem.run(q2, db)
     assert sem.trace is not first
     assert "S.A" in sem.trace.description
+
+
+def test_every_visit_of_a_subquery_has_its_derivation(schema, db):
+    """The default evaluator would answer the second visit of the
+    uncorrelated subquery from its memo, leaving a result with nothing
+    under it; the tracer takes the literal route instead."""
+    sem = TracingSemantics(schema)
+    assert sem.fast_from is False
+    q = annotate("SELECT R.A FROM R WHERE R.A IN (SELECT S.A FROM S WHERE TRUE)", schema)
+    assert sem.run(q, db).same_as(SqlSemantics(schema).run(q, db))
+    visits = [
+        child
+        for condition in sem.trace.children
+        for child in condition.children
+        if child.kind == "query"
+    ]
+    assert len(visits) == 2  # one per row of R
+    for visit in visits:
+        assert [c.description for c in visit.children] == ["⟦TRUE⟧"]
+
