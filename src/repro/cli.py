@@ -573,6 +573,8 @@ def _cmd_serve(args) -> int:
     from . import faults
     from .service import QueryService
 
+    if args.batch_rows < 1:
+        raise SystemExit("repro: --batch-rows must be at least 1")
     faults.install_from_env()
     service = QueryService(
         secret=args.secret,

@@ -4,7 +4,8 @@
 experiment: it takes the same annotated query and database as the formal
 semantics and produces a :class:`~repro.core.table.Table`, converting its
 internal ``None`` nulls back to :data:`~repro.core.values.NULL` only at the
-output boundary.
+output boundary.  (:meth:`Engine.execute_rows` is the same execution for a
+consumer that serializes instead of comparing: no bag, ``None`` stays.)
 
 By default the compiled plan is rewritten by the optimizer
 (:mod:`repro.engine.optimizer`): selection pushdown, hash equi-joins, and
@@ -157,6 +158,31 @@ def _estimate_plan_bytes(compiled: CompiledQuery) -> int:
     return size
 
 
+def _as_table(labels, rows) -> Table:
+    # NULL restoration at the output boundary; null-free rows (the
+    # common case) pass through without rebuilding the tuple.
+    records = (
+        row
+        if None not in row
+        else tuple(NULL if v is None else v for v in row)
+        for row in rows
+    )
+    # Bag() materializes fully, so unbinding afterwards is safe.
+    return Table(labels, Bag(records))
+
+
+def _as_rows(labels, rows):
+    # list() materializes fully, so unbinding afterwards is safe; the set()
+    # passes are Bag's per-record tuple/arity validation (and Table's
+    # arity-vs-labels check) done once over the whole result, at C speed.
+    rows = list(rows)
+    if not set(map(type, rows)) <= {tuple}:
+        raise TypeError("result records must be tuples")
+    if not set(map(len, rows)) <= {len(labels)}:
+        raise ValueError(f"result records are not all of arity {len(labels)}")
+    return labels, rows
+
+
 class Engine:
     """An independent executor for basic SQL, in two dialect flavours."""
 
@@ -233,6 +259,19 @@ class Engine:
         references) are raised before any row is produced, matching the
         behaviour of the real systems the engine stands in for.
         """
+        return self._run(query, db, _as_table)
+
+    def execute_rows(self, query: Query, db: Database):
+        """:meth:`execute` for a consumer that wants rows, not a bag:
+        ``(labels, rows)``, ``rows`` a list of tuples in emission order with
+        NULL left as ``None`` — the wire representation (JSON's null) and
+        the executor's own.  Same plan, bind window and errors; restoring
+        NULL and bagging the rows gives ``execute(query, db).bag``."""
+        return self._run(query, db, _as_rows)
+
+    def _run(self, query: Query, db: Database, finish):
+        """Plan, bind, run, unbind.  ``finish(labels, rows)`` consumes the
+        row iterator *inside* the bind window and builds the result."""
         if self.optimize:
             # Bind-time cardinality seeding: the incoming database's true
             # table sizes are known *before* planning, so a fresh plan (or
@@ -246,16 +285,7 @@ class Engine:
         bind_plan(compiled.plan, db, cache=cache, columnar=self.vectorized)
         try:
             rows = (compiled.run or compiled.plan.iter_rows)(())
-            # NULL restoration at the output boundary; null-free rows (the
-            # common case) pass through without rebuilding the tuple.
-            records = (
-                row
-                if None not in row
-                else tuple(NULL if v is None else v for v in row)
-                for row in rows
-            )
-            # Bag() materializes fully, so unbinding afterwards is safe.
-            return Table(compiled.labels, Bag(records))
+            return finish(compiled.labels, rows)
         finally:
             if self.plan_cache_size > 0:
                 unbind_plan(compiled.plan, cache=cache)

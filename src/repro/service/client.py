@@ -156,9 +156,9 @@ class ServiceClient:
             raise ServiceError(status, str(reply.get("error", body.decode())))
         assert self._reader is not None
         result = ResultSet()
-        # Chunk boundaries and line boundaries are independent: reassemble
-        # lines across chunks before decoding.
-        pending = b""
+        # Chunk boundaries and line boundaries are independent: split each
+        # chunk once and carry only the unterminated tail into the next.
+        tail = b""
         aborted: Optional[str] = None
         done = False
         while True:
@@ -170,15 +170,15 @@ class ServiceClient:
                 if size == 0:
                     await self._reader.readline()
                     break
-                pending += await self._reader.readexactly(size)
+                chunk = await self._reader.readexactly(size)
+                *lines, tail = (tail + chunk).split(b"\n")
                 await self._reader.readline()
             except asyncio.IncompleteReadError as exc:
                 raise ConnectionError("service dropped mid-chunk") from exc
-            while b"\n" in pending:
-                line, pending = pending.split(b"\n", 1)
+            for line in lines:
                 if not line.strip():
                     continue
-                obj = json.loads(line.decode())
+                obj = json.loads(line)
                 if "labels" in obj:
                     result.labels = obj["labels"]
                 elif "rows" in obj:

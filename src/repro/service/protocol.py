@@ -29,8 +29,12 @@ Row framing
 Results stream as newline-delimited JSON objects inside a chunked HTTP
 response: a ``{"labels": …}`` header object, ``{"rows": …}`` batches, and
 a final ``{"done": true, "row_count": n}`` trailer.  NULL crosses the wire
-as JSON ``null`` in both directions (:func:`row_to_json` /
-:func:`rows_from_json`).
+as JSON ``null`` in both directions.  The server encodes straight from
+``Engine.execute_rows`` (whose rows already carry ``None`` for NULL), so
+:func:`row_to_json` / :func:`rows_from_json` are the conversions for the
+*other* holders of records — a client or a checker turning served rows
+back into NULL-carrying records, a loader serializing a table.  Row order
+within a result is unspecified: a result is a bag, compare as multisets.
 """
 
 from __future__ import annotations

@@ -28,10 +28,16 @@ records, then ``{"done": true, "row_count": n}``.  Each connection's
 write buffer is bounded (``buffer_bytes`` high-water mark) and the
 producer ``await``\\ s ``writer.drain()`` after every batch — a slow
 client suspends *its own* response coroutine at the bounded buffer while
-other connections keep being served.  (Rows are materialized by
-``Engine.execute`` before streaming begins — the engine's result is a
-bag, not a cursor — so the bound buffer governs the wire, not the
-execution.)
+other connections keep being served.
+
+One representation runs from the last operator to the socket:
+``Engine.execute_rows`` returns the executor's own rows — a list of
+tuples, ``None`` for NULL, materialized before the plan is unbound and
+shape-checked once as a whole — and a batch is a slice of it handed to
+one ``json.dumps`` (a tuple renders as an array, ``None`` as ``null``):
+no bag, no per-row Python; the bound buffer governs the wire, not the
+execution.  Row order on the wire is unspecified — a result is a bag
+(Section 3) — so clients compare results as multisets.
 
 Engine executions run synchronously on the event loop, which serializes
 them: plans and build caches are mutable single-threaded structures, and
@@ -55,7 +61,7 @@ from ..core.errors import ReproError
 from ..core.schema import Database, Schema
 from ..core.values import NULL
 from ..engine import Engine
-from .protocol import ProtocolError, row_to_json
+from .protocol import ProtocolError
 from .registry import ServiceRegistry
 from .transport import AUTH_HEADER, check_secret
 
@@ -152,6 +158,8 @@ class QueryService:
         drain_grace_s: float = 5.0,
         clock: Callable[[], float] = time.monotonic,
     ):
+        if batch_rows < 1 or buffer_bytes < 1:
+            raise ValueError("batch_rows and buffer_bytes must be >= 1")
         self.secret = secret
         self.batch_rows = batch_rows
         self.buffer_bytes = buffer_bytes
@@ -424,7 +432,7 @@ class QueryService:
         writer.write(head + body)
         await writer.drain()
 
-    async def _stream_result(self, writer: asyncio.StreamWriter, labels, records) -> None:
+    async def _stream_result(self, writer: asyncio.StreamWriter, labels, rows) -> None:
         """Chunked newline-delimited JSON with drain-per-batch backpressure.
 
         The abort contract: a stream that cannot run to completion — the
@@ -450,14 +458,11 @@ class QueryService:
             lines: List[bytes] = [
                 json.dumps({"labels": [str(l) for l in labels]}).encode()
             ]
-            count = 0
-            batch: List[list] = []
-            for record in records:
-                batch.append(row_to_json(record))
-                count += 1
-                if len(batch) >= self.batch_rows:
-                    lines.append(json.dumps({"rows": batch}).encode())
-                    batch = []
+            count = len(rows)
+            for start in range(0, count, self.batch_rows):
+                batch = rows[start : start + self.batch_rows]
+                lines.append(json.dumps({"rows": batch}).encode())
+                if len(batch) == self.batch_rows:
                     await self._write_chunk(writer, lines)
                     lines = []
                     if self._abort_streams:
@@ -466,8 +471,6 @@ class QueryService:
                         raise faults.InjectedConnectionError(
                             "injected mid-stream disconnect"
                         )
-            if batch:
-                lines.append(json.dumps({"rows": batch}).encode())
             lines.append(
                 json.dumps({"done": True, "row_count": count}).encode()
             )
@@ -645,7 +648,7 @@ class QueryService:
                     raise faults.InjectedCrash(
                         "injected execution failure (primary tier)"
                     )
-                table = engine.execute(query, db)
+                result = engine.execute_rows(query, db)
             except (ReproError, ProtocolError, ValueError, KeyError):
                 raise  # a client-visible 400, not a tier failure
             except Exception:
@@ -661,14 +664,14 @@ class QueryService:
                     raise faults.InjectedCrash(
                         "injected execution failure (fallback tier)"
                     )
-                table = fallback.execute(query, db)
+                result = fallback.execute_rows(query, db)
         except (ReproError, ProtocolError, ValueError, KeyError):
             raise
         except Exception:
             breaker.record(False, self._clock())
             raise
         breaker.record(True, self._clock())
-        return table
+        return result
 
     async def _do_execute(self, tenant_name: str, payload: dict, writer) -> None:
         statement_id = str(payload.get("statement") or "")
@@ -687,10 +690,10 @@ class QueryService:
         if faults.fire("server.slow"):
             await asyncio.sleep(0.25)
         engine = tenant.engine_for(db.schema)
-        table = self._execute_guarded(engine, tenant, tenant_name, bound, db)
+        labels, rows = self._execute_guarded(engine, tenant, tenant_name, bound, db)
         statement.executions += 1
         tenant.executions += 1
-        await self._stream_result(writer, table.columns, table.bag)
+        await self._stream_result(writer, labels, rows)
 
     async def _do_query(self, tenant_name: str, payload: dict, writer) -> None:
         sql = payload.get("sql")
@@ -721,9 +724,9 @@ class QueryService:
             build_cache_size=0,
         )
         query = annotate(sql, db.schema)
-        table = self._execute_guarded(engine, tenant, tenant_name, query, db)
+        labels, rows = self._execute_guarded(engine, tenant, tenant_name, query, db)
         tenant.executions += 1
-        await self._stream_result(writer, table.columns, table.bag)
+        await self._stream_result(writer, labels, rows)
 
 
 class ServiceThread:

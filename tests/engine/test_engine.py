@@ -1,8 +1,11 @@
 """The reference engine end to end, including its dialect behaviours."""
 
+import random
+
 import pytest
 
-from repro.core import NULL, Database, Schema
+from repro.core import NULL, Database, Schema, validation_schema
+from repro.core.bag import Bag
 from repro.core.errors import (
     AmbiguousReferenceError,
     ArityMismatchError,
@@ -12,6 +15,14 @@ from repro.core.errors import (
     UnknownTableError,
 )
 from repro.engine import DIALECT_ORACLE, DIALECT_POSTGRES, Engine
+from repro.engine import engine as engine_module
+from repro.generator import (
+    DataFillerConfig,
+    PAPER_CONFIG,
+    QueryGenerator,
+    fill_database,
+)
+from repro.service import rows_from_json
 from repro.sql import annotate, parse_query
 
 
@@ -191,3 +202,131 @@ def test_nested_correlation_two_levels(pg, schema, db):
     )
     t = pg.execute(q, db)
     assert sorted(t.bag) == [(1,)]
+
+
+# -- execute_rows: the same execution, finished as wire rows -------------------
+#
+# ``Engine.execute`` and ``Engine.execute_rows`` share one plan/bind/run/
+# unbind driver and differ only in the finisher, so they must agree on
+# every query: same labels, same bag once NULL is restored, same error
+# class and message — plan cache cold and hot, on every row-wise tier.
+
+PAPER_SCHEMA = validation_schema()
+PAPER_TRIALS = 500
+TIERS = {"default": {}, "interpreted": {"compiled": False}, "naive": {"optimize": False}}
+
+
+@pytest.fixture(scope="module")
+def paper_pairs():
+    pairs = []
+    for seed in range(PAPER_TRIALS):
+        rng = random.Random(seed)
+        query = QueryGenerator(PAPER_SCHEMA, PAPER_CONFIG, rng).generate()
+        db = fill_database(PAPER_SCHEMA, rng, DataFillerConfig(max_rows=6))
+        pairs.append((query, db))
+    return pairs
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def rows_vs_table_failures(engine, pairs):
+    """Every disagreement between the two entry points over ``pairs``.
+    Odd seeds call ``execute_rows`` first, so it plans them cold and
+    ``execute`` hits the cache; even seeds the other way round."""
+    failures = []
+    for seed, (query, db) in enumerate(pairs):
+        entry_points = [engine.execute, engine.execute_rows]
+        if seed % 2:
+            entry_points.reverse()
+        outcomes = {fn.__name__: _outcome(lambda: fn(query, db)) for fn in entry_points}
+        table, wire = outcomes["execute"], outcomes["execute_rows"]
+        if isinstance(table, tuple):
+            if wire != table:
+                failures.append(f"seed {seed}: errors differ: {wire} vs {table}")
+            continue
+        try:
+            labels, rows = wire
+            assert type(rows) is list, "rows must be materialized before unbind"
+            assert not any(NULL in row for row in rows), "NULL leaked; None is NULL here"
+            assert labels == table.columns and Bag(rows_from_json(rows)) == table.bag
+        except Exception as exc:
+            failures.append(f"seed {seed}: {type(exc).__name__}: {exc}")
+    return failures
+
+
+@pytest.mark.parametrize("dialect", [DIALECT_POSTGRES, DIALECT_ORACLE])
+@pytest.mark.parametrize("tier", sorted(TIERS))
+def test_execute_rows_is_execute_without_the_bag(dialect, tier, paper_pairs):
+    engine = Engine(PAPER_SCHEMA, dialect, **TIERS[tier])
+    assert rows_vs_table_failures(engine, paper_pairs) == []
+    # The second call of every pair that plans at all was a cache hit
+    # (a few oracle-dialect seeds fail to compile and admit nothing).
+    assert engine.cache_info()["hits"] >= PAPER_TRIALS * 9 // 10
+
+
+def test_execute_rows_error_parity_leaves_the_plan_unbound():
+    """A runtime error raised mid-iteration surfaces identically from both
+    finishers, and the shared ``finally`` unbinds either way: the cached
+    plan runs again on the next database."""
+    schema = Schema({"R": ("A", "B")})
+    query = annotate("SELECT R.A FROM R WHERE R.B < 3", schema)
+    clash = Database(schema, {"R": [(1, 2), (2, "x")]})
+    good = Database(schema, {"R": [(1, 2), (NULL, 1), (3, 9)]})
+    for kwargs in TIERS.values():
+        engine = Engine(schema, **kwargs)
+        table_error = _outcome(lambda: engine.execute(query, clash))
+        assert table_error[0] is CompileError
+        assert _outcome(lambda: engine.execute_rows(query, clash)) == table_error
+        labels, rows = engine.execute_rows(query, good)
+        assert (labels, sorted(rows, key=repr)) == (("A",), [(1,), (None,)])
+        assert engine.execute(query, good).bag == Bag(rows_from_json(rows))
+        assert engine.cache_info()["hits"] == 3
+    # Compile-time errors never reach a finisher: same class and message.
+    unknown = annotate("SELECT S.A FROM S", Schema({"S": ("A",)}))
+    engine = Engine(schema)
+    compile_error = _outcome(lambda: engine.execute(unknown, good))
+    assert compile_error[0] is UnknownTableError
+    assert _outcome(lambda: engine.execute_rows(unknown, good)) == compile_error
+
+
+def test_execute_rows_checks_the_whole_result_shape():
+    """Bag's per-record tuple/arity validation, once over the result."""
+    assert engine_module._as_rows(("A",), iter([])) == (("A",), [])
+    with pytest.raises(TypeError):
+        engine_module._as_rows(("A",), iter([(1,), [2]]))
+    with pytest.raises(ValueError, match="arity"):
+        engine_module._as_rows(("A",), iter([(1,), (2, 3)]))
+    with pytest.raises(ValueError, match="arity"):
+        engine_module._as_rows(("A", "B"), iter([(1,), (2,)]))
+
+
+# Canaries: each seeds one result-path bug and must trip the battery above
+# (CI runs them by name and counts them, so a skipped canary fails).
+
+
+def _canary_failures(monkeypatch, finisher, pairs):
+    monkeypatch.setattr(engine_module, "_as_rows", finisher)
+    return rows_vs_table_failures(Engine(PAPER_SCHEMA), pairs[:60])
+
+
+def test_canary_unmaterialized_rows_trip_the_battery(monkeypatch, paper_pairs):
+    """(b) the row iterator escapes the bind window un-consumed."""
+    failures = _canary_failures(
+        monkeypatch, lambda labels, rows: (labels, rows), paper_pairs
+    )
+    assert len(failures) > 30, failures[:3]
+
+
+def test_canary_null_singleton_leak_trips_the_battery(monkeypatch, paper_pairs):
+    """(c) rows reach the caller NULL-restored instead of carrying None."""
+    failures = _canary_failures(
+        monkeypatch,
+        lambda labels, rows: (labels, list(engine_module._as_table(labels, rows).bag)),
+        paper_pairs,
+    )
+    assert failures and all("NULL leaked" in f for f in failures), failures[:3]

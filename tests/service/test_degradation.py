@@ -295,6 +295,72 @@ def test_drain_aborts_a_slow_reader_with_an_error_trailer():
     assert service.aborted_streams == 1
 
 
+# The boundary slice batching introduces: a result of exactly k × batch_rows
+# rows has no partial tail, so the last full batch's chunk is followed only
+# by the done line — an abort arriving right there must still win.
+
+
+def raw_query_lines(url, sql="SELECT R.A FROM R"):
+    """POST /query on a raw socket; the status and every decoded NDJSON line
+    that arrived before the connection closed."""
+    payload = json.dumps({"sql": sql}).encode()
+    status, _headers, sock, rest = raw_request(url, "POST", "/query", payload)
+    lines = read_chunked_lines(sock, rest)
+    sock.close()
+    return status, lines
+
+
+class _NthCheck(FaultPlan):
+    """Fires ``site`` on exactly its ``nth`` check."""
+
+    def __init__(self, site, nth):
+        super().__init__(0, {})
+        self.site, self.nth = site, nth
+
+    def fire(self, site):
+        super().fire(site)
+        return site == self.site and self.checks[site] == self.nth
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_disconnect_after_the_last_full_batch_never_reaches_done(k):
+    service = QueryService(batch_rows=8 // k)
+    service.install_database(make_db())  # 8 rows: exactly k batches
+    with ServiceThread(service) as thread:
+        with faults.active(_NthCheck("server.disconnect", k)):
+            status, lines = raw_query_lines(thread.url)
+        assert status == 200
+        # Every row left in whole batches; the hard drop came instead of
+        # the done line (and instead of the chunk terminator).
+        assert [sorted(line) for line in lines] == [["labels"]] + [["rows"]] * k
+        assert sum(len(line["rows"]) for line in lines[1:]) == 8
+        assert service.streams_in_flight == 0
+        assert query_rows(thread.url) == EXPECTED
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_deadline_after_the_last_full_batch_ends_with_the_abort_trailer(k):
+    service = QueryService(batch_rows=8 // k, request_deadline_s=0.2)
+    service.install_database(make_db())
+    write_chunk = service._write_chunk
+    calls = []
+
+    async def stall_after_kth(writer, lines):
+        await write_chunk(writer, lines)
+        calls.append(len(lines))
+        if len(calls) == k:
+            await asyncio.sleep(30)  # the deadline cancels us here
+
+    service._write_chunk = stall_after_kth
+    with ServiceThread(service) as thread:
+        status, lines = raw_query_lines(thread.url)
+    assert status == 200
+    assert [sorted(line) for line in lines[:-1]] == [["labels"]] + [["rows"]] * k
+    assert sum(len(line["rows"]) for line in lines[1:-1]) == 8
+    assert lines[-1] == {"error": "request deadline exceeded", "aborted": True}
+    assert service.aborted_streams == 1 and service.deadline_timeouts == 1
+
+
 def test_drain_lets_short_streams_finish():
     service = QueryService(drain_grace_s=5.0)
     service.install_database(make_db())
