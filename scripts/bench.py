@@ -39,24 +39,9 @@ Engine stages (written to ``BENCH_engine.json``)
 * ``engine_interpreted``    — same optimized plans, ``compiled=False``
   (the interpreted operator tree; the pair's digest equality and
   ``compiled_speedup`` are recorded, and a mismatch fails the run)
-* ``engine_vectorized``     — columnar batch execution
-  (``vectorized=True``) on the selection-heavy workload, sized by
-  ``--rows`` (default: the paper's 50-row cap; pass ``--rows 5000`` for
-  the scale where the batch win shows)
-* ``engine_rowwise``        — the same workload through the row-wise
-  closure tier (the pair's ``vectorized_speedup`` is recorded; a
-  four-way digest gate — vectorized vs compiled vs interpreted vs naive
-  — runs at the 50-row cap, where the naive product engine is feasible,
-  plus a vectorized-vs-rowwise check at ``--rows`` scale, and any
-  mismatch fails the run).  Since the closure tier's filters over
-  base-table scans run the columnar tier's own fused selection kernel
-  (``engine_scan`` below), ``vectorized_speedup`` reads about 1x on this
-  workload by design — it was 2.9x at 5,000 rows while only the columnar
-  tier had the kernel; the pair stays as the digest gate and as the
-  measure of what batch-at-a-time joins and set operations still add
 * ``engine_wcoj``           — worst-case-optimal multiway joins
   (``GenericJoin``) on the cyclic triangle/4-cycle workload, sized by
-  ``--rows``
+  ``--rows`` (default: the paper's 50-row cap)
 * ``engine_binary``         — same workload, ``wcoj=False`` (DP-ordered
   binary hash joins; the pair's ``wcoj_speedup`` is recorded, and a
   three-way digest gate — wcoj vs binary vs naive — runs at the 50-row
@@ -112,12 +97,10 @@ outcome digests are identical.  On a single-core container the parallel
 leg can only measure worker-process overhead, so it is skipped and marked
 ``"skipped"`` in the record; the point of the speedup is the trajectory
 on real hardware.  The stage also runs a paired engine-tier A/B, recorded
-as ``engine_tier_ab``: at campaign scale the shipped configuration
-(single-use plans this small stay interpreted) vs the columnar tier on the
-same trial stream, and over a 10,000-row live-SQLite scenario the shipped
+as ``engine_tier_ab``: over a 10,000-row live-SQLite scenario the shipped
 engine (whose size rule compiles those single-use plans) vs
 ``compiled=False``, digest-gated.  It exits non-zero if the shipped tier is
-more than 5% slower than the alternative at either size.
+more than 5% slower than the alternative.
 
 Distributed stage (merged into ``BENCH_campaign.json``)
 --------------------------------------------------------
@@ -174,8 +157,8 @@ sys.path.insert(0, str(_ROOT))
 # BENCH_engine.json always measures exactly what the benches measure.
 from benchmarks.test_bench_throughput import (  # noqa: E402
     ADVERSARIAL_SCHEMA,
+    SCAN_SCHEMA,
     SCHEMA,
-    VEC_SCHEMA,
     WCOJ_SCHEMA,
     engine_pairs,
     SUBQUERY_SCHEMA,
@@ -186,7 +169,6 @@ from benchmarks.test_bench_throughput import (  # noqa: E402
     setop_pairs,
     scan_pairs,
     subquery_pairs,
-    vectorized_pairs,
     wcoj_pairs,
 )
 from repro.algebra import desugar, to_sqlra  # noqa: E402
@@ -356,8 +338,6 @@ ENGINE_STAGES = (
     "engine_naive",
     "engine_compiled",
     "engine_interpreted",
-    "engine_vectorized",
-    "engine_rowwise",
     "engine_wcoj",
     "engine_binary",
     "engine_subquery",
@@ -381,7 +361,7 @@ def build_stages(selected, rows=50):
     workloads the reporting needs), building only what ``selected`` stages
     require (pregenerating the 50-row engine pairs costs seconds, which a
     --stages run selecting cheap stages should not pay).  ``rows`` sizes
-    the columnar, cyclic-join, subquery and scan-kernel workloads' tables
+    the cyclic-join, subquery and scan-kernel workloads' tables
     (every other stage keeps its fixed scale)."""
 
     def need(*names):
@@ -494,40 +474,6 @@ def build_stages(selected, rows=50):
         stages["engine_setops_counted"] = lambda: run_workload(
             setops_ablated, so_pairs
         )
-    if need("engine_vectorized", "engine_rowwise"):
-        # Columnar-execution workload, sized by --rows.  Plan caches are
-        # on, so after warm-up the pair isolates batch execution against
-        # the closure-compiled row-wise tier on identical cached plans.
-        vec_pairs = vectorized_pairs(rows=rows)
-        vectorized_engine = Engine(VEC_SCHEMA, "postgres", vectorized=True)
-        rowwise_engine = Engine(VEC_SCHEMA, "postgres")
-        # The four-way digest gate includes the naive engine, whose
-        # product-shaped join plans cannot handle thousands of rows — the
-        # gate workload stays at the 50-row paper cap; only the two batch
-        # tiers are digest-checked again at --rows scale (the
-        # ``vectorized_scale`` group below).
-        gate_pairs = vec_pairs if rows <= 50 else vectorized_pairs(rows=50)
-        context["vectorized"] = (
-            gate_pairs,
-            [
-                ("vectorized", vectorized_engine),
-                ("compiled", rowwise_engine),
-                ("interpreted", Engine(VEC_SCHEMA, "postgres", compiled=False)),
-                ("naive", Engine(VEC_SCHEMA, "postgres", optimize=False)),
-            ],
-        )
-        if rows > 50:
-            context["vectorized_scale"] = (
-                vec_pairs,
-                [
-                    ("vectorized", vectorized_engine),
-                    ("rowwise", rowwise_engine),
-                ],
-            )
-        stages["engine_vectorized"] = lambda: run_workload(
-            vectorized_engine, vec_pairs
-        )
-        stages["engine_rowwise"] = lambda: run_workload(rowwise_engine, vec_pairs)
     if need("engine_wcoj", "engine_binary"):
         # Cyclic-join workload, sized by --rows.  Plan caches are on, so
         # after warm-up the pair isolates the multiway trie intersection
@@ -581,18 +527,18 @@ def build_stages(selected, rows=50):
         # call per row on identical plans; the build-side cache is off, so
         # the join statement scans and builds on every run.
         kernel_pairs = scan_pairs(rows=rows)
-        scan_engine = Engine(VEC_SCHEMA, "postgres", build_cache_size=0)
+        scan_engine = Engine(SCAN_SCHEMA, "postgres", build_cache_size=0)
         scan_interpreted = Engine(
-            VEC_SCHEMA, "postgres", compiled=False, build_cache_size=0
+            SCAN_SCHEMA, "postgres", compiled=False, build_cache_size=0
         )
-        # As for the columnar pair: the naive engine joins the gate at the
-        # 50-row cap only, the pair is checked again at --rows scale.
+        # As for the cyclic-join pair: the naive engine joins the gate at
+        # the 50-row cap only, the pair is checked again at --rows scale.
         context["scan"] = (
             kernel_pairs if rows <= 50 else scan_pairs(rows=50),
             [
                 ("kernels", scan_engine),
                 ("interpreted", scan_interpreted),
-                ("naive", Engine(VEC_SCHEMA, "postgres", optimize=False)),
+                ("naive", Engine(SCAN_SCHEMA, "postgres", optimize=False)),
             ],
         )
         if rows > 50:
@@ -655,9 +601,7 @@ def check_ablation_digests(context, results_doc) -> bool:
     same error classes, same ``outcome_digest``.  Returns True when every
     selected group agrees; records the verdict (and the stage speedup) in
     ``results_doc``.  The ``compiled`` group gates the closure compiler,
-    the four-way ``vectorized`` group the columnar backend (vectorized vs
-    compiled vs interpreted vs naive), and the three-way ``wcoj`` group
-    the multiway join (wcoj vs binary vs naive); ``subquery`` gates the
+    and the three-way ``wcoj`` group the multiway join (wcoj vs binary vs naive); ``subquery`` gates the
     keyed subquery probes against the naive engine at ``--rows`` scale, and
     the three-way ``scan`` group the scan kernels (default vs interpreted
     vs naive).
@@ -669,9 +613,6 @@ def check_ablation_digests(context, results_doc) -> bool:
         ("setops", "setop_speedup", "engine_setops", "engine_setops_counted"),
         ("compiled", "compiled_speedup", "engine_compiled",
          "engine_interpreted"),
-        ("vectorized", "vectorized_speedup", "engine_vectorized",
-         "engine_rowwise"),
-        ("vectorized_scale", None, None, None),
         ("wcoj", "wcoj_speedup", "engine_wcoj", "engine_binary"),
         ("wcoj_scale", None, None, None),
         ("subquery", "subquery_speedup", "engine_subquery",
@@ -702,19 +643,21 @@ def check_ablation_digests(context, results_doc) -> bool:
     return all_match
 
 
-#: Total rows of the library scenario the live leg of the tier A/B runs
-#: over — the observatory's ``campaign_live`` size, far past the engine's
-#: single-use lowering break-even.
+#: Total rows of the library scenario the tier A/B runs over — the
+#: observatory's ``campaign_live`` size, far past the engine's single-use
+#: lowering break-even.
 LIVE_AB_ROWS = 10_000
 
 
 def _live_tier_ab(trials: int, rounds: int) -> dict:
-    """The tier A/B at the other end of the size range: the live-SQLite
-    campaign over a ``LIVE_AB_ROWS``-row library scenario, run by the
-    engine as shipped (single-use plans this large are compiled by the
-    size rule) vs the same runner on ``compiled=False``, same seeds,
-    alternating legs.  Gated on identical outcome digests and on the
-    shipped leg being within 5% of the better one."""
+    """The campaign engine-tier A/B: the live-SQLite campaign over a
+    ``LIVE_AB_ROWS``-row library scenario, run by the engine as shipped
+    (single-use plans this large are compiled by the size rule) vs the
+    same runner on ``compiled=False``, same seeds, alternating legs (the
+    same reasoning as ``paired_ratio``).  Gated on identical outcome
+    digests and on the shipped leg being within 5% of the better one — if
+    the size rule stops paying off on a 10^4-row database, the bench fails
+    instead of silently shipping the slower default."""
     from repro.campaigns import LiveSqliteBackend
     from repro.ingest.demo import library_scenario
     from repro.validation.live import LiveSqliteRunner
@@ -764,65 +707,6 @@ def _live_tier_ab(trials: int, rounds: int) -> dict:
     }
 
 
-def bench_campaign_tiers(trials: int, rows: int, rounds: int = 3) -> dict:
-    """Paired A/B of the campaign engine tier: shipped (single-use plans
-    this small stay interpreted) vs the columnar tier on the same trial
-    stream, then the live-scenario leg (:func:`_live_tier_ab`) where the
-    shipped engine compiles.
-
-    The legs alternate so both see the same scheduler noise (the same
-    reasoning as ``paired_ratio``).  The gate asserts the *shipped*
-    configuration is within 5% of the better leg at both sizes — if batch
-    compilation ever starts paying off at campaign scale, or the size
-    rule stops paying off on a 10^4-row database, the bench fails instead
-    of silently shipping the slower default.
-    """
-    from repro.generator import DataFillerConfig
-    from repro.validation import ValidationRunner
-
-    data_config = DataFillerConfig(max_rows=rows)
-    rowwise = ValidationRunner(variant="postgres", data_config=data_config)
-    vectorized = ValidationRunner(
-        variant="postgres", data_config=data_config, vectorized=True
-    )
-
-    def leg(runner):
-        for seed in range(trials):
-            runner.run_trial(seed)
-
-    leg(rowwise)  # warm-up: generator/datafiller caches, code caches
-    leg(vectorized)
-    rw_times, vec_times = [], []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        leg(rowwise)
-        rw_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        leg(vectorized)
-        vec_times.append(time.perf_counter() - start)
-    rw_tps = trials / statistics.median(rw_times)
-    vec_tps = trials / statistics.median(vec_times)
-    shipped_vs_best = max(rw_tps, vec_tps) / rw_tps
-    ok = shipped_vs_best <= 1.05
-    print(
-        f"campaign tier A/B ({trials} trials x {rounds} paired rounds): "
-        f"rowwise {rw_tps:.0f} trials/s, vectorized {vec_tps:.0f} trials/s "
-        f"(shipped=rowwise, best/shipped {shipped_vs_best:.3f}, gate: <= 1.05"
-        f"{'' if ok else ', SHIPPED TIER REGRESSED'})"
-    )
-    live = _live_tier_ab(min(300, trials), rounds)
-    return {
-        "trials": trials,
-        "rounds": rounds,
-        "shipped": "rowwise",
-        "rowwise_trials_per_sec": round(rw_tps, 1),
-        "vectorized_trials_per_sec": round(vec_tps, 1),
-        "best_vs_shipped_ratio": round(shipped_vs_best, 3),
-        "live": live,
-        "gate_ok": ok and live["gate_ok"],
-    }
-
-
 def bench_campaign(trials: int, jobs: int, rows: int, out_path: str) -> dict:
     """Serial vs N-worker throughput of one validation campaign.
 
@@ -830,8 +714,8 @@ def bench_campaign(trials: int, jobs: int, rows: int, out_path: str) -> dict:
     ``previous_serial_trials_per_sec`` with the percentage change in
     ``serial_delta_pct``, so the throughput trajectory across PRs is
     machine-readable from the file alone.  The engine-tier A/B
-    (``bench_campaign_tiers``) is merged in as ``engine_tier_ab`` and its
-    gate failure propagates through the exit code.
+    (``_live_tier_ab``) is merged in as ``engine_tier_ab`` and its gate
+    failure propagates through the exit code.
     """
     previous_serial = None
     previous_path = Path(out_path)
@@ -845,7 +729,7 @@ def bench_campaign(trials: int, jobs: int, rows: int, out_path: str) -> dict:
     print(f"campaign: {trials} trials, postgres variant, serial ...")
     serial = run_campaign(spec, trials=trials, base_seed=0, jobs=1)
     print(f"  serial   {serial.trials_per_sec:10.1f} trials/s")
-    tier_ab = bench_campaign_tiers(min(600, trials), rows)
+    tier_ab = _live_tier_ab(min(300, trials), rounds=3)
     # On a single-core container the parallel leg can only measure worker
     # process overhead, not parallelism — skip it and say so in the record
     # rather than publishing a meaningless sub-1x "speedup".
@@ -1797,9 +1681,9 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=5, help="rounds per stage")
     parser.add_argument(
         "--rows", type=int, default=50,
-        help="table size for the columnar, cyclic-join, subquery and scan-kernel "
-        "workload stages (engine_vectorized/engine_rowwise, "
-        "engine_wcoj/engine_binary, engine_subquery/engine_subquery_naive, "
+        help="table size for the cyclic-join, subquery and scan-kernel "
+        "workload stages (engine_wcoj/engine_binary, "
+        "engine_subquery/engine_subquery_naive, "
         "engine_scan/engine_scan_interpreted; default: the paper's 50-row cap)",
     )
     parser.add_argument(
@@ -2087,9 +1971,10 @@ def main(argv=None) -> int:
         return 1
     if not campaign_ok:
         print(
-            "FATAL: the shipped campaign engine tier benches more than 5% "
-            "slower than the columnar alternative (re-evaluate the "
-            "single-use tier choice in repro.validation.runner)",
+            "FATAL: the shipped campaign engine benches more than 5% "
+            "slower than compiled=False on the live scenario, or the two "
+            "disagree on the outcome digest (re-evaluate "
+            "engine.SINGLE_USE_COMPILE_ROWS)",
             file=sys.stderr,
         )
         return 1

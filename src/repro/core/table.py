@@ -48,9 +48,9 @@ class Table:
         self._bag = bag
         #: Engine-side memos (see repro.engine.binding.bind_plan): the rows
         #: converted to the executor's value domain, and their column
-        #: vectors — one slot per column, None until a scan kernel or the
-        #: columnar tier first reads that column.  Pure functions of the
-        #: immutable bag, computed lazily, excluded from eq/hash.
+        #: vectors — one slot per column, None until a scan kernel first
+        #: reads that column.  Pure functions of the immutable bag,
+        #: computed lazily, excluded from eq/hash.
         self._scan_rows = None
         self._scan_cols = None
         #: Build-cache content fingerprint over ``_scan_rows`` (same memo

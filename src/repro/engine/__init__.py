@@ -9,23 +9,16 @@ measured break-even ``engine.SINGLE_USE_COMPILE_ROWS``; smaller
 single-use plans run interpreted.  In a lowered plan a filter over a
 base-table scan runs as a *scan kernel*: one fused comprehension over the
 table's memoized column vectors, replayed row-wise on a type clash
-(``Engine.cache_info()["scan_kernels"]`` counts both).  Three
-ablation/alternative tiers share the same plans and are digest-gated
-bit-identical:
+(``Engine.cache_info()["scan_kernels"]`` counts both).  Two ablation
+tiers share the same plans and are digest-gated bit-identical:
 
 * ``Engine(schema, dialect, optimize=False)`` — the paper's naive
   product-then-filter evaluation;
 * ``Engine(schema, dialect, compiled=False)`` — the interpreted operator
-  tree over optimized plans;
-* ``Engine(schema, dialect, vectorized=True)`` — the columnar batch
-  backend (:mod:`repro.engine.columnar`): operators exchange column
-  vectors plus row-id selections, WHERE trees evaluate as paired 3VL
-  (value, null) masks or the scan kernels' fused selections, and tuples
-  materialize only at result emission.
+  tree over optimized plans.
 """
 
 from .binding import bind_plan, reset_plan
-from .columnar import compile_columnar
 from .compile import compile_plan, compile_predicate
 from .engine import DIALECT_ORACLE, DIALECT_POSTGRES, Engine
 from .optimizer import optimize_plan
@@ -38,7 +31,6 @@ __all__ = [
     "optimize_plan",
     "compile_plan",
     "compile_predicate",
-    "compile_columnar",
     "bind_plan",
     "reset_plan",
     "DIALECT_POSTGRES",

@@ -608,23 +608,21 @@ def bind_plan(
     plan: PlanNode,
     db: Database,
     cache: Optional[BuildSideCache] = None,
-    columnar: bool = False,
 ) -> PlanNode:
     """Bind every :class:`TableScan` to ``db`` and reset execution caches.
 
     Returns the same plan object (mutated in place): binding is cheap — one
     tree walk — compared to re-planning and re-optimizing the query, which
     is the point of the plan cache.  The Null -> None row conversion and
-    the column vectors the scan kernels and the vectorized tier read are
-    pure functions of the immutable :class:`~repro.core.table.Table`, so
-    both are memoized *on the table*: rebinding the same database — or
+    the column vectors the scan kernels read are pure functions of the
+    immutable :class:`~repro.core.table.Table`, so both are memoized *on
+    the table*: rebinding the same database — or
     another plan reading the same table — pays for the conversion exactly
     once, and the memos die with the database rather than pinning it to a
     cached plan.  The vectors are a per-column memo (one slot per column,
     None until something reads that column) that each scan receives next to
     its rows; whoever reads a column first pivots it
-    (:func:`repro.engine.compile._scan_vectors`).  ``columnar`` says which
-    tier's build-side shapes the content keys below address.
+    (:func:`repro.engine.compile._scan_vectors`).
 
     With a ``cache``, shareable structures whose content key hits are
     restored instead of recomputed, and the (carrier, key) pairs are
@@ -677,10 +675,7 @@ def bind_plan(
                         fingerprint = table._scan_fp = _Fingerprint(bound[name][0])
                     fingerprints[name] = fingerprint
                 contents.append((name, fingerprint))
-            # The execution tier is part of the key: the columnar backend
-            # stores build sides in a different shape (column vectors +
-            # row-id groups) than the row-wise tiers.
-            key = (signature, columnar, tuple(contents))
+            key = (signature, tuple(contents))
             bindings.append((carrier, key, kind))
             value, rows = cache.lookup_entry(key, reader=owner)
             if value is not _MISSING:
@@ -722,7 +717,7 @@ def unbind_plan(
                 observed_tables[node.table] = count
                 node.observed_rows = count
             node.data = None
-            node._columns = None  # the columnar memo references the rows
+            node._columns = None  # the column-vector memo references the rows
         elif isinstance(node, CachedSubplan) and node._cache is not None:
             observed_nodes[f"{position}:CachedSubplan"] = len(node._cache)
         elif isinstance(node, (HashJoin, GenericJoin)) and node._build_rows is not None:

@@ -62,14 +62,6 @@ Single-use compilation is affordable because generated sources are
 *shape-keyed*: literals, column indices and comparison operators are
 hoisted out of the text and bound as arguments, so a fresh query almost
 always finds its code objects in the process-wide cache.
-
-The columnar tier (:mod:`repro.engine.columnar`) builds on this module:
-it reuses the constant folder, the shape-keyed code cache, the fused
-selection emitter (``_FuseEmitter`` / ``_fuse`` / ``_compile_fused`` —
-the one copy, which the scan kernels here and the batch filters there
-both run), the compiled subquery probes (row-wise by design, preserving
-early termination) and :func:`_iter_fn` as its per-subtree fallback, so
-the two lowerings can never drift apart on the semantics they share.
 """
 
 from __future__ import annotations
@@ -539,8 +531,7 @@ def _compile_folded(folded, stats: ScanKernelStats):
 #     [x for x, c0, c1 in zip(R, C[_i0], C[_i1])
 #        if c0 is not None and c1 is not None and c0 < c1 and c0 == _k2]
 #
-# ``R`` holds what is selected from — the row tuples of a base-table scan
-# (the scan kernels below) or the row ids of a batch (the columnar tier) —
+# ``R`` holds the row tuples of a base-table scan (the scan kernels below)
 # and ``C[i]`` the vector of column ``i``, aligned with ``R``.  Like the
 # row-wise sources, the text is shape-keyed: literals and column positions
 # are hoisted, so one compilation serves every literal and every column.

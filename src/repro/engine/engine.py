@@ -40,25 +40,6 @@ exact by construction and replayed row-wise on a type clash
 plan's shape does, and ``cache_info()["scan_kernels"]`` counts the scans,
 rows and fallbacks.
 
-A fourth tier, ``vectorized=True``, swaps the row-at-a-time lowering for
-the columnar batch backend (:mod:`repro.engine.columnar`): each bound
-table is pivoted once into column vectors, operators exchange row-id
-selection batches, and WHERE predicates evaluate as paired 3VL
-value/unknown masks (or the scan kernels' fused single-pass selections),
-with tuples materialized only at emission.  Outcomes remain bit-identical
-to every row-wise tier — the ``engine_vectorized`` / ``engine_rowwise``
-bench stages gate on digest equality.  The tier used to win ≥3x on
-selection-heavy workloads once tables reach thousands of rows; with scan
-kernels in the default tier the pair reads about 1x, and what the
-columnar tier still adds is batch-at-a-time joins and set operations
-(docs/BENCHMARKS.md, "Batch scan kernels", has the per-class table).
-Unlike the closure
-compiler it has no size rule: the tier is explicit opt-in, so even tiny
-single-use plans are batch-compiled; at the campaign's 6-row scale that
-codegen costs more than batch execution saves, which is why the
-validation runners keep the default tier (the campaign bench's
-``engine_tier_ab`` A/B keeps that decision measured).
-
 Plan cache
 ----------
 
@@ -111,7 +92,6 @@ from .binding import (
     iter_plan_nodes,
     unbind_plan,
 )
-from .columnar import compile_columnar
 from .compile import ScanKernelStats, compile_plan
 from .operators import TableScan
 from .optimizer import DEFAULT_TABLE_ROWS, optimize_plan
@@ -192,41 +172,27 @@ class Engine:
         dialect: str = DIALECT_POSTGRES,
         optimize: bool = True,
         compiled: Optional[bool] = None,
-        vectorized: bool = False,
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
         build_cache_size: int = DEFAULT_BUILD_CACHE_SIZE,
         plan_cache_bytes: Optional[int] = None,
         build_cache_bytes: Optional[int] = None,
         optimizer_options: Optional[Dict[str, bool]] = None,
     ):
-        # The tiers compose predictably or not at all: both lowerings
-        # consume *optimized* physical plans (HashJoin, HashSetOp, probe
-        # nodes), and vectorized/compiled are alternatives, not layers.
-        if vectorized and not optimize:
-            raise ValueError(
-                "Engine(vectorized=True, optimize=False) is invalid: the "
-                "columnar backend lowers optimized physical plans; ablate "
-                "the tier with vectorized=False instead"
-            )
+        # The closure compiler consumes *optimized* physical plans
+        # (HashJoin, HashSetOp, probe nodes), so it cannot sit on the
+        # naive tier.
         if compiled is None:
-            compiled = optimize and not vectorized
+            compiled = optimize
         elif compiled and not optimize:
             raise ValueError(
                 "Engine(compiled=True, optimize=False) is invalid: the "
                 "closure compiler lowers optimized physical plans; leave "
                 "compiled unset (it follows optimize) or pass compiled=False"
             )
-        elif compiled and vectorized:
-            raise ValueError(
-                "Engine(compiled=True, vectorized=True) is ambiguous: pick "
-                "one execution tier (vectorized=True already implies the "
-                "columnar backend)"
-            )
         self.schema = schema
         self.dialect = dialect
         self.optimize = optimize
         self.compiled = compiled
-        self.vectorized = vectorized
         self.plan_cache_size = plan_cache_size
         #: Optional estimated-byte budget for cached plans; None = unbounded.
         self.plan_cache_bytes = plan_cache_bytes
@@ -282,7 +248,7 @@ class Engine:
                 self._observed_tables[name] = len(db.table(name))
         compiled = self._plan(query)
         cache = self._build_cache if self.plan_cache_size > 0 else None
-        bind_plan(compiled.plan, db, cache=cache, columnar=self.vectorized)
+        bind_plan(compiled.plan, db, cache=cache)
         try:
             rows = (compiled.run or compiled.plan.iter_rows)(())
             return finish(compiled.labels, rows)
@@ -381,13 +347,7 @@ class Engine:
                     bound_rows += node.observed_rows or 0
             plan = optimize_plan(plan, **self.optimizer_options)
             plan._planned_rows = planned_rows
-        if self.vectorized:
-            # No size rule: the tier is explicit opt-in, so even tiny
-            # single-use plans are batch-compiled.  Break-even needs
-            # tables past the campaign's 6-row scale — the bench's
-            # campaign A/B records the measured gap.
-            run = compile_columnar(plan, self._scan_kernels)
-        elif self.compiled and (
+        if self.compiled and (
             self.plan_cache_size > 0 or bound_rows >= SINGLE_USE_COMPILE_ROWS
         ):
             # Lowered when it pays: the plan will be reused (cache

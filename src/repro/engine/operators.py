@@ -219,8 +219,8 @@ class TableScan(PlanNode):
     #: unbind walk (and seeded by the engine on freshly planned scans):
     #: the optimizer's cardinality feedback for unbound plans.
     observed_rows: Optional[int] = field(default=None, compare=False, repr=False)
-    #: ``(bound rows, their per-column vector memo)`` for the scan kernels
-    #: and the columnar tier: installed by ``bind_plan`` from the table's
+    #: ``(bound rows, their per-column vector memo)`` for the scan
+    #: kernels: installed by ``bind_plan`` from the table's
     #: own memo, checked against ``data`` by identity, cleared on unbind.
     _columns: Optional[tuple] = field(default=None, compare=False, repr=False)
 

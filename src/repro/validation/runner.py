@@ -93,7 +93,6 @@ class ValidationRunner:
         variant: str = "postgres",
         generator_config: GeneratorConfig = PAPER_CONFIG,
         data_config: Optional[DataFillerConfig] = None,
-        vectorized: bool = False,
     ):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -118,26 +117,15 @@ class ValidationRunner:
         # more, and a trial binds at most a few dozen rows (closure
         # generation would cost 3x what it saves here; raising
         # ``data_config.max_rows`` far enough flips the decision per
-        # query).  The columnar tier compiles every plan, but at this
-        # scale its codegen likewise costs more than batch execution saves
-        # (~1.5x slower serial campaigns, measured — scripts/bench.py
-        # records the A/B), so ``vectorized`` stays an ablation knob here
-        # rather than the default.
-        self.vectorized = vectorized
+        # query).
         if variant == "postgres":
             self.star_style = STAR_COMPOSITIONAL
             self.semantics = SqlSemantics(self.schema, star_style=STAR_COMPOSITIONAL)
-            self.engine = Engine(
-                self.schema, DIALECT_POSTGRES, plan_cache_size=0,
-                vectorized=vectorized,
-            )
+            self.engine = Engine(self.schema, DIALECT_POSTGRES, plan_cache_size=0)
         else:
             self.star_style = STAR_STANDARD
             self.semantics = SqlSemantics(self.schema, star_style=STAR_STANDARD)
-            self.engine = Engine(
-                self.schema, DIALECT_ORACLE, plan_cache_size=0,
-                vectorized=vectorized,
-            )
+            self.engine = Engine(self.schema, DIALECT_ORACLE, plan_cache_size=0)
 
     # -- single trial ---------------------------------------------------------
 

@@ -269,6 +269,12 @@ def test_compilation_hooks_in_at_plan_cache_admission_or_size():
     assert results[0].same_as(results[1]) and results[0].same_as(results[2])
 
 
+def test_compiling_naive_plans_is_rejected_eagerly():
+    with pytest.raises(ValueError, match="compiled=True, optimize=False"):
+        Engine(SCHEMA, "postgres", compiled=True, optimize=False)
+    assert Engine(SCHEMA, "postgres", optimize=False).compiled is False
+
+
 def test_single_use_plans_compile_at_the_break_even_constant():
     """The same query on a cache-less engine: interpreted one bound row
     below ``SINGLE_USE_COMPILE_ROWS``, compiled at it.  Bound rows are

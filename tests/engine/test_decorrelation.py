@@ -35,7 +35,6 @@ VARIANTS = [
 TIERS = [
     {},
     {"compiled": False},
-    {"vectorized": True},
     {"plan_cache_size": 0},
 ]
 

@@ -5,10 +5,13 @@ one fused selection over the table's column vectors.  Pins the contracts
 that lowering must keep:
 
 * 3VL: the kept rows are the interpreted tier's — and the formal
-  semantics' — on every comparison operator, NULL operand and NULL test;
+  semantics' — on every comparison operator, NULL operand and NULL test,
+  and on strings under ``=`` and ``LIKE`` either way round;
 * errors: a type clash surfaces as the interpreted tier's ``CompileError``,
   same message, and only where the row-wise order reaches it — not behind
-  a FALSE conjunct, not past the row an EXISTS stops at;
+  a FALSE conjunct or a TRUE disjunct, not past the row an EXISTS stops at;
+* kernel output feeds probes, joins, DISTINCT and set operations, and a
+  cached kernel plan rebinds bit-identically;
 * a prefix kernel hands on the rows on which its conjuncts are UNKNOWN;
 * column vectors are a per-column memo on the ``Table``: pivoted on first
   touch, shared by every plan, referenced by no unbound plan;
@@ -40,27 +43,24 @@ def make_db(rows_r, rows_s=()):
     return Database(SCHEMA, {"R": list(rows_r), "S": list(rows_s)})
 
 
-def outcomes(text, db):
-    """The outcome of ``text`` on the default tier (cold, then on the hot
-    plan cache), on a single-use plan, and on the interpreted tier."""
+def selections(engine):
+    return engine.cache_info()["scan_kernels"]["selections"]
+
+
+def assert_matches_interpreted(text, db, kernel=True):
+    """Run ``text`` on the default tier (cold, then on the hot plan cache)
+    and on a single-use plan: same table as the interpreted tier, or same
+    error class *and message*.  With ``kernel``, each of those executions
+    must have run a scan kernel.  Returns the interpreted outcome."""
     query = annotate(text, SCHEMA)
+    expected = capture(lambda: Engine(SCHEMA, compiled=False).execute(query, db))
     default = Engine(SCHEMA)
-    single_use = Engine(SCHEMA, plan_cache_size=0)
-    interpreted = Engine(SCHEMA, compiled=False)
-    return [
-        capture(lambda: default.execute(query, db)),
-        capture(lambda: default.execute(query, db)),
-        capture(lambda: single_use.execute(query, db)),
-        capture(lambda: interpreted.execute(query, db)),
-    ]
-
-
-def assert_matches_interpreted(text, db):
-    """Same table, or same error class *and message*; returns the outcome."""
-    *lowered, expected = outcomes(text, db)
-    for outcome in lowered:
+    for engine in (default, default, Engine(SCHEMA, plan_cache_size=0)):
+        before = selections(engine)
+        outcome = capture(lambda: engine.execute(query, db))
         assert (outcome.error, outcome.detail) == (expected.error, expected.detail), text
         assert outcome.agrees_with(expected), text
+        assert not kernel or selections(engine) > before, text
     return expected
 
 
@@ -80,7 +80,18 @@ GRID_ATOMS = [
     f"R.A {op} {right}"
     for op in ("=", "<>", "<", "<=", ">", ">=")
     for right in ("1", "R.B", "NULL")
-] + ["1 < R.A", "NULL >= R.B", "R.A IS NULL", "R.B IS NOT NULL", "NULL IS NULL"]
+] + [
+    "1 < R.A",
+    "NULL >= R.B",
+    "R.A IS NULL",
+    "R.B IS NOT NULL",
+    "NULL IS NULL",
+    "R.B >= 2",
+    "R.A = 1 AND R.B IS NOT NULL",
+    "R.A = 1 OR R.B = 2",
+    "R.A <= 2 AND R.B <> 4",
+    "(R.A IS NULL OR R.A < R.B) AND R.B IS NOT NULL",
+]
 
 
 @pytest.mark.parametrize("atom", GRID_ATOMS)
@@ -96,7 +107,8 @@ def test_three_valued_grid(atom):
         f"NOT ({atom} OR R.B <= 1)",
     ):
         text = f"SELECT R.A, R.B FROM R WHERE {condition}"
-        expected = assert_matches_interpreted(text, db)
+        # A constant predicate folds away, and its filter with it.
+        expected = assert_matches_interpreted(text, db, kernel=atom != "NULL IS NULL")
         assert not expected.is_error
         assert expected.table.same_as(semantics.run(annotate(text, SCHEMA), db)), text
 
@@ -130,7 +142,106 @@ def test_empty_table():
     assert (info["rows_in"], info["rows_out"], info["fallbacks"]) == (0, 0, 0)
 
 
+# -- strings and LIKE ---------------------------------------------------------
+
+#: Each LIKE in ``LIKE_QUERIES`` holds on some row with its operands one way
+#: round and not the other, so an operand swap changes every result.
+STRING_DB = make_db(
+    [
+        ("ab", "ab", 1),
+        ("ab", "ba", 2),
+        (NULL, "ab", 3),
+        ("", "%", 4),
+        ("abc", "_b", 5),
+        ("xyz", NULL, 6),
+        ("a", "", 7),
+    ],
+    [(1, 0), (4, 0), (5, 0)],
+)
+
+LIKE_QUERIES = [
+    "SELECT R.C FROM R WHERE R.A LIKE 'a%'",
+    "SELECT R.C FROM R WHERE R.B LIKE '_b' AND R.A IS NOT NULL",
+    "SELECT R.C FROM R WHERE '' LIKE R.B",
+    # Prefix kernels: the literal-first LIKE leads an IN probe.
+    "SELECT R.C FROM R WHERE '' LIKE R.B AND R.C IN (SELECT S.A FROM S)",
+    "SELECT R.C FROM R WHERE 'ab' LIKE R.B AND R.C IN (SELECT S.A FROM S)",
+]
+
+
+@pytest.mark.parametrize(
+    "text",
+    LIKE_QUERIES
+    + [
+        "SELECT R.C FROM R WHERE R.A = R.B",
+        "SELECT R.C FROM R WHERE NOT (R.A LIKE 'a%' OR R.A = 'xyz')",
+        "SELECT R.C FROM R WHERE R.B IS NOT NULL AND "
+        "NOT ('%' LIKE R.B AND R.C IN (SELECT S.A FROM S))",
+    ],
+)
+def test_strings_and_like(text):
+    assert not assert_matches_interpreted(text, STRING_DB).is_error
+
+
+def test_an_empty_string_literal_matches_an_empty_string_value():
+    expected = assert_matches_interpreted("SELECT R.C FROM R WHERE '' LIKE R.B", STRING_DB)
+    assert sorted(expected.table.bag) == [(4,), (7,)]
+
+
+def test_like_operand_swap_canary_trips_every_like_case(monkeypatch):
+    """Gate the gate: with ``_LF``'s operands swapped in the fused LIKE
+    body, no LIKE case above may still pass."""
+    monkeypatch.setitem(compile_module._FUSE_BODY, "LIKE", "_LF({y}, {x})")
+    for text in LIKE_QUERIES:
+        with pytest.raises(AssertionError):
+            assert_matches_interpreted(text, STRING_DB)
+
+
 # -- errors: exact class, message and reach -----------------------------------
+
+
+@pytest.mark.parametrize(
+    "text,rows",
+    [
+        ("SELECT R.A FROM R WHERE R.A < R.B", [("a", 1, 0)]),
+        ("SELECT R.A FROM R WHERE R.A < 2", [(1, 0, 0), ("a", 0, 0)]),
+        ("SELECT R.A FROM R WHERE R.A LIKE 'a%'", [(1, 0, 0)]),
+        ("SELECT R.A FROM R WHERE NOT (R.A LIKE 'a%')", [("ab", 0, 0), (1, 0, 0)]),
+        ("SELECT R.A FROM R WHERE R.A LIKE R.B", [("a%", 1, 0)]),
+        # A prefix kernel falls back too.
+        (
+            "SELECT R.A FROM R WHERE R.A < 2 AND R.B IN (SELECT S.A FROM S)",
+            [(1, 0, 0), ("a", 0, 0)],
+        ),
+    ],
+)
+def test_type_clashes_raise_exactly_the_interpreted_error(text, rows):
+    assert assert_matches_interpreted(text, make_db(rows)).error == "compile"
+
+
+@pytest.mark.parametrize(
+    "text,row,raises",
+    [
+        # Left FALSE: the row-wise AND never evaluates its raising right side.
+        ("SELECT R.A FROM R WHERE R.A = 1 AND R.B < 2", (5, "b", 0), False),
+        # Left UNKNOWN: it does, to split FALSE from UNKNOWN.
+        ("SELECT R.A FROM R WHERE R.A = 1 AND R.B < 2", (NULL, "b", 0), True),
+        # Left TRUE: the row-wise OR skips its raising right side.
+        ("SELECT R.A FROM R WHERE R.A = 1 OR R.B < 2", (1, "b", 0), False),
+        # Left FALSE or UNKNOWN: it does not.
+        ("SELECT R.A FROM R WHERE R.A = 1 OR R.B < 2", (5, "b", 0), True),
+        ("SELECT R.A FROM R WHERE R.A = 1 OR R.B < 2", (NULL, "b", 0), True),
+    ],
+)
+def test_short_circuits_decide_whether_a_clash_surfaces(text, row, raises):
+    assert assert_matches_interpreted(text, make_db([row])).is_error is raises
+
+
+def test_an_all_scalar_predicate_raises_per_scanned_row():
+    # Evaluated once per row: raises on a non-empty table, not on an empty one.
+    text = "SELECT S.A FROM S WHERE 1 < 'a'"
+    assert assert_matches_interpreted(text, make_db([], [(1, 1)])).error == "compile"
+    assert not assert_matches_interpreted(text, make_db([])).is_error
 
 
 def test_type_clash_raises_the_interpreted_error():
@@ -214,18 +325,24 @@ def test_vectors_are_pivoted_per_column_shared_and_unpinned():
     db = make_db([(1, 2, 3), (4, 5, 6)])
     table = db.table("R")
     engine = Engine(SCHEMA)
+    # No filter, no kernel: the rows are converted, no column is pivoted.
+    engine.execute(annotate("SELECT R.A FROM R", SCHEMA), db)
+    assert table._scan_cols == [None, None, None] and selections(engine) == 0
+    rows = table._scan_rows
     first = annotate("SELECT R.A FROM R WHERE R.B > 2", SCHEMA)
     second = annotate("SELECT R.C FROM R WHERE R.B < 9 AND R.C > 0", SCHEMA)
     engine.execute(first, db)
     # Only the column the kernel read was pivoted.
-    assert table._scan_cols == [None, [2, 5], None]
+    assert table._scan_cols == [None, [2, 5], None] and selections(engine) == 1
     pivot = table._scan_cols[1]
     engine.execute(second, db)
     assert table._scan_cols[1] is pivot  # the second plan reused it
     assert table._scan_cols[2] == [3, 6] and table._scan_cols[0] is None
-    # Another engine, another plan: still the one pivot.
+    # Another engine, another plan, a rebind of a cached one: still the
+    # one conversion and the one pivot.
     Engine(SCHEMA).execute(first, db)
-    assert table._scan_cols[1] is pivot
+    engine.execute(first, db)
+    assert table._scan_rows is rows and table._scan_cols[1] is pivot
     for query in (first, second):
         for node, _pred in iter_plan_nodes(engine._plan(query).plan):
             if isinstance(node, TableScan):
@@ -295,6 +412,33 @@ def test_kernel_sources_are_literal_and_position_independent():
     assert engine.cache_info()["scan_kernels"]["fallbacks"] == 0
 
 
+def test_kernel_sources_are_independent_of_string_literals():
+    """Quotes included: five hundred string literals through a whole-
+    predicate kernel and a prefix kernel mint no code-cache entries, and
+    every execution still matches the interpreted tier."""
+    db = make_db(
+        [(1, "a", 0), (2, "", 0), (NULL, "it's", 0), (4, NULL, 0)],
+        [(1, 0), (2, 0), (4, 0)],
+    )
+    shapes = (
+        "SELECT R.A FROM R WHERE R.A >= {n} OR R.B = {s}",
+        "SELECT R.A FROM R WHERE R.A < {n} AND R.B <> {s} "
+        "AND R.A IN (SELECT S.A FROM S)",
+    )
+    strings = ["''", "''''", "'\"'", "'it''s'"] + [f"'s{i}'" for i in range(496)]
+
+    def run_all(pairs):
+        for shape in shapes:
+            for n, text in pairs:
+                assert_matches_interpreted(shape.format(n=n, s=text), db)
+
+    for _ in range(2):  # a shape is cached from its second compilation on
+        run_all([(0, "'x'")])
+    before = len(compile_module._CODE_CACHE)
+    run_all(list(enumerate(strings)))
+    assert len(compile_module._CODE_CACHE) == before
+
+
 # -- batches ------------------------------------------------------------------
 
 
@@ -331,6 +475,45 @@ def test_fallback_replays_from_the_clashing_batch_on():
     assert engine.cache_info()["scan_kernels"]["fallbacks"] == 0
 
 
+# -- kernels feeding other operators ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "SELECT R.A FROM R WHERE R.A IN (SELECT S.A FROM S WHERE S.B <> 2)",
+        "SELECT R.A FROM R WHERE R.B >= 2 AND R.A IN (SELECT S.A FROM S)",
+        "SELECT R.A FROM R WHERE EXISTS (SELECT S.A FROM S WHERE S.A = R.B AND S.B > 0)",
+        "SELECT R.A FROM R WHERE R.B IS NOT NULL AND "
+        "NOT (R.A IN (SELECT S.A FROM S) AND R.A = 1)",
+        "SELECT R.A, S.A FROM R, S WHERE R.A = S.A AND S.B < 3",
+        "SELECT R.A FROM R, S WHERE R.A = S.A AND R.B > 1",
+        "SELECT DISTINCT R.A FROM R WHERE R.B <> 4",
+        "SELECT R.A FROM R WHERE R.B > 1 UNION SELECT S.A FROM S",
+        "SELECT R.A FROM R INTERSECT ALL SELECT S.A FROM S WHERE S.B IS NOT NULL",
+        "SELECT R.A FROM R WHERE R.C < 9 EXCEPT ALL SELECT S.A FROM S",
+    ],
+)
+def test_kernels_feed_probes_joins_and_set_operations(text):
+    db = make_db(
+        [(1, 2, 3), (2, NULL, 3), (NULL, 4, 1), (3, 3, 3), (1, 2, 3)],
+        [(1, 1), (3, 2), (NULL, 1), (2, NULL)],
+    )
+    assert not assert_matches_interpreted(text, db).is_error
+
+
+def test_a_cached_kernel_plan_rebinds_bit_identically():
+    engine, fresh = Engine(SCHEMA), Engine(SCHEMA)
+    query = annotate("SELECT R.A FROM R WHERE R.A < R.B OR R.A IS NULL", SCHEMA)
+    dbs = [make_db([(1, 2, 0), (NULL, 1, 0), (2, 1, 0)]), make_db([(3, 4, 0), (4, 3, 0)])]
+    first = [engine.execute(query, db) for db in dbs]
+    again = [engine.execute(query, db) for db in dbs]  # cache hot
+    cold = [fresh.execute(query, db) for db in dbs]
+    for hot, rehot, ref in zip(first, again, cold):
+        assert hot.same_as(rehot) and hot.same_as(ref)
+    assert engine.cache_info()["hits"] >= 2 and selections(engine) == 4
+
+
 # -- cardinality feedback -----------------------------------------------------
 
 
@@ -345,7 +528,7 @@ def test_build_sides_carry_the_row_count_they_were_built_with():
             GenericJoin,
         ),
     ):
-        for options in ({}, {"compiled": False}, {"vectorized": True}):
+        for options in ({}, {"compiled": False}):
             engine = Engine(schema, **options)
             query = annotate(text, schema)
             for _ in range(3):  # built, harvested, restored from the cache

@@ -5,8 +5,7 @@ cardinality-feedback loop.
 Covers operator selection (cyclic vs acyclic equality graphs), the
 leapfrog enumeration itself (NULL handling, multi-column variables,
 empty tries), both ablation knobs, build-side sharing of the tries
-across executions, the columnar tier's deliberate stay-compiled
-contract for the node, and the feedback loop's re-optimization of
+across executions, and the feedback loop's re-optimization of
 cached plans — including the PR's acceptance demo: a cached plan whose
 join order changes after the tables it was planned against reshape,
 with bit-identical output before and after.
@@ -16,7 +15,7 @@ import pytest
 
 from repro.core import NULL, Database, Schema
 from repro.engine import DIALECT_ORACLE, DIALECT_POSTGRES, Engine
-from repro.engine.binding import bind_plan, iter_plan_nodes, unbind_plan
+from repro.engine.binding import iter_plan_nodes
 from repro.engine.operators import (
     CrossJoin,
     GenericJoin,
@@ -241,28 +240,9 @@ def test_all_tiers_agree_on_cyclic_queries(dialect):
     db = triangle_db()
     query = annotate(TRIANGLE, SCHEMA)
     expected = Engine(SCHEMA, dialect, optimize=False).execute(query, db)
-    for kwargs in ({}, {"compiled": False}, {"vectorized": True}):
+    for kwargs in ({}, {"compiled": False}):
         got = Engine(SCHEMA, dialect, **kwargs).execute(query, db)
         assert got.same_as(expected), kwargs
-
-
-def test_columnar_tier_routes_generic_join_through_fallback():
-    """The documented stay-compiled contract: lowering a GenericJoin plan
-    to a batch program executes the node's own row-wise enumeration (and
-    thus shares its ``_tries`` state with every other tier)."""
-    from repro.engine import compile_columnar
-
-    db = triangle_db()
-    plan = optimize_plan(compiled(db, TRIANGLE).plan)
-    node = next(n for n in walk(plan) if isinstance(n, GenericJoin))
-    bind_plan(plan, db)
-    rows = sorted(compile_columnar(plan)(()))
-    assert rows == sorted(plan.iter_rows(()))
-    # The batch program populated the same memoized tries the row-wise
-    # tiers use — proof it ran through the node, not a parallel lowering.
-    assert node._tries is not None
-    unbind_plan(plan)
-    assert node._tries is None
 
 
 def test_build_sides_shared_across_executions():

@@ -96,13 +96,12 @@ def keyed_probe_count(plan) -> int:
 
 
 def battery(dialect, star_style, trials):
-    """Run ``trials`` pairs through the four execution tiers, the naive
+    """Run ``trials`` pairs through the optimized execution tiers, the naive
     engine and the formal semantics; returns ``(failures, decorrelated)``:
     the disagreements found, and how many queries had a keyed probe."""
     tiers = {
         "compiled": Engine(SCHEMA, dialect),
         "interpreted": Engine(SCHEMA, dialect, compiled=False),
-        "vectorized": Engine(SCHEMA, dialect, vectorized=True),
         "single-use": Engine(SCHEMA, dialect, plan_cache_size=0),
     }
     naive = Engine(SCHEMA, dialect, optimize=False)

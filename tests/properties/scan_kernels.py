@@ -173,7 +173,6 @@ def battery(dialect, star_style, trials, string_rate=0.0):
     reference = Engine(SCHEMA, dialect, compiled=False)
     tiers = {
         "compiled": Engine(SCHEMA, dialect),
-        "vectorized": Engine(SCHEMA, dialect, vectorized=True),
         "single-use": Engine(SCHEMA, dialect, plan_cache_size=0),
     }
     naive = Engine(SCHEMA, dialect, optimize=False)

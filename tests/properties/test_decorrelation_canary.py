@@ -88,7 +88,7 @@ def test_seeded_bug_trips_the_battery_and_the_campaign(seed_bug, monkeypatch):
     failures, _ = battery(DIALECT_POSTGRES, STAR_COMPOSITIONAL, 200)
     # Every tier runs the bug, and several seeds see it: a lone detection
     # would be one generator tweak away from none.
-    for tier in ("compiled", "interpreted", "vectorized", "single-use"):
+    for tier in ("compiled", "interpreted", "single-use"):
         caught = [f for f in failures if f.endswith(f": {tier} differs from naive")]
         assert len(caught) >= 3, (tier, failures[:8])
     assert campaign_mismatches(monkeypatch) >= 3

@@ -2,7 +2,7 @@
 
 500 query/database pairs per dialect variant from a generator biased toward
 equality-correlated EXISTS/IN (:mod:`tests.properties.decorrelation`): the
-compiled, interpreted, vectorized and single-use tiers must return the
+compiled, interpreted and single-use tiers must return the
 naive engine's table — or its error class and message — and the naive
 engine must agree with the formal semantics.
 """

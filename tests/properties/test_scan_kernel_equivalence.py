@@ -3,8 +3,8 @@
 500 query/database pairs per dialect variant and data regime from a
 generator biased toward filters over base-table scans
 (:mod:`tests.properties.scan_kernels`), with ``SINGLE_USE_COMPILE_ROWS``
-forced to 0 so six-row plans are lowered: the default, vectorized and
-single-use tiers must return the interpreted tier's table — or its error
+forced to 0 so six-row plans are lowered: the default and single-use
+tiers must return the interpreted tier's table — or its error
 class and message — cold and on a hot plan cache.  On typed data the
 interpreted tier must in turn match the naive engine, and the naive engine
 the formal semantics; on mixed data, where comparisons raise, the kernels
