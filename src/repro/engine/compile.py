@@ -931,32 +931,6 @@ def _compile_semi_join_probe(pred: SemiJoinProbe, stats: ScanKernelStats):
 # -- operator compilation -----------------------------------------------------
 
 
-def _key_fn(indices: Tuple[int, ...]):
-    """A specialized :func:`~repro.engine.operators.typed_key` over fixed
-    row positions (NULL anywhere makes the key unusable)."""
-    if len(indices) == 1:
-        (index,) = indices
-
-        def key1(row):
-            value = row[index]
-            if value is None:
-                return None
-            return ((isinstance(value, str), value),)
-
-        return key1
-
-    def keyn(row):
-        key = []
-        for index in indices:
-            value = row[index]
-            if value is None:
-                return None
-            key.append((isinstance(value, str), value))
-        return tuple(key)
-
-    return keyn
-
-
 def _drained(child_iter: IterFn) -> IterFn:
     """A filter whose predicate folded to FALSE/UNKNOWN: yields nothing,
     but still drains the child so data-dependent errors surface exactly as
@@ -1221,49 +1195,18 @@ def _compile_cross_join(node: CrossJoin, stats: ScanKernelStats) -> IterFn:
 
 
 def _compile_hash_join(node: HashJoin, stats: ScanKernelStats) -> IterFn:
+    """The right child materializes through its compiled ``rows`` function
+    into the node's own build kernel and probe loop — and the table lives
+    on the node (``_table`` / ``_closed_build``), so the binding layer's
+    reset/harvest/restore walks govern compiled execution unchanged."""
     left_iter = _iter_fn(node.left, stats)
-    right_iter = _iter_fn(node.right, stats)
-    left_key = _key_fn(node.left_keys)
-    right_key = _key_fn(node.right_keys)
-
-    def build(outers):
-        table: dict = {}
-        setdefault = table.setdefault
-        inserted = 0
-        for row in right_iter(outers):
-            key = right_key(row)
-            if key is None:
-                continue
-            setdefault(key, []).append(row)
-            inserted += 1
-        return table, inserted
-
-    def build_table(outers):
-        if node._closed_build is None:
-            node._closed_build = node.right.free_refs() == frozenset()
-        if not node._closed_build:
-            return build(outers)[0]
-        table = node._table
-        if table is None:
-            table, node._build_rows = build(outers)
-            node._table = table
-        return table
-
-    def probe(table, outers):
-        get = table.get
-        key_of = left_key
-        for row in left_iter(outers):
-            key = key_of(row)
-            if key is None:
-                continue
-            for match in get(key, ()):
-                yield row + match
+    right_rows = _rows_fn(node.right, stats)
 
     def hash_join_iter(outers):
-        table = build_table(outers)
+        table = node.build_table(outers, right_rows)
         if not table:
             return iter(())
-        return probe(table, outers)
+        return node.probe(table, left_iter(outers))
 
     return hash_join_iter
 
@@ -1271,28 +1214,12 @@ def _compile_hash_join(node: HashJoin, stats: ScanKernelStats) -> IterFn:
 def _compile_generic_join(node: GenericJoin, stats: ScanKernelStats) -> IterFn:
     """Native lowering of the worst-case-optimal join: children materialize
     through their compiled ``rows`` functions, while trie construction and
-    leapfrog enumeration reuse the node's own (already loop-shaped) methods
-    — and the tries live on the node (``_tries`` / ``_closed_build``), so
-    the binding layer's reset/harvest/restore walks govern compiled
-    execution unchanged, exactly like the hash-join build side."""
+    leapfrog enumeration reuse the node's own methods, exactly like the
+    hash-join build side."""
     children_rows = [_rows_fn(child, stats) for child in node.children]
 
-    def build(outers):
-        return node._build_tries([rows_fn(outers) for rows_fn in children_rows])
-
-    def build_tries(outers):
-        if node._closed_build is None:
-            node._closed_build = node.free_refs() == frozenset()
-        if not node._closed_build:
-            return build(outers)[0]
-        tries = node._tries
-        if tries is None:
-            tries, node._build_rows = build(outers)
-            node._tries = tries
-        return tries
-
     def generic_join_iter(outers):
-        tries = build_tries(outers)
+        tries = node.build_tries(outers, children_rows)
         if any(not trie for trie in tries):
             return iter(())
         return node._solve(0, list(tries))

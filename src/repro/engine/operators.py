@@ -15,9 +15,9 @@ Besides the textbook operators (:class:`StaticScan`, :class:`CrossJoin`,
 :class:`SetOpNode`), this module provides the physical machinery used by the
 optimizer (:mod:`repro.engine.optimizer`):
 
-* :class:`HashJoin` — equi-join of two children on typed key columns, with
-  SQL's 3VL NULL handling (a NULL key never matches, exactly like the
-  equality conjunct it replaces);
+* :class:`HashJoin` — equi-join of two children keyed by the column values
+  themselves, with SQL's 3VL NULL handling (a NULL key never matches,
+  exactly like the equality conjunct it replaces);
 * :class:`GenericJoin` — worst-case-optimal multiway equi-join: instead of
   a tree of binary joins, all children are joined at once by intersecting
   per-attribute hash tries one join variable at a time (leapfrog style),
@@ -39,6 +39,15 @@ optimizer (:mod:`repro.engine.optimizer`):
   build side: uncorrelated IN under 3VL, and EXISTS/IN decorrelated on
   their equality correlation keys).
 
+Join and probe builds rest on one *equality lemma*: on non-NULL values
+SQL's ``=`` (:func:`~repro.engine.expressions.compare`) holds iff Python
+``==`` does — the paper's syntactic equality (Definition 2, which
+:mod:`repro.core.values` already equates with Python's), and Python never
+equates a string with a number.  So a dict keyed by the raw values (a
+tuple of them for a composite key) finds exactly the rows an equality
+conjunct keeps, once the build leaves out every key holding a NULL: a
+NULL-holding probe key then simply misses.
+
 Every node also answers two static questions the optimizer asks:
 :meth:`PlanNode.free_refs` — which ``(depth, index)`` positions of the outer
 stack the subtree reads (depth ≥ 1; ``None`` when unknown, e.g. an opaque
@@ -52,7 +61,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain as _chain
 from itertools import product as _iter_product
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .expressions import (
     OuterStack,
@@ -87,24 +97,66 @@ __all__ = [
     "InPred",
     "SemiJoinProbe",
     "build_probe_index",
-    "typed_key",
     "pred_refs",
 ]
 
 
-def typed_key(values: Sequence[object]) -> Optional[Tuple]:
-    """A hashable join/probe key matching ``compare("=")`` semantics.
+def _partition(
+    rows: Sequence[Row], key_of: Callable, composite: bool
+) -> Tuple[dict, int]:
+    """``rows`` grouped by ``key_of(row)`` — keys in first-seen order, rows
+    in input order within a group — minus every group whose key holds a
+    NULL; returns ``(groups, rows left out)``.  ``composite`` keys are
+    tuples, the others raw values."""
+    groups: dict = {}
+    get = groups.get
+    for key, row in zip(map(key_of, rows), rows):
+        group = get(key)
+        if group is None:
+            groups[key] = [row]
+        else:
+            group.append(row)
+    if composite:
+        nulls = [key for key in groups if None in key]
+    else:
+        nulls = [None] if None in groups else ()
+    return groups, sum([len(groups.pop(key)) for key in nulls])
 
-    None (SQL NULL) anywhere makes the key unusable (equality would be
-    unknown); the per-component string tag mirrors the engine's refusal to
-    equate values across the string/number divide.
-    """
-    key = []
-    for v in values:
-        if v is None:
-            return None
-        key.append((isinstance(v, str), v))
-    return tuple(key)
+
+def _trie(rows: Sequence[Row], getters: Sequence[Callable]) -> Tuple[dict, int]:
+    """Nested dicts keyed like :func:`_partition`, one level per getter,
+    leaf lists holding the rows; a row with a NULL key at any level is
+    left out, and no empty branch is kept.  Returns ``(trie, rows left
+    out)``.  One insertion loop per depth: a partition for one level, a
+    two-level loop for two, and a partition per extra level above that."""
+    if len(getters) == 1:
+        return _partition(rows, getters[0], False)
+    if len(getters) > 2:
+        node, dropped = _partition(rows, getters[0], False)
+        trie = {}
+        for key, group in node.items():
+            child, lost = _trie(group, getters[1:])
+            dropped += lost
+            if child:
+                trie[key] = child
+        return trie, dropped
+    first, second = getters
+    trie, dropped = {}, 0
+    get = trie.get
+    for outer, inner, row in zip(map(first, rows), map(second, rows), rows):
+        if outer is None or inner is None:
+            dropped += 1
+            continue
+        node = get(outer)
+        if node is None:
+            trie[outer] = {inner: [row]}
+            continue
+        leaf = node.get(inner)
+        if leaf is None:
+            node[inner] = [row]
+        else:
+            leaf.append(row)
+    return trie, dropped
 
 
 def _sub_refs(refs: Optional[Refs]) -> Optional[Refs]:
@@ -380,11 +432,13 @@ class SetOpNode(PlanNode):
 class HashJoin(PlanNode):
     """Equi-join: hashes the right child, probes with the left child.
 
-    Replaces ``σ_{l=r}(L × R)``: rows whose key contains NULL are dropped on
-    either side (the equality they stand in for would be unknown), and keys
-    are typed so that e.g. ``1`` and ``'1'`` never match, exactly like
-    :func:`repro.engine.expressions.compare`.  Output rows are ``left +
-    right`` concatenations, preserving the FROM-clause column layout.
+    Replaces ``σ_{l=r}(L × R)``.  By the equality lemma (module docstring)
+    the table is keyed by the raw key value — the ``itemgetter`` tuple for a
+    composite key — so ``1`` and ``'1'`` never meet, exactly as under
+    :func:`repro.engine.expressions.compare`; build rows whose key holds a
+    NULL are left out (the equality they stand in for would be unknown), so
+    a NULL-holding probe key misses.  Output rows are ``left + right``
+    concatenations, preserving the FROM-clause column layout.
     """
 
     left: PlanNode
@@ -401,40 +455,37 @@ class HashJoin(PlanNode):
     #: the cache entry the table was restored from.
     _build_rows: Optional[int] = field(default=None, repr=False, compare=False)
 
-    def _build(self, outers: OuterStack) -> Tuple[dict, int]:
-        """``(key -> rows, rows inserted)`` of the right child."""
-        table: dict = {}
-        right_keys = self.right_keys
-        inserted = 0
-        for row in self.right.iter_rows(outers):
-            key = typed_key([row[i] for i in right_keys])
-            if key is None:
-                continue
-            table.setdefault(key, []).append(row)
-            inserted += 1
-        return table, inserted
+    def _build(self, rows: Sequence[Row]) -> Tuple[dict, int]:
+        """``(key -> rows, rows inserted)`` over the right child's ``rows``:
+        the one build kernel of both tiers."""
+        keys = self.right_keys
+        table, dropped = _partition(rows, itemgetter(*keys), len(keys) > 1)
+        return table, len(rows) - dropped
 
-    def build_table(self, outers: OuterStack) -> dict:
-        """The probe table, built at most once per execution when closed."""
+    def build_table(self, outers: OuterStack, right_rows: Callable) -> dict:
+        """The probe table over ``right_rows(outers)`` — the right child's
+        ``rows``, or the lowered tier's materializer of them — built at
+        most once per execution when closed."""
         if self._closed_build is None:
             self._closed_build = self.right.free_refs() == frozenset()
         if not self._closed_build:
-            return self._build(outers)[0]
+            return self._build(right_rows(outers))[0]
         if self._table is None:
-            self._table, self._build_rows = self._build(outers)
+            self._table, self._build_rows = self._build(right_rows(outers))
         return self._table
 
-    def iter_rows(self, outers: OuterStack) -> Iterator[Row]:
-        table = self.build_table(outers)
-        if not table:
-            return
-        left_keys = self.left_keys
-        for row in self.left.iter_rows(outers):
-            key = typed_key([row[i] for i in left_keys])
-            if key is None:
-                continue
-            for match in table.get(key, ()):
+    def probe(self, table: dict, rows: Iterable[Row]) -> Iterator[Row]:
+        """Each of the left child's ``rows`` concatenated with its matches."""
+        get = table.get
+        key_of = itemgetter(*self.left_keys)
+        for row in rows:
+            for match in get(key_of(row), ()):
                 yield row + match
+
+    def iter_rows(self, outers: OuterStack) -> Iterator[Row]:
+        table = self.build_table(outers, self.right.rows)
+        if table:
+            yield from self.probe(table, self.left.iter_rows(outers))
 
     def _free_refs(self) -> Optional[Refs]:
         return merge_refs(self.left.free_refs(), self.right.free_refs())
@@ -463,13 +514,13 @@ class GenericJoin(PlanNode):
 
     Semantics match the equality conjuncts the variables consume exactly:
     a row whose variable column is NULL can never match (the equality would
-    be unknown, as in :class:`HashJoin`), keys are typed so ``1`` and
-    ``'1'`` differ, and typed equality is transitive on non-NULLs, so
-    "every column of the class equal" is exactly the conjunction of the
-    original (connected) equality edges.  Output rows concatenate child
-    rows in FROM order with full bag multiplicity — the cross product of
-    each child's matching rows per variable assignment — so no
-    :class:`RemapOp` is ever needed on top.
+    be unknown, as in :class:`HashJoin`), keys are the raw values (the
+    equality lemma: ``1`` and ``'1'`` differ), and equality is transitive
+    on non-NULLs, so "every column of the class equal" is exactly the
+    conjunction of the original (connected) equality edges.  Output rows
+    concatenate child rows in FROM order with full bag multiplicity — the
+    cross product of each child's matching rows per variable assignment —
+    so no :class:`RemapOp` is ever needed on top.
     """
 
     children: List[PlanNode]
@@ -510,51 +561,38 @@ class GenericJoin(PlanNode):
         (bag multiplicity); children binding no variable contribute their
         plain row list.  Rows with a NULL variable column — or two
         same-variable columns that differ — can never match and are left
-        out."""
+        out.  The build kernel of both tiers."""
         tries: List[object] = []
         held = 0
         for levels, rows in zip(self._child_cols, children_rows):
+            if levels:
+                pairs = [(cols[0], extra) for cols in levels for extra in cols[1:]]
+                if pairs:
+                    # A NULL first column passes only beside a NULL, and a
+                    # NULL key is left out of the trie.
+                    rows = [r for r in rows if all(r[a] == r[b] for a, b in pairs)]
+                trie, dropped = _trie(rows, [itemgetter(cols[0]) for cols in levels])
+                held -= dropped
+            else:
+                trie = rows
+            tries.append(trie)
             held += len(rows)
-            if not levels:
-                tries.append(rows)
-                continue
-            depth = len(levels)
-            root: dict = {}
-            for row in rows:
-                keys = []
-                for cols in levels:
-                    value = row[cols[0]]
-                    if value is None:
-                        break
-                    key = (isinstance(value, str), value)
-                    for extra in cols[1:]:
-                        other = row[extra]
-                        if other is None or (isinstance(other, str), other) != key:
-                            break
-                    else:
-                        keys.append(key)
-                        continue
-                    break
-                if len(keys) < depth:
-                    held -= 1
-                    continue
-                node = root
-                for key in keys[:-1]:
-                    node = node.setdefault(key, {})
-                node.setdefault(keys[-1], []).append(row)
-            tries.append(root)
         return tries, held
 
-    def build_tries(self, outers: OuterStack) -> List[object]:
-        """The per-child tries, built at most once per execution when every
-        child is closed (mirrors :meth:`HashJoin.build_table`)."""
+    def build_tries(
+        self, outers: OuterStack, children_rows: Sequence[Callable]
+    ) -> List[object]:
+        """The per-child tries over each ``children_rows[i](outers)`` — the
+        children's ``rows``, or the lowered tier's materializers of them —
+        built at most once per execution when every child is closed
+        (mirrors :meth:`HashJoin.build_table`)."""
         if self._closed_build is None:
             self._closed_build = self.free_refs() == frozenset()
         if not self._closed_build:
-            return self._build_tries([c.rows(outers) for c in self.children])[0]
+            return self._build_tries([rows(outers) for rows in children_rows])[0]
         if self._tries is None:
             self._tries, self._build_rows = self._build_tries(
-                [c.rows(outers) for c in self.children]
+                [rows(outers) for rows in children_rows]
             )
         return self._tries
 
@@ -584,7 +622,7 @@ class GenericJoin(PlanNode):
                 yield from self._solve(level + 1, branch)
 
     def iter_rows(self, outers: OuterStack) -> Iterator[Row]:
-        tries = self.build_tries(outers)
+        tries = self.build_tries(outers, [child.rows for child in self.children])
         if any(not trie for trie in tries):
             # An empty trie (or an empty variable-free child) admits no
             # combination at all.
@@ -884,8 +922,8 @@ def build_probe_index(rows, key_width: int, width: int) -> tuple:
     ``rows`` are the closed subplan's rows, ``width`` columns wide, whose
     first ``key_width`` columns are correlation keys.  One representation
     serves every probe, built from the row tuples themselves (no typed
-    copies: Python equality never equates a string with a number, which is
-    all :func:`typed_key`'s tag asserts):
+    copies: by the equality lemma of the module docstring, raw values
+    already meet exactly when ``=`` holds):
 
     * *flat* (``key_width`` is 0 or ``width`` — uncorrelated IN, and EXISTS
       keyed on every column): ``index`` is the set of distinct NULL-free

@@ -13,7 +13,9 @@ rewrites that tree into an equivalent but drastically cheaper one:
   its columns (filter-during-product instead of product-then-filter);
 * **hash equi-joins** — an equality conjunct between column references of
   two different children turns the Cartesian product into a
-  :class:`~repro.engine.operators.HashJoin` on typed, NULL-rejecting keys;
+  :class:`~repro.engine.operators.HashJoin` keyed by the raw values, which
+  is exact by the equality lemma (non-NULL ``=`` is Python ``==``), with
+  NULL-holding keys left out of the build;
 * **cost-aware join ordering** — children of a multi-way FROM are ordered
   by a Selinger-style dynamic program over child subsets that can emit
   *bushy* trees (estimates come from bound table sizes when the plan is

@@ -138,6 +138,11 @@ class Scenario:
     source: str = "in-memory"
     #: Importer remarks: dropped columns/tables, sampling, affinity notes.
     notes: Tuple[str, ...] = ()
+    #: ``value_pool`` answers per ``(table, column, limit)``: pure functions
+    #: of the immutable scenario, computed lazily, excluded from eq/hash.
+    _pools: Dict[Tuple[str, str, int], Tuple[object, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         table_names = set(self.schema.table_names)
@@ -225,18 +230,21 @@ class Scenario:
     ) -> Tuple[object, ...]:
         """Up to ``limit`` distinct non-NULL values of a column, in a
         deterministic (sorted-by-canonical-form) order."""
-        t = self.database.table(table)
-        try:
-            index = t.columns.index(column)
-        except ValueError:
-            return ()
-        values = {
-            record[index]
-            for record in t.bag.distinct()
-            if not isinstance(record[index], Null)
-        }
-        ordered = sorted(values, key=_canonical_value)
-        return tuple(ordered[:limit])
+        key = (table, column, limit)
+        pool = self._pools.get(key)
+        if pool is None:
+            t = self.database.table(table)
+            pool = ()
+            if column in t.columns:
+                index = t.columns.index(column)
+                values = {
+                    record[index]
+                    for record in t.bag.distinct()
+                    if not isinstance(record[index], Null)
+                }
+                pool = tuple(sorted(values, key=_canonical_value)[:limit])
+            self._pools[key] = pool
+        return pool
 
     def with_database(self, database: Database, source: Optional[str] = None,
                       notes: Sequence[str] = ()) -> "Scenario":

@@ -236,7 +236,7 @@ def test_info_bytes_equal_the_eager_estimate(max_bytes, monkeypatch):
 
     monkeypatch.setattr(binding, "estimate_bytes", counting)
     cache = BuildSideCache(maxsize=3, max_bytes=max_bytes)
-    table = {((False, i),): [(i, "x" * i)] for i in range(30)}
+    table = {i: [(i, "x" * i)] for i in range(30)}
     memo = {(1,): True}
     rows = [(i, None) for i in range(50)]
 
@@ -397,7 +397,13 @@ def test_probe_entry_is_smaller_than_the_typed_key_triple():
     """The representation this one replaced kept ``(frozenset of typed key
     tuples, NULL-holding rows, distinct rows)`` per probe."""
     from repro.engine.binding import estimate_bytes
-    from repro.engine.operators import build_probe_index, typed_key
+    from repro.engine.operators import build_probe_index
+
+    def typed_key(values):
+        # The tagged key the engine once built: None for a NULL anywhere.
+        if None in values:
+            return None
+        return tuple((isinstance(v, str), v) for v in values)
 
     def old_triple(rows):
         distinct = list(dict.fromkeys(rows))

@@ -1,9 +1,12 @@
 """The plan-rewrite optimizer: structure and semantics of the rewrites."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import NULL, Database, Schema
 from repro.engine import DIALECT_ORACLE, DIALECT_POSTGRES, Engine
+from repro.engine.compile import compile_plan
 from repro.engine.expressions import ColumnRef, ComparePred, IsNullPred
 from repro.engine.operators import (
     CachedSubplan,
@@ -15,10 +18,10 @@ from repro.engine.operators import (
     ProjectOp,
     SemiJoinProbe,
     StaticScan,
-    typed_key,
 )
 from repro.engine.optimizer import optimize_plan
 from repro.engine.planner import Planner
+from repro.semantics import SqlSemantics
 from repro.sql import annotate
 
 
@@ -205,10 +208,70 @@ def test_opaque_predicates_survive_untouched(schema, db):
 # -- semantics of the new operators ------------------------------------------
 
 
-def test_typed_key_rejects_nulls_and_type_confusion():
-    assert typed_key((1, "x")) == ((False, 1), (True, "x"))
-    assert typed_key((1, None)) is None
-    assert typed_key((1,)) != typed_key(("1",))
+JOIN_SCHEMA = Schema({"L": ("A", "B"), "R": ("A", "B")})
+
+#: HashJoin inputs ``(left rows, right rows, key columns)``, both sides
+#: keyed on the same columns.  Build keys are the raw values (a tuple of
+#: them when composite), so each case pins one consequence of that.
+HASH_JOIN_CASES = {
+    "number-vs-string": (
+        [(1, "a"), ("1", "b"), (2, "c")],
+        [("1", "x"), (1, "y"), ("2", "z")],
+        (0,),
+    ),
+    "composite-number-vs-string": (
+        [(1, 2), ("1", 2), (1, "2"), ("1", "2")],
+        [(1, 2), ("1", "2"), (1, "2"), (2, 1)],
+        (0, 1),
+    ),
+    "null-on-build-side": (
+        [(1, "a"), (2, "b")],
+        [(None, "x"), (1, "y"), (None, "a")],
+        (0,),
+    ),
+    "null-on-probe-side": ([(None, "a"), (1, "b")], [(1, "y"), (2, "a")], (0,)),
+    "null-on-both-sides": ([(None, "a"), (1, "b")], [(None, "x"), (1, None)], (0,)),
+    "composite-nulls": (
+        [(1, None), (None, 1), (None, None), (1, 1)],
+        [(1, None), (None, 1), (None, None), (1, 1), (1, 1)],
+        (0, 1),
+    ),
+    "composite-null-on-build-side": (
+        [(1, 2), (3, 4)],
+        [(1, None), (None, 4), (1, 2)],
+        (0, 1),
+    ),
+    "duplicate-keys": (
+        [(1, "a"), (1, "a"), (2, "b")],
+        [(1, "x"), (1, "y"), (1, "x"), (2, "b"), (3, "c")],
+        (0,),
+    ),
+    "composite-duplicates": ([(1, 1), (1, 1)], [(1, 1), (1, 1), (1, 2)], (0, 1)),
+}
+
+
+def formal_join(left, right, keys):
+    """The rows of ``L ⋈ R`` under the formal semantics, NULL as None."""
+    def stored(rows):
+        return [tuple(NULL if v is None else v for v in row) for row in rows]
+
+    db = Database(JOIN_SCHEMA, {"L": stored(left), "R": stored(right)})
+    on = " AND ".join(f"L.{column} = R.{column}" for column in ("A", "B")[: len(keys)])
+    query = annotate(f"SELECT * FROM L, R WHERE {on}", JOIN_SCHEMA)
+    table = SqlSemantics(JOIN_SCHEMA).run(query, db)
+    return Counter(tuple(None if v is NULL else v for v in row) for row in table.bag)
+
+
+@pytest.mark.parametrize("tier", ["interpreted", "lowered"])
+@pytest.mark.parametrize("case", sorted(HASH_JOIN_CASES))
+def test_hash_join_keys_are_raw_values(case, tier):
+    left, right, keys = HASH_JOIN_CASES[case]
+    node = HashJoin(StaticScan(left, arity=2), StaticScan(right, arity=2), keys, keys)
+    rows = node.rows(()) if tier == "interpreted" else list(compile_plan(node)(()))
+    assert Counter(rows) == formal_join(left, right, keys)
+    # The closed build holds every right row whose key is NULL-free.
+    held = [row for row in right if None not in [row[k] for k in keys]]
+    assert node._build_rows == len(held)
 
 
 def test_hash_join_null_keys_never_match():

@@ -11,11 +11,15 @@ join order changes after the tables it was planned against reshape,
 with bit-identical output before and after.
 """
 
+import itertools
+from collections import Counter
+
 import pytest
 
 from repro.core import NULL, Database, Schema
 from repro.engine import DIALECT_ORACLE, DIALECT_POSTGRES, Engine
 from repro.engine.binding import iter_plan_nodes
+from repro.engine.compile import compile_plan
 from repro.engine.operators import (
     CrossJoin,
     GenericJoin,
@@ -150,11 +154,15 @@ def test_generic_join_null_never_matches():
 
 
 def test_generic_join_respects_typed_keys():
-    # "1" and 1 are different keys, exactly as compare("=") treats them.
-    node = triangle_node([("1", 10)], [(10, 100)], [(100, 1)])
-    assert list(node.iter_rows(())) == []
-    node = triangle_node([("1", 10)], [(10, 100)], [(100, "1")])
-    assert list(node.iter_rows(())) == [("1", 10, 10, 100, 100, "1")]
+    # "1" and 1 are different keys, exactly as compare("=") treats them,
+    # on the interpreted tier and the lowered one alike.
+    for run in (lambda node: node.iter_rows(()), lambda node: compile_plan(node)(())):
+        node = triangle_node([("1", 10)], [(10, 100)], [(100, 1)])
+        assert list(run(node)) == []
+        node = triangle_node([("1", 10)], [(10, 100)], [(100, "1")])
+        assert list(run(node)) == [("1", 10, 10, 100, 100, "1")]
+        node = triangle_node([(1, "10")], [(10, 100), ("10", 100)], [(100, 1)])
+        assert list(run(node)) == [(1, "10", "10", 100, 100, 1)]
 
 
 def test_generic_join_duplicates_multiply():
@@ -179,6 +187,45 @@ def test_generic_join_multi_column_variable():
         variables=(((0, 0), (0, 1), (1, 0)),),
     )
     assert list(node.iter_rows(())) == [(1, 1, 1)]
+
+
+def test_generic_join_tries_of_every_depth_match_the_product():
+    """Children binding one, two and three variables (the trie build has
+    a loop per depth), NULL-heavy and duplicate-heavy, against the filtered
+    cross product on both tiers; the held-row count excludes exactly the
+    rows with a NULL variable column."""
+    import random
+
+    rng = random.Random(7)
+
+    def rows(count, width):
+        return [
+            tuple(None if rng.random() < 0.15 else rng.randrange(3) for _ in range(width))
+            for _ in range(count)
+        ]
+
+    children = [rows(18, 3), rows(10, 2), rows(10, 2), rows(6, 1)]
+    variables = (
+        ((0, 0), (1, 0), (3, 0)),
+        ((0, 1), (1, 1), (2, 0)),
+        ((0, 2), (2, 1)),
+    )
+    expected = Counter(
+        x + y + z + w
+        for x, y, z, w in itertools.product(*children)
+        if all(
+            len({(x, y, z, w)[c][i] for c, i in var}) == 1
+            and (x, y, z, w)[var[0][0]][var[0][1]] is not None
+            for var in variables
+        )
+    )
+    assert expected
+    held = sum(None not in row for row in children[0] + children[1] + children[2])
+    held += len(children[3]) - children[3].count((None,))
+    for run in (lambda node: node.iter_rows(()), lambda node: compile_plan(node)(())):
+        node = GenericJoin([StaticScan(c, arity=len(c[0])) for c in children], variables)
+        assert Counter(run(node)) == expected
+        assert node._build_rows == held
 
 
 def test_generic_join_rebind_resets_tries():

@@ -37,6 +37,32 @@ def test_generate_seed_argument_reseeds():
     assert print_query(generator.generate(seed=17)) == first
 
 
+def test_memoized_value_pools_leave_the_query_stream_unchanged(monkeypatch):
+    """``Scenario.value_pool`` is memoized per (table, column, limit); the
+    stream of 200 seeds is byte-identical to one where every call
+    recomputes its pool from the table."""
+    from repro.ingest.scenario import Scenario
+
+    scenario = small_scenario()
+
+    def stream():
+        generator = scenario_generator(scenario, seed=0)
+        return "\n".join(print_query(generator.generate(seed=s)) for s in range(200))
+
+    memoized = stream()
+    assert scenario._pools
+    pool = next(iter(scenario._pools))
+    assert scenario.value_pool(*pool) is scenario._pools[pool]
+    computed = Scenario.value_pool
+
+    def recomputed(self, *args, **kwargs):
+        self._pools.clear()
+        return computed(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scenario, "value_pool", recomputed)
+    assert stream().encode() == memoized.encode()
+
+
 def test_setop_operands_share_arity():
     scenario = small_scenario()
     generator = scenario_generator(scenario, seed=0)

@@ -8,7 +8,8 @@ set-op/subquery-tilted generator mix — the closure-compiled engine
 compiled=False``) must produce the same bag (columns, rows,
 multiplicities) or the same error class.  Compilation is a pure lowering
 of the same physical plan, so unlike the optimizer rewrites it has *no*
-error-order latitude: outcomes must match even where plans raise.
+error-order latitude: outcomes must match even where plans raise.  The
+same three engines also run the join workload of ``joins.py``.
 
 A hot-plan-cache battery then re-runs a prefix of the workload through
 one compiled engine twice more (plan cache and build-side cache hot, so
@@ -37,6 +38,8 @@ from repro.generator import (
 )
 from repro.validation.compare import capture
 
+from .joins import CYCLIC_SCHEMA, join_pairs
+
 SCHEMA = validation_schema()
 TRIALS = 500
 DATA = DataFillerConfig(max_rows=5)
@@ -61,28 +64,38 @@ def _pair(seed):
     return query, db
 
 
-@pytest.mark.parametrize("dialect", DIALECTS)
-def test_compiled_interpreted_and_naive_coincide(dialect):
+def assert_tiers_coincide(schema, dialect, pairs):
     engines = {
-        "compiled": Engine(SCHEMA, dialect),
-        "interpreted": Engine(SCHEMA, dialect, compiled=False),
-        "naive": Engine(SCHEMA, dialect, optimize=False, compiled=False),
+        "compiled": Engine(schema, dialect),
+        "interpreted": Engine(schema, dialect, compiled=False),
+        "naive": Engine(schema, dialect, optimize=False, compiled=False),
     }
     failures = []
-    for seed in range(TRIALS):
-        query, db = _pair(seed)
+    for label, query, db in pairs:
         outcomes = {
             name: capture(lambda e=engine: e.execute(query, db))
             for name, engine in engines.items()
         }
         baseline = outcomes["interpreted"]
         for name, outcome in outcomes.items():
-            # Same error class and same bag: the generated workload is
-            # type-checked over int-only data, so no data-dependent runtime
-            # error order is in play and full error equality must hold.
+            # Same error class and same bag: the workloads are type-checked
+            # over int-only data, so no data-dependent runtime error order
+            # is in play and full error equality must hold.
             if outcome.error != baseline.error or not outcome.agrees_with(baseline):
-                failures.append(f"seed {seed}: {name} differs from interpreted")
+                failures.append(f"{label}: {name} differs from interpreted")
     assert not failures, "; ".join(failures[:5])
+
+
+@pytest.mark.parametrize("dialect", DIALECTS)
+def test_compiled_interpreted_and_naive_coincide(dialect):
+    assert_tiers_coincide(SCHEMA, dialect, ((f"seed {s}", *_pair(s)) for s in range(TRIALS)))
+
+
+@pytest.mark.parametrize("dialect", DIALECTS)
+def test_compiled_interpreted_and_naive_coincide_on_joins(dialect):
+    """The join workload, which the mix above hardly reaches: hash-join
+    and generic-join builds over NULL-heavy keys on every tier."""
+    assert_tiers_coincide(CYCLIC_SCHEMA, dialect, join_pairs())
 
 
 @pytest.mark.parametrize("dialect", DIALECTS)

@@ -6,7 +6,8 @@ tilted toward set operations, multi-table FROM clauses and subqueries —
 the fully-optimized engine, each single-ablation engine
 (``reorder_joins=False`` / ``hash_setops=False``), and the naive
 ``optimize=False`` engine must produce the same bag (columns, rows,
-multiplicities) or the same error class.  A cache-stress battery re-runs
+multiplicities) or the same error class, on that mix and on the join
+workload of ``joins.py``.  A cache-stress battery re-runs
 a prefix of the workload through one engine twice (plan cache + build-side
 cache hot) and demands bit-identical outcomes.
 """
@@ -25,6 +26,8 @@ from repro.generator import (
     fill_database,
 )
 from repro.validation.compare import capture
+
+from .joins import CYCLIC_SCHEMA, join_pairs
 
 SCHEMA = validation_schema()
 TRIALS = 500
@@ -49,33 +52,42 @@ def _pair(seed):
     return query, db
 
 
-@pytest.mark.parametrize("dialect", DIALECTS)
-def test_second_gen_and_ablations_coincide_with_naive(dialect):
+def assert_ablations_coincide(schema, dialect, pairs):
     engines = {
-        "second-gen": Engine(SCHEMA, dialect),
+        "second-gen": Engine(schema, dialect),
         "no-reorder": Engine(
-            SCHEMA, dialect, optimizer_options={"reorder_joins": False}
+            schema, dialect, optimizer_options={"reorder_joins": False}
         ),
         "no-hash-setops": Engine(
-            SCHEMA, dialect, optimizer_options={"hash_setops": False}
+            schema, dialect, optimizer_options={"hash_setops": False}
         ),
-        "naive": Engine(SCHEMA, dialect, optimize=False),
+        "naive": Engine(schema, dialect, optimize=False),
     }
     failures = []
-    for seed in range(TRIALS):
-        query, db = _pair(seed)
+    for label, query, db in pairs:
         outcomes = {
             name: capture(lambda e=engine: e.execute(query, db))
             for name, engine in engines.items()
         }
         baseline = outcomes["naive"]
         for name, outcome in outcomes.items():
-            # Same error class and same bag: the generated workload is
-            # type-checked over int-only data, so no data-dependent runtime
-            # error order is in play and full error equality must hold.
+            # Same error class and same bag: the workloads are type-checked
+            # over int-only data, so no data-dependent runtime error order
+            # is in play and full error equality must hold.
             if outcome.error != baseline.error or not outcome.agrees_with(baseline):
-                failures.append(f"seed {seed}: {name} differs from naive")
+                failures.append(f"{label}: {name} differs from naive")
     assert not failures, "; ".join(failures[:5])
+
+
+@pytest.mark.parametrize("dialect", DIALECTS)
+def test_second_gen_and_ablations_coincide_with_naive(dialect):
+    assert_ablations_coincide(SCHEMA, dialect, ((f"seed {s}", *_pair(s)) for s in range(TRIALS)))
+
+
+@pytest.mark.parametrize("dialect", DIALECTS)
+def test_second_gen_and_ablations_coincide_with_naive_on_joins(dialect):
+    """The join workload, which the mix above hardly reaches."""
+    assert_ablations_coincide(CYCLIC_SCHEMA, dialect, join_pairs())
 
 
 @pytest.mark.parametrize("dialect", DIALECTS)

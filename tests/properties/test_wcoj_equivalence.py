@@ -12,10 +12,10 @@ ordering and the multiway operator are pure physical-plan choices, so
 they have *no* semantic latitude: outcomes must match even where plans
 raise.
 
-A hand-built cyclic battery then drives the ``GenericJoin`` path
-directly — triangles, 4-cycles, self-join cycles, NULL-heavy data,
-residual non-equality predicates — where the random mix would only hit
-it occasionally.  Finally a hot-plan-cache battery executes the cyclic
+A hand-built cyclic battery (the join workload of ``joins.py``) then
+drives the ``GenericJoin`` path directly — triangles, 4-cycles,
+self-join cycles, a multi-column variable, NULL-heavy data, residual
+non-equality predicates — which the random mix never reaches.  Finally a hot-plan-cache battery executes the cyclic
 workload through one engine across *reshaped* databases (small tables
 grown 100x between passes, tripping the cardinality-feedback
 re-optimization) and demands bit-identical outcomes before and after
@@ -27,7 +27,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import NULL, Database, Schema, validation_schema
+from repro.core import validation_schema
 from repro.engine import DIALECT_ORACLE, DIALECT_POSTGRES, Engine
 from repro.generator import (
     DataFillerConfig,
@@ -36,6 +36,8 @@ from repro.generator import (
     fill_database,
 )
 from repro.validation.compare import capture
+
+from .joins import CYCLIC_SCHEMA, cyclic_db, join_pairs, join_queries
 
 SCHEMA = validation_schema()
 TRIALS = 500
@@ -106,80 +108,10 @@ def test_optimizer_ablations_coincide_on_random_workload(dialect):
 
 # -- the cyclic battery --------------------------------------------------------
 
-CYCLIC_SCHEMA = Schema(
-    {"R": ("A", "B"), "S": ("A", "B"), "T": ("A", "B"), "U": ("A", "B")}
-)
-
-CYCLIC_SQL = (
-    # The triangle, bare and with residual predicates the multiway
-    # operator must stage above the intersection.
-    "SELECT R.A, S.A, T.A FROM R, S, T "
-    "WHERE R.B = S.A AND S.B = T.A AND T.B = R.A",
-    "SELECT R.A FROM R, S, T "
-    "WHERE R.B = S.A AND S.B = T.A AND T.B = R.A AND R.A < S.B",
-    "SELECT DISTINCT T.B FROM R, S, T "
-    "WHERE R.B = S.A AND S.B = T.A AND T.B = R.A AND NOT (S.A = 3)",
-    # The 4-cycle, and a 4-clique-ish overlay (extra chord → multi-column
-    # variables and parallel edges collapsing onto one class).
-    "SELECT R.A, T.A FROM R, S, T, U "
-    "WHERE R.B = S.A AND S.B = T.A AND T.B = U.A AND U.B = R.A",
-    "SELECT R.A FROM R, S, T, U "
-    "WHERE R.B = S.A AND S.B = T.A AND T.B = U.A AND U.B = R.A "
-    "AND R.A = T.A",
-    # A self-join cycle: the same table twice under different aliases.
-    "SELECT X.A, Y.B FROM R AS X, R AS Y, S "
-    "WHERE X.B = Y.A AND Y.B = S.A AND S.B = X.A",
-    # Cycle + chain tail: only the cyclic core goes multiway; the tail
-    # hangs off the equality graph.
-    "SELECT R.A, U.B FROM R, S, T, U "
-    "WHERE R.B = S.A AND S.B = T.A AND T.B = R.A AND T.B = U.A",
-    # Same-table multi-column variable: both of R's columns in one class.
-    "SELECT R.A FROM R, S, T "
-    "WHERE R.A = R.B AND R.B = S.A AND S.B = T.A AND T.B = R.A",
-)
-
-#: Acyclic chains: these take the Selinger-DP path (cost-sensitive, so
-#: they are what the cardinality-feedback loop re-orders), not the
-#: multiway operator.
-CHAIN_SQL = (
-    "SELECT R.A, T.B FROM R, S, T WHERE R.B = S.A AND S.B = T.A",
-    "SELECT R.A FROM R, S, T, U "
-    "WHERE R.B = S.A AND S.B = T.A AND T.B = U.A",
-)
-
-
-def cyclic_db(seed, rows=6, domain=4, null_rate=0.2):
-    """Tiny, collision- and NULL-heavy instances: every trie path is
-    exercised, including NULL-dropping at build and empty intersections."""
-    rng = random.Random(seed)
-
-    def cell():
-        return NULL if rng.random() < null_rate else rng.randrange(domain)
-
-    def table():
-        return [(cell(), cell()) for _ in range(rng.randrange(rows + 1))]
-
-    return Database(
-        CYCLIC_SCHEMA, {name: table() for name in CYCLIC_SCHEMA.table_names}
-    )
-
 
 @pytest.mark.parametrize("dialect", DIALECTS)
 def test_optimizer_ablations_coincide_on_cyclic_workload(dialect):
-    from repro.sql import annotate
-
-    engines = make_engines(CYCLIC_SCHEMA, dialect)
-    queries = [
-        annotate(sql, CYCLIC_SCHEMA) for sql in CYCLIC_SQL + CHAIN_SQL
-    ]
-    run_battery(
-        engines,
-        (
-            (f"query {q} db {s}", query, cyclic_db(s))
-            for s in range(40)
-            for q, query in enumerate(queries)
-        ),
-    )
+    run_battery(make_engines(CYCLIC_SCHEMA, dialect), join_pairs())
 
 
 @pytest.mark.parametrize("dialect", DIALECTS)
@@ -188,12 +120,8 @@ def test_hot_plan_cache_bit_identical_across_feedback_reordering(dialect):
     plans against 100x-grown tables, tripping the drift-based
     re-optimization; pass 3 re-runs pass 2's databases hot.  Every pass
     must agree bit-identically with a fresh per-database engine."""
-    from repro.sql import annotate
-
     engine = Engine(CYCLIC_SCHEMA, dialect)
-    queries = [
-        annotate(sql, CYCLIC_SCHEMA) for sql in CYCLIC_SQL + CHAIN_SQL
-    ]
+    queries = join_queries()
     small = [cyclic_db(s, rows=4) for s in range(3)]
     big = [cyclic_db(100 + s, rows=400, domain=40) for s in range(3)]
     outcomes = {}
