@@ -33,7 +33,9 @@ class Table:
     which case the declared columns fix the arity).
     """
 
-    __slots__ = ("_columns", "_bag", "_scan_rows", "_scan_cols", "_scan_fp")
+    __slots__ = (
+        "_columns", "_bag", "_scan_rows", "_scan_cols", "_scan_fp", "_scan_builds"
+    )
 
     def __init__(self, columns: Sequence[Label], rows: Union[Bag, Iterable[Record]]):
         columns = tuple(columns)
@@ -53,9 +55,12 @@ class Table:
         #: computed lazily, excluded from eq/hash.
         self._scan_rows = None
         self._scan_cols = None
-        #: Build-cache content fingerprint over ``_scan_rows`` (same memo
-        #: contract: lazy, content-pure, dies with the table).
+        #: Build-cache content fingerprint over ``_scan_rows``, and the
+        #: closed builds (hash partitions, probe sets) over a bare scan of
+        #: this table, keyed by build signature (same memo contract: lazy,
+        #: content-pure, dies with the table).
         self._scan_fp = None
+        self._scan_builds = None
 
     @property
     def columns(self) -> Tuple[Label, ...]:

@@ -613,16 +613,19 @@ def bind_plan(
 
     Returns the same plan object (mutated in place): binding is cheap — one
     tree walk — compared to re-planning and re-optimizing the query, which
-    is the point of the plan cache.  The Null -> None row conversion and
-    the column vectors the scan kernels read are pure functions of the
-    immutable :class:`~repro.core.table.Table`, so both are memoized *on
-    the table*: rebinding the same database — or
-    another plan reading the same table — pays for the conversion exactly
-    once, and the memos die with the database rather than pinning it to a
-    cached plan.  The vectors are a per-column memo (one slot per column,
-    None until something reads that column) that each scan receives next to
-    its rows; whoever reads a column first pivots it
-    (:func:`repro.engine.compile._scan_vectors`).
+    is the point of the plan cache.  The Null -> None row conversion, the
+    column vectors the scan kernels read and the closed builds over a bare
+    scan are pure functions of the immutable
+    :class:`~repro.core.table.Table`, so all three are memoized *on the
+    table*: rebinding the same database — or another plan, or another
+    engine, reading the same table — pays for each exactly once, and the
+    memos die with the database rather than pinning it to a cached plan.
+    Each scan receives ``(rows, vectors, table)``: the vectors are a
+    per-column memo (one slot per column, None until something reads that
+    column) whoever reads a column first pivots
+    (:func:`repro.engine.compile._scan_vectors`), and the table is where
+    a hash partition or probe set over the scan is built at most once per
+    signature (:func:`repro.engine.operators._resident`).
 
     With a ``cache``, shareable structures whose content key hits are
     restored instead of recomputed, and the (carrier, key) pairs are
@@ -649,7 +652,7 @@ def bind_plan(
                 vectors = table._scan_cols
                 if vectors is None:
                     vectors = table._scan_cols = [None] * node.arity
-                memos = bound[node.table] = (rows, vectors)
+                memos = bound[node.table] = (rows, vectors, table)
             node.data = memos[0]
             node._columns = memos
         _reset_state(node, pred)

@@ -85,6 +85,7 @@ from .expressions import (
     OuterStack,
     Row,
     RowExpr,
+    column_indices,
     not3,
 )
 from .expressions import COMPARE_FUNCS as _COMPARE_FUNCS
@@ -765,16 +766,6 @@ def _compile_fused(pred, keep_unknown: bool = False):
 # -- row (projection / probe-value) compilation -------------------------------
 
 
-def _column_indices(exprs: Sequence[RowExpr]) -> Optional[Tuple[int, ...]]:
-    """The depth-0 indices when every expression is a current-row column."""
-    indices = []
-    for expr in exprs:
-        if not (isinstance(expr, ColumnRef) and expr.depth == 0):
-            return None
-        indices.append(expr.index)
-    return tuple(indices)
-
-
 def compile_row(exprs: Sequence[RowExpr]) -> Callable[[Row, OuterStack], Row]:
     """One generated function building the output tuple of a projection
     (or the probe values of an IN predicate) in a single call frame."""
@@ -883,9 +874,9 @@ def _compile_semi_join_probe(pred: SemiJoinProbe, stats: ScanKernelStats):
     negated = pred.negated
 
     def built():
-        return pred.materialize(sub_iter(()))
+        return pred.materialize(lambda: sub_iter(()))
 
-    indices = _column_indices(pred.exprs)
+    indices = column_indices(pred.exprs)
     if indices is not None and len(indices) == 1:
         # One probing-row column against a set of raw values: a subscript
         # and a set lookup (the set holds no NULL, so a NULL probe misses).
@@ -997,8 +988,9 @@ def _scan_vectors(
     ``i``, or None while nothing has read that column."""
     memo = scan._columns
     if memo is None or memo[0] is not data:
-        # Rows installed by hand, not by bind_plan: a memo of the scan's own.
-        memo = scan._columns = (data, [None] * scan.arity)
+        # Rows installed by hand, not by bind_plan: a memo of the scan's
+        # own, with no table to memoize builds on.
+        memo = scan._columns = (data, [None] * scan.arity, None)
     vectors = memo[1]
     for column in columns:
         if vectors[column] is None:
@@ -1114,7 +1106,7 @@ def _compile_project(node: ProjectOp, stats: ScanKernelStats) -> IterFn:
             pred = None
         else:
             return _drained(child_iter)
-    indices = _column_indices(node.expressions)
+    indices = column_indices(node.expressions)
     if pred is None:
         if indices:
             getter = itemgetter(*indices)

@@ -37,6 +37,7 @@ __all__ = [
     "LiteralExpr",
     "RowExpr",
     "Refs",
+    "column_indices",
     "expr_refs",
     "merge_refs",
     "shift_expr",
@@ -98,6 +99,16 @@ RowExpr = Callable[[Row, OuterStack], object]
 #: The positions an expression or predicate reads: a set of (depth, index)
 #: pairs, depth 0 being the current row.
 Refs = FrozenSet[Tuple[int, int]]
+
+
+def column_indices(exprs: Sequence[RowExpr]) -> Optional[Tuple[int, ...]]:
+    """The depth-0 indices when every expression is a current-row column."""
+    indices = []
+    for expr in exprs:
+        if not (isinstance(expr, ColumnRef) and expr.depth == 0):
+            return None
+        indices.append(expr.index)
+    return tuple(indices)
 
 
 def expr_refs(expr: RowExpr) -> Optional[Refs]:

@@ -70,6 +70,7 @@ from .expressions import (
     Row,
     RowExpr,
     and3,
+    column_indices,
     compare,
     expr_refs,
     merge_refs,
@@ -121,6 +122,29 @@ def _partition(
     else:
         nulls = [None] if None in groups else ()
     return groups, sum([len(groups.pop(key)) for key in nulls])
+
+
+def _resident(source: "PlanNode", signature: tuple, build: Callable[[], tuple]) -> tuple:
+    """``build()``, a closed build over ``source``'s rows — memoized, when
+    ``source`` is a bare base-table scan, on the immutable
+    :class:`~repro.core.table.Table` it is bound to, under the build's
+    ``signature``.  Such a build is a pure function of the table, like the
+    scan rows and column vectors beside it, so every plan and every engine
+    reading the same table builds it once, and the memo dies with the
+    database.  The dict is created on the first build; rows not installed
+    by :func:`~repro.engine.binding.bind_plan` (no table in the scan's
+    memo tuple, or other rows than its own) build afresh."""
+    memos = source._columns if isinstance(source, TableScan) else None
+    if memos is None or memos[2] is None or memos[0] is not source.data:
+        return build()
+    table = memos[2]
+    builds = table._scan_builds
+    if builds is None:
+        builds = table._scan_builds = {}
+    value = builds.get(signature)
+    if value is None:
+        value = builds[signature] = build()
+    return value
 
 
 def _trie(rows: Sequence[Row], getters: Sequence[Callable]) -> Tuple[dict, int]:
@@ -271,9 +295,10 @@ class TableScan(PlanNode):
     #: unbind walk (and seeded by the engine on freshly planned scans):
     #: the optimizer's cardinality feedback for unbound plans.
     observed_rows: Optional[int] = field(default=None, compare=False, repr=False)
-    #: ``(bound rows, their per-column vector memo)`` for the scan
-    #: kernels: installed by ``bind_plan`` from the table's
-    #: own memo, checked against ``data`` by identity, cleared on unbind.
+    #: ``(bound rows, their per-column vector memo, the Table)`` for the
+    #: scan kernels and the builds over this scan (:func:`_resident`):
+    #: installed by ``bind_plan`` from the table's own memos, checked
+    #: against ``data`` by identity, cleared on unbind.
     _columns: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def iter_rows(self, outers: OuterStack) -> Iterator[Row]:
@@ -447,7 +472,8 @@ class HashJoin(PlanNode):
     right_keys: Tuple[int, ...]
     #: Build side, memoized per execution when the right child is closed
     #: (cleared by the binding layer, shareable across executions through
-    #: the build-side cache of :mod:`repro.engine.binding`).
+    #: the build-side cache of :mod:`repro.engine.binding`, and on the
+    #: scanned table itself when the right child is a bare scan).
     _table: Optional[dict] = field(default=None, repr=False, compare=False)
     _closed_build: Optional[bool] = field(default=None, repr=False, compare=False)
     #: Rows held by ``_table`` — the cardinality feedback ``unbind_plan``
@@ -465,13 +491,18 @@ class HashJoin(PlanNode):
     def build_table(self, outers: OuterStack, right_rows: Callable) -> dict:
         """The probe table over ``right_rows(outers)`` — the right child's
         ``rows``, or the lowered tier's materializer of them — built at
-        most once per execution when closed."""
+        most once per execution when closed, and at most once per table
+        and key columns when the right child is a bare base-table scan."""
         if self._closed_build is None:
             self._closed_build = self.right.free_refs() == frozenset()
         if not self._closed_build:
             return self._build(right_rows(outers))[0]
         if self._table is None:
-            self._table, self._build_rows = self._build(right_rows(outers))
+            self._table, self._build_rows = _resident(
+                self.right,
+                ("hash", self.right_keys),
+                lambda: self._build(right_rows(outers)),
+            )
         return self._table
 
     def probe(self, table: dict, rows: Iterable[Row]) -> Iterator[Row]:
@@ -978,7 +1009,7 @@ class SemiJoinProbe:
       IN is false and NOT IN true.
     """
 
-    __slots__ = ("exprs", "subplan", "negated", "key_width", "_build")
+    __slots__ = ("exprs", "subplan", "negated", "key_width", "_build", "_source")
 
     def __init__(
         self,
@@ -994,6 +1025,19 @@ class SemiJoinProbe:
         #: ``build_probe_index`` of the subplan's rows: the one object the
         #: build-side cache harvests and restores.
         self._build: Optional[tuple] = None
+        #: ``(source, signature)`` for :func:`_resident`: the scan when the
+        #: subplan projects current-row columns of a base-table scan
+        #: (uncorrelated IN, and EXISTS/IN decorrelated with no remainder),
+        #: else the subplan itself, memoized only if it is a bare scan.
+        indices = (
+            column_indices(subplan.expressions)
+            if isinstance(subplan, ProjectOp)
+            else None
+        )
+        self._source = (
+            subplan.child if indices else subplan,
+            ("probe", key_width, len(self.exprs), indices),
+        )
 
     @property
     def group_width(self) -> int:
@@ -1019,15 +1063,21 @@ class SemiJoinProbe:
             return None if index or null_rows else False
         return _in_fold(values, _chain(index, null_rows))
 
-    def materialize(self, rows) -> tuple:
-        """Index the subplan's ``rows`` (an iterable) as this probe's build side."""
-        build = self._build = build_probe_index(rows, self.key_width, len(self.exprs))
+    def materialize(self, rows: Callable[[], Iterable[Row]]) -> tuple:
+        """Index the subplan's rows — ``rows()``, the interpreted or the
+        lowered iteration of them — as this probe's build side."""
+        source, signature = self._source
+        build = self._build = _resident(
+            source,
+            signature,
+            lambda: build_probe_index(rows(), self.key_width, len(self.exprs)),
+        )
         return build
 
     def __call__(self, row: Row, outers: OuterStack) -> Optional[bool]:
         build = self._build
         if build is None:
-            build = self.materialize(self.subplan.iter_rows(()))
+            build = self.materialize(lambda: self.subplan.iter_rows(()))
         result = self.lookup(tuple(expr(row, outers) for expr in self.exprs), build)
         return not3(result) if self.negated else result
 

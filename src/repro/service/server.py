@@ -633,12 +633,11 @@ class QueryService:
         A failure of the *primary* (cached/compiled) tier that is not an
         expected client error is retried once on a fresh uncached engine —
         parse-to-interpretation from scratch (``compiled=False``: a
-        different implementation, whatever the tenant's size), no shared
-        mutable state.  For ``POST /query``, whose primary engine is
-        already that, the retry is a second attempt on fresh state.
-        Either the retry produces the same-semantics answer (counted in
-        ``tier_fallbacks``), or the request fails loudly; a wrong answer
-        is never served quietly.  Consecutive hard failures trip the
+        different implementation from either primary, whatever the
+        tenant's size), sharing nothing but the content-pure memos on the
+        immutable tables.  Either the retry produces the same-semantics
+        answer (counted in ``tier_fallbacks``), or the request fails
+        loudly; a wrong answer is never served quietly.  Consecutive hard failures trip the
         tenant's circuit breaker.
         """
         breaker = self._breaker_for(tenant_name)
@@ -710,16 +709,15 @@ class QueryService:
         if faults.fire("server.slow"):
             await asyncio.sleep(0.25)
         # Ad-hoc admission policy: a fresh single-use engine — parse, plan
-        # and execute from scratch, no plan admitted, no cache churned.
-        # That includes the process-wide code cache the prepared path's
-        # kernels live in: one-off statements of arbitrary shape stay
-        # interpreted (``compiled=False``) whatever the tenant's size,
-        # instead of taking the engine's single-use size rule.  A client
-        # that wants the compiled tier prepares its statement.
+        # and execute from scratch, no plan admitted, no build-side cache
+        # churned.  The plan is lowered by the engine's single-use size
+        # rule (``SINGLE_USE_COMPILE_ROWS``), and a one-off shape cannot
+        # evict the prepared path's kernels: generated code enters the
+        # process-wide code cache only on its second compilation.  Builds
+        # over bare base-table scans are memoized on the tenant's tables.
         engine = Engine(
             db.schema,
             tenant.dialect,
-            compiled=False,
             plan_cache_size=0,
             build_cache_size=0,
         )

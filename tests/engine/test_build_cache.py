@@ -1,7 +1,9 @@
 """Cross-execution build-side sharing: hits on repeated content, automatic
-invalidation on rebind, LRU bounds, and the no-row-pinning guarantee."""
+invalidation on rebind, LRU bounds, the no-row-pinning guarantee, and the
+builds over bare scans memoized on the table."""
 
 import sys
+from collections import Counter
 
 import pytest
 
@@ -415,3 +417,276 @@ def test_probe_entry_is_smaller_than_the_typed_key_triple():
     for rows, width in ((one, 1), (two, 2)):
         new = estimate_bytes(build_probe_index(iter(rows), 0, width))
         assert new < estimate_bytes(old_triple(rows)) / 2
+
+
+# -- builds memoized on the table -----------------------------------------------
+#
+# A closed build over a bare base-table scan — a hash-join partition, a probe
+# set over a projection of the scan's columns — is a pure function of the
+# immutable Table, so it is memoized there under its signature: single-use
+# engines (the ad-hoc path, the live campaign) rebuild nothing the same
+# table has already built.  Every result below is checked against the
+# formal semantics, on both tiers.
+
+MEMO_SCHEMA = Schema({"R": ("A", "B"), "T": ("C", "D")})
+
+MEMO_CONTENT = {
+    "R": [(1, 2), (NULL, 4), (3, 2), (3, 5), (1, NULL), (2, 5)],
+    "T": [(1, 2), (3, NULL), (NULL, 5), (1, 2), (3, 4), (2, 5), (NULL, NULL)],
+}
+
+#: One table joined on two different columns in one plan.
+TWO_COLUMN_JOIN_SQL = (
+    "SELECT R.A, X.C, Y.D FROM R, T AS X, T AS Y WHERE R.A = X.C AND R.B = Y.D"
+)
+
+#: Single-use statements over the same tables, each answered from a build
+#: over a bare scan of ``T``.  Consecutive pairs share ``T`` but not the
+#: build signature: another key column, key width or projected column.
+MEMO_SQL = [
+    "SELECT R.A, T.D FROM R, T WHERE R.A = T.C",
+    "SELECT R.A, T.C FROM R, T WHERE R.B = T.D",
+    "SELECT R.A, T.D FROM R, T WHERE R.A = T.C AND R.B = T.D",
+    "SELECT R.A FROM R WHERE R.A IN (SELECT T.C FROM T)",
+    "SELECT R.A FROM R WHERE R.A IN (SELECT T.D FROM T)",
+    "SELECT R.B FROM R WHERE R.B NOT IN (SELECT T.D FROM T)",
+    "SELECT R.B FROM R WHERE R.B NOT IN (SELECT T.C FROM T)",
+    "SELECT R.A FROM R WHERE R.B IN (SELECT T.D FROM T WHERE T.C = R.A)",
+    "SELECT R.A FROM R WHERE R.B NOT IN (SELECT T.C FROM T WHERE T.D = R.A)",
+    "SELECT R.A FROM R WHERE EXISTS (SELECT T.D FROM T WHERE T.C = R.A)",
+    "SELECT R.A FROM R WHERE NOT EXISTS (SELECT T.C FROM T WHERE T.D = R.B)",
+]
+
+
+def memo_db(content=MEMO_CONTENT):
+    return make_db(MEMO_SCHEMA, content)
+
+
+def single_use_engines(tier, monkeypatch):
+    """A factory of fresh single-use engines (``plan_cache_size=0``, as the
+    ad-hoc path builds them) on ``tier``: the size rule sends every plan
+    to the lowered tier, or none."""
+    from repro.engine import engine as engine_module
+
+    lowered = tier == "lowered"
+    monkeypatch.setattr(
+        engine_module, "SINGLE_USE_COMPILE_ROWS", 0 if lowered else sys.maxsize
+    )
+
+    def make():
+        return Engine(MEMO_SCHEMA, plan_cache_size=0, build_cache_size=0)
+
+    return make
+
+
+@pytest.fixture(params=["lowered", "interpreted"])
+def single_use(request, monkeypatch):
+    return single_use_engines(request.param, monkeypatch)
+
+
+def assert_formal(engine, sql, db):
+    """``engine``'s answer to ``sql`` over ``db`` is the formal semantics'."""
+    from repro.semantics import SqlSemantics
+
+    query = annotate(sql, MEMO_SCHEMA)
+    expected = SqlSemantics(MEMO_SCHEMA).run(query, db)
+    assert engine.execute(query, db).same_as(expected), sql
+
+
+def memo_of(db, table="T"):
+    return dict(db.table(table)._scan_builds or {})
+
+
+def test_one_table_joined_on_two_columns_in_one_plan(single_use):
+    db = memo_db()
+    assert_formal(single_use(), TWO_COLUMN_JOIN_SQL, db)
+    assert set(memo_of(db)) == {("hash", (0,)), ("hash", (1,))}
+    assert_formal(single_use(), TWO_COLUMN_JOIN_SQL, db)  # both hit
+
+
+def test_single_use_statements_over_one_database(single_use):
+    """Each statement builds under its own signature, and reads back
+    nothing another statement built: run forwards, then backwards, every
+    answer the formal semantics'."""
+    db = memo_db()
+    for sql in MEMO_SQL + MEMO_SQL[::-1]:
+        assert_formal(single_use(), sql, db)
+    assert len(memo_of(db)) == 9  # EXISTS' key set is the flat IN's set
+
+
+def test_databases_with_the_same_table_names_keep_their_own_builds(single_use):
+    other = {
+        "R": MEMO_CONTENT["R"],
+        "T": [(2, 5), (5, 2), (NULL, 2), (3, 3)],
+    }
+    first, second = memo_db(), memo_db(other)
+    for sql in MEMO_SQL:
+        assert_formal(single_use(), sql, first)
+        assert_formal(single_use(), sql, second)
+    assert memo_of(first).keys() == memo_of(second).keys()
+    for signature, build in memo_of(first).items():
+        assert memo_of(second)[signature] is not build
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT R.A, T.C FROM R, T WHERE R.A = T.C",
+        "SELECT R.A, T.C FROM R, T WHERE R.A = T.C AND R.B = T.D",
+        "SELECT R.A FROM R WHERE R.A NOT IN (SELECT T.C FROM T)",
+        "SELECT R.A FROM R WHERE R.A IN (SELECT T.C FROM T)",
+    ],
+)
+def test_null_keys_on_both_sides_hit_and_miss(single_use, sql):
+    # NULL keys in every position of both tables, single and composite.
+    content = {
+        "R": [(1, 2), (NULL, 2), (1, NULL), (NULL, NULL), (3, 4)],
+        "T": [(1, 2), (NULL, 2), (1, NULL), (NULL, NULL), (3, 4), (1, 2)],
+    }
+    db = memo_db(content)
+    assert_formal(single_use(), sql, db)  # miss: builds
+    assert memo_of(db)
+    assert_formal(single_use(), sql, db)  # hit: reads the build back
+
+
+def test_probe_sets_over_a_projected_scan(single_use):
+    """Flat, grouped and ``NOT IN``-with-NULL probe sets over ``π(T)``:
+    each one is memoized under its shape, and built once."""
+    db = memo_db()
+    cases = {
+        "SELECT R.A FROM R WHERE R.A IN (SELECT T.C FROM T)": ("probe", 0, 1, (0,)),
+        "SELECT R.A FROM R WHERE R.B IN (SELECT T.D FROM T WHERE T.C = R.A)": (
+            "probe", 1, 2, (0, 1),
+        ),
+        "SELECT R.A FROM R WHERE R.A NOT IN (SELECT T.D FROM T)": ("probe", 0, 1, (1,)),
+    }
+    for sql, signature in cases.items():
+        assert_formal(single_use(), sql, db)
+        assert signature in memo_of(db)
+        build = memo_of(db)[signature]
+        assert_formal(single_use(), sql, db)
+        assert memo_of(db)[signature] is build
+    # The NOT IN set holds a NULL: no R.A survives it.
+    assert memo_of(db)[("probe", 0, 1, (1,))][1] == ((None,),)
+
+
+@pytest.mark.parametrize("tier", ["lowered", "interpreted"])
+def test_hand_installed_scan_rows_do_not_read_the_memo(tier):
+    """Rows put on a ``TableScan`` by hand, not by ``bind_plan``, are the
+    build's input, whatever the bound table has memoized."""
+    from repro.engine.binding import bind_plan
+    from repro.engine.compile import compile_plan
+    from repro.engine.operators import (
+        HashJoin,
+        ProjectOp,
+        SemiJoinProbe,
+        StaticScan,
+        FilterOp,
+    )
+    from repro.engine.expressions import ColumnRef
+
+    db = memo_db()
+    scan = TableScan("T", 2)
+    join = HashJoin(StaticScan([(1,), (3,), (5,)], arity=1), scan, (0,), (0,))
+    probe = SemiJoinProbe(
+        [ColumnRef(0, 0)], ProjectOp(TableScan("T", 2), [ColumnRef(0, 0)]), False
+    )
+    filtered = FilterOp(StaticScan([(1,), (3,), (5,)], arity=1), probe)
+
+    def run(plan):
+        return Counter(plan.rows(()) if tier == "interpreted" else compile_plan(plan)(()))
+
+    bind_plan(join, db)
+    assert run(join) == Counter({(1, 1, 2): 2, (3, 3, None): 1, (3, 3, 4): 1})
+    bind_plan(filtered, db)
+    assert run(filtered) == Counter([(1,), (3,)])
+    assert ("hash", (0,)) in memo_of(db) and ("probe", 0, 1, (0,)) in memo_of(db)
+    # After binding: the scan's memo tuple no longer matches its rows.
+    bind_plan(join, db)
+    scan.data = [(5, 9)]
+    assert run(join) == Counter([(5, 5, 9)])
+    bind_plan(filtered, db)
+    probe.subplan.child.data = [(5, 9)]
+    assert run(filtered) == Counter([(5,)])
+    # Never bound: no memo tuple at all.
+    fresh = TableScan("T", 2, data=[(3, 7)])
+    assert run(HashJoin(StaticScan([(3,)], arity=1), fresh, (0,), (0,))) == Counter(
+        [(3, 3, 7)]
+    )
+
+
+@pytest.mark.parametrize("tier", ["lowered", "interpreted"])
+def test_build_rows_equal_on_hit_and_miss(tier):
+    from repro.engine.binding import bind_plan
+    from repro.engine.compile import compile_plan
+    from repro.engine.operators import HashJoin, StaticScan
+
+    db = memo_db()
+    join = HashJoin(StaticScan([(1,), (3,)], arity=1), TableScan("T", 2), (0,), (0,))
+    seen = []
+    for _ in range(2):
+        bind_plan(join, db)  # resets the per-execution table
+        rows = join.rows(()) if tier == "interpreted" else list(compile_plan(join)(()))
+        seen.append((Counter(rows), join._build_rows, join._table))
+    (rows, miss, built), (again, hit, restored) = seen
+    assert rows == again and restored is built
+    # T's rows whose key is NULL-free.
+    assert miss == hit == sum(1 for c, _d in MEMO_CONTENT["T"] if c is not NULL)
+
+
+def test_second_single_use_query_builds_nothing(single_use, monkeypatch):
+    from repro.engine import operators
+
+    builds = []
+    real = operators._partition
+
+    def spy(rows, key_of, composite):
+        builds.append(len(rows))
+        return real(rows, key_of, composite)
+
+    monkeypatch.setattr(operators, "_partition", spy)
+    sql = "SELECT R.A, T.D FROM R, T WHERE R.A = T.C"
+    db = memo_db()
+    assert_formal(single_use(), sql, db)
+    assert builds == [len(MEMO_CONTENT["T"])]
+    assert_formal(single_use(), sql, db)
+    assert len(builds) == 1
+    # A new Database with equal contents: its own tables, its own build.
+    assert_formal(single_use(), sql, memo_db())
+    assert len(builds) == 2
+
+
+def test_threads_racing_on_one_table_memo_all_answer_right():
+    """Builds race benignly: two threads that miss together build equal
+    values, and whichever lands in the memo, every answer is exact."""
+    import threading
+
+    from repro.semantics import SqlSemantics
+
+    db = memo_db()
+    queries = [annotate(sql, MEMO_SCHEMA) for sql in MEMO_SQL]
+    expected = [SqlSemantics(MEMO_SCHEMA).run(query, db) for query in queries]
+    wrong = []
+
+    def work(offset):
+        for round_ in range(20):
+            for i in range(len(queries)):
+                i = (i + offset) % len(queries)
+                engine = Engine(MEMO_SCHEMA, plan_cache_size=0, build_cache_size=0)
+                if not engine.execute(queries[i], db).same_as(expected[i]):
+                    wrong.append(MEMO_SQL[i])
+            if round_ % 5 == 4:
+                db.table("T")._scan_builds = None  # race the dict's creation too
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong

@@ -7,14 +7,17 @@ any term be an outer reference, so the shape the optimizer decorrelates —
 else local — is rare in its output.  The subclass here adds such conjuncts
 to most nested WHERE clauses and keeps other outer references scarce, so
 two in five generated queries carry a keyed probe (the battery counts
-them and fails if the share drops, so it cannot go vacuous).  Shared by
-``test_decorrelation_equivalence`` and the canaries that show it can fail.
+them and fails if the share drops, so it cannot go vacuous).  Every query
+also runs single-use over a few shared databases, one after another, the
+regime in which builds memoized on a table are reused by later queries.
+Shared by ``test_decorrelation_equivalence`` and the canaries that show it
+can fail.
 """
 
 import random
 from dataclasses import replace
 
-from repro.core import validation_schema
+from repro.core import Database, validation_schema
 from repro.engine import Engine
 from repro.engine.binding import iter_plan_nodes
 from repro.engine.operators import SemiJoinProbe
@@ -33,6 +36,9 @@ SCHEMA = validation_schema()
 #: NULLs in a third of the cells, and no empty tables: correlation keys
 #: must meet NULL on both sides for the 3VL cases to show.
 DATA = DataFillerConfig(max_rows=6, min_rows=2, null_rate=0.3)
+
+#: Databases every query of the battery also runs on, one after another.
+SHARED_DATABASES = 8
 
 #: Subquery-heavy, with few outer references besides the added equalities,
 #: and short conditions: under eight random atoms the probe's truth value
@@ -97,8 +103,9 @@ def keyed_probe_count(plan) -> int:
 
 def battery(dialect, star_style, trials):
     """Run ``trials`` pairs through the optimized execution tiers, the naive
-    engine and the formal semantics; returns ``(failures, decorrelated)``:
-    the disagreements found, and how many queries had a keyed probe."""
+    engine and the formal semantics, and each query single-use over the
+    shared databases; returns ``(failures, decorrelated)``: the
+    disagreements found, and how many queries had a keyed probe."""
     tiers = {
         "compiled": Engine(SCHEMA, dialect),
         "interpreted": Engine(SCHEMA, dialect, compiled=False),
@@ -106,10 +113,24 @@ def battery(dialect, star_style, trials):
     }
     naive = Engine(SCHEMA, dialect, optimize=False)
     semantics = SqlSemantics(SCHEMA, star_style=star_style)
+    # The ad-hoc regime as well: single-use statements over long-lived
+    # databases, whose tables keep the builds of every query before (they
+    # are memoized per table and build signature).  Each answer must be
+    # the one the same engine gives over fresh tables of equal contents.
+    shared = [
+        fill_database(SCHEMA, random.Random(f"shared/{i}"), DATA)
+        for i in range(SHARED_DATABASES)
+    ]
+    single_use = tiers["single-use"]
     failures = []
     decorrelated = 0
     for seed in range(trials):
         query, db = correlated_pair(seed)
+        for number, old in enumerate(shared):
+            fresh = Database(SCHEMA, {t: old.table(t).bag for t in SCHEMA.table_names})
+            kept = capture(lambda: single_use.execute(query, old))
+            if not kept.agrees_with(capture(lambda: single_use.execute(query, fresh))):
+                failures.append(f"seed {seed}: single-use differs over shared db {number}")
 
         def oracle():
             check_query(query, SCHEMA, star_style=star_style)

@@ -10,6 +10,7 @@ import pytest
 from repro.core import NULL, Database, Schema
 from repro.engine import Engine
 from repro.service import (
+    DEFAULT_TENANT,
     QueryService,
     ResultSet,
     ServiceClient,
@@ -151,11 +152,14 @@ def test_statement_ids_do_not_leak_across_tenants(service_url):
     run(go())
 
 
-def test_adhoc_queries_stay_interpreted_whatever_the_tenant_size(monkeypatch):
-    """``POST /query`` admits nothing: no plan, no cache entry, and no
-    generated code in the process-wide code cache the prepared path's
-    kernels share — even over tables far beyond the engine's single-use
-    lowering threshold.  The prepared path over the same data does lower."""
+def test_adhoc_queries_take_the_single_use_size_rule(monkeypatch):
+    """``POST /query`` plans on a fresh single-use engine, so it lowers a
+    plan exactly when the engine's size rule says so: over four times
+    ``SINGLE_USE_COMPILE_ROWS`` rows it reaches ``compile_plan``, over a
+    6-row table it does not.  It admits nothing: the tenant engine's plan
+    cache is untouched, and a never-seen shape compiled once leaves the
+    process-wide code cache empty.  Its rows are the prepared path's."""
+    from repro.engine import compile as compile_module
     from repro.engine import engine as engine_module
 
     lowered = []
@@ -166,23 +170,39 @@ def test_adhoc_queries_stay_interpreted_whatever_the_tenant_size(monkeypatch):
         return real(plan, stats)
 
     monkeypatch.setattr(engine_module, "compile_plan", spy)
-    rows = [[i, i % 7] for i in range(4 * engine_module.SINGLE_USE_COMPILE_ROWS)]
-    with ServiceThread(QueryService()) as thread:
+    big = [[i, i % 7] for i in range(4 * engine_module.SINGLE_USE_COMPILE_ROWS)]
+    small = [[i, i % 7] for i in range(6)]
+    sql = "SELECT {t}.A FROM {t} WHERE {t}.B = 3"
+    service = QueryService()
+    with ServiceThread(service) as thread:
 
-        async def go():
+        async def prepared():
             async with ServiceClient(thread.url) as c:
-                await c.load({"R": ["A", "B"]}, {"R": rows})
-                adhoc = await c.query("SELECT R.A FROM R WHERE R.B = 3")
-                after_adhoc = len(lowered)
-                sid = await c.prepare("SELECT R.A FROM R WHERE R.B = $1")
-                prepared = await c.execute(sid, [3])
-                return adhoc, after_adhoc, prepared
+                await c.load({"R": ["A", "B"], "S": ["A", "B"]}, {"R": big, "S": small})
+                sid = await c.prepare(sql.format(t="R").replace("= 3", "= $1"))
+                return await c.execute(sid, [3])
 
-        adhoc, after_adhoc, prepared = run(go())
-    assert after_adhoc == 0
-    assert len(lowered) == 1
-    assert sorted(map(tuple, adhoc.rows)) == sorted(map(tuple, prepared.rows))
-    assert len(adhoc.rows) == sum(1 for _a, b in rows if b == 3)
+        async def adhoc(table):
+            async with ServiceClient(thread.url) as c:
+                return await c.query(sql.format(t=table))
+
+        expected = run(prepared())
+        (engine,) = service.registry.tenant(DEFAULT_TENANT).engines.values()
+        plans = engine.cache_info()
+        monkeypatch.setattr(compile_module, "_CODE_CACHE", {})
+        monkeypatch.setattr(compile_module, "_COMPILED_ONCE", {})
+        before = len(lowered)
+        over_big = run(adhoc("R"))
+        assert len(lowered) == before + 1
+        assert compile_module._COMPILED_ONCE and not compile_module._CODE_CACHE
+        over_small = run(adhoc("S"))
+        assert len(lowered) == before + 1
+        after = engine.cache_info()
+    for counter in ("size", "hits", "misses", "evictions"):
+        assert after[counter] == plans[counter], counter
+    assert sorted(map(tuple, over_big.rows)) == sorted(map(tuple, expected.rows))
+    assert len(over_big.rows) == sum(1 for _a, b in big if b == 3)
+    assert sorted(map(tuple, over_small.rows)) == [(3,)]
 
 
 # -- backpressure -------------------------------------------------------------
