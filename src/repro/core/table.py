@@ -56,9 +56,11 @@ class Table:
         self._scan_rows = None
         self._scan_cols = None
         #: Build-cache content fingerprint over ``_scan_rows``, and the
-        #: closed builds (hash partitions, probe sets) over a bare scan of
-        #: this table, keyed by build signature (same memo contract: lazy,
-        #: content-pure, dies with the table).
+        #: closed builds over a bare scan of this table, keyed by build
+        #: signature: hash partitions, probe sets, and one sorted index per
+        #: column a scan kernel bisects (``("sorted", column)``: positions
+        #: and keys in flat arrays, about 12 bytes a row).  Same memo
+        #: contract: lazy, content-pure, dies with the table.
         self._scan_fp = None
         self._scan_builds = None
 

@@ -32,7 +32,9 @@ Python closures once, so executions pay none of that dispatch:
   a *scan kernel* — the leading probe-free conjuncts of its predicate as
   one fused comprehension over the table's column vectors, in lazily
   chained batches, with an exact row-wise replay when a batch hits a type
-  clash (see the "scan kernels" section below) — and the stateful operators
+  clash, and over only the rows a sorted column index bisects to when the
+  predicate opens with comparisons that keep few (see the "scan kernels"
+  section below) — and the stateful operators
   (``HashJoin``, ``CachedSubplan``, ``MemoSubplan``, the subquery probes)
   compile to closures that *share state with the original plan nodes* —
   they read and write the same ``_table`` / ``_cache`` / ``_memo`` /
@@ -66,6 +68,8 @@ always finds its code objects in the process-wide cache.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import chain, islice
 from itertools import product as _iter_product
@@ -109,6 +113,7 @@ from .operators import (
     StaticScan,
     TableScan,
     _in_fold,
+    _resident,
 )
 
 __all__ = [
@@ -131,14 +136,16 @@ RowsFn = Callable[[OuterStack], Sequence[Row]]
 class ScanKernelStats:
     """What the scan kernels of one engine's plans did: ``selections``
     (kernel-run scans), ``rows_in`` / ``rows_out`` (rows they evaluated and
-    kept) and ``fallbacks`` (scans a type clash sent to the row-wise
-    replay).  The owner creates it and hands it to :func:`compile_plan`;
-    kernels add to it once per batch, never per row."""
+    kept), ``fallbacks`` (scans a type clash sent to the row-wise replay)
+    and ``lookups`` (scans a sorted column index narrowed to an interval).
+    The owner creates it and hands it to :func:`compile_plan`; kernels add
+    to it once per batch, never per row."""
 
-    __slots__ = ("selections", "rows_in", "rows_out", "fallbacks")
+    __slots__ = ("selections", "rows_in", "rows_out", "fallbacks", "lookups")
 
     def __init__(self):
-        self.selections = self.rows_in = self.rows_out = self.fallbacks = 0
+        self.selections = self.rows_in = self.rows_out = 0
+        self.fallbacks = self.lookups = 0
 
     def info(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -959,6 +966,20 @@ def _drained(child_iter: IterFn) -> IterFn:
 #   replayed from that batch on, lazily, through the unchanged row-wise
 #   predicate, which raises the interpreted tier's error on the row it
 #   raises it on, or never reaches the clash at all.
+#
+# A predicate that opens with a run of comparisons of one column with
+# operands of that column's type (``B.year >= k AND B.year < k' AND …``)
+# hands its kernel only the rows of the interval a sorted index of the
+# column, memoized on the table, bisects the run to (:func:`_index_lookup`).
+# One argument makes that exact.  Over a column whose non-NULL values share
+# one type, ``col op k`` is Python's ``op`` on every non-NULL row and UNKNOWN
+# on every NULL one, never raising; so a non-NULL row outside the interval
+# is one on which the run is FALSE without raising, and the row-wise trace
+# stops there, before any later conjunct.  The rows the unchanged kernel
+# keeps from the rest — put back in table order — their order, every error
+# and every replay are therefore the full scan's.  A NULL row makes the run
+# UNKNOWN, and the row-wise AND goes on, so NULL rows stay in before a
+# remainder.
 
 #: Rows in a scan kernel's first batch, and the factor each following batch
 #: grows by (the last batch takes what is left once that is no more than
@@ -998,6 +1019,125 @@ def _scan_vectors(
     return vectors
 
 
+#: Comparison operator -> the same comparison with its operands swapped.
+_FLIPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+#: ``column op k`` -> the bisections narrowing ``(lo, hi)`` over the sorted
+#: keys to the rows where it holds: one for ``lo``, one for ``hi``.
+_BOUNDS = {
+    "=": (bisect_left, bisect_right),
+    "<": (None, bisect_left),
+    "<=": (None, bisect_right),
+    ">": (bisect_right, None),
+    ">=": (bisect_left, None),
+}
+
+#: The largest share of a table's rows an interval may hold for the kernel
+#: to run over it instead of over the whole table: past it, picking the
+#: rows out and back into table order costs more than the comparisons it
+#: saves (docs/BENCHMARKS.md, "Sorted column indexes").
+_INDEX_SHARE = 0.125
+
+
+def _index_run(conjuncts) -> Tuple[Optional[int], list]:
+    """``(column, run)``: the leading conjuncts that compare one column of
+    the scanned row with a non-NULL literal or an outer-row reference, as
+    ``(op, depth, value)`` with the column on the left: ``depth`` 0 for a
+    literal ``value``, else the depth of the outer row whose column
+    ``value`` is the operand."""
+    column, run = None, []
+    for conjunct in conjuncts:
+        if not isinstance(conjunct, ComparePred) or conjunct.op not in _FLIPPED:
+            break
+        op, local, other = conjunct.op, conjunct.left, conjunct.right
+        if not (isinstance(local, ColumnRef) and local.depth == 0):
+            op, local, other = _FLIPPED[op], other, local
+        if not (isinstance(local, ColumnRef) and local.depth == 0):
+            break
+        if column is not None and local.index != column:
+            break
+        if isinstance(other, LiteralExpr) and other.value is not None:
+            run.append((op, 0, other.value))
+        elif isinstance(other, ColumnRef) and other.depth > 0:
+            run.append((op, other.depth, other.index))
+        else:
+            break
+        column = local.index
+    return column, run
+
+
+def _sorted_index(vector: Sequence) -> tuple:
+    """``(type, positions, keys, nulls)`` for a column whose non-NULL values
+    are all ints or all strings: the positions of its non-NULL values in
+    ``array('i')``, stably sorted by value, their values in that order
+    (``array('q')``, or a tuple for strings and ints past 64 bits), and the
+    NULL positions.  ``()`` for any other column."""
+    kinds = set(map(type, vector))
+    kinds.discard(type(None))
+    if kinds != {int} and kinds != {str}:
+        return ()
+    (kind,) = kinds
+    positions = [i for i, value in enumerate(vector) if value is not None]
+    nulls = array("i", [i for i, value in enumerate(vector) if value is None])
+    positions.sort(key=vector.__getitem__)
+    keys = list(map(vector.__getitem__, positions))
+    try:
+        keys = array("q", keys) if kind is int else tuple(keys)
+    except OverflowError:
+        keys = tuple(keys)
+    return kind, array("i", positions), keys, nulls
+
+
+def _interval(index: tuple, run: list, outers: OuterStack) -> Optional[Tuple[int, int]]:
+    """``(lo, hi)``: the slice of ``index``'s sorted keys on which every
+    comparison of ``run`` holds — None when an operand is NULL or not of
+    the column's type."""
+    kind, _positions, keys, _nulls = index
+    lo, hi = 0, len(keys)
+    for op, depth, value in run:
+        if depth:
+            value = outers[-depth][value]
+        if type(value) is not kind:
+            return None
+        low, high = _BOUNDS[op]
+        if low is not None:
+            lo = low(keys, value, lo, hi)
+        if high is not None:
+            hi = high(keys, value, lo, hi)
+    return lo, hi
+
+
+def _table_order(positions, lo: int, hi: int, nulls) -> List[int]:
+    """The positions ``positions[lo:hi]`` plus ``nulls``, in table order."""
+    return sorted(chain(positions[lo:hi], nulls))
+
+
+def _index_lookup(
+    scan: TableScan, data, column: int, run: list, nulls_too: bool, outers
+) -> Optional[List[int]]:
+    """The positions, in table order, of the rows of ``data`` a scan with
+    ``run`` leading its predicate must evaluate — with the NULL rows of
+    ``column`` when ``nulls_too`` — or None when the table's sorted index
+    of ``column`` cannot serve the run or leaves too many rows to pay."""
+    memo = scan._columns
+    if memo is None or memo[2] is None or memo[0] is not data:
+        return None  # rows installed by hand: no table to keep an index on
+    index = _resident(
+        scan, ("sorted", column),
+        lambda: _sorted_index(_scan_vectors(scan, data, (column,))[column]),
+    )
+    if not index:
+        return None
+    bounds = _interval(index, run, outers)
+    if bounds is None:
+        return None
+    lo, hi = bounds
+    nulls = index[3] if nulls_too else ()
+    if hi - lo + len(nulls) > len(data) * _INDEX_SHARE:
+        return None
+    return _table_order(index[1], lo, hi, nulls)
+
+
 def _compile_scan_kernel(node: FilterOp, folded, stats: ScanKernelStats):
     """Lower ``σ_folded(TableScan)`` to a scan kernel, as :func:`_split_filter`
     returns it: the kernel's row iterator plus what is left to test on each
@@ -1022,6 +1162,8 @@ def _compile_scan_kernel(node: FilterOp, folded, stats: ScanKernelStats):
     kernel, columns = fused
     scan = node.child
     scan_rows = _rows_fn(scan, stats)
+    indexed, run = _index_run(conjuncts[:lead])
+    nulls_too = len(run) < len(conjuncts)
     # What the caller still has to test on the rows it is handed: after a
     # prefix kernel, the full predicate.
     residual = None if whole else _compile_folded(folded, stats)
@@ -1036,9 +1178,10 @@ def _compile_scan_kernel(node: FilterOp, folded, stats: ScanKernelStats):
         p = row_pred
         return (row for row in rows if p(row, outers) is True)
 
-    def batches(data, outers):
+    def batches(data, outers, vectors=None):
         stats.selections += 1
-        vectors = _scan_vectors(scan, data, columns)
+        if vectors is None:
+            vectors = _scan_vectors(scan, data, columns)
         rows = iter(data)
         cursors = {column: iter(vectors[column]) for column in columns}
         start, size, total = 0, _SCAN_BATCH, len(data)
@@ -1062,7 +1205,17 @@ def _compile_scan_kernel(node: FilterOp, folded, stats: ScanKernelStats):
             size *= _SCAN_BATCH_GROWTH
 
     def scan_kernel(outers):
-        return chain.from_iterable(batches(scan_rows(outers), outers))
+        data = scan_rows(outers)
+        if run:
+            picked = _index_lookup(scan, data, indexed, run, nulls_too, outers)
+            if picked is not None:
+                stats.lookups += 1
+                data = list(map(data.__getitem__, picked))
+                # Lazy column cursors over the picked rows, drawn in step
+                # with them by the kernel's zip.
+                vectors = {c: map(itemgetter(c), data) for c in columns}
+                return chain.from_iterable(batches(data, outers, vectors))
+        return chain.from_iterable(batches(data, outers))
 
     return scan_kernel, residual
 

@@ -209,7 +209,9 @@ class ServiceRegistry:
             }
             scan_kernels = {
                 counter: sum(e["scan_kernels"][counter] for e in engines)
-                for counter in ("selections", "rows_in", "rows_out", "fallbacks")
+                for counter in (
+                    "selections", "rows_in", "rows_out", "fallbacks", "lookups"
+                )
             }
             tenants[name] = {
                 "databases": sorted(tenant.databases),

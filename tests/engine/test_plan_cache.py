@@ -93,6 +93,7 @@ def test_cache_disabled_and_eviction():
         # A single-use plan over one row is not lowered, so no kernel ran.
         "scan_kernels": {
             "selections": 0, "rows_in": 0, "rows_out": 0, "fallbacks": 0,
+            "lookups": 0,
         },
     }
     tiny = Engine(SCHEMA, "postgres", plan_cache_size=2)

@@ -17,21 +17,29 @@ that lowering must keep:
   touch, shared by every plan, referenced by no unbound plan;
 * the row-wise predicate is compiled on the first fallback only, and the
   kernel's source does not depend on literals or column positions;
-* ``cache_info()["scan_kernels"]`` counts scans, rows and fallbacks, and a
-  scan is evaluated in growing batches, so an early stop stays cheap.
+* ``cache_info()["scan_kernels"]`` counts scans, rows, fallbacks and index
+  lookups, and a scan is evaluated in growing batches, so an early stop
+  stays cheap;
+* a leading run of comparisons of one column with literals or outer-row
+  values hands the kernel only the rows of the interval a sorted index of
+  the column bisects to (plus the NULL rows when a conjunct follows), in
+  table order: same rows, same emission order, same errors as the full
+  scan, and one index per table and column.
 """
 
 import itertools
+import operator
 
 import pytest
 
 from repro.core import NULL, Database, Schema
 from repro.core.errors import CompileError
-from repro.engine import Engine
+from repro.engine import Engine, compile_plan
 from repro.engine import compile as compile_module
 from repro.engine import engine as engine_module
 from repro.engine.binding import iter_plan_nodes
-from repro.engine.operators import GenericJoin, HashJoin, TableScan
+from repro.engine.expressions import ColumnRef, ComparePred, LiteralExpr
+from repro.engine.operators import FilterOp, GenericJoin, HashJoin, TableScan
 from repro.semantics import SqlSemantics
 from repro.sql import annotate
 from repro.validation.compare import capture
@@ -119,7 +127,7 @@ def test_whole_predicate_takes_the_kernel_and_counts_rows():
     query = annotate("SELECT R.A FROM R WHERE R.A >= 1 AND R.B < 2", SCHEMA)
     assert len(engine.execute(query, db)) == 4
     assert engine.cache_info()["scan_kernels"] == {
-        "selections": 1, "rows_in": 16, "rows_out": 4, "fallbacks": 0,
+        "selections": 1, "rows_in": 16, "rows_out": 4, "fallbacks": 0, "lookups": 0,
     }
     engine.execute(query, db)
     assert engine.cache_info()["scan_kernels"]["selections"] == 2
@@ -310,7 +318,7 @@ def test_prefix_kernel_hands_on_the_rows_its_conjuncts_do_not_refuse():
     assert sorted(engine.execute(query, db).bag) == [(10,), (12,)]
     # The IN probe saw four rows of 41: three in range, and the NULL one.
     assert engine.cache_info()["scan_kernels"] == {
-        "selections": 1, "rows_in": 41, "rows_out": 4, "fallbacks": 0,
+        "selections": 1, "rows_in": 4, "rows_out": 4, "fallbacks": 0, "lookups": 1,
     }
     assert_matches_interpreted(
         "SELECT R.C FROM R WHERE R.A >= 10 AND R.A < 13 AND R.B IN (SELECT S.A FROM S)",
@@ -350,10 +358,6 @@ def test_vectors_are_pivoted_per_column_shared_and_unpinned():
 
 
 def test_hand_bound_scan_pivots_its_own_vectors():
-    from repro.engine import compile_plan
-    from repro.engine.expressions import ColumnRef, ComparePred, LiteralExpr
-    from repro.engine.operators import FilterOp
-
     scan = TableScan("R", 3)
     plan = FilterOp(scan, ComparePred(">", ColumnRef(0, 1), LiteralExpr(2)))
     run = compile_plan(plan)
@@ -541,3 +545,271 @@ def test_build_sides_carry_the_row_count_they_were_built_with():
                 ]
                 # The NULL-keyed row is in no build side: 20 rows per child.
                 assert counts == [20 if kind is HashJoin else 60], (text, options)
+
+
+# -- sorted column indexes ----------------------------------------------------
+
+#: 200 rows: ``A`` holds the even keys 10–108, about four rows each, scattered
+#: over the table (so an interval's rows are not in table order until put
+#: back), and NULL in nine rows; ``C`` is the row's position.
+INDEX_ROWS = [
+    (NULL if i % 23 == 5 else 10 + 2 * ((i * 7) % 50), i % 5, i) for i in range(200)
+]
+INDEX_DB = make_db(INDEX_ROWS, [(10, 14), (20, 20), (NULL, 6), (15, 19), (100, 200)])
+
+COMPARE = {
+    "=": operator.eq,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def lookups(engine):
+    return engine.cache_info()["scan_kernels"]["lookups"]
+
+
+def assert_index_path(text, db, served=True):
+    """Run ``text`` on the default tier (cold, then on the hot plan cache)
+    and on a single-use plan: the interpreted tier's rows *in its emission
+    order*, or its error class and message.  Each of those executions must
+    have looked an interval up in a sorted index if ``served``, and none
+    may have otherwise.  On success, the interpreted tier's table must be
+    the formal semantics'.  Returns the interpreted outcome of
+    ``execute_rows``."""
+    query = annotate(text, SCHEMA)
+    interpreted = Engine(SCHEMA, compiled=False)
+    expected = capture(lambda: interpreted.execute_rows(query, db))
+    default = Engine(SCHEMA)
+    for engine in (default, default, Engine(SCHEMA, plan_cache_size=0)):
+        before = lookups(engine)
+        outcome = capture(lambda: engine.execute_rows(query, db))
+        assert (outcome.error, outcome.detail) == (expected.error, expected.detail), text
+        assert outcome.table == expected.table, text
+        assert (lookups(engine) > before) is served, text
+    if not expected.is_error:
+        semantics = SqlSemantics(SCHEMA).run(query, db)
+        assert interpreted.execute(query, db).same_as(semantics), text
+    return expected
+
+
+def positions(rows, holds):
+    """``[(C,), …]`` of the rows whose ``A`` is non-NULL and ``holds``, in
+    table order."""
+    return [(c,) for a, _b, c in rows if a is not NULL and holds(a)]
+
+
+def test_equality_keeps_every_duplicate_key_in_table_order():
+    for key in (10, 24, 108):
+        expected = assert_index_path(f"SELECT R.C FROM R WHERE R.A = {key}", INDEX_DB)
+        kept = expected.table[1]
+        assert len(kept) >= 3 and kept == positions(INDEX_ROWS, lambda a: a == key)
+    for key in (3, 25, 111):  # below, between and above the keys: served, empty
+        expected = assert_index_path(f"SELECT R.C FROM R WHERE R.A = {key}", INDEX_DB)
+        assert expected.table[1] == []
+
+
+@pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+@pytest.mark.parametrize("key", [3, 10, 11, 14, 15, 60, 103, 104, 106, 108, 109, 160])
+def test_ordered_comparisons_at_between_below_and_above_keys(op, key):
+    holds = positions(INDEX_ROWS, lambda a: COMPARE[op](a, key))
+    # An interval holding more than the kernels' share runs the full scan.
+    served = len(holds) <= len(INDEX_ROWS) * compile_module._INDEX_SHARE
+    text = f"SELECT R.C FROM R WHERE R.A {op} {key}"
+    expected = assert_index_path(text, INDEX_DB, served)
+    assert expected.table[1] == holds
+
+
+@pytest.mark.parametrize(
+    "condition,holds",
+    [
+        ("R.A >= 10 AND R.A < 20", lambda a: 10 <= a < 20),
+        ("R.A > 10 AND R.A <= 20", lambda a: 10 < a <= 20),
+        ("R.A >= 10 AND R.A <= 10", lambda a: a == 10),
+        ("R.A = 10 AND R.A < 50", lambda a: a == 10),
+        ("R.A > 13 AND R.A >= 10 AND R.A < 19", lambda a: 13 < a < 19),
+        # Contradictory: an empty interval.
+        ("R.A > 20 AND R.A < 10", lambda a: False),
+        ("R.A = 10 AND R.A = 12", lambda a: False),
+        ("R.A < 10 AND R.A >= 10", lambda a: False),
+        # The literal on the left.
+        ("14 > R.A", lambda a: a < 14),
+        ("10 = R.A", lambda a: a == 10),
+        ("14 <= R.A AND 22 >= R.A", lambda a: 14 <= a <= 22),
+        ("R.A > 90 AND 96 > R.A", lambda a: 90 < a < 96),
+    ],
+)
+def test_two_sided_contradictory_and_literal_first_runs(condition, holds):
+    expected = assert_index_path(f"SELECT R.C FROM R WHERE {condition}", INDEX_DB)
+    assert expected.table[1] == positions(INDEX_ROWS, holds)
+
+
+def test_null_rows_are_skipped_by_a_whole_run_and_kept_for_a_remainder():
+    expected = assert_index_path("SELECT R.C FROM R WHERE R.A < 16", INDEX_DB)
+    assert expected.table[1] == positions(INDEX_ROWS, lambda a: a < 16)
+    engine = Engine(SCHEMA)
+    text = "SELECT R.C FROM R WHERE R.A < 16 AND R.B IN (SELECT S.A FROM S)"
+    assert_index_path(text, INDEX_DB)
+    engine.execute(annotate(text, SCHEMA), INDEX_DB)
+    nulls = sum(a is NULL for a, _b, _c in INDEX_ROWS)
+    # The prefix kernel saw the interval's rows and the NULL rows only.
+    info = engine.cache_info()["scan_kernels"]
+    assert info["lookups"] == 1
+    assert info["rows_in"] == len(positions(INDEX_ROWS, lambda a: a < 16)) + nulls
+
+
+def test_null_rows_reach_a_raising_remainder():
+    # ``R.A < 10`` holds on no row and is UNKNOWN on the NULL ones, so the
+    # EXISTS runs on those alone — and its ``'x' < R.B`` raises there.
+    text = (
+        "SELECT R.C FROM R WHERE R.A < 10 AND "
+        "EXISTS (SELECT S.A FROM S WHERE S.B < R.B)"
+    )
+    expected = assert_index_path(text, make_db(INDEX_ROWS, [(1, "x")]))
+    first_null = next(b for a, b, _c in INDEX_ROWS if a is NULL)
+    assert expected.detail == f"type clash in comparison: 'x' < {first_null}"
+    # Without NULLs in R.A nothing reaches it.
+    no_nulls = [(10 if a is NULL else a, b, c) for a, b, c in INDEX_ROWS]
+    assert assert_index_path(text, make_db(no_nulls, [(1, "x")])).table[1] == []
+
+
+STRING_ROWS = [
+    (NULL if a is NULL else f"k{a:03d}", b, c) for a, b, c in INDEX_ROWS
+]
+
+
+@pytest.mark.parametrize(
+    "condition,holds",
+    [
+        ("R.A = 'k014'", lambda a: a == "k014"),
+        ("R.A >= 'k010' AND R.A < 'k013'", lambda a: "k010" <= a < "k013"),
+        ("'k100' < R.A", lambda a: a > "k100"),
+        ("R.A < 'k'", lambda a: False),
+        ("R.A > 'k108x'", lambda a: False),
+    ],
+)
+def test_a_string_column(condition, holds):
+    db = make_db(STRING_ROWS)
+    expected = assert_index_path(f"SELECT R.C FROM R WHERE {condition}", db)
+    assert expected.table[1] == positions(STRING_ROWS, holds)
+
+
+@pytest.mark.parametrize(
+    "rows,condition,error",
+    [
+        # Equality across the str boundary is FALSE, never an error ...
+        (INDEX_ROWS, "R.A = 'k014'", False),
+        (STRING_ROWS, "R.A = 14", False),
+        # ... an ordered comparison is a type clash.
+        (INDEX_ROWS, "R.A < 'k014'", True),
+        (STRING_ROWS, "R.A >= 14", True),
+        (STRING_ROWS, "14 > R.A AND R.B IN (SELECT S.A FROM S)", True),
+        # A NULL literal makes the run UNKNOWN everywhere.
+        (INDEX_ROWS, "R.A = NULL", False),
+        (INDEX_ROWS, "R.A < NULL AND R.B IN (SELECT S.A FROM S)", False),
+    ],
+)
+def test_operands_of_another_type_or_null_take_the_full_scan(rows, condition, error):
+    db = make_db(rows, [(1, 1)])
+    text = f"SELECT R.C FROM R WHERE {condition}"
+    expected = assert_index_path(text, db, served=False)
+    assert expected.is_error is error
+    assert error or expected.table[1] == []
+
+
+def test_a_mixed_type_column_gets_no_index():
+    rows = [("s" if c % 40 == 3 else a, b, c) for a, b, c in INDEX_ROWS]
+    db = make_db(rows)
+    assert_index_path("SELECT R.C FROM R WHERE R.A = 14", db, served=False)
+    expected = assert_index_path("SELECT R.C FROM R WHERE R.A < 6", db, served=False)
+    assert expected.detail == "type clash in comparison: 's' < 6"
+    assert db.table("R")._scan_builds[("sorted", 0)] == ()
+
+
+def test_ints_past_64_bits():
+    big = 2**70
+    rows = [(NULL if a is NULL else big + a, b, c) for a, b, c in INDEX_ROWS]
+    db = make_db(rows)
+    for condition, holds in (
+        (f"R.A = {big + 14}", lambda a: a == big + 14),
+        (f"R.A >= {big + 10} AND R.A < {big + 20}", lambda a: big + 10 <= a < big + 20),
+        (f"R.A < {big}", lambda a: False),
+    ):
+        expected = assert_index_path(f"SELECT R.C FROM R WHERE {condition}", db)
+        assert expected.table[1] == positions(rows, holds)
+    assert isinstance(db.table("R")._scan_builds[("sorted", 0)][2], tuple)
+    # Within 64 bits the keys are a flat array, which a big operand still
+    # bisects exactly.
+    assert_index_path(f"SELECT R.C FROM R WHERE R.A > {big}", INDEX_DB)
+    assert INDEX_DB.table("R")._scan_builds[("sorted", 0)][2].typecode == "q"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "SELECT S.A FROM S WHERE EXISTS "
+        "(SELECT R.C FROM R WHERE R.A >= S.A AND R.A <= S.B)",
+        "SELECT S.A FROM S WHERE NOT EXISTS "
+        "(SELECT R.C FROM R WHERE S.A < R.A AND R.A < S.B AND R.B = 1)",
+        "SELECT S.A, S.B FROM S WHERE S.B IN "
+        "(SELECT R.C FROM R WHERE R.A > S.A AND R.A <= S.B)",
+    ],
+)
+def test_an_outer_row_operand_including_a_null_one(text):
+    # S's rows bind the operands: keys, a key between keys, an interval
+    # running past the last key, and NULL (that scan is not served).
+    assert_index_path(text, INDEX_DB)
+    only_null = make_db(INDEX_ROWS, [(NULL, 6)])
+    assert_index_path(text, only_null, served=False)
+
+
+def test_hand_installed_rows_take_the_full_scan():
+    scan = TableScan("R", 3)
+    plan = FilterOp(scan, ComparePred("=", ColumnRef(0, 0), LiteralExpr(14)))
+    stats = compile_module.ScanKernelStats()
+    run = compile_plan(plan, stats)
+    scan.data = [tuple(None if v is NULL else v for v in row) for row in INDEX_ROWS]
+    assert list(run(())) == [row for row in scan.data if row[0] == 14]
+    assert (stats.lookups, stats.rows_in) == (0, len(INDEX_ROWS))
+
+
+def test_databases_with_equal_table_names_keep_their_own_indexes():
+    # The same keys, shifted by one: every odd key is in ``shifted`` only.
+    shifted_rows = [(a if a is NULL else a + 1, b, c) for a, b, c in INDEX_ROWS]
+    shifted = make_db(shifted_rows)
+    engine = Engine(SCHEMA)
+    query = annotate("SELECT R.C FROM R WHERE R.A >= 14 AND R.A <= 15", SCHEMA)
+    for db, rows in ((INDEX_DB, INDEX_ROWS), (shifted, shifted_rows)) * 2:
+        kept = engine.execute_rows(query, db)[1]
+        assert kept == positions(rows, lambda a: 14 <= a <= 15)
+        assert_index_path("SELECT R.C FROM R WHERE R.A = 15", db)
+    assert lookups(engine) == 4
+
+
+def test_one_index_build_per_table_and_column(monkeypatch):
+    built = []
+    real = compile_module._sorted_index
+
+    def spy(vector):
+        built.append(vector)
+        return real(vector)
+
+    monkeypatch.setattr(compile_module, "_sorted_index", spy)
+    db = make_db(INDEX_ROWS)
+    texts = [f"SELECT R.C FROM R WHERE R.A = {k}" for k in (10, 12, 40)] + [
+        "SELECT R.C FROM R WHERE R.B = 3 AND R.A < 9",
+        "SELECT R.A FROM R WHERE 3 = R.B AND R.C < 9",
+    ]
+    # Cached plans, their rebinds, and single-use plans on fresh engines.
+    cached = Engine(SCHEMA)
+    for _ in range(2):
+        for text in texts:
+            cached.execute(annotate(text, SCHEMA), db)
+            Engine(SCHEMA, plan_cache_size=0).execute(annotate(text, SCHEMA), db)
+    vectors = db.table("R")._scan_cols
+    assert len(built) == 2
+    assert built[0] is vectors[0] and built[1] is vectors[1]
+    # Another database's table builds its own.
+    Engine(SCHEMA).execute(annotate(texts[0], SCHEMA), make_db(INDEX_ROWS))
+    assert len(built) == 3

@@ -19,6 +19,12 @@ and message, raised on the same row.  (The naive engine and the formal
 semantics evaluate in another order, which may surface another error; they
 sit the mixed regime out.)
 
+A third leg serves scans from the sorted column indexes: tables of 40–160
+rows over twenty values with few NULLs, so that an interval a leading run
+of comparisons bisects to can hold few enough rows for the kernel to run
+over it alone — which the two- to six-row tables above never allow.  It
+compares emission order too, not just the bag.
+
 Shared by ``test_scan_kernel_equivalence`` and the canaries that show it
 can fail.
 """
@@ -121,6 +127,42 @@ class ScanFilterGenerator(QueryGenerator):
         return condition
 
 
+class IndexFilterGenerator(ScanFilterGenerator):
+    """:class:`ScanFilterGenerator` whose leading conjuncts mostly compare a
+    local column with an operand a sorted index can bisect to a narrow
+    interval: in a subquery, two times in five an outer column — read once
+    per outer row — and otherwise a literal; an ordered comparison's
+    literal lies near the end of the value domain it selects."""
+
+    def _leading_conjunct(self, scopes):
+        local = scopes[-1].unambiguous
+        outer = [name for scope in scopes[:-1] for name in scope.unambiguous]
+        if not local or self._chance(0.3):
+            return super()._leading_conjunct(scopes)
+        if outer and self._chance(0.4):
+            op, other = self.rng.choice(("=", "=", "<", ">=")), self.rng.choice(outer)
+        else:
+            op = self.rng.choice(("=", "<", "<=", ">", ">="))
+            top = self.config.max_constant
+            edges = {
+                "<": (0, 1, 2),
+                "<=": (0, 1),
+                ">": (top - 1, top),
+                ">=": (top - 2, top - 1, top),
+            }
+            other = self.rng.choice(edges[op]) if op in edges else self._constant()
+        pair = (self.rng.choice(local), other)
+        return Predicate(op, pair if self._chance(0.7) else pair[::-1])
+
+
+#: The index leg's data: each of twenty values in about 5% of a column's
+#: cells, NULLs in 5%, so an equality run — NULLs included, when a
+#: remainder follows — stays under the kernels' interval share.
+INDEX_DATA = DataFillerConfig(max_rows=160, min_rows=40, null_rate=0.05, max_value=19)
+#: Two tables per FROM clause keep products of 160-row tables affordable.
+INDEX_MIX = replace(SCAN_MIX, tables=2, max_constant=19)
+
+
 def mixed_database(schema, rng, config=DATA, string_rate=STRING_RATE):
     """``fill_database`` with ``string_rate`` of the values from the third
     column on made strings, and a fifth of that share in the first two."""
@@ -215,3 +257,35 @@ def battery(dialect, star_style, trials, string_rate=0.0):
             counts["whole"] += whole > 0
             counts["prefix"] += prefix > 0
     return failures, counts
+
+
+def index_battery(dialect, trials):
+    """Run ``trials`` pairs of the index leg through the default and the
+    single-use tier, cold and on a hot plan cache; returns ``(failures,
+    lookups)``: every execution whose rows, *in emission order*, or whose
+    error differ from the interpreted tier's, and how many scans the sorted
+    indexes served.  Expects ``SINGLE_USE_COMPILE_ROWS`` forced to 0."""
+    reference = Engine(SCHEMA, dialect, compiled=False)
+    tiers = {
+        "compiled": Engine(SCHEMA, dialect),
+        "single-use": Engine(SCHEMA, dialect, plan_cache_size=0),
+    }
+    failures = []
+    for seed in range(trials):
+        rng = random.Random(seed)
+        query = IndexFilterGenerator(SCHEMA, INDEX_MIX, rng).generate()
+        db = fill_database(SCHEMA, rng, INDEX_DATA)
+        expected = capture(lambda: reference.execute_rows(query, db))
+        for name, engine in tiers.items():
+            for run in ("cold", "hot"):
+                fast = capture(lambda: engine.execute_rows(query, db))
+                if (fast.error, fast.detail) != (expected.error, expected.detail):
+                    failures.append(
+                        f"seed {seed}: {name} ({run}) raises differently from interpreted"
+                    )
+                elif fast.table != expected.table:
+                    failures.append(
+                        f"seed {seed}: {name} ({run}) emits other rows than interpreted"
+                    )
+    lookups = sum(e.cache_info()["scan_kernels"]["lookups"] for e in tiers.values())
+    return failures, lookups
