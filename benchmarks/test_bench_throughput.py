@@ -19,7 +19,8 @@ pipeline stage so regressions are visible.  pytest-benchmark measures:
 * set-at-a-time subquery predicates (equality-correlated EXISTS/IN as
   keyed probes) against ``optimize=False`` on a selective-outer workload,
 * scan kernels (filters over base-table scans as fused selections over
-  column vectors) against ``compiled=False`` on scan-, join-input- and
+  column vectors) against the codegen-off leg (the same plans, one
+  predicate-object call per row) on scan-, join-input- and
   set-operation-shaped statements,
 * the full Theorem 1 translation (to SQL-RA + desugaring).
 
@@ -44,6 +45,7 @@ from repro.generator import (
 )
 from repro.semantics import STAR_COMPOSITIONAL, SqlSemantics
 from repro.sql import annotate, parse_query, print_query
+from tests.executor import CodegenOffEngine
 
 SCHEMA = validation_schema()
 
@@ -389,9 +391,10 @@ def test_bench_engine_compiled(benchmark):
 
 
 def test_bench_engine_interpreted(benchmark):
-    """Ablation: ``compiled=False`` — the same optimized plans executed
-    through the interpreted operator tree (per-row virtual dispatch)."""
-    engine = Engine(SCHEMA, "postgres", compiled=False)
+    """Ablation: the codegen-off leg — the same optimized plans, planned
+    and lowered per execution (no plan cache), their predicates evaluated
+    by the predicate objects (per-row virtual dispatch)."""
+    engine = CodegenOffEngine(SCHEMA, "postgres")
     pairs = engine_pairs()
     run_workload(engine, pairs)
     benchmark(run_workload, engine, pairs)
@@ -493,8 +496,9 @@ def test_bench_engine_scan(benchmark, rows):
 
 @pytest.mark.parametrize("rows", (PAPER_ROW_CAP, 5000))
 def test_bench_engine_scan_interpreted(benchmark, rows):
-    """Ablation: the same optimized plans, one predicate call per row."""
-    engine = Engine(SCAN_SCHEMA, "postgres", compiled=False, build_cache_size=0)
+    """Ablation: the codegen-off leg, one predicate-object call per row
+    (and planning per execution)."""
+    engine = CodegenOffEngine(SCAN_SCHEMA, "postgres", build_cache_size=0)
     pairs = scan_pairs(rows=rows)
     run_workload(engine, pairs)
     benchmark(run_workload, engine, pairs)

@@ -34,11 +34,14 @@ Engine stages (written to ``BENCH_engine.json``)
   (the literal Figures 5–7 route: no memo, no interleaving)
 * ``engine_optimized``      — reference engine, default optimizer
 * ``engine_naive``          — reference engine, ``optimize=False``
-* ``engine_compiled``       — closure-compiled execution (the default
-  engine), plan cache hot: compile once, execute many
-* ``engine_interpreted``    — same optimized plans, ``compiled=False``
-  (the interpreted operator tree; the pair's digest equality and
-  ``compiled_speedup`` are recorded, and a mismatch fails the run)
+* ``engine_compiled``       — the default engine, plan cache hot: plans
+  lowered with generated code once, executed many times
+* ``engine_interpreted``    — same optimized plans on the codegen-off leg
+  (``tests.executor.CodegenOffEngine``: no plan cache, and
+  ``engine.SINGLE_USE_COMPILE_ROWS`` raised past the workload's bound rows
+  while it plans, so every plan is planned and lowered per execution and
+  evaluates its interpreted predicate objects; the pair's digest equality
+  and ``compiled_speedup`` are recorded, and a mismatch fails the run)
 * ``engine_wcoj``           — worst-case-optimal multiway joins
   (``GenericJoin``) on the cyclic triangle/4-cycle workload, sized by
   ``--rows`` (default: the paper's 50-row cap)
@@ -59,10 +62,11 @@ Engine stages (written to ``BENCH_engine.json``)
   an IN probe: the compiled tier's scan kernels (fused selections over the
   tables' column vectors), sized by ``--rows`` (plan cache hot, build-side
   cache off)
-* ``engine_scan_interpreted`` — same workload, ``compiled=False`` (one
-  predicate call per row; the pair's ``scan_speedup`` is recorded, with a
-  three-way digest gate — default vs interpreted vs naive — at the 50-row
-  cap plus a default-vs-interpreted check at ``--rows`` scale)
+* ``engine_scan_interpreted`` — same workload on the codegen-off leg (one
+  predicate-object call per row, planning per execution; the pair's
+  ``scan_speedup`` is recorded, with a three-way digest gate — kernels vs
+  codegen-off vs naive — at the 50-row cap plus a kernels-vs-codegen-off
+  check at ``--rows`` scale)
 * ``engine_join_order``     — adversarial-FROM-order workload, cost-based
   join ordering (second-generation optimizer)
 * ``engine_join_order_fromorder`` — same workload, ordering ablated
@@ -98,8 +102,8 @@ leg can only measure worker-process overhead, so it is skipped and marked
 ``"skipped"`` in the record; the point of the speedup is the trajectory
 on real hardware.  The stage also runs a paired engine-tier A/B, recorded
 as ``engine_tier_ab``: over a 10,000-row live-SQLite scenario the shipped
-engine (whose size rule compiles those single-use plans) vs
-``compiled=False``, digest-gated.  It exits non-zero if the shipped tier is
+engine (whose size rule generates code for those single-use plans) vs
+the codegen-off leg, digest-gated.  It exits non-zero if the shipped tier is
 more than 5% slower than the alternative.
 
 Distributed stage (merged into ``BENCH_campaign.json``)
@@ -178,6 +182,7 @@ from repro.core.errors import ReproError  # noqa: E402
 from repro.generator import DM_CONFIG, PAPER_CONFIG, QueryGenerator  # noqa: E402
 from repro.semantics import STAR_COMPOSITIONAL, SqlSemantics  # noqa: E402
 from repro.sql import parse_query, print_query  # noqa: E402
+from tests.executor import CodegenOffEngine  # noqa: E402
 
 CAMPAIGN_STAGE = "campaign"
 DISTRIBUTED_STAGE = "distributed"
@@ -411,19 +416,20 @@ def build_stages(selected, rows=50):
             Engine(SCHEMA, "postgres", optimize=False), paper_pairs
         )
     if need("engine_compiled", "engine_interpreted"):
-        # Compiled-execution workload: the paper-scale pairs, with the
-        # plan cache on — the compiler hooks in at cache admission, so
-        # after the warm-up pass both engines execute cached plans and the
-        # pair isolates closure execution vs interpreted dispatch.
+        # Generated-code workload: the paper-scale pairs, with the plan
+        # cache on for the default engine — code is generated at cache
+        # admission, so after the warm-up pass it executes cached plans —
+        # against the codegen-off leg, which plans each execution afresh
+        # and evaluates the predicate objects.
         compiled_pairs = paper_pairs
         compiled_engine = Engine(SCHEMA, "postgres")
-        interpreted_engine = Engine(SCHEMA, "postgres", compiled=False)
+        interpreted_engine = CodegenOffEngine(SCHEMA, "postgres")
         context["compiled"] = (
             compiled_pairs,
             [
                 ("optimized", compiled_engine),
-                ("ablated", interpreted_engine),
-                ("naive", Engine(SCHEMA, "postgres", optimize=False, compiled=False)),
+                ("codegen-off", interpreted_engine),
+                ("naive", Engine(SCHEMA, "postgres", optimize=False)),
             ],
         )
         stages["engine_compiled"] = lambda: run_workload(
@@ -522,29 +528,28 @@ def build_stages(selected, rows=50):
             subquery_naive, sub_pairs
         )
     if need("engine_scan", "engine_scan_interpreted"):
-        # Scan-kernel workload, sized by --rows.  Plan caches are on, so
-        # after warm-up the pair isolates the kernels against a predicate
-        # call per row on identical plans; the build-side cache is off, so
-        # the join statement scans and builds on every run.
+        # Scan-kernel workload, sized by --rows.  The kernels' plan cache
+        # is on, so after warm-up they run cached plans, against a
+        # predicate-object call per row on the same plans, planned per
+        # execution; the build-side cache is off, so the join statement
+        # scans and builds on every run.
         kernel_pairs = scan_pairs(rows=rows)
         scan_engine = Engine(SCAN_SCHEMA, "postgres", build_cache_size=0)
-        scan_interpreted = Engine(
-            SCAN_SCHEMA, "postgres", compiled=False, build_cache_size=0
-        )
+        scan_interpreted = CodegenOffEngine(SCAN_SCHEMA, "postgres", build_cache_size=0)
         # As for the cyclic-join pair: the naive engine joins the gate at
         # the 50-row cap only, the pair is checked again at --rows scale.
         context["scan"] = (
             kernel_pairs if rows <= 50 else scan_pairs(rows=50),
             [
                 ("kernels", scan_engine),
-                ("interpreted", scan_interpreted),
+                ("codegen-off", scan_interpreted),
                 ("naive", Engine(SCAN_SCHEMA, "postgres", optimize=False)),
             ],
         )
         if rows > 50:
             context["scan_scale"] = (
                 kernel_pairs,
-                [("kernels", scan_engine), ("interpreted", scan_interpreted)],
+                [("kernels", scan_engine), ("codegen-off", scan_interpreted)],
             )
         stages["engine_scan"] = lambda: run_workload(scan_engine, kernel_pairs)
         stages["engine_scan_interpreted"] = lambda: run_workload(
@@ -600,11 +605,12 @@ def check_ablation_digests(context, results_doc) -> bool:
     engines of a group must produce bit-identical outcomes — same bags,
     same error classes, same ``outcome_digest``.  Returns True when every
     selected group agrees; records the verdict (and the stage speedup) in
-    ``results_doc``.  The ``compiled`` group gates the closure compiler,
-    and the three-way ``wcoj`` group the multiway join (wcoj vs binary vs naive); ``subquery`` gates the
-    keyed subquery probes against the naive engine at ``--rows`` scale, and
-    the three-way ``scan`` group the scan kernels (default vs interpreted
-    vs naive).
+    ``results_doc``.  The three-way ``compiled`` group gates generated
+    code (default vs codegen-off vs naive), and the three-way ``wcoj``
+    group the multiway join (wcoj vs binary vs naive); ``subquery`` gates
+    the keyed subquery probes against the naive engine at ``--rows`` scale,
+    and the three-way ``scan`` group the scan kernels (kernels vs
+    codegen-off vs naive).
     """
     all_match = True
     for group, speedup_key, fast_stage, slow_stage in (
@@ -652,8 +658,8 @@ LIVE_AB_ROWS = 10_000
 def _live_tier_ab(trials: int, rounds: int) -> dict:
     """The campaign engine-tier A/B: the live-SQLite campaign over a
     ``LIVE_AB_ROWS``-row library scenario, run by the engine as shipped
-    (single-use plans this large are compiled by the size rule) vs the
-    same runner on ``compiled=False``, same seeds, alternating legs (the
+    (single-use plans this large get generated code by the size rule) vs
+    the same runner on the codegen-off leg, same seeds, alternating legs (the
     same reasoning as ``paired_ratio``).  Gated on identical outcome
     digests and on the shipped leg being within 5% of the better one — if
     the size rule stops paying off on a 10^4-row database, the bench fails
@@ -665,9 +671,7 @@ def _live_tier_ab(trials: int, rounds: int) -> dict:
     scenario = library_scenario(LIVE_AB_ROWS, seed=1)
     adaptive = LiveSqliteRunner(scenario)
     interpreted = LiveSqliteRunner(scenario)
-    interpreted.engine = Engine(
-        scenario.schema, adaptive.engine.dialect, compiled=False, plan_cache_size=0
-    )
+    interpreted.engine = CodegenOffEngine(scenario.schema, adaptive.engine.dialect)
 
     def leg(runner):
         return run_campaign(LiveSqliteBackend(runner), trials=trials, base_seed=0)
@@ -690,7 +694,7 @@ def _live_tier_ab(trials: int, rounds: int) -> dict:
     print(
         f"campaign tier A/B, live ({trials} trials x {rounds} paired rounds, "
         f"{scenario.total_rows} rows): adaptive {tps['adaptive']:.0f} trials/s, "
-        f"compiled=False {tps['interpreted']:.0f} trials/s "
+        f"codegen-off {tps['interpreted']:.0f} trials/s "
         f"({tps['adaptive'] / tps['interpreted']:.2f}x), digests "
         f"{'match' if len(digests) == 1 else 'DIFFER'}"
         f"{'' if ok else ', GATE FAILED'}"
@@ -1972,7 +1976,7 @@ def main(argv=None) -> int:
     if not campaign_ok:
         print(
             "FATAL: the shipped campaign engine benches more than 5% "
-            "slower than compiled=False on the live scenario, or the two "
+            "slower than the codegen-off leg on the live scenario, or the two "
             "disagree on the outcome digest (re-evaluate "
             "engine.SINGLE_USE_COMPILE_ROWS)",
             file=sys.stderr,

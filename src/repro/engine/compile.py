@@ -1,15 +1,27 @@
-"""Compiled (closure-generating) execution for the reference engine.
+"""The executor: every physical plan runs as nested Python closures.
 
-The interpreted executor pays Python virtual dispatch on every row: a
-``FilterOp`` calls ``PredNode.__call__`` per row, which recurses through
-``AndPred``/``OrPred``/``ComparePred`` frames, each of which calls its
-operand expressions, which call :func:`~repro.engine.expressions.compare`,
-which looks the operator up in a dict — six-plus call frames to decide one
-conjunction.  At campaign scale that interpretation overhead, not the
-algorithms, bounds throughput.
+:func:`compile_plan` lowers a plan (optimized or naive) once into a tree
+of closures, each capturing its children's lowered iterators directly, so
+executions pay no per-node dispatch: scans iterate their bound lists, a
+projection of plain columns becomes a C-level ``map(itemgetter(...),
+child)``, ``Filter``+``Project`` pairs fuse into one generator frame, and
+the stateful operators (``HashJoin``, ``GenericJoin``, ``CachedSubplan``,
+``MemoSubplan``, the subquery probes) compile to closures that *share
+state with the plan nodes* — they read and write the nodes' ``_table`` /
+``_tries`` / ``_cache`` / ``_memo`` / ``_build`` attributes.
 
-This module lowers an (optimized or naive) physical plan into nested
-Python closures once, so executions pay none of that dispatch:
+That state sharing is the bind/unbind contract: a plan is executed via
+its closure tree, but :func:`repro.engine.binding.bind_plan` /
+:func:`~repro.engine.binding.unbind_plan` still walk the *plan node* tree
+— installing scan rows, clearing per-execution memos, and harvesting /
+restoring build-side structures through the
+:class:`~repro.engine.binding.BuildSideCache` — and the closures observe
+whatever those walks install.  Cached plans therefore pin no database
+rows, and cross-trial build-side sharing works unchanged.
+
+Generated code is a per-plan decision on top of that one lowering
+(``codegen``, set by ``Engine._compile`` for plans that are reused or bind
+at least ``SINGLE_USE_COMPILE_ROWS`` rows):
 
 * :func:`compile_predicate` turns a whole ``PredNode`` tree into **one
   generated Python function** ``(row, outers) -> truth``: the
@@ -24,46 +36,23 @@ Python closures once, so executions pay none of that dispatch:
   predicate's shape, so structurally repeating predicates — the normal
   case for generated campaign queries and re-bound prepared statements —
   compile in microseconds whatever their literals, columns and operators.
-* :func:`compile_plan` turns every operator into a closure-based
-  ``iter_rows`` that captures its children's compiled iterators directly:
-  scans iterate their bound lists, a projection of plain columns becomes a
-  C-level ``map(itemgetter(...), child)``, ``Filter``+``Project`` pairs
-  fuse into one generator frame, a filter over a base-table scan becomes
-  a *scan kernel* — the leading probe-free conjuncts of its predicate as
-  one fused comprehension over the table's column vectors, in lazily
-  chained batches, with an exact row-wise replay when a batch hits a type
-  clash, and over only the rows a sorted column index bisects to when the
-  predicate opens with comparisons that keep few (see the "scan kernels"
-  section below) — and the stateful operators
-  (``HashJoin``, ``CachedSubplan``, ``MemoSubplan``, the subquery probes)
-  compile to closures that *share state with the original plan nodes* —
-  they read and write the same ``_table`` / ``_cache`` / ``_memo`` /
-  ``_build`` attributes the interpreted path uses.
+* a filter over a base-table scan becomes a *scan kernel* — the leading
+  probe-free conjuncts of its predicate as one fused comprehension over
+  the table's column vectors, in lazily chained batches, with an exact
+  row-wise replay when a batch hits a type clash, and over only the rows a
+  sorted column index bisects to when the predicate opens with
+  comparisons that keep few (see the "scan kernels" section below).
 
-That state sharing is the bind/unbind contract: a compiled plan is
-executed via its closure tree, but :func:`repro.engine.binding.bind_plan`
-/ :func:`~repro.engine.binding.unbind_plan` still walk the *plan node*
-tree — installing scan rows, clearing per-execution memos, and harvesting
-/ restoring build-side structures through the
-:class:`~repro.engine.binding.BuildSideCache` — and the closures observe
-whatever those walks install.  Cached compiled plans therefore pin no
-database rows, and cross-trial build-side sharing works unchanged.
-
-Compiled execution is bit-identical to interpretation by construction:
-evaluation order, 3VL short-circuits, streaming/early-termination points,
-materialization order and raised errors are preserved exactly (verified by
-``tests/properties/test_compiled_equivalence.py`` and the digest-equality
-gate of ``scripts/bench.py --stages engine_compiled,engine_interpreted``).
-``Engine(compiled=False)`` keeps the interpreted path as the ablation
-baseline.
-
-Who gets compiled is the engine's decision (``Engine._compile``): plans
-admitted to the plan cache, and single-use plans whose one execution binds
-enough rows (``SINGLE_USE_COMPILE_ROWS``) to amortize closure generation.
-Single-use compilation is affordable because generated sources are
-*shape-keyed*: literals, column indices and comparison operators are
-hoisted out of the text and bound as arguments, so a fresh query almost
-always finds its code objects in the process-wide cache.
+Without codegen the same closures take each filter's predicate object as
+it is — its own ``__call__``, with the subquery probes inside it swapped
+for their closures — build projected rows as a tuple over the expression
+objects, and run no scan kernel.  That lowering is cheap enough for the
+fresh, tiny plans of the paper campaign, and it is the row-wise reference
+the generated predicates and scan kernels are held to: evaluation order,
+3VL short-circuits, streaming/early-termination points, materialization
+order and raised errors are the same with and without codegen (verified
+by ``tests/properties/test_compiled_equivalence.py`` and the digest gate
+of ``scripts/bench.py --stages engine_compiled,engine_interpreted``).
 """
 
 from __future__ import annotations
@@ -127,9 +116,8 @@ __all__ = [
 #: A compiled operator: outer-row stack in, row iterator out.
 IterFn = Callable[[OuterStack], Iterator[Row]]
 
-#: A compiled materializer: outer-row stack in, row sequence out (mirrors
-#: ``PlanNode.rows``, including its list-aliasing behaviour for scans and
-#: cached subplans).
+#: A compiled materializer: outer-row stack in, row sequence out (scans and
+#: cached subplans hand out their stored lists).
 RowsFn = Callable[[OuterStack], Sequence[Row]]
 
 
@@ -151,9 +139,14 @@ class ScanKernelStats:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
+#: Where a lowering's scan kernels count: None for a lowering without
+#: codegen, which runs no scan kernel.
+_Stats = Optional[ScanKernelStats]
+
+
 # -- comparison helpers -------------------------------------------------------
 #
-# One specialized function per operator, replacing the interpreted chain
+# One specialized function per operator, replacing the per-object chain
 # ``ComparePred.__call__ -> compare -> COMPARE_FUNCS[op] -> _ordered``.
 # NULL propagation and error behaviour (message included) match
 # :func:`repro.engine.expressions.compare` exactly.
@@ -383,7 +376,7 @@ def _fold_predicate(pred):
 
     Total comparisons (``=`` / ``<>``) over two literals and ``IS NULL``
     over a literal evaluate at compile time; 3VL connectives absorb
-    constants only along the interpreted short-circuit order (a left
+    constants only along the row-wise short-circuit order (a left
     ``FALSE`` kills an AND before its right side would ever run, so the
     right side may be dropped; a right-side constant may only be dropped
     when the identity is exact for every left value, e.g. ``AND TRUE``).
@@ -545,7 +538,7 @@ def _compile_folded(folded, stats: ScanKernelStats):
 # are hoisted, so one compilation serves every literal and every column.
 #
 # The generated expression is evaluation-congruent with the row-wise
-# tier, so a type clash raises on exactly the executions the interpreted
+# tier, so a type clash raises on exactly the executions the row-wise
 # order raises on (the caller's row-wise replay then reproduces the exact
 # error):
 #
@@ -573,7 +566,7 @@ class _Unvectorizable(Exception):
 #: What a batch kernel raises on a potential runtime error — Python's own
 #: mixed-type ordering error, or the engine's comparison error from LIKE —
 #: and its caller catches: the predicate must then be replayed per row, to
-#: surface the error exactly as the interpreted tier words it or, when the
+#: surface the error exactly as the row-wise predicate words it or, when the
 #: offending row would never have been evaluated, to suppress it.
 _FALLBACK_ERRORS = (TypeError, CompileError)
 
@@ -760,7 +753,7 @@ def _compile_fused(pred, keep_unknown: bool = False):
     else:
         # All-scalar predicate: still evaluated once per item, so scalar
         # type clashes raise per row (and not at all when empty) —
-        # exactly the interpreted behaviour.
+        # exactly the row-wise behaviour.
         comp = f"[x for x in R if {keep}]"
     lines = [f"def _fsel({emitter.signature('R, C, o')}):"]
     lines.extend("    " + line for line in emitter.prelude)
@@ -783,6 +776,15 @@ def compile_row(exprs: Sequence[RowExpr]) -> Callable[[Row, OuterStack], Row]:
     return _assemble("_row", source, emitter.captured, emitter.constants)
 
 
+def _row_fn(exprs: Sequence[RowExpr], stats: _Stats):
+    """:func:`compile_row` under codegen; without it (``stats`` None) a
+    tuple over the expression objects themselves."""
+    if stats is not None:
+        return compile_row(exprs)
+    exprs = tuple(exprs)
+    return lambda r, o: tuple([expr(r, o) for expr in exprs])
+
+
 # -- subquery predicates ------------------------------------------------------
 #
 # Each compiled probe captures the *original* predicate object and keeps all
@@ -790,7 +792,7 @@ def compile_row(exprs: Sequence[RowExpr]) -> Callable[[Row, OuterStack], Row]:
 # layer's reset/harvest/restore walks govern compiled execution unchanged.
 
 
-def _compile_subpred(pred, stats: ScanKernelStats):
+def _compile_subpred(pred, stats: _Stats):
     if isinstance(pred, ExistsProbe):
         return _compile_exists_probe(pred, stats)
     if isinstance(pred, ExistsPred):
@@ -802,7 +804,7 @@ def _compile_subpred(pred, stats: ScanKernelStats):
     return pred  # opaque callable: invoked as-is
 
 
-def _compile_exists_pred(pred: ExistsPred, stats: ScanKernelStats):
+def _compile_exists_pred(pred: ExistsPred, stats: _Stats):
     sub_rows = _rows_fn(pred.subplan, stats)
 
     def exists_naive(r, o):
@@ -811,7 +813,7 @@ def _compile_exists_pred(pred: ExistsPred, stats: ScanKernelStats):
     return exists_naive
 
 
-def _compile_exists_probe(pred: ExistsProbe, stats: ScanKernelStats):
+def _compile_exists_probe(pred: ExistsProbe, stats: _Stats):
     sub_iter = _iter_fn(pred.subplan, stats)
 
     def probe(r, o):
@@ -843,9 +845,9 @@ def _compile_exists_probe(pred: ExistsProbe, stats: ScanKernelStats):
     return exists_memo
 
 
-def _compile_in_pred(pred: InPred, stats: ScanKernelStats):
+def _compile_in_pred(pred: InPred, stats: _Stats):
     sub_rows = _rows_fn(pred.subplan, stats)
-    values_fn = compile_row(pred.exprs)
+    values_fn = _row_fn(pred.exprs, stats)
     negated = pred.negated
     refs = pred._refs
 
@@ -873,7 +875,7 @@ def _compile_in_pred(pred: InPred, stats: ScanKernelStats):
     return in_pred
 
 
-def _compile_semi_join_probe(pred: SemiJoinProbe, stats: ScanKernelStats):
+def _compile_semi_join_probe(pred: SemiJoinProbe, stats: _Stats):
     """The set-membership kernel behind uncorrelated IN and the decorrelated
     EXISTS/IN probes.  The build side stays on ``pred`` (read per call, never
     captured), so nothing derived from bound rows outlives ``unbind_plan``."""
@@ -912,7 +914,7 @@ def _compile_semi_join_probe(pred: SemiJoinProbe, stats: ScanKernelStats):
 
         return in_column
     lookup = pred.lookup
-    values_fn = compile_row(pred.exprs)
+    values_fn = _row_fn(pred.exprs, stats)
 
     def semi_join(r, o):
         build = pred._build
@@ -930,9 +932,10 @@ def _compile_semi_join_probe(pred: SemiJoinProbe, stats: ScanKernelStats):
 
 
 def _drained(child_iter: IterFn) -> IterFn:
-    """A filter whose predicate folded to FALSE/UNKNOWN: yields nothing,
+    """A filter whose predicate is a constant FALSE/UNKNOWN: yields nothing,
     but still drains the child so data-dependent errors surface exactly as
-    the interpreted ``FilterOp`` (which iterates its child regardless)."""
+    under a predicate tested per row (which iterates its child
+    regardless)."""
 
     def drain(outers):
         for _row in child_iter(outers):
@@ -964,7 +967,7 @@ def _drained(child_iter: IterFn) -> IterFn:
 #   the unchanged full predicate then runs on those;
 # * a type clash anywhere in a batch (``_FALLBACK_ERRORS``) — the scan is
 #   replayed from that batch on, lazily, through the unchanged row-wise
-#   predicate, which raises the interpreted tier's error on the row it
+#   predicate, which raises the row-wise predicate's error on the row it
 #   raises it on, or never reaches the clash at all.
 #
 # A predicate that opens with a run of comparisons of one column with
@@ -1220,12 +1223,32 @@ def _compile_scan_kernel(node: FilterOp, folded, stats: ScanKernelStats):
     return scan_kernel, residual
 
 
-def _split_filter(node: PlanNode, stats: ScanKernelStats):
+def _probes_lowered(pred):
+    """``pred`` itself, evaluated by its own ``__call__``, with each subquery
+    probe inside it swapped for its codegen-off closure."""
+    kind = type(pred)
+    if kind is ComparePred or kind is IsNullPred or kind is ConstPred:
+        return pred
+    if kind is AndPred or kind is OrPred:
+        left, right = _probes_lowered(pred.left), _probes_lowered(pred.right)
+        if left is pred.left and right is pred.right:
+            return pred
+        return kind(left, right)
+    if kind is NotPred:
+        operand = _probes_lowered(pred.operand)
+        return pred if operand is pred.operand else NotPred(operand)
+    return _compile_subpred(pred, None)
+
+
+def _split_filter(node: PlanNode, stats: _Stats):
     """Peel a FilterOp for fusion: ``(compiled input, predicate | ConstPred
-    | None)`` — the rows to draw from and what is left to test on each.  A
-    filter over a base-table scan draws from its scan kernel."""
+    | None)`` — the rows to draw from and what is left to test on each.
+    Under codegen the predicate is generated, and a filter over a
+    base-table scan draws from its scan kernel."""
     if not isinstance(node, FilterOp):
         return _iter_fn(node, stats), None
+    if stats is None:
+        return _iter_fn(node.child, None), _probes_lowered(node.predicate)
     folded = _fold_predicate(node.predicate)
     if isinstance(node.child, TableScan) and not isinstance(folded, ConstPred):
         lowered = _compile_scan_kernel(node, folded, stats)
@@ -1234,7 +1257,7 @@ def _split_filter(node: PlanNode, stats: ScanKernelStats):
     return _iter_fn(node.child, stats), _compile_folded(folded, stats)
 
 
-def _compile_filter(node: FilterOp, stats: ScanKernelStats) -> IterFn:
+def _compile_filter(node: FilterOp, stats: _Stats) -> IterFn:
     child_iter, pred = _split_filter(node, stats)
     if pred is None:
         return child_iter
@@ -1252,7 +1275,7 @@ def _compile_filter(node: FilterOp, stats: ScanKernelStats) -> IterFn:
     return filter_iter
 
 
-def _compile_project(node: ProjectOp, stats: ScanKernelStats) -> IterFn:
+def _compile_project(node: ProjectOp, stats: _Stats) -> IterFn:
     child_iter, pred = _split_filter(node.child, stats)
     if isinstance(pred, ConstPred):
         if pred.value is True:
@@ -1267,7 +1290,7 @@ def _compile_project(node: ProjectOp, stats: ScanKernelStats) -> IterFn:
                 return lambda outers: map(getter, child_iter(outers))
             # One column: zip() wraps each value into its 1-tuple.
             return lambda outers: zip(map(getter, child_iter(outers)))
-        row_fn = compile_row(node.expressions)
+        row_fn = _row_fn(node.expressions, stats)
 
         def project_iter(outers):
             build = row_fn
@@ -1275,7 +1298,7 @@ def _compile_project(node: ProjectOp, stats: ScanKernelStats) -> IterFn:
                 yield build(row, outers)
 
         return project_iter
-    row_fn = compile_row(node.expressions)
+    row_fn = _row_fn(node.expressions, stats)
 
     def filter_project_iter(outers):
         p = pred
@@ -1287,7 +1310,7 @@ def _compile_project(node: ProjectOp, stats: ScanKernelStats) -> IterFn:
     return filter_project_iter
 
 
-def _compile_distinct(node: DistinctOp, stats: ScanKernelStats) -> IterFn:
+def _compile_distinct(node: DistinctOp, stats: _Stats) -> IterFn:
     child_iter = _iter_fn(node.child, stats)
 
     def distinct_iter(outers):
@@ -1301,7 +1324,7 @@ def _compile_distinct(node: DistinctOp, stats: ScanKernelStats) -> IterFn:
     return distinct_iter
 
 
-def _compile_remap(node: RemapOp, stats: ScanKernelStats) -> IterFn:
+def _compile_remap(node: RemapOp, stats: _Stats) -> IterFn:
     child_iter = _iter_fn(node.child, stats)
     getter = itemgetter(*node.mapping)
     if len(node.mapping) > 1:
@@ -1318,13 +1341,12 @@ def _product_rows(materialized: List[Sequence[Row]]) -> Iterator[Row]:
         yield row
 
 
-def _compile_cross_join(node: CrossJoin, stats: ScanKernelStats) -> IterFn:
+def _compile_cross_join(node: CrossJoin, stats: _Stats) -> IterFn:
     children_rows = [_rows_fn(child, stats) for child in node.children]
 
     def cross_iter(outers):
-        # Children materialize in order with an early empty-out, exactly
-        # like the interpreted CrossJoin: a later child is never touched
-        # once an earlier one came up empty.
+        # Children materialize in order with an early empty-out: a later
+        # child is never touched once an earlier one came up empty.
         materialized = []
         for rows_fn in children_rows:
             rows = rows_fn(outers)
@@ -1339,7 +1361,7 @@ def _compile_cross_join(node: CrossJoin, stats: ScanKernelStats) -> IterFn:
     return cross_iter
 
 
-def _compile_hash_join(node: HashJoin, stats: ScanKernelStats) -> IterFn:
+def _compile_hash_join(node: HashJoin, stats: _Stats) -> IterFn:
     """The right child materializes through its compiled ``rows`` function
     into the node's own build kernel and probe loop — and the table lives
     on the node (``_table`` / ``_closed_build``), so the binding layer's
@@ -1356,7 +1378,7 @@ def _compile_hash_join(node: HashJoin, stats: ScanKernelStats) -> IterFn:
     return hash_join_iter
 
 
-def _compile_generic_join(node: GenericJoin, stats: ScanKernelStats) -> IterFn:
+def _compile_generic_join(node: GenericJoin, stats: _Stats) -> IterFn:
     """Native lowering of the worst-case-optimal join: children materialize
     through their compiled ``rows`` functions, while trie construction and
     leapfrog enumeration reuse the node's own methods, exactly like the
@@ -1372,7 +1394,7 @@ def _compile_generic_join(node: GenericJoin, stats: ScanKernelStats) -> IterFn:
     return generic_join_iter
 
 
-def _compile_hash_setop(node: HashSetOp, stats: ScanKernelStats) -> IterFn:
+def _compile_hash_setop(node: HashSetOp, stats: _Stats) -> IterFn:
     left_iter = _iter_fn(node.left, stats)
     right_iter = _iter_fn(node.right, stats)
     if node.op == "UNION":
@@ -1440,7 +1462,7 @@ def _compile_hash_setop(node: HashSetOp, stats: ScanKernelStats) -> IterFn:
     raise ValueError(f"unknown set operation {node.op}")  # pragma: no cover
 
 
-def _compile_setop_counted(node: SetOpNode, stats: ScanKernelStats) -> IterFn:
+def _compile_setop_counted(node: SetOpNode, stats: _Stats) -> IterFn:
     """The naive counted-multiset set operation (``optimize=False`` plans):
     compiled children, same count-both-sides-and-re-expand algorithm."""
     left_iter = _iter_fn(node.left, stats)
@@ -1473,10 +1495,10 @@ def _compile_setop_counted(node: SetOpNode, stats: ScanKernelStats) -> IterFn:
 # -- materializers ------------------------------------------------------------
 
 
-def _rows_fn(node: PlanNode, stats: ScanKernelStats) -> RowsFn:
-    """Compiled equivalent of ``node.rows``: same results, same aliasing
-    (scans and cached subplans hand out their stored lists; everything
-    else materializes a fresh list from the compiled iterator)."""
+def _rows_fn(node: PlanNode, stats: _Stats) -> RowsFn:
+    """The materialized rows of ``node``: scans and cached subplans hand
+    out their stored lists; everything else materializes a fresh list
+    from the compiled iterator."""
     if isinstance(node, TableScan):
 
         def scan_rows(outers):
@@ -1523,8 +1545,11 @@ def _rows_fn(node: PlanNode, stats: ScanKernelStats) -> RowsFn:
 # -- dispatcher ---------------------------------------------------------------
 
 
-def _iter_fn(node: PlanNode, stats: ScanKernelStats) -> IterFn:
-    if isinstance(node, (TableScan, StaticScan)):
+def _iter_fn(node: PlanNode, stats: _Stats) -> IterFn:
+    """The lowered iterator of ``node``.  ``stats`` is where its scan
+    kernels count, or None for a lowering without codegen (which runs no
+    scan kernel, so has nothing to count)."""
+    if isinstance(node, (TableScan, StaticScan, CachedSubplan, MemoSubplan)):
         rows_fn = _rows_fn(node, stats)
         return lambda outers: iter(rows_fn(outers))
     if isinstance(node, ProjectOp):
@@ -1545,24 +1570,21 @@ def _iter_fn(node: PlanNode, stats: ScanKernelStats) -> IterFn:
         return _compile_hash_setop(node, stats)
     if isinstance(node, SetOpNode):
         return _compile_setop_counted(node, stats)
-    if isinstance(node, (CachedSubplan, MemoSubplan)):
-        rows_fn = _rows_fn(node, stats)
-        return lambda outers: iter(rows_fn(outers))
-    # Unknown node (an extension or a test double): fall back to its own
-    # interpreted iteration so compilation degrades instead of failing.
-    return node.iter_rows
+    raise TypeError(f"no lowering for plan node {type(node).__name__}")
 
 
-def compile_plan(plan: PlanNode, stats: Optional[ScanKernelStats] = None) -> IterFn:
-    """Lower a physical plan into its compiled closure tree.
+def compile_plan(
+    plan: PlanNode, stats: Optional[ScanKernelStats] = None, codegen: bool = True
+) -> IterFn:
+    """Lower a physical plan into its closure tree.
 
-    The result is a drop-in replacement for ``plan.iter_rows`` — call it
-    with the outer-row stack (``()`` at the top level).  The plan node
-    tree stays the carrier of all mutable execution state, so
-    :func:`~repro.engine.binding.bind_plan` /
-    :func:`~repro.engine.binding.unbind_plan` round-trip compiled plans
-    exactly as interpreted ones: compile once, bind/execute/unbind many.
-    ``stats`` is where the plan's scan kernels count what they do (the
-    engine passes its own; without one the counts go nowhere).
+    Call the result with the outer-row stack (``()`` at the top level) to
+    iterate the plan's rows.  The plan node tree stays the carrier of all
+    mutable execution state, so :func:`~repro.engine.binding.bind_plan` /
+    :func:`~repro.engine.binding.unbind_plan` round-trip lowered plans:
+    compile once, bind/execute/unbind many.  ``codegen`` generates the
+    predicates and scan kernels (module docstring); ``stats`` is where the
+    plan's scan kernels count what they do (the engine passes its own;
+    without one the counts go nowhere).
     """
-    return _iter_fn(plan, stats or ScanKernelStats())
+    return _iter_fn(plan, (stats or ScanKernelStats()) if codegen else None)

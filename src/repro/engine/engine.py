@@ -14,30 +14,28 @@ paper's naive product-then-filter evaluation — the escape hatch used by the
 ablation benchmarks to quantify the speedup, with the validation campaigns
 guaranteeing both paths agree with the formal semantics.
 
-On top of the plan *rewrites*, the plan is lowered into nested Python
-closures by default (:mod:`repro.engine.compile`): predicate trees become
-one generated function each, operators capture their children's compiled
-iterators directly, and per-row virtual dispatch disappears from the hot
-path.  ``compiled=False`` keeps the interpreted operator tree — the
-ablation baseline the ``engine_compiled`` / ``engine_interpreted`` bench
-stages compare (outcomes are bit-identical either way; the digest gate in
-``scripts/bench.py`` enforces it).  A plan is lowered when that pays for
-itself, decided per plan from what the engine can observe: it will be
-reused (plan-cache admission — compile once, execute many), or its single
-execution binds at least ``SINGLE_USE_COMPILE_ROWS`` rows under its scans
-(known exactly before planning: the engine seeds table cardinalities at
-bind time).  So ``plan_cache_size=0`` callers get the right tier at both
-ends — the paper campaign's fresh query per trial over 6-row tables stays
-interpreted (closure generation would triple its engine time), while the
-live-DBMS campaign over a 10^4-row database runs 2-3x faster compiled, and
-so do the service's ad-hoc ``POST /query`` requests over a tenant of that
-size.  Within a lowered plan, a filter over a base-table
-scan runs as a *scan kernel* — the leading probe-free conjuncts of its
-predicate as one generated comprehension over the table's column vectors,
-exact by construction and replayed row-wise on a type clash
-(:mod:`repro.engine.compile`, "scan kernels").  No knob selects it: the
-plan's shape does, and ``cache_info()["scan_kernels"]`` counts the scans,
-rows and fallbacks.
+Every plan, naive or optimized, runs as nested Python closures
+(:func:`repro.engine.compile.compile_plan`, the one executor): operators
+capture their children's lowered iterators directly, and per-node dispatch
+disappears from the hot path.  Generated code on top of that — predicate
+trees as one generated function each, and a filter over a base-table scan
+as a *scan kernel*, one generated comprehension over the table's column
+vectors replayed row-wise on a type clash (:mod:`repro.engine.compile`,
+"scan kernels") — is decided per optimized plan from what the engine can
+observe: the plan will be reused (plan-cache admission — generate once,
+execute many), or its single execution binds at least
+``SINGLE_USE_COMPILE_ROWS`` rows under its scans (known exactly before
+planning: the engine seeds table cardinalities at bind time).  So
+``plan_cache_size=0`` callers get the right lowering at both ends — the
+paper campaign's fresh query per trial over 6-row tables keeps its
+predicate objects (generating code would triple its engine time), while
+the live-DBMS campaign over a 10^4-row database runs 2-3x faster with
+generated code, and so do the service's ad-hoc ``POST /query`` requests
+over a tenant of that size.  Outcomes are bit-identical either way: the
+lowering without codegen is the row-wise reference the digest gates of
+``scripts/bench.py`` hold generated code to.  No knob selects it, and
+``cache_info()["scan_kernels"]`` counts the kernels' scans, rows and
+fallbacks.
 
 Plan cache
 ----------
@@ -112,16 +110,16 @@ REOPT_DRIFT_FACTOR = 2.0
 
 #: Rows bound under a plan's ``TableScan`` leaves (summed per scan, subquery
 #: plans included; exact, seeded at bind time) from which a *single-use*
-#: plan — one the plan cache will not retain — is still lowered into
-#: closures.  Closure generation is a fixed cost per query, interpretation
-#: a cost per row.  Measured on fresh query streams from both generators
-#: (docs/BENCHMARKS.md, "Single-use lowering break-even"): mean time
-#: breaks even at 32-64 bound rows, but below 128 the *median*
-#: paper-generator query still loses; from 128 the median query of both
-#: generators is >= 1.4x faster compiled (means 1.5x-3.9x), and the paper
-#: campaign (<= 36 bound rows, 2.9x slower when forced through the
-#: compiler) stays interpreted.  Deliberately a constant, not a knob:
-#: ``compiled=False`` stays the only ablation.
+#: plan — one the plan cache will not retain — still gets generated code
+#: (predicates and scan kernels).  Code generation is a fixed cost per
+#: query, evaluating the predicate objects a cost per row.  Measured on
+#: fresh query streams from both generators (docs/BENCHMARKS.md,
+#: "Single-use lowering break-even"): mean time breaks even at 32-64 bound
+#: rows, but below 128 the *median* paper-generator query still loses; from
+#: 128 the median query of both generators is >= 1.4x faster with generated
+#: code (means 1.5x-3.9x), and the paper campaign (<= 36 bound rows, 2.9x
+#: slower with it) keeps its predicate objects.  Deliberately a constant,
+#: not a knob.
 SINGLE_USE_COMPILE_ROWS = 128
 
 
@@ -170,28 +168,15 @@ class Engine:
         schema: Schema,
         dialect: str = DIALECT_POSTGRES,
         optimize: bool = True,
-        compiled: Optional[bool] = None,
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
         build_cache_size: int = DEFAULT_BUILD_CACHE_SIZE,
         plan_cache_bytes: Optional[int] = None,
         build_cache_bytes: Optional[int] = None,
         optimizer_options: Optional[Dict[str, bool]] = None,
     ):
-        # The closure compiler consumes *optimized* physical plans
-        # (HashJoin, HashSetOp, probe nodes), so it cannot sit on the
-        # naive tier.
-        if compiled is None:
-            compiled = optimize
-        elif compiled and not optimize:
-            raise ValueError(
-                "Engine(compiled=True, optimize=False) is invalid: the "
-                "closure compiler lowers optimized physical plans; leave "
-                "compiled unset (it follows optimize) or pass compiled=False"
-            )
         self.schema = schema
         self.dialect = dialect
         self.optimize = optimize
-        self.compiled = compiled
         self.plan_cache_size = plan_cache_size
         #: Optional estimated-byte budget for cached plans; None = unbounded.
         self.plan_cache_bytes = plan_cache_bytes
@@ -249,8 +234,7 @@ class Engine:
         cache = self._build_cache if self.plan_cache_size > 0 else None
         bind_plan(compiled.plan, db, cache=cache)
         try:
-            rows = (compiled.run or compiled.plan.iter_rows)(())
-            return finish(compiled.labels, rows)
+            return finish(compiled.labels, compiled.run(()))
         finally:
             if self.plan_cache_size > 0:
                 unbind_plan(compiled.plan, cache=cache)
@@ -346,15 +330,14 @@ class Engine:
                     bound_rows += node.observed_rows or 0
             plan = optimize_plan(plan, **self.optimizer_options)
             plan._planned_rows = planned_rows
-        if self.compiled and (
+        # Code is generated when it pays: the plan will be reused (cache
+        # admission — generate once, execute many), or its one execution
+        # walks enough rows to amortize generation.  The naive tier never
+        # gets it.
+        codegen = self.optimize and (
             self.plan_cache_size > 0 or bound_rows >= SINGLE_USE_COMPILE_ROWS
-        ):
-            # Lowered when it pays: the plan will be reused (cache
-            # admission — compile once, execute many), or its one
-            # execution walks enough rows to amortize closure generation.
-            run = compile_plan(plan, self._scan_kernels)
-        else:
-            run = None
+        )
+        run = compile_plan(plan, self._scan_kernels, codegen)
         return CompiledQuery(plan, compiled.labels, run)
 
     def cache_info(self) -> Dict[str, object]:
@@ -366,9 +349,10 @@ class Engine:
         / ``bytes`` size the cache (estimated bytes, LRU-evicted against
         ``max_bytes`` when set), ``build`` nests the build-side cache's
         own counters so one call sizes both caches, and ``scan_kernels``
-        counts what the lowered plans' scan kernels did: ``selections``
-        (kernel-run scans), ``rows_in`` / ``rows_out`` and ``fallbacks``
-        (scans a type clash sent to the row-wise replay)."""
+        counts what the plans' scan kernels did: ``selections``
+        (kernel-run scans), ``rows_in`` / ``rows_out``, ``fallbacks``
+        (scans a type clash sent to the row-wise replay) and ``lookups``
+        (scans a sorted column index narrowed to an interval)."""
         return {
             "hits": self._cache_hits,
             "misses": self._cache_misses,

@@ -1,14 +1,15 @@
-"""Physical operators of the reference engine: a tiny iterator model.
+"""Physical operators of the reference engine: the plan tree.
 
-Each operator exposes a generator, :meth:`PlanNode.iter_rows`, producing rows
-given the stack of outer rows (needed because any operator may sit inside a
-correlated subquery and reference enclosing rows through compiled
-:class:`~repro.engine.expressions.ColumnRef` expressions); the materializing
-:meth:`PlanNode.rows` is a convenience over it.  Streaming matters: a filter
-above a cross join never holds the whole product in memory, and an EXISTS
-probe stops after the first row.  Multisets are handled with
-:class:`collections.Counter`, a representation intentionally different from
-:class:`repro.core.bag.Bag`.
+A plan is a tree of these nodes, and every node is *data*: what it
+computes, never how to run it.  :func:`repro.engine.compile.compile_plan`
+lowers the tree into closures, the one executor, and the nodes carry the
+state those closures share across executions — build tables, tries,
+subquery caches and memos — which is what
+:func:`~repro.engine.binding.bind_plan` and
+:func:`~repro.engine.binding.unbind_plan` reset, harvest and restore.  The
+build kernels (:meth:`HashJoin._build`, :meth:`GenericJoin._build_tries`,
+:func:`build_probe_index`), the hash probe and the leapfrog enumeration
+live here, beside the state they fill.
 
 Besides the textbook operators (:class:`StaticScan`, :class:`CrossJoin`,
 :class:`FilterOp`, :class:`ProjectOp`, :class:`DistinctOp`,
@@ -33,8 +34,8 @@ optimizer (:mod:`repro.engine.optimizer`):
   counted-multiset :class:`SetOpNode` the planner emits;
 * the subquery predicates :class:`ExistsPred` / :class:`InPred` (the naive,
   re-executing forms the planner emits) and their optimized replacements
-  :class:`ExistsProbe` (generator-based, early-terminating, result-cached
-  when the subplan is closed, memoized per binding when correlated) and
+  :class:`ExistsProbe` (early-terminating, result-cached when the subplan
+  is closed, memoized per binding when correlated) and
   :class:`SemiJoinProbe` (one hash lookup per probing row against a closed
   build side: uncorrelated IN under 3VL, and EXISTS/IN decorrelated on
   their equality correlation keys).
@@ -57,7 +58,6 @@ derivable.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain as _chain
 from itertools import product as _iter_product
@@ -74,7 +74,6 @@ from .expressions import (
     compare,
     expr_refs,
     merge_refs,
-    not3,
     or3,
 )
 
@@ -221,12 +220,6 @@ def _in_fold(values: Row, sub_rows) -> Optional[bool]:
 class PlanNode:
     """Base class of all physical operators."""
 
-    def iter_rows(self, outers: OuterStack) -> Iterator[Row]:
-        raise NotImplementedError
-
-    def rows(self, outers: OuterStack) -> List[Row]:
-        return list(self.iter_rows(outers))
-
     def free_refs(self) -> Optional[Refs]:
         """Outer-stack positions (depth ≥ 1) the subtree reads; None if unknown.
 
@@ -259,12 +252,6 @@ class StaticScan(PlanNode):
 
     data: List[Row]
     arity: Optional[int] = None
-
-    def iter_rows(self, outers: OuterStack) -> Iterator[Row]:
-        return iter(self.data)
-
-    def rows(self, outers: OuterStack) -> List[Row]:
-        return self.data
 
     def _free_refs(self) -> Refs:
         return frozenset()
@@ -301,17 +288,6 @@ class TableScan(PlanNode):
     #: against ``data`` by identity, cleared on unbind.
     _columns: Optional[tuple] = field(default=None, compare=False, repr=False)
 
-    def iter_rows(self, outers: OuterStack) -> Iterator[Row]:
-        return iter(self.rows(outers))
-
-    def rows(self, outers: OuterStack) -> List[Row]:
-        if self.data is None:
-            raise RuntimeError(
-                f"TableScan({self.table!r}) executed without a bound database "
-                f"(see repro.engine.binding.bind_plan)"
-            )
-        return self.data
-
     def _free_refs(self) -> Refs:
         return frozenset()
 
@@ -324,19 +300,6 @@ class CrossJoin(PlanNode):
     """Cartesian product of one or more children, concatenating rows."""
 
     children: List[PlanNode]
-
-    def iter_rows(self, outers: OuterStack) -> Iterator[Row]:
-        materialized: List[List[Row]] = []
-        for child in self.children:
-            rows = child.rows(outers)
-            if not rows:
-                return
-            materialized.append(rows)
-        for combo in _iter_product(*materialized):
-            row: Row = combo[0]
-            for part in combo[1:]:
-                row = row + part
-            yield row
 
     def _free_refs(self) -> Optional[Refs]:
         return merge_refs(*(child.free_refs() for child in self.children))
@@ -358,12 +321,6 @@ class FilterOp(PlanNode):
     child: PlanNode
     predicate: Callable[[Row, OuterStack], Optional[bool]]
 
-    def iter_rows(self, outers: OuterStack) -> Iterator[Row]:
-        predicate = self.predicate
-        for row in self.child.iter_rows(outers):
-            if predicate(row, outers) is True:
-                yield row
-
     def _free_refs(self) -> Optional[Refs]:
         return merge_refs(
             self.child.free_refs(), _outer_part(pred_refs(self.predicate))
@@ -379,11 +336,6 @@ class ProjectOp(PlanNode):
 
     child: PlanNode
     expressions: Sequence[RowExpr]
-
-    def iter_rows(self, outers: OuterStack) -> Iterator[Row]:
-        expressions = self.expressions
-        for row in self.child.iter_rows(outers):
-            yield tuple(expr(row, outers) for expr in expressions)
 
     def _free_refs(self) -> Optional[Refs]:
         return merge_refs(
@@ -401,13 +353,6 @@ class DistinctOp(PlanNode):
 
     child: PlanNode
 
-    def iter_rows(self, outers: OuterStack) -> Iterator[Row]:
-        seen = set()
-        for row in self.child.iter_rows(outers):
-            if row not in seen:
-                seen.add(row)
-                yield row
-
     def _free_refs(self) -> Optional[Refs]:
         return self.child.free_refs()
 
@@ -423,28 +368,6 @@ class SetOpNode(PlanNode):
     all: bool
     left: PlanNode
     right: PlanNode
-
-    def iter_rows(self, outers: OuterStack) -> Iterator[Row]:
-        left_counts = Counter(self.left.iter_rows(outers))
-        right_counts = Counter(self.right.iter_rows(outers))
-        result: Counter = Counter()
-        if self.op == "UNION":
-            result = left_counts + right_counts
-            if not self.all:
-                result = Counter(dict.fromkeys(result, 1))
-        elif self.op == "INTERSECT":
-            result = left_counts & right_counts
-            if not self.all:
-                result = Counter(dict.fromkeys(result, 1))
-        elif self.op == "EXCEPT":
-            if self.all:
-                result = left_counts - right_counts
-            else:
-                dedup_left = Counter(dict.fromkeys(left_counts, 1))
-                result = dedup_left - right_counts
-        else:  # pragma: no cover - guarded at compile time
-            raise ValueError(f"unknown set operation {self.op}")
-        return iter(result.elements())
 
     def _free_refs(self) -> Optional[Refs]:
         return merge_refs(self.left.free_refs(), self.right.free_refs())
@@ -483,16 +406,16 @@ class HashJoin(PlanNode):
 
     def _build(self, rows: Sequence[Row]) -> Tuple[dict, int]:
         """``(key -> rows, rows inserted)`` over the right child's ``rows``:
-        the one build kernel of both tiers."""
+        the join's build kernel."""
         keys = self.right_keys
         table, dropped = _partition(rows, itemgetter(*keys), len(keys) > 1)
         return table, len(rows) - dropped
 
     def build_table(self, outers: OuterStack, right_rows: Callable) -> dict:
-        """The probe table over ``right_rows(outers)`` — the right child's
-        ``rows``, or the lowered tier's materializer of them — built at
-        most once per execution when closed, and at most once per table
-        and key columns when the right child is a bare base-table scan."""
+        """The probe table over ``right_rows(outers)``, the right child's
+        materialized rows — built at most once per execution when closed,
+        and at most once per table and key columns when the right child is
+        a bare base-table scan."""
         if self._closed_build is None:
             self._closed_build = self.right.free_refs() == frozenset()
         if not self._closed_build:
@@ -512,11 +435,6 @@ class HashJoin(PlanNode):
         for row in rows:
             for match in get(key_of(row), ()):
                 yield row + match
-
-    def iter_rows(self, outers: OuterStack) -> Iterator[Row]:
-        table = self.build_table(outers, self.right.rows)
-        if table:
-            yield from self.probe(table, self.left.iter_rows(outers))
 
     def _free_refs(self) -> Optional[Refs]:
         return merge_refs(self.left.free_refs(), self.right.free_refs())
@@ -592,7 +510,7 @@ class GenericJoin(PlanNode):
         (bag multiplicity); children binding no variable contribute their
         plain row list.  Rows with a NULL variable column — or two
         same-variable columns that differ — can never match and are left
-        out.  The build kernel of both tiers."""
+        out.  The join's build kernel."""
         tries: List[object] = []
         held = 0
         for levels, rows in zip(self._child_cols, children_rows):
@@ -613,10 +531,9 @@ class GenericJoin(PlanNode):
     def build_tries(
         self, outers: OuterStack, children_rows: Sequence[Callable]
     ) -> List[object]:
-        """The per-child tries over each ``children_rows[i](outers)`` — the
-        children's ``rows``, or the lowered tier's materializers of them —
-        built at most once per execution when every child is closed
-        (mirrors :meth:`HashJoin.build_table`)."""
+        """The per-child tries over each ``children_rows[i](outers)``, the
+        children's materialized rows — built at most once per execution
+        when every child is closed (mirrors :meth:`HashJoin.build_table`)."""
         if self._closed_build is None:
             self._closed_build = self.free_refs() == frozenset()
         if not self._closed_build:
@@ -652,14 +569,6 @@ class GenericJoin(PlanNode):
             else:
                 yield from self._solve(level + 1, branch)
 
-    def iter_rows(self, outers: OuterStack) -> Iterator[Row]:
-        tries = self.build_tries(outers, [child.rows for child in self.children])
-        if any(not trie for trie in tries):
-            # An empty trie (or an empty variable-free child) admits no
-            # combination at all.
-            return
-        yield from self._solve(0, list(tries))
-
     def _free_refs(self) -> Optional[Refs]:
         return merge_refs(*(child.free_refs() for child in self.children))
 
@@ -685,15 +594,6 @@ class CachedSubplan(PlanNode):
     child: PlanNode
     _cache: Optional[List[Row]] = field(default=None, repr=False, compare=False)
 
-    def iter_rows(self, outers: OuterStack) -> Iterator[Row]:
-        return iter(self.rows(outers))
-
-    def rows(self, outers: OuterStack) -> List[Row]:
-        if self._cache is None:
-            # The child is closed, so the outer stack is irrelevant.
-            self._cache = self.child.rows(())
-        return self._cache
-
     def _free_refs(self) -> Optional[Refs]:
         return self.child.free_refs()
 
@@ -717,16 +617,6 @@ class MemoSubplan(PlanNode):
     memo_refs: Tuple[Tuple[int, int], ...]
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def iter_rows(self, outers: OuterStack) -> Iterator[Row]:
-        return iter(self.rows(outers))
-
-    def rows(self, outers: OuterStack) -> List[Row]:
-        key = tuple(outers[-d][i] for d, i in self.memo_refs)
-        rows = self._memo.get(key)
-        if rows is None:
-            rows = self._memo[key] = self.child.rows(outers)
-        return rows
-
     def _free_refs(self) -> Optional[Refs]:
         return self.child.free_refs()
 
@@ -746,11 +636,6 @@ class RemapOp(PlanNode):
 
     child: PlanNode
     mapping: Tuple[int, ...]
-
-    def iter_rows(self, outers: OuterStack) -> Iterator[Row]:
-        mapping = self.mapping
-        for row in self.child.iter_rows(outers):
-            yield tuple(row[j] for j in mapping)
 
     def _free_refs(self) -> Optional[Refs]:
         return self.child.free_refs()
@@ -781,51 +666,6 @@ class HashSetOp(PlanNode):
     left: PlanNode
     right: PlanNode
 
-    def iter_rows(self, outers: OuterStack) -> Iterator[Row]:
-        if self.op == "UNION":
-            if self.all:
-                yield from self.left.iter_rows(outers)
-                yield from self.right.iter_rows(outers)
-                return
-            seen = set()
-            for side in (self.left, self.right):
-                for row in side.iter_rows(outers):
-                    if row not in seen:
-                        seen.add(row)
-                        yield row
-            return
-        if self.op == "INTERSECT":
-            if self.all:
-                remaining = Counter(self.right.iter_rows(outers))
-                for row in self.left.iter_rows(outers):
-                    if remaining[row] > 0:
-                        remaining[row] -= 1
-                        yield row
-                return
-            right_rows = set(self.right.iter_rows(outers))
-            emitted = set()
-            for row in self.left.iter_rows(outers):
-                if row in right_rows and row not in emitted:
-                    emitted.add(row)
-                    yield row
-            return
-        if self.op == "EXCEPT":
-            right_counts = Counter(self.right.iter_rows(outers))
-            if self.all:
-                for row in self.left.iter_rows(outers):
-                    if right_counts[row] > 0:
-                        right_counts[row] -= 1
-                    else:
-                        yield row
-                return
-            emitted = set()
-            for row in self.left.iter_rows(outers):
-                if right_counts[row] == 0 and row not in emitted:
-                    emitted.add(row)
-                    yield row
-            return
-        raise ValueError(f"unknown set operation {self.op}")  # pragma: no cover
-
     def _free_refs(self) -> Optional[Refs]:
         return merge_refs(self.left.free_refs(), self.right.free_refs())
 
@@ -844,9 +684,6 @@ class ExistsPred:
 
     def __init__(self, subplan: PlanNode):
         self.subplan = subplan
-
-    def __call__(self, row: Row, outers: OuterStack) -> bool:
-        return bool(self.subplan.rows(outers + (row,)))
 
     def refs(self) -> Optional[Refs]:
         return _sub_refs(self.subplan.free_refs())
@@ -872,29 +709,6 @@ class ExistsProbe:
         self._known: Optional[bool] = None
         self._refs = tuple(sorted(memo_refs)) if memo_refs else None
         self._memo: dict = {}
-
-    def _binding(self, row: Row, outers: OuterStack) -> Tuple:
-        return tuple(
-            row[i] if d == 0 else outers[-d][i] for d, i in self._refs
-        )
-
-    def _probe(self, row: Row, outers: OuterStack) -> bool:
-        for _ in self.subplan.iter_rows(outers + (row,)):
-            return True
-        return False
-
-    def __call__(self, row: Row, outers: OuterStack) -> bool:
-        if self.closed:
-            if self._known is None:
-                self._known = self._probe(row, outers)
-            return self._known
-        if self._refs is None:
-            return self._probe(row, outers)
-        key = self._binding(row, outers)
-        result = self._memo.get(key)
-        if result is None:
-            result = self._memo[key] = self._probe(row, outers)
-        return result
 
     def refs(self) -> Optional[Refs]:
         return _sub_refs(self.subplan.free_refs())
@@ -923,22 +737,6 @@ class InPred:
         self.negated = negated
         self._refs = tuple(sorted(memo_refs)) if memo_refs else None
         self._memo: dict = {}
-
-    def _sub_rows(self, row: Row, outers: OuterStack) -> Sequence[Row]:
-        if self._refs is None:
-            return self.subplan.rows(outers + (row,))
-        key = tuple(row[i] if d == 0 else outers[-d][i] for d, i in self._refs)
-        rows = self._memo.get(key)
-        if rows is None:
-            rows = self._memo[key] = list(
-                dict.fromkeys(self.subplan.rows(outers + (row,)))
-            )
-        return rows
-
-    def __call__(self, row: Row, outers: OuterStack) -> Optional[bool]:
-        values = tuple(expr(row, outers) for expr in self.exprs)
-        result = _in_fold(values, self._sub_rows(row, outers))
-        return not3(result) if self.negated else result
 
     def refs(self) -> Optional[Refs]:
         return merge_refs(
@@ -1064,8 +862,8 @@ class SemiJoinProbe:
         return _in_fold(values, _chain(index, null_rows))
 
     def materialize(self, rows: Callable[[], Iterable[Row]]) -> tuple:
-        """Index the subplan's rows — ``rows()``, the interpreted or the
-        lowered iteration of them — as this probe's build side."""
+        """Index the subplan's rows, ``rows()``, as this probe's build
+        side."""
         source, signature = self._source
         build = self._build = _resident(
             source,
@@ -1073,13 +871,6 @@ class SemiJoinProbe:
             lambda: build_probe_index(rows(), self.key_width, len(self.exprs)),
         )
         return build
-
-    def __call__(self, row: Row, outers: OuterStack) -> Optional[bool]:
-        build = self._build
-        if build is None:
-            build = self.materialize(lambda: self.subplan.iter_rows(()))
-        result = self.lookup(tuple(expr(row, outers) for expr in self.exprs), build)
-        return not3(result) if self.negated else result
 
     def refs(self) -> Optional[Refs]:
         return merge_refs(*(expr_refs(expr) for expr in self.exprs))

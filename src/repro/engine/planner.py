@@ -107,13 +107,13 @@ class _Scope:
 class CompiledQuery:
     """A compiled plan plus its output column labels.
 
-    ``run``, when present, is the closure-compiled executor
-    (:func:`repro.engine.compile.compile_plan`) — a drop-in replacement
-    for ``plan.iter_rows`` that shares all mutable state with the plan
-    tree (so binding and unbinding work unchanged).  The planner itself
-    leaves it unset; the :class:`~repro.engine.Engine` fills it in when
-    lowering pays (plan-cache admission, or a single-use plan binding at
-    least ``SINGLE_USE_COMPILE_ROWS`` rows).
+    ``run`` is the plan's executor, its closure tree
+    (:func:`repro.engine.compile.compile_plan`): call it with ``()`` to
+    iterate the rows.  It shares all mutable state with the plan tree, so
+    binding and unbinding work on the plan.  The planner leaves it unset;
+    the :class:`~repro.engine.Engine` always fills it in, with generated
+    code when that pays (plan-cache admission, or a single-use plan binding
+    at least ``SINGLE_USE_COMPILE_ROWS`` rows).
     """
 
     plan: PlanNode

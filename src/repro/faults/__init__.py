@@ -30,8 +30,8 @@ Sites are plain dotted strings; the hooks threaded through the stack are:
 ``live.transient``
     A transient ``sqlite3.OperationalError`` from the live backend.
 ``server.exec_error``
-    The service's compiled execution tier raises; the request
-    must fall back to the interpreted tier, never serve wrong.
+    The service's primary engine raises; the request must be
+    retried on a fresh single-use engine, never serve wrong.
 ``server.slow``
     The service stalls inside request handling (drives deadline tests).
 ``server.disconnect``

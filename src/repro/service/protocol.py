@@ -20,7 +20,7 @@ The bound AST is a frozen dataclass tree, so it keys the engine's plan
 cache directly: re-executing a statement with the same parameter values
 reuses its compiled plan, and distinct values get their own plan (a
 "custom plan per binding" — literal values stay visible to the optimizer
-and the compiled tier's constant folding, which a mutate-in-place
+and the generated predicates' constant folding, which a mutate-in-place
 substitution would silently break).
 
 Row framing

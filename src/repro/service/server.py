@@ -10,7 +10,7 @@ frameworks, per the repo's dependency rule) in front of the engine:
   values into the frozen template, run through the tenant's engine (plan
   cache + cross-query build-side sharing), stream the result.
 * ``POST /query``     ``{sql, tenant?, database?}``: the ad-hoc path —
-  parse, plan and execute from scratch on an *uncached*, interpreted
+  parse, plan and execute from scratch on an *uncached* single-use
   engine.  This is deliberate admission policy, not a missing
   optimization: only prepared statements admit plans and generate code,
   so one-off queries can never churn a tenant's caches or the process's
@@ -630,15 +630,16 @@ class QueryService:
     def _execute_guarded(self, engine, tenant, tenant_name: str, query, db):
         """Run a query with tier fallback under the tenant's breaker.
 
-        A failure of the *primary* (cached/compiled) tier that is not an
-        expected client error is retried once on a fresh uncached engine —
-        parse-to-interpretation from scratch (``compiled=False``: a
-        different implementation from either primary, whatever the
-        tenant's size), sharing nothing but the content-pure memos on the
-        immutable tables.  Either the retry produces the same-semantics
-        answer (counted in ``tier_fallbacks``), or the request fails
-        loudly; a wrong answer is never served quietly.  Consecutive hard failures trip the
-        tenant's circuit breaker.
+        A failure of the primary engine that is not an expected client
+        error is retried once on the fresh single-use engine ad-hoc
+        requests run on (:func:`_fresh_engine`): planned and lowered from
+        scratch, it leaves behind the tenant's plan cache, its build cache
+        and any state earlier requests left in either, and shares nothing
+        but the content-pure memos on the immutable tables.  It runs the
+        same executor, so it isolates state, not code.  Either the retry
+        produces the answer (counted in ``tier_fallbacks``), or the request
+        fails loudly; a wrong answer is never served quietly.  Consecutive
+        hard failures trip the tenant's circuit breaker.
         """
         breaker = self._breaker_for(tenant_name)
         try:
@@ -652,13 +653,7 @@ class QueryService:
                 raise  # a client-visible 400, not a tier failure
             except Exception:
                 self.tier_fallbacks += 1
-                fallback = Engine(
-                    db.schema,
-                    tenant.dialect,
-                    compiled=False,
-                    plan_cache_size=0,
-                    build_cache_size=0,
-                )
+                fallback = _fresh_engine(db, tenant)
                 if faults.fire("server.exec_error"):
                     raise faults.InjectedCrash(
                         "injected execution failure (fallback tier)"
@@ -708,23 +703,23 @@ class QueryService:
 
         if faults.fire("server.slow"):
             await asyncio.sleep(0.25)
-        # Ad-hoc admission policy: a fresh single-use engine — parse, plan
-        # and execute from scratch, no plan admitted, no build-side cache
-        # churned.  The plan is lowered by the engine's single-use size
-        # rule (``SINGLE_USE_COMPILE_ROWS``), and a one-off shape cannot
-        # evict the prepared path's kernels: generated code enters the
-        # process-wide code cache only on its second compilation.  Builds
-        # over bare base-table scans are memoized on the tenant's tables.
-        engine = Engine(
-            db.schema,
-            tenant.dialect,
-            plan_cache_size=0,
-            build_cache_size=0,
-        )
+        engine = _fresh_engine(db, tenant)
         query = annotate(sql, db.schema)
         labels, rows = self._execute_guarded(engine, tenant, tenant_name, query, db)
         tenant.executions += 1
         await self._stream_result(writer, labels, rows)
+
+
+def _fresh_engine(db: Database, tenant) -> Engine:
+    """A single-use engine for ``tenant`` over ``db``: the ad-hoc admission
+    policy and the fallback rung.  Parse, plan and execute from scratch, no
+    plan admitted, no build-side cache churned.  Code is generated by the
+    engine's single-use size rule (``SINGLE_USE_COMPILE_ROWS``), and a
+    one-off shape cannot evict the prepared path's kernels: generated code
+    enters the process-wide code cache only on its second compilation.
+    Builds over bare base-table scans are memoized on the tenant's
+    tables."""
+    return Engine(db.schema, tenant.dialect, plan_cache_size=0, build_cache_size=0)
 
 
 class ServiceThread:

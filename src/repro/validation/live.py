@@ -264,9 +264,9 @@ class LiveSqliteRunner:
         # Fresh query every trial: the plan cache can never hit (see the
         # identical setting in ValidationRunner).  Unlike there, plans over
         # an imported database bind thousands of rows, so the engine's
-        # size rule compiles them (2-3x on a 10,000-row scenario); on a
-        # scenario small enough for the semantics side they stay
-        # interpreted.
+        # size rule generates code for them (2-3x on a 10,000-row
+        # scenario); on a scenario small enough for the semantics side
+        # they keep their predicate objects.
         self.engine = Engine(scenario.schema, dialect, plan_cache_size=0)
         self.use_semantics = scenario.total_rows <= semantics_limit
         self.semantics = (

@@ -111,13 +111,13 @@ class ValidationRunner:
         # trial with AST hashing, LRU bookkeeping and the unbind walk
         # (~7% of campaign throughput, measured).  Workloads that do repeat
         # queries (the equivalence checker, direct Engine use) keep the
-        # default cache.  Trial plans also stay *interpreted*, by the
-        # engine's own rule rather than by this setting: a single-use plan
-        # is lowered only when its scans bind SINGLE_USE_COMPILE_ROWS or
-        # more, and a trial binds at most a few dozen rows (closure
-        # generation would cost 3x what it saves here; raising
-        # ``data_config.max_rows`` far enough flips the decision per
-        # query).
+        # default cache.  Trial plans also run without generated code, by
+        # the engine's own rule rather than by this setting: a single-use
+        # plan gets generated predicates and scan kernels only when its
+        # scans bind SINGLE_USE_COMPILE_ROWS or more, and a trial binds at
+        # most a few dozen rows (code generation would cost 3x what it
+        # saves here; raising ``data_config.max_rows`` far enough flips the
+        # decision per query).
         if variant == "postgres":
             self.star_style = STAR_COMPOSITIONAL
             self.semantics = SqlSemantics(self.schema, star_style=STAR_COMPOSITIONAL)

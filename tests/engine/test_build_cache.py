@@ -13,6 +13,8 @@ from repro.engine.binding import BuildSideCache, iter_plan_nodes
 from repro.engine.operators import TableScan
 from repro.sql import annotate
 
+from ..executor import CodegenOffEngine, run_rows
+
 
 @pytest.fixture
 def schema():
@@ -426,7 +428,7 @@ def test_probe_entry_is_smaller_than_the_typed_key_triple():
 # immutable Table, so it is memoized there under its signature: single-use
 # engines (the ad-hoc path, the live campaign) rebuild nothing the same
 # table has already built.  Every result below is checked against the
-# formal semantics, on both tiers.
+# formal semantics, with and without generated code.
 
 MEMO_SCHEMA = Schema({"R": ("A", "B"), "T": ("C", "D")})
 
@@ -464,22 +466,17 @@ def memo_db(content=MEMO_CONTENT):
 
 def single_use_engines(tier, monkeypatch):
     """A factory of fresh single-use engines (``plan_cache_size=0``, as the
-    ad-hoc path builds them) on ``tier``: the size rule sends every plan
-    to the lowered tier, or none."""
+    ad-hoc path builds them) on ``tier``: the size rule gives every plan
+    generated code (``"codegen"``), or none (``"codegen-off"``)."""
+    if tier == "codegen-off":
+        return lambda: CodegenOffEngine(MEMO_SCHEMA, build_cache_size=0)
     from repro.engine import engine as engine_module
 
-    lowered = tier == "lowered"
-    monkeypatch.setattr(
-        engine_module, "SINGLE_USE_COMPILE_ROWS", 0 if lowered else sys.maxsize
-    )
-
-    def make():
-        return Engine(MEMO_SCHEMA, plan_cache_size=0, build_cache_size=0)
-
-    return make
+    monkeypatch.setattr(engine_module, "SINGLE_USE_COMPILE_ROWS", 0)
+    return lambda: Engine(MEMO_SCHEMA, plan_cache_size=0, build_cache_size=0)
 
 
-@pytest.fixture(params=["lowered", "interpreted"])
+@pytest.fixture(params=["codegen", "codegen-off"])
 def single_use(request, monkeypatch):
     return single_use_engines(request.param, monkeypatch)
 
@@ -570,12 +567,11 @@ def test_probe_sets_over_a_projected_scan(single_use):
     assert memo_of(db)[("probe", 0, 1, (1,))][1] == ((None,),)
 
 
-@pytest.mark.parametrize("tier", ["lowered", "interpreted"])
-def test_hand_installed_scan_rows_do_not_read_the_memo(tier):
+@pytest.mark.parametrize("codegen", [True, False], ids=["codegen", "codegen-off"])
+def test_hand_installed_scan_rows_do_not_read_the_memo(codegen):
     """Rows put on a ``TableScan`` by hand, not by ``bind_plan``, are the
     build's input, whatever the bound table has memoized."""
     from repro.engine.binding import bind_plan
-    from repro.engine.compile import compile_plan
     from repro.engine.operators import (
         HashJoin,
         ProjectOp,
@@ -594,7 +590,7 @@ def test_hand_installed_scan_rows_do_not_read_the_memo(tier):
     filtered = FilterOp(StaticScan([(1,), (3,), (5,)], arity=1), probe)
 
     def run(plan):
-        return Counter(plan.rows(()) if tier == "interpreted" else compile_plan(plan)(()))
+        return Counter(run_rows(plan, codegen=codegen))
 
     bind_plan(join, db)
     assert run(join) == Counter({(1, 1, 2): 2, (3, 3, None): 1, (3, 3, 4): 1})
@@ -615,10 +611,9 @@ def test_hand_installed_scan_rows_do_not_read_the_memo(tier):
     )
 
 
-@pytest.mark.parametrize("tier", ["lowered", "interpreted"])
-def test_build_rows_equal_on_hit_and_miss(tier):
+@pytest.mark.parametrize("codegen", [True, False], ids=["codegen", "codegen-off"])
+def test_build_rows_equal_on_hit_and_miss(codegen):
     from repro.engine.binding import bind_plan
-    from repro.engine.compile import compile_plan
     from repro.engine.operators import HashJoin, StaticScan
 
     db = memo_db()
@@ -626,7 +621,7 @@ def test_build_rows_equal_on_hit_and_miss(tier):
     seen = []
     for _ in range(2):
         bind_plan(join, db)  # resets the per-execution table
-        rows = join.rows(()) if tier == "interpreted" else list(compile_plan(join)(()))
+        rows = run_rows(join, codegen=codegen)
         seen.append((Counter(rows), join._build_rows, join._table))
     (rows, miss, built), (again, hit, restored) = seen
     assert rows == again and restored is built

@@ -11,10 +11,10 @@ Pins the contracts the compiler must keep:
 * compiled plans round-trip through ``bind_plan``/``unbind_plan``: cached
   compiled plans pin no database rows, per-execution memos reset, and the
   build-side cache keeps sharing structures;
-* a plan is lowered when that pays: at plan-cache admission, or — for
-  single-use plans (``plan_cache_size=0``) — once the rows bound under its
-  scans reach ``SINGLE_USE_COMPILE_ROWS``; validation trials stay
-  interpreted;
+* every plan is lowered, and code is generated when that pays: at
+  plan-cache admission, or — for single-use plans (``plan_cache_size=0``)
+  — once the rows bound under its scans reach ``SINGLE_USE_COMPILE_ROWS``;
+  validation trials keep their predicate objects;
 * generated sources are shape-keyed: literals, column indices and
   comparison operators never reach the process-wide code cache's keys, and
   the cache sheds its oldest entry, never everything, when full.
@@ -42,6 +42,8 @@ from repro.engine.expressions import (
 from repro.engine.operators import FilterOp, StaticScan, TableScan
 from repro.service.protocol import bind_parameters, expand_placeholders
 from repro.sql import annotate
+
+from ..executor import CodegenOffEngine, generated_code
 
 SCHEMA = Schema({"R": ("A", "B"), "S": ("A",)})
 
@@ -185,8 +187,9 @@ def test_compile_row_builds_projection_tuples():
 
 
 def test_filter_with_false_predicate_still_drains_its_child():
-    """The interpreted FilterOp iterates its child even when no row can
-    pass; a child that raises mid-iteration must raise compiled too."""
+    """A filter tested per row iterates its child even when no row can
+    pass; a child that raises mid-iteration must raise when the predicate
+    folds to a constant too."""
 
     def boom(row, outers):
         raise CompileError("boom")
@@ -194,8 +197,6 @@ def test_filter_with_false_predicate_still_drains_its_child():
     plan = FilterOp(
         FilterOp(StaticScan([(1,), (2,)], arity=1), boom), ConstPred(False)
     )
-    with pytest.raises(CompileError):
-        list(plan.iter_rows(()))
     compiled = compile_plan(plan)
     with pytest.raises(CompileError):
         list(compiled(()))
@@ -216,7 +217,7 @@ def test_compiled_engine_matches_interpreted_on_handwritten_queries():
     ]
     db = make_db([(1, 2), (2, NULL), (NULL, 4), (3, 3)], [(1,), (3,), (NULL,)])
     compiled_engine = Engine(SCHEMA, "postgres")
-    interpreted_engine = Engine(SCHEMA, "postgres", compiled=False)
+    interpreted_engine = CodegenOffEngine(SCHEMA, "postgres")
     for text in queries:
         query = annotate(text, SCHEMA)
         compiled = compiled_engine.execute(query, db)
@@ -234,11 +235,11 @@ def test_compiled_plan_unbinds_and_rebinds():
     assert [r for r in engine.execute(query, db1).bag] == [(1,)]
     assert [r for r in engine.execute(query, db2).bag] == [(3,)]
     plan = engine._plan(query).plan
-    assert engine._plan(query).run is not None
+    assert generated_code(engine._plan(query).run)
     for node, _pred in iter_plan_nodes(plan):
         if isinstance(node, TableScan):
             assert node.data is None  # unbound: no database rows pinned
-    # Executing the unbound compiled plan fails exactly like interpreted.
+    # Executing the unbound plan fails loudly.
     with pytest.raises(RuntimeError, match="without a bound database"):
         list(engine._plan(query).run(()))
 
@@ -253,46 +254,40 @@ def test_compiled_engine_uses_build_side_cache():
 
 
 def test_compilation_hooks_in_at_plan_cache_admission_or_size():
-    query = annotate("SELECT R.A FROM R", SCHEMA)
+    query = annotate("SELECT R.A FROM R WHERE R.B > 0", SCHEMA)
     cached_engine = Engine(SCHEMA, "postgres")
-    assert cached_engine._plan(query).run is not None
+    assert generated_code(cached_engine._plan(query).run)
     single_use = Engine(SCHEMA, "postgres", plan_cache_size=0)
-    assert single_use._plan(query).run is None  # nothing bound yet
-    ablated = Engine(SCHEMA, "postgres", compiled=False)
-    assert ablated._plan(query).run is None
+    assert not generated_code(single_use._plan(query).run)  # nothing bound yet
+    naive = Engine(SCHEMA, "postgres", optimize=False)
+    assert not generated_code(naive._plan(query).run)
     # All three still agree, of course.
     db = make_db([(1, 2)], [(1,)])
     results = [
         engine.execute(query, db)
-        for engine in (cached_engine, single_use, ablated)
+        for engine in (cached_engine, single_use, naive)
     ]
     assert results[0].same_as(results[1]) and results[0].same_as(results[2])
 
 
-def test_compiling_naive_plans_is_rejected_eagerly():
-    with pytest.raises(ValueError, match="compiled=True, optimize=False"):
-        Engine(SCHEMA, "postgres", compiled=True, optimize=False)
-    assert Engine(SCHEMA, "postgres", optimize=False).compiled is False
-
-
 def test_single_use_plans_compile_at_the_break_even_constant():
-    """The same query on a cache-less engine: interpreted one bound row
-    below ``SINGLE_USE_COMPILE_ROWS``, compiled at it.  Bound rows are
-    summed per scan, subquery plans included."""
+    """The same query on a cache-less engine: no generated code one bound
+    row below ``SINGLE_USE_COMPILE_ROWS``, generated code at it.  Bound
+    rows are summed per scan, subquery plans included."""
     limit = engine_module.SINGLE_USE_COMPILE_ROWS
     query = annotate(
         "SELECT R.A FROM R WHERE R.A IN (SELECT S.A FROM S) AND R.B > 0", SCHEMA
     )
     rows_s = [(i,) for i in range(10)]
     engine = Engine(SCHEMA, "postgres", plan_cache_size=0)
-    reference = Engine(SCHEMA, "postgres", compiled=False, plan_cache_size=0)
+    reference = CodegenOffEngine(SCHEMA, "postgres")
     for rows_in_r, compiled in ((limit - 11, False), (limit - 10, True)):
         db = make_db([(i % 7, i) for i in range(rows_in_r)], rows_s)
         result = engine.execute(query, db)
         # The engine keeps the cardinalities it was last bound to, so the
         # plan it would build for that database can be inspected.
-        assert (engine._plan(query).run is not None) is compiled
-        assert reference._plan(query).run is None
+        assert generated_code(engine._plan(query).run) is compiled
+        assert not generated_code(reference._plan(query).run)
         assert result.same_as(reference.execute(query, db))
 
 
@@ -301,9 +296,10 @@ def test_single_use_ablation_never_compiles():
     db = make_db(
         [(i, i) for i in range(engine_module.SINGLE_USE_COMPILE_ROWS * 2)], []
     )
-    ablated = Engine(SCHEMA, "postgres", compiled=False, plan_cache_size=0)
+    ablated = CodegenOffEngine(SCHEMA, "postgres")
     ablated.execute(query, db)
-    assert ablated._plan(query).run is None
+    assert not generated_code(ablated._plan(query).run)
+    assert ablated.cache_info()["scan_kernels"]["selections"] == 0
 
 
 # -- the shape-keyed code cache -------------------------------------------------

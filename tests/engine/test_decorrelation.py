@@ -14,6 +14,7 @@ from repro.engine.operators import build_probe_index
 from repro.semantics import STAR_COMPOSITIONAL, STAR_STANDARD, SqlSemantics
 from repro.sql import annotate
 
+from ..executor import CodegenOffEngine
 from ..properties.decorrelation import keyed_probe_count
 
 SCHEMA = Schema({"R": ("A", "B"), "S": ("A", "B"), "T": ("C", "D")})
@@ -32,11 +33,11 @@ VARIANTS = [
     (DIALECT_ORACLE, STAR_STANDARD),
 ]
 
-TIERS = [
-    {},
-    {"compiled": False},
-    {"plan_cache_size": 0},
-]
+TIERS = {
+    "default": Engine,
+    "codegen-off": CodegenOffEngine,
+    "single-use": lambda schema, dialect: Engine(schema, dialect, plan_cache_size=0),
+}
 
 #: (sql, decorrelated probes expected in the plan)
 CASES = [
@@ -138,12 +139,12 @@ def test_every_tier_agrees_with_the_formal_semantics(dialect, star_style, sql, p
     expected = SqlSemantics(SCHEMA, star_style=star_style).run(query, db)
     naive = Engine(SCHEMA, dialect, optimize=False).execute(query, db)
     assert naive.same_as(expected)
-    for options in TIERS:
-        engine = Engine(SCHEMA, dialect, **options)
-        assert keyed_probe_count(engine._plan(query).plan) == probes, options
+    for tier, make in TIERS.items():
+        engine = make(SCHEMA, dialect)
+        assert keyed_probe_count(engine._plan(query).plan) == probes, tier
         # Cold, then harvesting, then restored from the build-side cache.
         for _ in range(3):
-            assert engine.execute(query, make_db()).same_as(expected), options
+            assert engine.execute(query, make_db()).same_as(expected), tier
 
 
 def test_expected_rows_of_the_null_cases():

@@ -10,28 +10,30 @@ from repro.engine.operators import (
     StaticScan,
 )
 
+from ..executor import run_rows
+
 
 def scan(*rows):
     return StaticScan(list(rows))
 
 
 def test_static_scan():
-    assert scan((1,), (2,)).rows(()) == [(1,), (2,)]
+    assert run_rows(scan((1,), (2,))) == [(1,), (2,)]
 
 
 def test_cross_join_concatenates():
     node = CrossJoin([scan((1,), (2,)), scan(("a",), ("b",))])
-    assert sorted(node.rows(())) == [(1, "a"), (1, "b"), (2, "a"), (2, "b")]
+    assert sorted(run_rows(node)) == [(1, "a"), (1, "b"), (2, "a"), (2, "b")]
 
 
 def test_cross_join_empty_child_short_circuits():
     node = CrossJoin([scan((1,)), scan()])
-    assert node.rows(()) == []
+    assert run_rows(node) == []
 
 
 def test_cross_join_single_child():
     node = CrossJoin([scan((1,))])
-    assert node.rows(()) == [(1,)]
+    assert run_rows(node) == [(1,)]
 
 
 def test_filter_keeps_only_true():
@@ -40,22 +42,22 @@ def test_filter_keeps_only_true():
         scan((1,), (None,), (3,)),
         lambda row, outers: None if row[0] is None else row[0] > 1,
     )
-    assert node.rows(()) == [(3,)]
+    assert run_rows(node) == [(3,)]
 
 
 def test_project_evaluates_expressions():
     node = ProjectOp(scan((1, 2)), [ColumnRef(0, 1), LiteralExpr(9)])
-    assert node.rows(()) == [(2, 9)]
+    assert run_rows(node) == [(2, 9)]
 
 
 def test_distinct_keeps_first_seen_order():
     node = DistinctOp(scan((2,), (1,), (2,), (1,)))
-    assert node.rows(()) == [(2,), (1,)]
+    assert run_rows(node) == [(2,), (1,)]
 
 
 def test_distinct_treats_none_as_value():
     node = DistinctOp(scan((None,), (None,)))
-    assert node.rows(()) == [(None,)]
+    assert run_rows(node) == [(None,)]
 
 
 class TestSetOps:
@@ -64,7 +66,7 @@ class TestSetOps:
 
     def rows(self, op, all_flag, left=None, right=None):
         node = SetOpNode(op, all_flag, left or self.left, right or self.right)
-        return sorted(node.rows(()), key=repr)
+        return sorted(run_rows(node), key=repr)
 
     def test_union_all(self):
         assert self.rows("UNION", True) == [(1,), (1,), (1,), (2,), (3,)]
@@ -86,13 +88,13 @@ class TestSetOps:
         left = scan((1,), (1,), (2,))
         right = scan((2,), (2,))
         node = SetOpNode("EXCEPT", False, left, right)
-        assert sorted(node.rows(())) == [(1,)]
+        assert sorted(run_rows(node)) == [(1,)]
 
     def test_nulls_match_in_set_ops(self):
         left = scan((None,), (1,))
         right = scan((None,),)
         node = SetOpNode("EXCEPT", False, left, right)
-        assert node.rows(()) == [(1,)]
+        assert run_rows(node) == [(1,)]
 
 
 class TestThreeValuedHelpers:

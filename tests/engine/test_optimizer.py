@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import NULL, Database, Schema
 from repro.engine import DIALECT_ORACLE, DIALECT_POSTGRES, Engine
-from repro.engine.compile import compile_plan
 from repro.engine.expressions import ColumnRef, ComparePred, IsNullPred
 from repro.engine.operators import (
     CachedSubplan,
@@ -23,6 +22,8 @@ from repro.engine.optimizer import optimize_plan
 from repro.engine.planner import Planner
 from repro.semantics import SqlSemantics
 from repro.sql import annotate
+
+from ..executor import run_rows
 
 
 @pytest.fixture
@@ -262,12 +263,12 @@ def formal_join(left, right, keys):
     return Counter(tuple(None if v is NULL else v for v in row) for row in table.bag)
 
 
-@pytest.mark.parametrize("tier", ["interpreted", "lowered"])
+@pytest.mark.parametrize("codegen", [True, False], ids=["codegen", "codegen-off"])
 @pytest.mark.parametrize("case", sorted(HASH_JOIN_CASES))
-def test_hash_join_keys_are_raw_values(case, tier):
+def test_hash_join_keys_are_raw_values(case, codegen):
     left, right, keys = HASH_JOIN_CASES[case]
     node = HashJoin(StaticScan(left, arity=2), StaticScan(right, arity=2), keys, keys)
-    rows = node.rows(()) if tier == "interpreted" else list(compile_plan(node)(()))
+    rows = run_rows(node, codegen=codegen)
     assert Counter(rows) == formal_join(left, right, keys)
     # The closed build holds every right row whose key is NULL-free.
     held = [row for row in right if None not in [row[k] for k in keys]]
@@ -278,27 +279,26 @@ def test_hash_join_null_keys_never_match():
     left = StaticScan([(1,), (None,)], arity=1)
     right = StaticScan([(1,), (None,)], arity=1)
     join = HashJoin(left, right, (0,), (0,))
-    assert join.rows(()) == [(1, 1)]
+    assert run_rows(join) == [(1, 1)]
 
 
 def test_hash_join_multiplicities():
     left = StaticScan([(1,), (1,)], arity=1)
     right = StaticScan([(1, 7), (1, 8)], arity=2)
     join = HashJoin(left, right, (0,), (0,))
-    assert sorted(join.rows(())) == [(1, 1, 7), (1, 1, 7), (1, 1, 8), (1, 1, 8)]
+    assert sorted(run_rows(join)) == [(1, 1, 7), (1, 1, 7), (1, 1, 8), (1, 1, 8)]
 
 
 def test_cached_subplan_materializes_once():
     calls = []
 
-    class Spy(StaticScan):
-        def rows(self, outers):
-            calls.append(1)
-            return super().rows(outers)
+    def spy(row, outers):
+        calls.append(1)
+        return True
 
-    cached = CachedSubplan(Spy([(1,)], arity=1))
-    assert cached.rows(()) == [(1,)]
-    assert cached.rows(()) == [(1,)]
+    cached = CachedSubplan(FilterOp(StaticScan([(1,)], arity=1), spy))
+    assert run_rows(cached) == [(1,)]
+    assert run_rows(cached) == [(1,)]
     assert len(calls) == 1
 
 

@@ -4,7 +4,7 @@ filter sinking through projections, and correlated FROM-subquery memos."""
 import pytest
 
 from repro.core import NULL, Database, Schema
-from repro.engine import DIALECT_ORACLE, DIALECT_POSTGRES, Engine
+from repro.engine import DIALECT_ORACLE, DIALECT_POSTGRES, Engine, compile_plan
 from repro.engine.operators import (
     CachedSubplan,
     CrossJoin,
@@ -20,6 +20,8 @@ from repro.engine.operators import (
 from repro.engine.optimizer import estimate_rows, optimize_plan
 from repro.engine.planner import Planner
 from repro.sql import annotate
+
+from ..executor import run_rows
 
 
 @pytest.fixture
@@ -112,7 +114,7 @@ def test_reordered_join_with_correlated_probe(schema, db):
 
 def test_remap_op_restores_layout():
     scan = StaticScan([(1, 2, 3)], arity=3)
-    assert RemapOp(scan, (2, 0, 1)).rows(()) == [(3, 1, 2)]
+    assert run_rows(RemapOp(scan, (2, 0, 1))) == [(3, 1, 2)]
     assert RemapOp(scan, (2, 0, 1)).width() == 3
 
 
@@ -142,19 +144,18 @@ def test_hash_setop_matches_counted_reference(op, all_):
     right = StaticScan([(1,), (None,), (4,), (4,)], arity=1)
     hashed = HashSetOp(op, all_, left, right)
     counted = SetOpNode(op, all_, left, right)
-    assert sorted(hashed.rows(()), key=repr) == sorted(counted.rows(()), key=repr)
+    assert sorted(run_rows(hashed), key=repr) == sorted(run_rows(counted), key=repr)
 
 
 def test_hash_setop_streams_left_side():
-    class Exploding(StaticScan):
-        def iter_rows(self, outers):
-            yield (1,)
+    def first_row_only(row, outers):
+        if row != (1,):
             raise AssertionError("streaming consumer must stop at one row")
+        return True
 
-    union = HashSetOp(
-        "UNION", True, Exploding([], arity=1), StaticScan([(2,)], arity=1)
-    )
-    assert next(union.iter_rows(())) == (1,)
+    exploding = FilterOp(StaticScan([(1,), (2,)], arity=1), first_row_only)
+    union = HashSetOp("UNION", True, exploding, StaticScan([(2,)], arity=1))
+    assert next(compile_plan(union)(())) == (1,)
 
 
 # -- filter sinking and FROM-subquery memos -----------------------------------
@@ -192,18 +193,17 @@ def test_correlated_from_subquery_is_memoized(schema, db):
 def test_memo_subplan_evaluates_once_per_binding():
     calls = []
 
-    class Spy(StaticScan):
-        def rows(self, outers):
-            calls.append(outers)
-            return super().rows(outers)
+    def spy(row, outers):
+        calls.append(outers)
+        return True
 
-    memo = MemoSubplan(Spy([(1,)], arity=1), ((1, 0),))
+    memo = MemoSubplan(FilterOp(StaticScan([(1,)], arity=1), spy), ((1, 0),))
     outer_a, outer_b = (7, 0), (8, 0)
-    memo.rows((outer_a,))
-    memo.rows((outer_a,))
-    memo.rows(((7, 99),))  # same binding value at (1, 0): replayed
+    run_rows(memo, (outer_a,))
+    run_rows(memo, (outer_a,))
+    run_rows(memo, ((7, 99),))  # same binding value at (1, 0): replayed
     assert len(calls) == 1
-    memo.rows((outer_b,))
+    run_rows(memo, (outer_b,))
     assert len(calls) == 2
 
 

@@ -19,6 +19,8 @@ from repro.generator import DataFillerConfig, fill_database
 from repro.generator.queries import QueryGenerator
 from repro.sql import annotate
 
+from ..executor import run_rows
+
 SCHEMA = Schema({"R": ("A", "B"), "S": ("A",)})
 
 
@@ -118,9 +120,9 @@ def test_unbound_planner_emits_table_scans_and_requires_binding():
         if isinstance(node, TableScan)
     ]
     with pytest.raises(RuntimeError, match="without a bound database"):
-        list(compiled.plan.iter_rows(()))
+        run_rows(compiled.plan)
     bind_plan(compiled.plan, make_db([(1, NULL)], []))
-    assert list(compiled.plan.iter_rows(())) == [(1,)]
+    assert run_rows(compiled.plan) == [(1,)]
 
 
 def test_cached_engine_agrees_with_uncached_on_random_workload():

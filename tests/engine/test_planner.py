@@ -14,6 +14,8 @@ from repro.engine.planner import Planner
 from repro.sql import annotate
 from repro.sql.ast import Predicate
 
+from ..executor import run_rows
+
 
 @pytest.fixture
 def schema():
@@ -36,7 +38,7 @@ def test_labels_computed(schema, db):
 
 def test_scan_converts_nulls_to_none(schema, db):
     compiled = planner(schema, db).compile(annotate("SELECT R.A FROM R", schema))
-    rows = compiled.plan.rows(())
+    rows = run_rows(compiled.plan)
     assert (None,) in rows
 
 
@@ -55,7 +57,7 @@ def test_correlated_reference_depth_one(schema, db):
     )
     # Compiles without error; depth handling is verified behaviourally.
     compiled = planner(schema, db).compile(q)
-    rows = compiled.plan.rows(())
+    rows = run_rows(compiled.plan)
     assert rows == [(1,)]
 
 
@@ -92,7 +94,7 @@ def test_oracle_star_under_exists_is_constant(schema, db):
         "SELECT R.A FROM R WHERE EXISTS (SELECT * FROM S)", schema
     )
     compiled = planner(schema, db, "oracle").compile(q)
-    assert len(compiled.plan.child.child.rows(())) >= 0  # compiles and runs
+    assert len(run_rows(compiled.plan.child.child)) >= 0  # compiles and runs
 
 
 def test_unbound_reference_at_compile_time(schema, db):
@@ -137,7 +139,7 @@ def test_inner_scope_shadows_outer_in_engine(schema):
         schema,
     )
     compiled = Planner(schema, db).compile(q)
-    assert compiled.plan.rows(()) == [(1,)]
+    assert run_rows(compiled.plan) == [(1,)]
 
 
 def test_from_subquery_sees_outer_not_sibling(schema):
@@ -148,4 +150,4 @@ def test_from_subquery_sees_outer_not_sibling(schema):
         schema,
     )
     compiled = Planner(schema, db).compile(q)
-    assert compiled.plan.rows(()) == [(1,)]
+    assert run_rows(compiled.plan) == [(1,)]

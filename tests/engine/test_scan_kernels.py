@@ -1,13 +1,13 @@
-"""Scan kernels of the compiled tier (:mod:`repro.engine.compile`).
+"""Scan kernels of generated code (:mod:`repro.engine.compile`).
 
 A filter over a base-table scan runs its leading probe-free conjuncts as
 one fused selection over the table's column vectors.  Pins the contracts
 that lowering must keep:
 
-* 3VL: the kept rows are the interpreted tier's — and the formal
+* 3VL: the kept rows are the codegen-off leg's — and the formal
   semantics' — on every comparison operator, NULL operand and NULL test,
   and on strings under ``=`` and ``LIKE`` either way round;
-* errors: a type clash surfaces as the interpreted tier's ``CompileError``,
+* errors: a type clash surfaces as the codegen-off leg's ``CompileError``,
   same message, and only where the row-wise order reaches it — not behind
   a FALSE conjunct or a TRUE disjunct, not past the row an EXISTS stops at;
 * kernel output feeds probes, joins, DISTINCT and set operations, and a
@@ -44,6 +44,8 @@ from repro.semantics import SqlSemantics
 from repro.sql import annotate
 from repro.validation.compare import capture
 
+from ..executor import CodegenOffEngine
+
 SCHEMA = Schema({"R": ("A", "B", "C"), "S": ("A", "B")})
 
 
@@ -55,13 +57,13 @@ def selections(engine):
     return engine.cache_info()["scan_kernels"]["selections"]
 
 
-def assert_matches_interpreted(text, db, kernel=True):
+def assert_matches_codegen_off(text, db, kernel=True):
     """Run ``text`` on the default tier (cold, then on the hot plan cache)
-    and on a single-use plan: same table as the interpreted tier, or same
+    and on a single-use plan: same table as the codegen-off leg, or same
     error class *and message*.  With ``kernel``, each of those executions
-    must have run a scan kernel.  Returns the interpreted outcome."""
+    must have run a scan kernel.  Returns the codegen-off outcome."""
     query = annotate(text, SCHEMA)
-    expected = capture(lambda: Engine(SCHEMA, compiled=False).execute(query, db))
+    expected = capture(lambda: CodegenOffEngine(SCHEMA).execute(query, db))
     default = Engine(SCHEMA)
     for engine in (default, default, Engine(SCHEMA, plan_cache_size=0)):
         before = selections(engine)
@@ -116,7 +118,7 @@ def test_three_valued_grid(atom):
     ):
         text = f"SELECT R.A, R.B FROM R WHERE {condition}"
         # A constant predicate folds away, and its filter with it.
-        expected = assert_matches_interpreted(text, db, kernel=atom != "NULL IS NULL")
+        expected = assert_matches_codegen_off(text, db, kernel=atom != "NULL IS NULL")
         assert not expected.is_error
         assert expected.table.same_as(semantics.run(annotate(text, SCHEMA), db)), text
 
@@ -131,10 +133,10 @@ def test_whole_predicate_takes_the_kernel_and_counts_rows():
     }
     engine.execute(query, db)
     assert engine.cache_info()["scan_kernels"]["selections"] == 2
-    # The interpreted tier has no kernels to count.
-    interpreted = Engine(SCHEMA, compiled=False)
-    interpreted.execute(query, db)
-    assert interpreted.cache_info()["scan_kernels"]["selections"] == 0
+    # The codegen-off leg has no kernels to count.
+    codegen_off = CodegenOffEngine(SCHEMA)
+    codegen_off.execute(query, db)
+    assert codegen_off.cache_info()["scan_kernels"]["selections"] == 0
 
 
 def test_empty_table():
@@ -145,7 +147,7 @@ def test_empty_table():
         "SELECT R.A FROM R WHERE R.A < 1 AND EXISTS (SELECT S.A FROM S WHERE S.A = R.B)",
     ):
         assert len(engine.execute(annotate(text, SCHEMA), db)) == 0
-        assert_matches_interpreted(text, db)
+        assert_matches_codegen_off(text, db)
     info = engine.cache_info()["scan_kernels"]
     assert (info["rows_in"], info["rows_out"], info["fallbacks"]) == (0, 0, 0)
 
@@ -188,11 +190,11 @@ LIKE_QUERIES = [
     ],
 )
 def test_strings_and_like(text):
-    assert not assert_matches_interpreted(text, STRING_DB).is_error
+    assert not assert_matches_codegen_off(text, STRING_DB).is_error
 
 
 def test_an_empty_string_literal_matches_an_empty_string_value():
-    expected = assert_matches_interpreted("SELECT R.C FROM R WHERE '' LIKE R.B", STRING_DB)
+    expected = assert_matches_codegen_off("SELECT R.C FROM R WHERE '' LIKE R.B", STRING_DB)
     assert sorted(expected.table.bag) == [(4,), (7,)]
 
 
@@ -202,7 +204,7 @@ def test_like_operand_swap_canary_trips_every_like_case(monkeypatch):
     monkeypatch.setitem(compile_module._FUSE_BODY, "LIKE", "_LF({y}, {x})")
     for text in LIKE_QUERIES:
         with pytest.raises(AssertionError):
-            assert_matches_interpreted(text, STRING_DB)
+            assert_matches_codegen_off(text, STRING_DB)
 
 
 # -- errors: exact class, message and reach -----------------------------------
@@ -224,7 +226,7 @@ def test_like_operand_swap_canary_trips_every_like_case(monkeypatch):
     ],
 )
 def test_type_clashes_raise_exactly_the_interpreted_error(text, rows):
-    assert assert_matches_interpreted(text, make_db(rows)).error == "compile"
+    assert assert_matches_codegen_off(text, make_db(rows)).error == "compile"
 
 
 @pytest.mark.parametrize(
@@ -242,19 +244,19 @@ def test_type_clashes_raise_exactly_the_interpreted_error(text, rows):
     ],
 )
 def test_short_circuits_decide_whether_a_clash_surfaces(text, row, raises):
-    assert assert_matches_interpreted(text, make_db([row])).is_error is raises
+    assert assert_matches_codegen_off(text, make_db([row])).is_error is raises
 
 
 def test_an_all_scalar_predicate_raises_per_scanned_row():
     # Evaluated once per row: raises on a non-empty table, not on an empty one.
     text = "SELECT S.A FROM S WHERE 1 < 'a'"
-    assert assert_matches_interpreted(text, make_db([], [(1, 1)])).error == "compile"
-    assert not assert_matches_interpreted(text, make_db([])).is_error
+    assert assert_matches_codegen_off(text, make_db([], [(1, 1)])).error == "compile"
+    assert not assert_matches_codegen_off(text, make_db([])).is_error
 
 
 def test_type_clash_raises_the_interpreted_error():
     db = make_db([(1, 1, 1), ("x", 2, 2), (3, 3, 3)])
-    expected = assert_matches_interpreted("SELECT R.B FROM R WHERE R.A < 2", db)
+    expected = assert_matches_codegen_off("SELECT R.B FROM R WHERE R.A < 2", db)
     assert expected.error == "compile"
     assert expected.detail == "type clash in comparison: 'x' < 2"
     engine = Engine(SCHEMA)
@@ -266,13 +268,13 @@ def test_type_clash_raises_the_interpreted_error():
 def test_clash_behind_a_false_conjunct_is_suppressed():
     # Row 2 would clash under ``R.A < 2`` but ``R.B = 1`` is FALSE on it.
     db = make_db([(1, 1, 1), ("x", 2, 2), (0, NULL, 3)])
-    expected = assert_matches_interpreted(
+    expected = assert_matches_codegen_off(
         "SELECT R.C FROM R WHERE R.B = 1 AND R.A < 2", db
     )
     assert sorted(expected.table.bag) == [(1,)]
     # ... whereas an UNKNOWN conjunct does not shield its right side.
     clashing = make_db([(1, 1, 1), ("x", NULL, 2)])
-    expected = assert_matches_interpreted(
+    expected = assert_matches_codegen_off(
         "SELECT R.C FROM R WHERE R.B = 1 AND R.A < 2", clashing
     )
     assert expected.detail == "type clash in comparison: 'x' < 2"
@@ -282,11 +284,11 @@ def test_exists_stops_before_a_later_clashing_row():
     rows_s = [(5, 1), (6, 2), ("x", 3)]
     db = make_db([(1, 1, 1), (2, 2, 2)], rows_s)
     text = "SELECT R.A FROM R WHERE EXISTS (SELECT S.B FROM S WHERE S.A > 4)"
-    expected = assert_matches_interpreted(text, db)
+    expected = assert_matches_codegen_off(text, db)
     assert sorted(expected.table.bag) == [(1,), (2,)]  # first S row decides
     # With the clashing row first, the same probe raises — on every tier.
     clashing = make_db([(1, 1, 1)], rows_s[::-1])
-    assert assert_matches_interpreted(text, clashing).error == "compile"
+    assert assert_matches_codegen_off(text, clashing).error == "compile"
 
 
 def test_prefix_kernel_keeps_unknown_rows_for_a_raising_remainder():
@@ -297,11 +299,11 @@ def test_prefix_kernel_keeps_unknown_rows_for_a_raising_remainder():
         "EXISTS (SELECT S.A FROM S WHERE S.B < R.B)"
     )
     db = make_db([(NULL, 1, 1)], [(1, "x")])
-    expected = assert_matches_interpreted(text, db)
+    expected = assert_matches_codegen_off(text, db)
     assert expected.detail == "type clash in comparison: 'x' < 1"
     # A FALSE prefix does shield it.
     shielded = make_db([(7, 1, 1)], [(1, "x")])
-    assert len(assert_matches_interpreted(text, shielded).table) == 0
+    assert len(assert_matches_codegen_off(text, shielded).table) == 0
 
 
 def test_prefix_kernel_hands_on_the_rows_its_conjuncts_do_not_refuse():
@@ -320,7 +322,7 @@ def test_prefix_kernel_hands_on_the_rows_its_conjuncts_do_not_refuse():
     assert engine.cache_info()["scan_kernels"] == {
         "selections": 1, "rows_in": 4, "rows_out": 4, "fallbacks": 0, "lookups": 1,
     }
-    assert_matches_interpreted(
+    assert_matches_codegen_off(
         "SELECT R.C FROM R WHERE R.A >= 10 AND R.A < 13 AND R.B IN (SELECT S.A FROM S)",
         db,
     )
@@ -419,7 +421,7 @@ def test_kernel_sources_are_literal_and_position_independent():
 def test_kernel_sources_are_independent_of_string_literals():
     """Quotes included: five hundred string literals through a whole-
     predicate kernel and a prefix kernel mint no code-cache entries, and
-    every execution still matches the interpreted tier."""
+    every execution still matches the codegen-off leg."""
     db = make_db(
         [(1, "a", 0), (2, "", 0), (NULL, "it's", 0), (4, NULL, 0)],
         [(1, 0), (2, 0), (4, 0)],
@@ -434,7 +436,7 @@ def test_kernel_sources_are_independent_of_string_literals():
     def run_all(pairs):
         for shape in shapes:
             for n, text in pairs:
-                assert_matches_interpreted(shape.format(n=n, s=text), db)
+                assert_matches_codegen_off(shape.format(n=n, s=text), db)
 
     for _ in range(2):  # a shape is cached from its second compilation on
         run_all([(0, "'x'")])
@@ -468,9 +470,9 @@ def test_fallback_replays_from_the_clashing_batch_on():
     rows[1_500] = ("x", 1, 0)
     db = make_db(rows)
     text = "SELECT R.A FROM R WHERE R.A < 100"
-    expected = assert_matches_interpreted(text, db)
+    expected = assert_matches_codegen_off(text, db)
     assert expected.detail == "type clash in comparison: 'x' < 100"
-    # Stop before the clash and nothing is raised, as on the interpreted tier.
+    # Stop before the clash and nothing is raised, as on the codegen-off leg.
     engine = Engine(SCHEMA)
     early = annotate(
         "SELECT S.A FROM S WHERE EXISTS (SELECT R.B FROM R WHERE R.A < 100)", SCHEMA
@@ -503,7 +505,7 @@ def test_kernels_feed_probes_joins_and_set_operations(text):
         [(1, 2, 3), (2, NULL, 3), (NULL, 4, 1), (3, 3, 3), (1, 2, 3)],
         [(1, 1), (3, 2), (NULL, 1), (2, NULL)],
     )
-    assert not assert_matches_interpreted(text, db).is_error
+    assert not assert_matches_codegen_off(text, db).is_error
 
 
 def test_a_cached_kernel_plan_rebinds_bit_identically():
@@ -532,19 +534,18 @@ def test_build_sides_carry_the_row_count_they_were_built_with():
             GenericJoin,
         ),
     ):
-        for options in ({}, {"compiled": False}):
-            engine = Engine(schema, **options)
-            query = annotate(text, schema)
-            for _ in range(3):  # built, harvested, restored from the cache
-                engine.execute(query, db)
-                plan = engine._plan(query).plan
-                counts = [
-                    count
-                    for key, count in plan._observed_feedback["nodes"].items()
-                    if key.endswith(kind.__name__)
-                ]
-                # The NULL-keyed row is in no build side: 20 rows per child.
-                assert counts == [20 if kind is HashJoin else 60], (text, options)
+        engine = Engine(schema)
+        query = annotate(text, schema)
+        for _ in range(3):  # built, harvested, restored from the cache
+            engine.execute(query, db)
+            plan = engine._plan(query).plan
+            counts = [
+                count
+                for key, count in plan._observed_feedback["nodes"].items()
+                if key.endswith(kind.__name__)
+            ]
+            # The NULL-keyed row is in no build side: 20 rows per child.
+            assert counts == [20 if kind is HashJoin else 60], text
 
 
 # -- sorted column indexes ----------------------------------------------------
@@ -572,15 +573,15 @@ def lookups(engine):
 
 def assert_index_path(text, db, served=True):
     """Run ``text`` on the default tier (cold, then on the hot plan cache)
-    and on a single-use plan: the interpreted tier's rows *in its emission
+    and on a single-use plan: the codegen-off leg's rows *in its emission
     order*, or its error class and message.  Each of those executions must
     have looked an interval up in a sorted index if ``served``, and none
-    may have otherwise.  On success, the interpreted tier's table must be
-    the formal semantics'.  Returns the interpreted outcome of
+    may have otherwise.  On success, the codegen-off leg's table must be
+    the formal semantics'.  Returns the codegen-off outcome of
     ``execute_rows``."""
     query = annotate(text, SCHEMA)
-    interpreted = Engine(SCHEMA, compiled=False)
-    expected = capture(lambda: interpreted.execute_rows(query, db))
+    codegen_off = CodegenOffEngine(SCHEMA)
+    expected = capture(lambda: codegen_off.execute_rows(query, db))
     default = Engine(SCHEMA)
     for engine in (default, default, Engine(SCHEMA, plan_cache_size=0)):
         before = lookups(engine)
@@ -590,7 +591,7 @@ def assert_index_path(text, db, served=True):
         assert (lookups(engine) > before) is served, text
     if not expected.is_error:
         semantics = SqlSemantics(SCHEMA).run(query, db)
-        assert interpreted.execute(query, db).same_as(semantics), text
+        assert codegen_off.execute(query, db).same_as(semantics), text
     return expected
 
 

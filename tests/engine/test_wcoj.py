@@ -19,7 +19,6 @@ import pytest
 from repro.core import NULL, Database, Schema
 from repro.engine import DIALECT_ORACLE, DIALECT_POSTGRES, Engine
 from repro.engine.binding import iter_plan_nodes
-from repro.engine.compile import compile_plan
 from repro.engine.operators import (
     CrossJoin,
     GenericJoin,
@@ -34,6 +33,8 @@ from repro.engine.optimizer import (
 )
 from repro.engine.planner import Planner
 from repro.sql import annotate
+
+from ..executor import CodegenOffEngine, run_rows
 
 SCHEMA = Schema(
     {"R": ("A", "B"), "S": ("A", "B"), "T": ("A", "B"), "U": ("A", "B")}
@@ -139,7 +140,7 @@ def test_generic_join_emits_concatenated_rows():
     node = triangle_node(
         [(1, 10)], [(10, 100)], [(100, 1)]
     )
-    assert list(node.iter_rows(())) == [(1, 10, 10, 100, 100, 1)]
+    assert run_rows(node) == [(1, 10, 10, 100, 100, 1)]
 
 
 def test_generic_join_null_never_matches():
@@ -150,31 +151,29 @@ def test_generic_join_null_never_matches():
         [(10, 100), (None, 100)],
         [(100, 1), (100, None), (None, 1)],
     )
-    assert list(node.iter_rows(())) == [(1, 10, 10, 100, 100, 1)]
+    assert run_rows(node) == [(1, 10, 10, 100, 100, 1)]
 
 
 def test_generic_join_respects_typed_keys():
-    # "1" and 1 are different keys, exactly as compare("=") treats them,
-    # on the interpreted tier and the lowered one alike.
-    for run in (lambda node: node.iter_rows(()), lambda node: compile_plan(node)(())):
-        node = triangle_node([("1", 10)], [(10, 100)], [(100, 1)])
-        assert list(run(node)) == []
-        node = triangle_node([("1", 10)], [(10, 100)], [(100, "1")])
-        assert list(run(node)) == [("1", 10, 10, 100, 100, "1")]
-        node = triangle_node([(1, "10")], [(10, 100), ("10", 100)], [(100, 1)])
-        assert list(run(node)) == [(1, "10", "10", 100, 100, 1)]
+    # "1" and 1 are different keys, exactly as compare("=") treats them.
+    node = triangle_node([("1", 10)], [(10, 100)], [(100, 1)])
+    assert run_rows(node) == []
+    node = triangle_node([("1", 10)], [(10, 100)], [(100, "1")])
+    assert run_rows(node) == [("1", 10, 10, 100, 100, "1")]
+    node = triangle_node([(1, "10")], [(10, 100), ("10", 100)], [(100, 1)])
+    assert run_rows(node) == [(1, "10", "10", 100, 100, 1)]
 
 
 def test_generic_join_duplicates_multiply():
     node = triangle_node(
         [(1, 10), (1, 10)], [(10, 100)], [(100, 1), (100, 1)]
     )
-    assert len(list(node.iter_rows(()))) == 4
+    assert len(run_rows(node)) == 4
 
 
 def test_generic_join_empty_child_short_circuits():
     node = triangle_node([(1, 10)], [], [(100, 1)])
-    assert list(node.iter_rows(())) == []
+    assert run_rows(node) == []
 
 
 def test_generic_join_multi_column_variable():
@@ -186,13 +185,13 @@ def test_generic_join_multi_column_variable():
                   StaticScan([(1,), (2,), (3,)], arity=1)],
         variables=(((0, 0), (0, 1), (1, 0)),),
     )
-    assert list(node.iter_rows(())) == [(1, 1, 1)]
+    assert run_rows(node) == [(1, 1, 1)]
 
 
 def test_generic_join_tries_of_every_depth_match_the_product():
     """Children binding one, two and three variables (the trie build has
     a loop per depth), NULL-heavy and duplicate-heavy, against the filtered
-    cross product on both tiers; the held-row count excludes exactly the
+    cross product; the held-row count excludes exactly the
     rows with a NULL variable column."""
     import random
 
@@ -222,10 +221,9 @@ def test_generic_join_tries_of_every_depth_match_the_product():
     assert expected
     held = sum(None not in row for row in children[0] + children[1] + children[2])
     held += len(children[3]) - children[3].count((None,))
-    for run in (lambda node: node.iter_rows(()), lambda node: compile_plan(node)(())):
-        node = GenericJoin([StaticScan(c, arity=len(c[0])) for c in children], variables)
-        assert Counter(run(node)) == expected
-        assert node._build_rows == held
+    node = GenericJoin([StaticScan(c, arity=len(c[0])) for c in children], variables)
+    assert Counter(run_rows(node)) == expected
+    assert node._build_rows == held
 
 
 def test_generic_join_rebind_resets_tries():
@@ -287,9 +285,9 @@ def test_all_tiers_agree_on_cyclic_queries(dialect):
     db = triangle_db()
     query = annotate(TRIANGLE, SCHEMA)
     expected = Engine(SCHEMA, dialect, optimize=False).execute(query, db)
-    for kwargs in ({}, {"compiled": False}):
-        got = Engine(SCHEMA, dialect, **kwargs).execute(query, db)
-        assert got.same_as(expected), kwargs
+    for make in (Engine, CodegenOffEngine):
+        got = make(SCHEMA, dialect).execute(query, db)
+        assert got.same_as(expected), make.__name__
 
 
 def test_build_sides_shared_across_executions():

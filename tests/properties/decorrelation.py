@@ -32,6 +32,8 @@ from repro.sql.ast import And, Exists, InQuery, Not, Predicate, TRUE_COND
 from repro.sql.typecheck import check_query
 from repro.validation.compare import capture
 
+from ..executor import CodegenOffEngine
+
 SCHEMA = validation_schema()
 #: NULLs in a third of the cells, and no empty tables: correlation keys
 #: must meet NULL on both sides for the 3VL cases to show.
@@ -108,7 +110,7 @@ def battery(dialect, star_style, trials):
     disagreements found, and how many queries had a keyed probe."""
     tiers = {
         "compiled": Engine(SCHEMA, dialect),
-        "interpreted": Engine(SCHEMA, dialect, compiled=False),
+        "codegen-off": CodegenOffEngine(SCHEMA, dialect),
         "single-use": Engine(SCHEMA, dialect, plan_cache_size=0),
     }
     naive = Engine(SCHEMA, dialect, optimize=False)

@@ -1,6 +1,6 @@
 """A query generator biased toward filters the scan kernels lower, data
 that makes them fall back, and the battery that runs both through every
-execution tier.
+execution leg.
 
 :class:`~repro.generator.QueryGenerator` builds a WHERE clause as a random
 AND/OR tree, so the shape a scan kernel takes whole — ordered comparisons
@@ -10,11 +10,11 @@ its output.  The subclass here puts such conjuncts in front of most WHERE
 clauses, and a subquery predicate behind them in most outermost ones.
 
 Two data regimes.  *Typed* data is the campaigns' (ints and NULLs): no
-comparison can raise, so every tier, the naive engine and the formal
+comparison can raise, so every leg, the naive engine and the formal
 semantics must agree, and a kernel fallback is a bug.  *Mixed* data swaps a
 share of the values for strings: ordered comparisons then raise type
-clashes, the kernels fall back, and the tiers that run the same optimized
-plan must still return the interpreted tier's table — or its error class
+clashes, the kernels fall back, and the legs that run the same optimized
+plan must still return the codegen-off leg's table — or its error class
 and message, raised on the same row.  (The naive engine and the formal
 semantics evaluate in another order, which may surface another error; they
 sit the mixed regime out.)
@@ -47,6 +47,8 @@ from repro.semantics import SqlSemantics
 from repro.sql.ast import And, Exists, InQuery, IsNull, Not, Predicate, TRUE_COND
 from repro.sql.typecheck import check_query
 from repro.validation.compare import capture
+
+from ..executor import CodegenOffEngine
 
 SCHEMA = validation_schema()
 #: NULLs in a quarter of the cells and no empty tables: the 3VL cases need
@@ -207,12 +209,12 @@ def kernel_shapes(plan):
 
 
 def battery(dialect, star_style, trials, string_rate=0.0):
-    """Run ``trials`` pairs through the execution tiers, cold and on a hot
+    """Run ``trials`` pairs through the execution legs, cold and on a hot
     plan cache; returns ``(failures, counts)``: the disagreements found, and
     how many pairs had a whole-predicate kernel, a prefix kernel, a kernel
     fallback, and an error outcome.  Expects the caller to have forced
     ``SINGLE_USE_COMPILE_ROWS`` to 0, so six-row plans are lowered."""
-    reference = Engine(SCHEMA, dialect, compiled=False)
+    reference = CodegenOffEngine(SCHEMA, dialect)
     tiers = {
         "compiled": Engine(SCHEMA, dialect),
         "single-use": Engine(SCHEMA, dialect, plan_cache_size=0),
@@ -235,9 +237,9 @@ def battery(dialect, star_style, trials, string_rate=0.0):
             if not slow.agrees_with(capture(oracle)):
                 failures.append(f"seed {seed}: naive engine vs semantics differ")
             if (slow.error, slow.detail) != (expected.error, expected.detail):
-                failures.append(f"seed {seed}: interpreted raises differently from naive")
+                failures.append(f"seed {seed}: codegen-off raises differently from naive")
             elif not slow.agrees_with(expected):
-                failures.append(f"seed {seed}: interpreted differs from naive")
+                failures.append(f"seed {seed}: codegen-off differs from naive")
         for name, engine in tiers.items():
             before = engine.cache_info()["scan_kernels"]["fallbacks"]
             # Twice: the repeat runs the cached plan (where there is a cache).
@@ -245,10 +247,10 @@ def battery(dialect, star_style, trials, string_rate=0.0):
                 fast = capture(lambda: engine.execute(query, db))
                 if (fast.error, fast.detail) != (expected.error, expected.detail):
                     failures.append(
-                        f"seed {seed}: {name} ({run}) raises differently from interpreted"
+                        f"seed {seed}: {name} ({run}) raises differently from codegen-off"
                     )
                 elif not fast.agrees_with(expected):
-                    failures.append(f"seed {seed}: {name} ({run}) differs from interpreted")
+                    failures.append(f"seed {seed}: {name} ({run}) differs from codegen-off")
             if name == "compiled":
                 fell_back = engine.cache_info()["scan_kernels"]["fallbacks"] > before
                 counts["fallbacks"] += fell_back
@@ -263,9 +265,9 @@ def index_battery(dialect, trials):
     """Run ``trials`` pairs of the index leg through the default and the
     single-use tier, cold and on a hot plan cache; returns ``(failures,
     lookups)``: every execution whose rows, *in emission order*, or whose
-    error differ from the interpreted tier's, and how many scans the sorted
+    error differ from the codegen-off leg's, and how many scans the sorted
     indexes served.  Expects ``SINGLE_USE_COMPILE_ROWS`` forced to 0."""
-    reference = Engine(SCHEMA, dialect, compiled=False)
+    reference = CodegenOffEngine(SCHEMA, dialect)
     tiers = {
         "compiled": Engine(SCHEMA, dialect),
         "single-use": Engine(SCHEMA, dialect, plan_cache_size=0),
@@ -281,11 +283,11 @@ def index_battery(dialect, trials):
                 fast = capture(lambda: engine.execute_rows(query, db))
                 if (fast.error, fast.detail) != (expected.error, expected.detail):
                     failures.append(
-                        f"seed {seed}: {name} ({run}) raises differently from interpreted"
+                        f"seed {seed}: {name} ({run}) raises differently from codegen-off"
                     )
                 elif fast.table != expected.table:
                     failures.append(
-                        f"seed {seed}: {name} ({run}) emits other rows than interpreted"
+                        f"seed {seed}: {name} ({run}) emits other rows than codegen-off"
                     )
     lookups = sum(e.cache_info()["scan_kernels"]["lookups"] for e in tiers.values())
     return failures, lookups

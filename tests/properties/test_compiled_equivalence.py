@@ -1,15 +1,16 @@
-"""Differential property tests for compiled (closure-generating) execution.
+"""Differential property tests for generated code (predicates, kernels).
 
-The paper's methodology, aimed at the compilation layer: on ≥500 random
+The paper's methodology, aimed at code generation: on ≥500 random
 query/database pairs per dialect variant — the second-generation
-set-op/subquery-tilted generator mix — the closure-compiled engine
-(``compiled=True``, the default), the interpreted engine
-(``compiled=False``) and the naive interpreted engine (``optimize=False,
-compiled=False``) must produce the same bag (columns, rows,
-multiplicities) or the same error class.  Compilation is a pure lowering
-of the same physical plan, so unlike the optimizer rewrites it has *no*
-error-order latitude: outcomes must match even where plans raise.  The
-same three engines also run the join workload of ``joins.py``.
+set-op/subquery-tilted generator mix — the default engine, the
+codegen-off leg (the same optimized plans, closures over the predicate
+objects, :class:`~tests.executor.CodegenOffEngine`) and the naive engine
+(``optimize=False``) must produce the same bag (columns, rows,
+multiplicities) or the same error class.  Generated code is a pure
+lowering of the same physical plan, so unlike the optimizer rewrites it
+has *no* error-order latitude: outcomes must match even where plans
+raise.  The same three engines also run the join workload of
+``joins.py``.
 
 A hot-plan-cache battery then re-runs a prefix of the workload through
 one compiled engine twice more (plan cache and build-side cache hot, so
@@ -19,8 +20,8 @@ bit-identical outcomes.
 
 A third battery covers the engine's size rule for *single-use* plans
 (``plan_cache_size=0``): the same workload with the break-even constant
-forced to 0 (everything compiled) and to infinity (everything
-interpreted) must agree on results, error classes and error messages.
+forced to 0 (everything with generated code) and to infinity (nothing
+with it) must agree on results, error classes and error messages.
 """
 
 import random
@@ -38,6 +39,7 @@ from repro.generator import (
 )
 from repro.validation.compare import capture
 
+from ..executor import CodegenOffEngine
 from .joins import CYCLIC_SCHEMA, join_pairs
 
 SCHEMA = validation_schema()
@@ -67,8 +69,8 @@ def _pair(seed):
 def assert_tiers_coincide(schema, dialect, pairs):
     engines = {
         "compiled": Engine(schema, dialect),
-        "interpreted": Engine(schema, dialect, compiled=False),
-        "naive": Engine(schema, dialect, optimize=False, compiled=False),
+        "codegen-off": CodegenOffEngine(schema, dialect),
+        "naive": Engine(schema, dialect, optimize=False),
     }
     failures = []
     for label, query, db in pairs:
@@ -76,13 +78,13 @@ def assert_tiers_coincide(schema, dialect, pairs):
             name: capture(lambda e=engine: e.execute(query, db))
             for name, engine in engines.items()
         }
-        baseline = outcomes["interpreted"]
+        baseline = outcomes["codegen-off"]
         for name, outcome in outcomes.items():
             # Same error class and same bag: the workloads are type-checked
             # over int-only data, so no data-dependent runtime error order
             # is in play and full error equality must hold.
             if outcome.error != baseline.error or not outcome.agrees_with(baseline):
-                failures.append(f"{label}: {name} differs from interpreted")
+                failures.append(f"{label}: {name} differs from codegen-off")
     assert not failures, "; ".join(failures[:5])
 
 
@@ -118,23 +120,25 @@ def test_hot_plan_cache_compiled_outcomes_are_bit_identical(dialect):
 def test_single_use_lowering_is_invisible_on_either_side_of_the_constant(
     dialect, monkeypatch
 ):
-    """The size rule only picks *which* implementation runs a single-use
-    plan.  The same battery through a cache-less engine with the break-even
-    constant forced to 0 (every plan compiled) and to infinity (every plan
-    interpreted): tables, error classes and error messages bit-identical."""
+    """The size rule only picks whether a single-use plan gets generated
+    code.  The same battery through a cache-less engine with the break-even
+    constant forced to 0 (every plan with generated code) and to infinity
+    (none): tables, error classes and error messages bit-identical."""
     from repro.engine import engine as engine_module
 
     engine = Engine(SCHEMA, dialect, plan_cache_size=0)
     outcomes = {}
+    kernels = {}
     for limit in (0, float("inf")):
         monkeypatch.setattr(engine_module, "SINGLE_USE_COMPILE_ROWS", limit)
+        before = engine.cache_info()["scan_kernels"]["selections"]
         outcomes[limit] = []
         for seed in range(TRIALS):
             query, db = _pair(seed)
             outcomes[limit].append(capture(lambda: engine.execute(query, db)))
-            if not outcomes[limit][-1].is_error:
-                # The rule really did flip the tier under test.
-                assert (engine._plan(query).run is not None) is (limit == 0)
+        kernels[limit] = engine.cache_info()["scan_kernels"]["selections"] - before
+    # The rule really did flip what runs: scan kernels on one side only.
+    assert kernels[0] > 0 and kernels[float("inf")] == 0
     for seed, (a, b) in enumerate(zip(outcomes[0], outcomes[float("inf")])):
         assert a.error == b.error and a.detail == b.detail, f"seed {seed}"
-        assert a.agrees_with(b), f"seed {seed}: compiled differs from interpreted"
+        assert a.agrees_with(b), f"seed {seed}: generated code differs from codegen-off"

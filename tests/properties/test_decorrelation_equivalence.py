@@ -2,8 +2,8 @@
 
 500 query/database pairs per dialect variant from a generator biased toward
 equality-correlated EXISTS/IN (:mod:`tests.properties.decorrelation`): the
-compiled, interpreted and single-use tiers must return the
-naive engine's table — or its error class and message — and the naive
+default engine, the codegen-off leg and a single-use engine must return
+the naive engine's table — or its error class and message — and the naive
 engine must agree with the formal semantics.
 """
 

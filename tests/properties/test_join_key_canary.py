@@ -12,13 +12,13 @@ per premise:
 * (b) a trie keeps rows whose same-variable columns differ;
 * (c) keys are stringified, so ``1`` meets ``'1'``.
 
-Both tiers share one build kernel per join, so (a) and (b) must trip the
+Every plan runs one build kernel per join, so (a) and (b) must trip the
 join-workload battery of ``test_compiled_equivalence``,
 ``test_second_gen_equivalence`` and ``test_wcoj_equivalence`` with every
-optimizing engine on the lowered tier and, again, with every one forced
-onto the interpreted tier.  The workloads are int-only, so (c) is left to
-the directed tests, on both tiers.  A gate no bug can trip would be
-gating nothing.
+optimizing engine as the batteries build it and, again, with every one
+forced onto the codegen-off leg.  The workloads are int-only, so (c) is
+left to the directed tests, with and without generated code.  A gate no
+bug can trip would be gating nothing.
 """
 
 import sys
@@ -26,10 +26,11 @@ from operator import itemgetter
 
 import pytest
 
-from repro.engine import DIALECT_POSTGRES, Engine
+from repro.engine import DIALECT_POSTGRES
 from repro.engine import operators
 
 from ..engine import test_optimizer, test_wcoj
+from ..executor import CodegenOffEngine
 from . import (
     test_compiled_equivalence,
     test_second_gen_equivalence,
@@ -47,15 +48,7 @@ BATTERIES = (
     test_wcoj_equivalence.test_optimizer_ablations_coincide_on_cyclic_workload,
 )
 
-TIERS = ("lowered", "interpreted")
-
-
-class InterpretedEngine(Engine):
-    """An engine whose plans are never lowered, whatever the caller asks."""
-
-    def __init__(self, *args, **kwargs):
-        kwargs.setdefault("compiled", False)
-        super().__init__(*args, **kwargs)
+TIERS = ("default", "codegen-off")
 
 
 def null_keys_are_inserted(monkeypatch):
@@ -112,8 +105,8 @@ def battery_reports(monkeypatch, tier):
     every optimizing engine on ``tier``."""
     reports = {}
     for test in BATTERIES:
-        if tier == "interpreted":
-            monkeypatch.setattr(sys.modules[test.__module__], "Engine", InterpretedEngine)
+        if tier == "codegen-off":
+            monkeypatch.setattr(sys.modules[test.__module__], "Engine", CodegenOffEngine)
         try:
             test(DIALECT_POSTGRES)
             reports[test.__name__] = None
@@ -122,9 +115,9 @@ def battery_reports(monkeypatch, tier):
     return reports
 
 
-def test_interpreted_batteries_are_green_without_a_seeded_bug(monkeypatch):
-    # On the lowered tier these are the batteries' own runs.
-    assert set(battery_reports(monkeypatch, "interpreted").values()) == {None}
+def test_codegen_off_batteries_are_green_without_a_seeded_bug(monkeypatch):
+    # On the default tier these are the batteries' own runs.
+    assert set(battery_reports(monkeypatch, "codegen-off").values()) == {None}
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -141,12 +134,12 @@ def test_stringified_keys_trip_the_directed_tests(monkeypatch):
     keys_stringified(monkeypatch)
     tripped = set()
     for case in test_optimizer.HASH_JOIN_CASES:
-        for tier in TIERS:
+        for codegen in (True, False):
             try:
-                test_optimizer.test_hash_join_keys_are_raw_values(case, tier)
+                test_optimizer.test_hash_join_keys_are_raw_values(case, codegen)
             except AssertionError:
-                tripped.add((case, tier))
+                tripped.add((case, codegen))
     for case in ("number-vs-string", "composite-number-vs-string"):
-        assert {(case, tier) for tier in TIERS} <= tripped
+        assert {(case, True), (case, False)} <= tripped
     with pytest.raises(AssertionError):
         test_wcoj.test_generic_join_respects_typed_keys()

@@ -3,14 +3,14 @@
 500 query/database pairs per dialect variant and data regime from a
 generator biased toward filters over base-table scans
 (:mod:`tests.properties.scan_kernels`), with ``SINGLE_USE_COMPILE_ROWS``
-forced to 0 so six-row plans are lowered: the default and single-use
-tiers must return the interpreted tier's table — or its error
+forced to 0 so six-row plans get generated code: the default and
+single-use engines must return the codegen-off leg's table — or its error
 class and message — cold and on a hot plan cache.  On typed data the
-interpreted tier must in turn match the naive engine, and the naive engine
+codegen-off leg must in turn match the naive engine, and the naive engine
 the formal semantics; on mixed data, where comparisons raise, the kernels
 must fall back and still agree.  A third leg, 400 pairs per dialect over
 tables of 40–160 rows, has scans served from the sorted column indexes and
-must emit the interpreted tier's rows in the interpreted tier's order.
+must emit the codegen-off leg's rows in the codegen-off leg's order.
 """
 
 import pytest
@@ -48,7 +48,7 @@ def test_kernels_fall_back_to_the_interpreted_outcome_on_mixed_data(dialect, sta
     failures, counts = battery(dialect, star_style, TRIALS, STRING_RATE)
     assert not failures, "; ".join(failures[:5])
     # Strings do clash: a quarter of the pairs replay a scan row-wise, and
-    # as many end in the interpreted tier's error, message included.
+    # as many end in the codegen-off leg's error, message included.
     assert counts["fallbacks"] >= TRIALS // 4
     assert counts["errors"] >= TRIALS // 4
     assert counts["prefix"] >= TRIALS // 10

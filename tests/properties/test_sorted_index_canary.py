@@ -138,8 +138,8 @@ def directed_trips():
 
 
 def leg_trips():
-    """Executions of the index leg that disagree with the interpreted
-    tier, plus one if the leg itself died of an escaped error."""
+    """Executions of the index leg that disagree with the codegen-off
+    leg, plus one if the leg itself died of an escaped error."""
     try:
         failures, _ = index_battery(DIALECT_POSTGRES, LEG_TRIALS)
     except TypeError:

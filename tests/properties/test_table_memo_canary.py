@@ -74,7 +74,7 @@ def projection_dropped(monkeypatch):
 
 
 #: The directed tests of the table memo that take a single-use engine
-#: factory; each runs once per tier.
+#: factory; each runs with and without generated code.
 DIRECTED = (
     test_build_cache.test_one_table_joined_on_two_columns_in_one_plan,
     test_build_cache.test_single_use_statements_over_one_database,
@@ -86,7 +86,7 @@ DIRECTED = (
 def directed_trips(monkeypatch):
     tripped = []
     for test in DIRECTED:
-        for tier in ("lowered", "interpreted"):
+        for tier in ("codegen", "codegen-off"):
             try:
                 test(test_build_cache.single_use_engines(tier, monkeypatch))
             except AssertionError:

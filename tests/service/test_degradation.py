@@ -1,7 +1,8 @@
 """The service's graceful-degradation ladder under injected faults.
 
-Rungs, in order of severity: execution-tier fallback (compiled tier dies
-→ retry interpreted, never serve wrong), per-request deadlines (started
+Rungs, in order of severity: execution fallback (the tenant's engine
+dies → retry on a fresh single-use engine, never serve wrong),
+per-request deadlines (started
 streams abort with an error trailer), overload admission (429 +
 Retry-After), per-tenant circuit breaker (503 + Retry-After), and the
 SIGTERM drain (in-flight streams finish or abort cleanly — never
@@ -83,7 +84,7 @@ def test_both_tiers_failing_is_a_clean_500_never_wrong_rows():
                 query_rows(thread.url)
         assert excinfo.value.status == 500
         assert "injected" in excinfo.value.message
-        assert service.tier_fallbacks == 1  # it tried the interpreted tier
+        assert service.tier_fallbacks == 1  # it tried a fresh single-use engine
 
 
 def test_fallback_counts_surface_in_stats():

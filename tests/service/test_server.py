@@ -153,11 +153,11 @@ def test_statement_ids_do_not_leak_across_tenants(service_url):
 
 
 def test_adhoc_queries_take_the_single_use_size_rule(monkeypatch):
-    """``POST /query`` plans on a fresh single-use engine, so it lowers a
-    plan exactly when the engine's size rule says so: over four times
-    ``SINGLE_USE_COMPILE_ROWS`` rows it reaches ``compile_plan``, over a
-    6-row table it does not.  It admits nothing: the tenant engine's plan
-    cache is untouched, and a never-seen shape compiled once leaves the
+    """``POST /query`` plans on a fresh single-use engine, so it generates
+    code for a plan exactly when the engine's size rule says so: over four
+    times ``SINGLE_USE_COMPILE_ROWS`` rows it does, over a 6-row table it
+    does not.  It admits nothing: the tenant engine's plan cache is
+    untouched, and a never-seen shape compiled once leaves the
     process-wide code cache empty.  Its rows are the prepared path's."""
     from repro.engine import compile as compile_module
     from repro.engine import engine as engine_module
@@ -165,9 +165,10 @@ def test_adhoc_queries_take_the_single_use_size_rule(monkeypatch):
     lowered = []
     real = engine_module.compile_plan
 
-    def spy(plan, stats):
-        lowered.append(plan)
-        return real(plan, stats)
+    def spy(plan, stats, codegen):
+        if codegen:
+            lowered.append(plan)
+        return real(plan, stats, codegen)
 
     monkeypatch.setattr(engine_module, "compile_plan", spy)
     big = [[i, i % 7] for i in range(4 * engine_module.SINGLE_USE_COMPILE_ROWS)]

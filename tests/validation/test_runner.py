@@ -83,27 +83,32 @@ def test_trial_result_is_reproducible():
 
 
 @pytest.mark.parametrize("variant", ["postgres", "oracle"])
-def test_paper_trials_never_reach_the_closure_compiler(variant, monkeypatch):
-    """The engine lowers a single-use plan only from SINGLE_USE_COMPILE_ROWS
-    bound rows; the paper campaign (default 6-row cap, at most a few dozen
-    rows under any query's scans) must stay on the interpreted tier — the
-    tier it was tuned on — however the engine's rule evolves."""
+def test_paper_trials_never_get_generated_code(variant, monkeypatch):
+    """The engine generates code for a single-use plan only from
+    SINGLE_USE_COMPILE_ROWS bound rows; the paper campaign (default 6-row
+    cap, at most a few dozen rows under any query's scans) must keep its
+    predicate objects — the lowering it was tuned on — however the
+    engine's rule evolves."""
     from repro.engine import engine as engine_module
     from repro.validation import DifferentialRunner
 
-    lowered = []
-    monkeypatch.setattr(
-        engine_module, "compile_plan", lambda plan, stats: lowered.append(plan)
-    )
+    codegen = []
+    lower = engine_module.compile_plan
+
+    def spy(plan, stats, generate):
+        codegen.append(generate)
+        return lower(plan, stats, generate)
+
+    monkeypatch.setattr(engine_module, "compile_plan", spy)
     runner = ValidationRunner(variant=variant)
     report = runner.run(trials=400, base_seed=0)
     assert report.agreements == report.trials == 400
     differential = DifferentialRunner()
     for seed in range(20):
         differential.run_trial(seed)
-    assert lowered == []
-    # The guard itself works: a cache-admitting engine does get lowered.
+    assert codegen and not any(codegen)
+    # The guard itself works: a cache-admitting engine does generate code.
     from repro.engine import Engine
 
     Engine(runner.schema)._plan(runner.run_trial(0).query)
-    assert len(lowered) == 1
+    assert codegen[-1] is True
