@@ -48,11 +48,12 @@ class Table:
             )
         self._columns = columns
         self._bag = bag
-        #: Engine-side memos (see repro.engine.binding.bind_plan): the rows
-        #: converted to the executor's value domain, and their column
-        #: vectors — one slot per column, None until a scan kernel first
-        #: reads that column.  Pure functions of the immutable bag,
-        #: computed lazily, excluded from eq/hash.
+        #: Engine-side memos (see repro.engine.compile._bound), made by the
+        #: first run of any plan that scans this table: the rows converted
+        #: to the executor's value domain, and their column vectors — one
+        #: entry per column, None until a scan kernel first reads that
+        #: column.  Pure functions of the immutable bag, computed lazily,
+        #: excluded from eq/hash.
         self._scan_rows = None
         self._scan_cols = None
         #: Build-cache content fingerprint over ``_scan_rows``, and the

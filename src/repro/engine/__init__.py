@@ -7,7 +7,7 @@ it and are digest-gated bit-identical:
 
 * the default, optimized tier, where code generation is a per-plan
   decision: plans admitted to the plan cache, and single-use plans
-  (``plan_cache_size=0``) whose scans bind at least the measured
+  (``plan_cache_size=0``) whose scans read at least the measured
   break-even ``engine.SINGLE_USE_COMPILE_ROWS`` rows, get generated
   predicates, and a filter over a base-table scan runs as a *scan kernel*
   — one fused comprehension over the table's memoized column vectors,
@@ -17,7 +17,6 @@ it and are digest-gated bit-identical:
   product-then-filter evaluation, never with generated code.
 """
 
-from .binding import bind_plan, reset_plan
 from .compile import compile_plan, compile_predicate
 from .engine import DIALECT_ORACLE, DIALECT_POSTGRES, Engine
 from .optimizer import optimize_plan
@@ -30,8 +29,6 @@ __all__ = [
     "optimize_plan",
     "compile_plan",
     "compile_predicate",
-    "bind_plan",
-    "reset_plan",
     "DIALECT_POSTGRES",
     "DIALECT_ORACLE",
 ]

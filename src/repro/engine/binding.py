@@ -1,26 +1,10 @@
-"""Late binding, cache hygiene and cross-execution build-side sharing.
-
-A plan compiled without a database (:class:`~repro.engine.planner.Planner`
-with ``db=None``) contains :class:`~repro.engine.operators.TableScan` leaves
-that name their base table but carry no rows.  Such a plan is a pure
-function of ``(query, schema, dialect, optimize)`` and can be cached and
-re-executed against any number of databases — provided that, before each
-execution,
-
-* every ``TableScan`` is bound to the current database's rows
-  (:func:`bind_plan`), and
-* every per-execution memo the optimizer introduced is cleared
-  (:func:`reset_plan`): :class:`~repro.engine.operators.CachedSubplan` /
-  :class:`~repro.engine.operators.MemoSubplan` materializations,
-  :class:`~repro.engine.operators.HashJoin` build tables,
-  :class:`~repro.engine.operators.ExistsProbe` booleans and per-binding
-  memos, :class:`~repro.engine.operators.InPred` binding memos, and
-  :class:`~repro.engine.operators.SemiJoinProbe` probe indexes — all of
-  which are only valid for the database they were computed against.
+"""Plan walks, and the cache that shares build sides across executions.
 
 :func:`iter_plan_nodes` / :func:`iter_predicates` walk the full operator
-tree, *including* the subplans nested inside WHERE-clause predicates, which
-is where most of the state lives.
+tree, *including* the subplans nested inside WHERE-clause predicates; the
+lowering, the engine's plan-size estimate and the tests read plans through
+them.  Nothing here writes to a plan: an execution keeps its state in its
+own run record (:class:`repro.engine.compile.Run`).
 
 Build-side sharing
 ------------------
@@ -34,19 +18,18 @@ keyed by content*: each shareable structure is a pure function of (a) the
 normalized text of the subplan that computes it (:func:`share_signature` —
 a canonical rendering of the subtree's operators, compiled column
 positions and literals, plus the carrier configuration the structure
-depends on), and (b) the bound rows of the base tables its subtree reads
-(plus, for per-binding memo dicts, the outer values in the memo key, which
-the dicts already encode).  Two *different* prepared statements whose
-plans embed the same subquery over the same table contents therefore
-reuse one build side — the cross-query sharing the always-on query
-service leans on; ``cross_hits`` counts lookups served from a structure
-another plan built.  :func:`bind_plan` restores structures whose content
-key hits the cache, and :func:`unbind_plan` harvests the structures the
-execution computed, so a repeated-content trial pays for its build sides
-exactly once.  Entries hold copies made at bind time — never the
-:class:`~repro.core.schema.Database` object — and the cache is a bounded
-LRU (entry count and, optionally, an estimated-byte budget), so rebinding
-to fresh content simply misses and ages the old entries out.
+depends on), and (b) the rows of the base tables its subtree reads (plus,
+for per-binding memo dicts, the outer values in the memo key, which the
+dicts already encode).  Two *different* prepared statements whose plans
+embed the same subquery over the same table contents therefore reuse one
+build side — the cross-query sharing the always-on query service leans on;
+``cross_hits`` counts lookups served from a structure another plan built.
+A build site looks its key up the first time a run with a cache needs the
+build (signing itself on the first such run), and a miss stores the build
+as soon as it is computed (:func:`repro.engine.compile._build_site`).  Entries
+never hold the :class:`~repro.core.schema.Database` object, and the cache
+is a bounded LRU (entry count and, optionally, an estimated-byte budget),
+so runs over fresh content simply miss and age the old entries out.
 """
 
 from __future__ import annotations
@@ -54,10 +37,8 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
-from ..core.schema import Database
-from ..core.values import Null
 from .expressions import (
     AndPred,
     ColumnRef,
@@ -91,9 +72,6 @@ from .operators import (
 __all__ = [
     "iter_plan_nodes",
     "iter_predicates",
-    "bind_plan",
-    "reset_plan",
-    "unbind_plan",
     "share_signature",
     "estimate_bytes",
     "BuildSideCache",
@@ -137,21 +115,11 @@ def iter_plan_nodes(plan: PlanNode) -> Iterator[Tuple[PlanNode, object]]:
 
 # -- the build-side cache -----------------------------------------------------
 
-_MISSING = object()
-
 #: Process-unique serials, used two ways: as the *fallback* signature for
 #: structures the renderer cannot prove pure (an opaque predicate, an
-#: unknown operator — a fresh serial can never alias anything), and to tag
-#: each plan with an owner id so cross-query hits are countable.
+#: unknown operator — a fresh serial can never alias anything), and as each
+#: lowered plan's owner id, so cross-query hits are countable.
 _share_serial = itertools.count(1)
-
-
-def _plan_owner(plan) -> int:
-    owner = getattr(plan, "_share_owner", None)
-    if owner is None:
-        owner = next(_share_serial)
-        plan._share_owner = owner
-    return owner
 
 
 #: Maximum nesting ``estimate_bytes`` descends before treating a value as a
@@ -184,11 +152,11 @@ def estimate_bytes(value, _depth: int = 0) -> int:
 class _Fingerprint(tuple):
     """A table-content fingerprint whose hash is computed once.
 
-    Content keys embed the bound rows of every table a carrier reads, so
-    each cache probe hashes them; plain tuples re-hash every probe.  The
+    Content keys embed the rows of every table a carrier reads, so each
+    cache probe hashes them; plain tuples re-hash every probe.  The
     fingerprint is memoized on the immutable Table, so caching the hash
-    here turns the per-bind cost into one dict hit per table.  Equality is
-    inherited — keys still compare the actual rows.
+    here turns the per-lookup cost into one dict hit per table.  Equality
+    is inherited — keys still compare the actual rows.
     """
 
     _hash: Optional[int] = None
@@ -217,40 +185,42 @@ def _carrier_kind(carrier) -> str:
     return "memos"
 
 
+def _length(value) -> int:
+    """The top-level length an entry is re-sized on a change of."""
+    return len(value) if isinstance(value, (dict, list, tuple)) else -1
+
+
 class BuildSideCache:
     """Content-keyed LRU cache of derived execution structures.
 
     Values are whatever a shareable carrier computes during one execution —
     a hash-join build table, a semi-join probe set, a materialized subquery
     row list, or a per-binding memo dict.  Keys pair the carrier's
-    normalized subplan text (:func:`share_signature`) with the bound
-    contents of the base tables its subtree reads, so a hit is exact (dict
-    key equality compares the actual rows, not a digest), rebinding to
-    different content is automatically a miss — the invalidation story is
-    the key itself — and two different plans embedding the same subquery
-    share one entry (``cross_hits`` counts those).
+    normalized subplan text (:func:`share_signature`) with the contents of
+    the base tables its subtree reads, so a hit is exact (dict key equality
+    compares the actual rows, not a digest), a run over different content
+    is automatically a miss — the invalidation story is the key itself —
+    and two different plans embedding the same subquery share one entry
+    (``cross_hits`` counts those).
 
     Eviction is LRU by entry count (``maxsize``) and, when ``max_bytes`` is
-    set, by total estimated bytes; without a budget entries are stored
-    unsized and :meth:`info` sizes them on demand, keeping the recursive
-    estimate off the execution path.  Re-storing the *identical* object only
-    re-walks the estimate when its top-level ``len()`` changed — the one
-    way a harvested structure grows between executions is a memo dict
-    gaining keys, and that shows in its length; build tables and tries are
-    immutable once built.
-
-    Entries also carry the row count the structure was built with, so a
-    plan that restores a cached build side reports the same cardinality
-    feedback as the plan that built it.
+    set, by total estimated bytes.  A memo dict is stored when its run
+    creates it and keeps gaining keys in place, so an entry is re-sized
+    whenever its top-level ``len()`` has changed since it was last sized,
+    and under a budget every re-sizing is followed by an eviction check:
+    on every store, on a hit whose value has grown since it was sized (a
+    memo a run filled), and in :meth:`info`, so the ``bytes`` it reports
+    never exceed ``max_bytes``.  Without a budget entries are sized only by
+    :meth:`info`, keeping the recursive estimate off the execution path.
+    Build tables and tries are immutable once built.
     """
 
     def __init__(self, maxsize: int = 128, max_bytes: Optional[int] = None):
         self.maxsize = maxsize
         self.max_bytes = max_bytes
-        #: key -> (value, owner serial of the storing plan, estimated
-        #: bytes (None: not sized yet), top-level len at store time,
-        #: observed row count, carrier kind)
-        self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
+        #: key -> [value, owner serial of the storing plan, estimated bytes
+        #: (None: not sized yet), top-level len when sized, carrier kind]
+        self._entries: "OrderedDict[tuple, list]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -258,61 +228,59 @@ class BuildSideCache:
         self.bytes = 0
 
     def lookup(self, key: tuple, reader: Optional[int] = None):
-        """The cached value, or the module-private miss sentinel."""
-        value, _rows = self.lookup_entry(key, reader)
-        return value
-
-    def lookup_entry(self, key: tuple, reader: Optional[int] = None):
-        """``(value, observed row count)``, or ``(miss sentinel, None)``."""
+        """The cached value, or None on a miss (no build is None)."""
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
-            return _MISSING, None
-        value, owner, _nbytes, _length, rows, _kind = entry
+            return None
         self.hits += 1
+        owner = entry[1]
         if reader is not None and owner is not None and owner != reader:
             self.cross_hits += 1
         self._entries.move_to_end(key)
-        return value, rows
+        value = entry[0]
+        if self.max_bytes is not None and entry[3] != _length(value):
+            # A memo grown by earlier runs: charge its growth to the budget
+            # before this run grows it further.
+            self._size()
+        return value
 
     def store(
-        self,
-        key: tuple,
-        value,
-        owner: Optional[int] = None,
-        rows: Optional[int] = None,
-        kind: str = "memos",
+        self, key: tuple, value, owner: Optional[int] = None, kind: str = "memos"
     ) -> None:
         old = self._entries.pop(key, None)
         if old is not None and old[2] is not None:
             self.bytes -= old[2]
-        try:
-            length = len(value)
-        except TypeError:
-            length = -1
-        if old is not None and old[0] is value and old[3] == length:
-            nbytes = old[2]
-            if rows is None:
-                rows = old[4]
-        elif self.max_bytes is None:
-            # No byte budget to evict against: walking every harvested
-            # structure on the unbind path would only feed a counter, so
-            # the entry stays unsized until info() reads it.
-            nbytes = None
+        self._entries[key] = [value, owner, None, None, kind]
+        if self.max_bytes is not None:
+            self._size()
         else:
-            nbytes = estimate_bytes(value)
-        self._entries[key] = (value, owner, nbytes, length, rows, kind)
-        if nbytes is not None:
-            self.bytes += nbytes
+            # Without a budget to evict against, sizing here would only
+            # feed a counter: entries stay unsized until info() reads them.
+            self._evict()
+
+    def _evict(self) -> None:
         while len(self._entries) > self.maxsize or (
             self.max_bytes is not None
             and self.bytes > self.max_bytes
             and self._entries
         ):
-            _entry = self._entries.popitem(last=False)[1]
-            if _entry[2] is not None:
-                self.bytes -= _entry[2]
+            nbytes = self._entries.popitem(last=False)[1][2]
+            if nbytes is not None:
+                self.bytes -= nbytes
             self.evictions += 1
+
+    def _size(self) -> None:
+        """Size every entry not sized yet or grown since it was sized, then
+        evict down to the bounds."""
+        for entry in self._entries.values():
+            value = entry[0]
+            length = _length(value)
+            if entry[2] is None or entry[3] != length:
+                nbytes = estimate_bytes(value)
+                self.bytes += nbytes - (entry[2] or 0)
+                entry[2:4] = nbytes, length
+        self._evict()
 
     def clear(self) -> None:
         self._entries.clear()
@@ -322,18 +290,11 @@ class BuildSideCache:
         return len(self._entries)
 
     def info(self) -> Dict[str, int]:
-        # Size what store() deferred (budget-less caches only); the result
-        # is memoized on the entry, so ``bytes`` reads as if it had been
-        # estimated eagerly and repeated calls walk nothing twice.
+        self._size()
         kinds = {kind: {"entries": 0, "bytes": 0} for kind in CARRIER_KINDS}
-        for key, entry in list(self._entries.items()):
-            nbytes = entry[2]
-            if nbytes is None:
-                nbytes = estimate_bytes(entry[0])
-                self._entries[key] = entry[:2] + (nbytes,) + entry[3:]
-                self.bytes += nbytes
-            kinds[entry[5]]["entries"] += 1
-            kinds[entry[5]]["bytes"] += nbytes
+        for entry in self._entries.values():
+            kinds[entry[4]]["entries"] += 1
+            kinds[entry[4]]["bytes"] += entry[2]
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -494,39 +455,6 @@ def share_signature(carrier, subtree: PlanNode) -> str:
     return repr(signature)
 
 
-def _shareable_carriers(nodes) -> List[Tuple[object, PlanNode]]:
-    """(carrier, feeding subtree) pairs for every structure worth sharing.
-
-    A structure is shareable when it is a pure function of its subtree's
-    bound table contents: closed materializations (``CachedSubplan``, a
-    closed ``HashJoin`` build side, ``SemiJoinProbe`` sets, a closed
-    ``ExistsProbe`` boolean) trivially are, and per-binding memo dicts
-    (``MemoSubplan``, correlated ``ExistsProbe`` / ``InPred``) are pure
-    once the binding — already part of each dict key — is accounted for.
-    """
-    carriers: List[Tuple[object, PlanNode]] = []
-    for node, pred in nodes:
-        if isinstance(node, (CachedSubplan, MemoSubplan)):
-            carriers.append((node, node.child))
-        elif isinstance(node, HashJoin):
-            if node.right.free_refs() == frozenset():
-                carriers.append((node, node.right))
-        elif isinstance(node, GenericJoin):
-            if node.free_refs() == frozenset():
-                # The tries are a pure function of every child's rows, so
-                # the feeding subtree is the whole node.
-                carriers.append((node, node))
-        elif isinstance(pred, ExistsProbe):
-            if pred.closed or pred._refs is not None:
-                carriers.append((pred, pred.subplan))
-        elif isinstance(pred, InPred):
-            if pred._refs is not None:
-                carriers.append((pred, pred.subplan))
-        elif isinstance(pred, SemiJoinProbe):
-            carriers.append((pred, pred.subplan))
-    return carriers
-
-
 def _subtree_tables(subtree: PlanNode) -> Tuple[str, ...]:
     """Sorted names of the base tables a carrier's subtree reads."""
     names = set()
@@ -534,242 +462,3 @@ def _subtree_tables(subtree: PlanNode) -> Tuple[str, ...]:
         if isinstance(node, TableScan):
             names.add(node.table)
     return tuple(sorted(names))
-
-
-def _share_plan(
-    plan: PlanNode, nodes
-) -> List[Tuple[object, str, Tuple[str, ...], str]]:
-    """The plan's shareable carriers with their signatures, table names and
-    kinds.
-
-    Purely structural, so it is computed once per plan object and cached on
-    it — the per-bind work is then only fingerprinting the bound rows of
-    the tables the carriers actually read.
-    """
-    cached = getattr(plan, "_share_analysis", None)
-    if cached is None:
-        cached = [
-            (
-                carrier,
-                share_signature(carrier, subtree),
-                _subtree_tables(subtree),
-                _carrier_kind(carrier),
-            )
-            for carrier, subtree in _shareable_carriers(nodes)
-        ]
-        plan._share_analysis = cached
-    return cached
-
-
-def _restore(carrier, value, rows: Optional[int] = None) -> None:
-    if isinstance(carrier, CachedSubplan):
-        carrier._cache = value
-    elif isinstance(carrier, MemoSubplan):
-        carrier._memo = value
-    elif isinstance(carrier, HashJoin):
-        carrier._table = value
-        carrier._build_rows = rows
-    elif isinstance(carrier, GenericJoin):
-        carrier._tries = value
-        carrier._build_rows = rows
-    elif isinstance(carrier, ExistsProbe):
-        if carrier.closed:
-            carrier._known = value
-        else:
-            carrier._memo = value
-    elif isinstance(carrier, InPred):
-        carrier._memo = value
-    elif isinstance(carrier, SemiJoinProbe):
-        carrier._build = value
-
-
-def _harvest(carrier):
-    """The carrier's computed structure, or the miss sentinel if unbuilt."""
-    if isinstance(carrier, CachedSubplan):
-        return carrier._cache if carrier._cache is not None else _MISSING
-    if isinstance(carrier, MemoSubplan):
-        return carrier._memo if carrier._memo else _MISSING
-    if isinstance(carrier, HashJoin):
-        return carrier._table if carrier._table is not None else _MISSING
-    if isinstance(carrier, GenericJoin):
-        return carrier._tries if carrier._tries is not None else _MISSING
-    if isinstance(carrier, ExistsProbe):
-        if carrier.closed:
-            return carrier._known if carrier._known is not None else _MISSING
-        return carrier._memo if carrier._memo else _MISSING
-    if isinstance(carrier, InPred):
-        return carrier._memo if carrier._memo else _MISSING
-    if isinstance(carrier, SemiJoinProbe):
-        return carrier._build if carrier._build is not None else _MISSING
-    return _MISSING
-
-
-def bind_plan(
-    plan: PlanNode,
-    db: Database,
-    cache: Optional[BuildSideCache] = None,
-) -> PlanNode:
-    """Bind every :class:`TableScan` to ``db`` and reset execution caches.
-
-    Returns the same plan object (mutated in place): binding is cheap — one
-    tree walk — compared to re-planning and re-optimizing the query, which
-    is the point of the plan cache.  The Null -> None row conversion, the
-    column vectors the scan kernels read and the closed builds over a bare
-    scan are pure functions of the immutable
-    :class:`~repro.core.table.Table`, so all three are memoized *on the
-    table*: rebinding the same database — or another plan, or another
-    engine, reading the same table — pays for each exactly once, and the
-    memos die with the database rather than pinning it to a cached plan.
-    Each scan receives ``(rows, vectors, table)``: the vectors are a
-    per-column memo (one slot per column, None until something reads that
-    column) whoever reads a column first pivots
-    (:func:`repro.engine.compile._scan_vectors`), and the table is where
-    a hash partition or probe set over the scan is built at most once per
-    signature (:func:`repro.engine.operators._resident`).
-
-    With a ``cache``, shareable structures whose content key hits are
-    restored instead of recomputed, and the (carrier, key) pairs are
-    remembered on the plan so :func:`unbind_plan` can harvest what the
-    execution builds.  Sharing engages from a plan's *second* bind — or
-    immediately, when the cache already holds entries another plan may
-    have left for it (the cross-query case).  A lone plan executed once
-    can neither hit nor be hit, so the trial campaigns — one fresh plan
-    per generated query, empty cache — pay none of the bookkeeping.
-    """
-    nodes = []
-    bound: Dict[str, tuple] = {}
-    for node, pred in iter_plan_nodes(plan):
-        if isinstance(node, TableScan):
-            memos = bound.get(node.table)
-            if memos is None:
-                table = db.table(node.table)
-                rows = table._scan_rows
-                if rows is None:
-                    rows = table._scan_rows = [
-                        tuple(None if isinstance(v, Null) else v for v in record)
-                        for record in table.bag
-                    ]
-                vectors = table._scan_cols
-                if vectors is None:
-                    vectors = table._scan_cols = [None] * node.arity
-                memos = bound[node.table] = (rows, vectors, table)
-            node.data = memos[0]
-            node._columns = memos
-        _reset_state(node, pred)
-        nodes.append((node, pred))
-    binds = getattr(plan, "_bind_count", 0) + 1
-    plan._bind_count = binds
-    if cache is not None and (binds >= 2 or len(cache) > 0):
-        owner = _plan_owner(plan)
-        fingerprints: Dict[str, tuple] = {}
-        bindings = []
-        for carrier, signature, tables, kind in _share_plan(plan, nodes):
-            contents = []
-            for name in tables:
-                fingerprint = fingerprints.get(name)
-                if fingerprint is None:
-                    # Pure function of the immutable Table, so it is
-                    # memoized there alongside the scan rows themselves —
-                    # rebinding the same database reuses one tuple (and
-                    # its cached hash) instead of re-copying per bind.
-                    table = db.table(name)
-                    fingerprint = table._scan_fp
-                    if fingerprint is None:
-                        fingerprint = table._scan_fp = _Fingerprint(bound[name][0])
-                    fingerprints[name] = fingerprint
-                contents.append((name, fingerprint))
-            key = (signature, tuple(contents))
-            bindings.append((carrier, key, kind))
-            value, rows = cache.lookup_entry(key, reader=owner)
-            if value is not _MISSING:
-                _restore(carrier, value, rows)
-        plan._shared_bindings = bindings
-    else:
-        plan._shared_bindings = []
-    return plan
-
-
-def reset_plan(plan: PlanNode) -> PlanNode:
-    """Clear the per-execution memos of a plan without rebinding tables."""
-    for node, pred in iter_plan_nodes(plan):
-        _reset_state(node, pred)
-    return plan
-
-
-def unbind_plan(
-    plan: PlanNode, cache: Optional[BuildSideCache] = None
-) -> PlanNode:
-    """Drop table data and memos so a cached plan holds no database rows.
-
-    A plan sitting in the :class:`~repro.engine.Engine` cache would
-    otherwise pin the last-executed database (scan rows, probe sets,
-    subquery materializations) until its next execution overwrites them.
-    With a ``cache``, the structures this execution built are harvested
-    into it first, under the content keys recorded by :func:`bind_plan`.
-    """
-    observed_tables: Dict[str, int] = {}
-    observed_nodes: Dict[str, int] = {}
-    # Carrier id -> rows its build side holds, recorded alongside the cache
-    # entry so an execution that restores the structure replays the count.
-    carrier_rows: Dict[int, int] = {}
-    walk = list(iter_plan_nodes(plan))
-    for position, (node, pred) in enumerate(walk):
-        if isinstance(node, TableScan):
-            if node.data is not None:
-                count = len(node.data)
-                observed_tables[node.table] = count
-                node.observed_rows = count
-            node.data = None
-            node._columns = None  # the column-vector memo references the rows
-        elif isinstance(node, CachedSubplan) and node._cache is not None:
-            observed_nodes[f"{position}:CachedSubplan"] = len(node._cache)
-        elif isinstance(node, (HashJoin, GenericJoin)) and node._build_rows is not None:
-            # Counted by whoever built the structure (or recorded with the
-            # cache entry it was restored from): nothing is re-walked here.
-            observed_nodes[f"{position}:{type(node).__name__}"] = node._build_rows
-            carrier_rows[id(node)] = node._build_rows
-    if cache is not None:
-        owner = _plan_owner(plan)
-        for carrier, key, kind in getattr(plan, "_shared_bindings", ()):
-            value = _harvest(carrier)
-            if value is not _MISSING:
-                cache.store(
-                    key,
-                    value,
-                    owner=owner,
-                    rows=carrier_rows.get(id(carrier)),
-                    kind=kind,
-                )
-    plan._shared_bindings = []
-    for node, pred in walk:
-        _reset_state(node, pred)
-    # Cardinality feedback: what this execution actually saw, keyed by
-    # base table (scans) and by walk position (intermediate structures).
-    # Stored under a private name so a bare-TableScan root keeps its
-    # Optional[int] ``observed_rows`` field intact for the optimizer.
-    plan._observed_feedback = {"tables": observed_tables, "nodes": observed_nodes}
-    return plan
-
-
-def _reset_state(node, pred) -> None:
-    # Memo dicts are *re-bound*, never cleared in place: the harvested dict
-    # may live on in the build-side cache, where clearing would wipe it.
-    if isinstance(node, CachedSubplan):
-        node._cache = None
-    elif isinstance(node, MemoSubplan):
-        node._memo = {}
-    elif isinstance(node, HashJoin):
-        node._table = None
-        node._build_rows = None
-    elif isinstance(node, GenericJoin):
-        node._tries = None
-        node._build_rows = None
-    if isinstance(pred, ExistsProbe):
-        pred._known = None
-        pred._memo = {}
-    elif isinstance(pred, InPred):
-        pred._memo = {}
-    elif isinstance(pred, SemiJoinProbe):
-        pred._build = None
-    elif isinstance(pred, ExistsPred):
-        pass  # stateless: re-executes its subplan every probe

@@ -2,25 +2,29 @@
 
 :func:`compile_plan` lowers a plan (optimized or naive) once into a tree
 of closures, each capturing its children's lowered iterators directly, so
-executions pay no per-node dispatch: scans iterate their bound lists, a
+executions pay no per-node dispatch: scans iterate their table's rows, a
 projection of plain columns becomes a C-level ``map(itemgetter(...),
-child)``, ``Filter``+``Project`` pairs fuse into one generator frame, and
-the stateful operators (``HashJoin``, ``GenericJoin``, ``CachedSubplan``,
-``MemoSubplan``, the subquery probes) compile to closures that *share
-state with the plan nodes* — they read and write the nodes' ``_table`` /
-``_tries`` / ``_cache`` / ``_memo`` / ``_build`` attributes.
+child)``, and ``Filter``+``Project`` pairs fuse into one generator frame.
 
-That state sharing is the bind/unbind contract: a plan is executed via
-its closure tree, but :func:`repro.engine.binding.bind_plan` /
-:func:`~repro.engine.binding.unbind_plan` still walk the *plan node* tree
-— installing scan rows, clearing per-execution memos, and harvesting /
-restoring build-side structures through the
-:class:`~repro.engine.binding.BuildSideCache` — and the closures observe
-whatever those walks install.  Cached plans therefore pin no database
-rows, and cross-trial build-side sharing works unchanged.
+A lowered plan is a function of the database and the outer rows, as a
+query is in the paper's semantics (⟦Q⟧ under a database and an
+environment of outer names).  An execution is one :class:`Run` record at
+the root of the outer stack, ``outers[0]``; column references index the
+stack from its end (``o[-d]``), so they never see it.  The run holds the
+database its scans read and one *state slot* per stateful site the
+lowering numbered: the table each scan resolved (once per run, however
+often a correlated subplan calls the scan), ``CachedSubplan`` and
+``MemoSubplan`` materializations, closed ``HashJoin`` tables and
+``GenericJoin`` tries, ``ExistsProbe`` booleans and memos, ``InPred``
+memos and ``SemiJoinProbe`` builds.  Plan nodes hold none of it, so one
+plan runs over any number of databases, one after another or at once, and
+pins no database rows between runs.  Every closed build goes through one
+build site (:func:`_build_site`): a build over a bare base-table scan is
+memoized on the scanned table, and any other is shared across runs through
+the engine's :class:`~repro.engine.binding.BuildSideCache`.
 
 Generated code is a per-plan decision on top of that one lowering
-(``codegen``, set by ``Engine._compile`` for plans that are reused or bind
+(``codegen``, set by ``Engine._compile`` for plans that are reused or read
 at least ``SINGLE_USE_COMPILE_ROWS`` rows):
 
 * :func:`compile_predicate` turns a whole ``PredNode`` tree into **one
@@ -66,6 +70,8 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import CompileError
+from ..core.values import Null
+from .binding import _carrier_kind, _Fingerprint, _subtree_tables, share_signature
 from .expressions import (
     AndPred,
     ColumnRef,
@@ -102,12 +108,12 @@ from .operators import (
     StaticScan,
     TableScan,
     _in_fold,
-    _resident,
 )
 
 __all__ = [
     "compile_plan",
     "compile_predicate",
+    "Run",
     "ScanKernelStats",
     "IterFn",
     "RowsFn",
@@ -139,9 +145,48 @@ class ScanKernelStats:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-#: Where a lowering's scan kernels count: None for a lowering without
-#: codegen, which runs no scan kernel.
-_Stats = Optional[ScanKernelStats]
+class Run:
+    """One execution of a lowered plan, at the root of its outer stack.
+
+    ``db`` is the database its scans read; ``slots`` holds one state per
+    stateful site the lowering numbered, None until the site first fills
+    it; ``cache`` is the build-side cache its signed builds consult (None:
+    builds are shared through table memos only); and ``owner`` is the
+    plan's serial, by which the cache counts cross-plan hits."""
+
+    __slots__ = ("db", "slots", "cache", "owner")
+
+    def __init__(self, db, slots: list, cache=None, owner: Optional[int] = None):
+        self.db = db
+        self.slots = slots
+        self.cache = cache
+        self.owner = owner
+
+
+class _Lowering:
+    """What one :func:`compile_plan` call shares across its closures:
+    ``stats``, where its scan kernels count (None for a lowering without
+    codegen, which runs no scan kernel), and ``slots``, how many run slots
+    it has numbered."""
+
+    __slots__ = ("stats", "slots", "_scans")
+
+    def __init__(self, stats: Optional[ScanKernelStats]):
+        self.stats = stats
+        self.slots = 0
+        #: id of a lowered TableScan -> its slot, so that every closure
+        #: over one scan resolves its table once per run.
+        self._scans: Dict[int, int] = {}
+
+    def slot(self) -> int:
+        self.slots += 1
+        return self.slots - 1
+
+    def scan_slot(self, scan: TableScan) -> int:
+        slot = self._scans.get(id(scan))
+        if slot is None:
+            slot = self._scans[id(scan)] = self.slot()
+        return slot
 
 
 # -- comparison helpers -------------------------------------------------------
@@ -328,10 +373,10 @@ def _assemble(name: str, source: str, *bindings: Dict[str, object], base=None):
 class _Emitter(_Constants):
     """Accumulates generated source lines plus captured runtime objects."""
 
-    def __init__(self, stats: Optional[ScanKernelStats] = None):
+    def __init__(self, low: Optional[_Lowering] = None):
         super().__init__()
-        #: Where the scan kernels of captured subquery plans count.
-        self.stats = stats
+        #: The lowering captured subquery probes are numbered in.
+        self.low = low
         self.lines: List[str] = []
         self.captured: Dict[str, object] = {}
         self._capture_ids: Dict[int, str] = {}
@@ -492,7 +537,7 @@ def _generate_predicate(emitter: _Emitter, pred, depth: int) -> str:
         )
         return target
     # Subquery probes and opaque callables: captured as compiled closures.
-    probe = emitter.capture(_compile_subpred(pred, emitter.stats))
+    probe = emitter.capture(_compile_subpred(pred, emitter.low))
     emitter.emit(depth, f"{target} = {probe}(r, o)")
     return target
 
@@ -504,16 +549,19 @@ def compile_predicate(pred, stats: Optional[ScanKernelStats] = None):
     The returned object is a ``(row, outers) -> Optional[bool]`` callable
     either way; callers that can specialize on a constant verdict (e.g.
     dropping a ``WHERE TRUE`` filter) check for ``ConstPred``.  ``stats``
-    is where the scan kernels of any subquery plan inside ``pred`` count.
+    is where the scan kernels of any subquery plan inside ``pred`` count;
+    a predicate holding a subquery runs as part of a plan
+    (:func:`compile_plan`), whose run holds the subquery's state.
     """
-    return _compile_folded(_fold_predicate(pred), stats or ScanKernelStats())
+    lowering = _Lowering(stats or ScanKernelStats())
+    return _compile_folded(_fold_predicate(pred), lowering)
 
 
-def _compile_folded(folded, stats: ScanKernelStats):
+def _compile_folded(folded, low: _Lowering):
     """:func:`compile_predicate` over an already folded tree."""
     if isinstance(folded, ConstPred):
         return folded
-    emitter = _Emitter(stats)
+    emitter = _Emitter(low)
     result = _generate_predicate(emitter, folded, 0)
     source = (
         f"def _pred({emitter.signature('r, o')}):\n"
@@ -776,36 +824,162 @@ def compile_row(exprs: Sequence[RowExpr]) -> Callable[[Row, OuterStack], Row]:
     return _assemble("_row", source, emitter.captured, emitter.constants)
 
 
-def _row_fn(exprs: Sequence[RowExpr], stats: _Stats):
-    """:func:`compile_row` under codegen; without it (``stats`` None) a
+def _row_fn(exprs: Sequence[RowExpr], low: _Lowering):
+    """:func:`compile_row` under codegen; without it (``low.stats`` None) a
     tuple over the expression objects themselves."""
-    if stats is not None:
+    if low.stats is not None:
         return compile_row(exprs)
     exprs = tuple(exprs)
     return lambda r, o: tuple([expr(r, o) for expr in exprs])
 
 
-# -- subquery predicates ------------------------------------------------------
+# -- run state ----------------------------------------------------------------
 #
-# Each compiled probe captures the *original* predicate object and keeps all
-# mutable state (`_known`, `_memo`, `_build`, …) on it, so the binding
-# layer's reset/harvest/restore walks govern compiled execution unchanged.
+# Every stateful site reads its slot of the run first — ``outers[0].slots[k]``
+# — and calls into the helpers below only while the slot is still empty,
+# once per run.
 
 
-def _compile_subpred(pred, stats: _Stats):
+def _bound(table):
+    """``table`` with the executor's memos of it started: its rows in the
+    executor's value domain (NULL as None) and its column-vector memo, one
+    entry per column, None until a scan kernel first reads that column.
+    Both are pure functions of the immutable table, memoized on it, so
+    every run, plan and engine reading it converts it once, and the memos
+    die with the database."""
+    if table._scan_rows is None:
+        table._scan_cols = [None] * len(table.columns)
+        table._scan_rows = [
+            tuple(None if isinstance(v, Null) else v for v in record)
+            for record in table.bag
+        ]
+    return table
+
+
+def _scan_table(scan: TableScan, low: _Lowering) -> Callable[[OuterStack], object]:
+    """The table ``scan`` reads in the current run, resolved in the run's
+    database once per run — a correlated subplan calls its scans once per
+    outer row.  Every closure over one scan shares its slot."""
+    slot, name = low.scan_slot(scan), scan.table
+
+    def table_of(outers):
+        run = outers[0]
+        table = run.slots[slot]
+        if table is None:
+            table = run.slots[slot] = _bound(run.db.table(name))
+        return table
+
+    return table_of
+
+
+def _table_memo(table, signature: tuple, build: Callable[[], object]):
+    """``build()`` memoized on ``table`` under ``signature``.  A closed
+    build over a bare scan of the table is a pure function of it, like
+    its rows and column vectors, so every run, plan and engine reading the
+    table builds it once, and the memo dies with the database."""
+    builds = table._scan_builds
+    if builds is None:
+        builds = table._scan_builds = {}
+    value = builds.get(signature)
+    if value is None:
+        value = builds[signature] = build()
+    return value
+
+
+def _share_key(signature: str, tables: Tuple[str, ...], db) -> tuple:
+    """The build-side cache key of a signed build in a run over ``db``: its
+    signature and the content fingerprint of every table its subtree reads,
+    memoized on the table beside its rows."""
+    contents = []
+    for name in tables:
+        table = _bound(db.table(name))
+        fingerprint = table._scan_fp
+        if fingerprint is None:
+            fingerprint = table._scan_fp = _Fingerprint(table._scan_rows)
+        contents.append((name, fingerprint))
+    return signature, tuple(contents)
+
+
+def _build_site(low: _Lowering, carrier, subtree: PlanNode, build, resident=None):
+    """The site of one closed build — a structure computed once per run by
+    ``build(outers)`` from what ``subtree`` yields — as ``(slot, fill)``:
+    the run slot the build lives in, and ``fill(outers)``, which finds or
+    computes the build, puts it in the slot and returns it.
+
+    * With ``resident`` — ``(scan, signature)`` for a build over a bare
+      base-table scan — the build is memoized on the scanned table
+      (:func:`_table_memo`).
+    * Otherwise, when the run has a build-side cache, the cache is looked
+      up the first time the run needs the build, under the site's
+      signature (rendered the first time any run with a cache reaches it)
+      and the fingerprints of the tables ``subtree`` reads; a miss stores
+      the build as soon as it is computed.  A build the run never reaches
+      costs no lookup, and a plan never run with a cache is never signed.
+    """
+    slot = low.slot()
+    if resident is not None:
+        scan, signature = resident
+        table_of = _scan_table(scan, low)
+
+        def fill_resident(outers):
+            table = table_of(outers)
+            value = outers[0].slots[slot] = _table_memo(
+                table, signature, lambda: build(outers)
+            )
+            return value
+
+        return slot, fill_resident
+    kind = _carrier_kind(carrier)
+    signed = None  # (signature, tables), once a run with a cache gets here
+
+    def fill(outers):
+        nonlocal signed
+        run = outers[0]
+        cache = run.cache
+        if cache is None:
+            value = build(outers)
+        else:
+            if signed is None:
+                signed = share_signature(carrier, subtree), _subtree_tables(subtree)
+            key = _share_key(*signed, run.db)
+            value = cache.lookup(key, run.owner)
+            if value is None:
+                value = build(outers)
+                cache.store(key, value, run.owner, kind)
+        run.slots[slot] = value
+        return value
+
+    return slot, fill
+
+
+def _new_memo(outers) -> dict:
+    """The first state of a per-binding memo: empty."""
+    return {}
+
+
+def _nonempty(rows) -> bool:
+    for _ in rows:
+        return True
+    return False
+
+
+# -- subquery predicates ------------------------------------------------------
+
+
+def _compile_subpred(pred, low: _Lowering):
     if isinstance(pred, ExistsProbe):
-        return _compile_exists_probe(pred, stats)
+        return _compile_exists_probe(pred, low)
     if isinstance(pred, ExistsPred):
-        return _compile_exists_pred(pred, stats)
+        return _compile_exists_pred(pred, low)
     if isinstance(pred, SemiJoinProbe):
-        return _compile_semi_join_probe(pred, stats)
+        return _compile_semi_join_probe(pred, low)
     if isinstance(pred, InPred):
-        return _compile_in_pred(pred, stats)
+        return _compile_in_pred(pred, low)
     return pred  # opaque callable: invoked as-is
 
 
-def _compile_exists_pred(pred: ExistsPred, stats: _Stats):
-    sub_rows = _rows_fn(pred.subplan, stats)
+def _compile_exists_pred(pred: ExistsPred, low: _Lowering):
+    sub_rows = _rows_fn(pred.subplan, low)
 
     def exists_naive(r, o):
         return bool(sub_rows(o + (r,)))
@@ -813,41 +987,42 @@ def _compile_exists_pred(pred: ExistsPred, stats: _Stats):
     return exists_naive
 
 
-def _compile_exists_probe(pred: ExistsProbe, stats: _Stats):
-    sub_iter = _iter_fn(pred.subplan, stats)
-
-    def probe(r, o):
-        for _ in sub_iter(o + (r,)):
-            return True
-        return False
-
+def _compile_exists_probe(pred: ExistsProbe, low: _Lowering):
+    sub_iter = _iter_fn(pred.subplan, low)
     if pred.closed:
+        # A closed subplan reads no outer row: the run alone is its stack.
+        slot, fill = _build_site(
+            low, pred, pred.subplan, lambda outers: _nonempty(sub_iter(outers[:1]))
+        )
 
         def exists_closed(r, o):
-            known = pred._known
+            known = o[0].slots[slot]
             if known is None:
-                known = pred._known = probe(r, o)
+                known = fill(o)
             return known
 
         return exists_closed
     refs = pred._refs
     if refs is None:
-        return probe
+        return lambda r, o: _nonempty(sub_iter(o + (r,)))
+    slot, fill = _build_site(low, pred, pred.subplan, _new_memo)
 
     def exists_memo(r, o):
-        memo = pred._memo
+        memo = o[0].slots[slot]
+        if memo is None:
+            memo = fill(o)
         key = tuple(r[i] if d == 0 else o[-d][i] for d, i in refs)
         result = memo.get(key)
         if result is None:
-            result = memo[key] = probe(r, o)
+            result = memo[key] = _nonempty(sub_iter(o + (r,)))
         return result
 
     return exists_memo
 
 
-def _compile_in_pred(pred: InPred, stats: _Stats):
-    sub_rows = _rows_fn(pred.subplan, stats)
-    values_fn = _row_fn(pred.exprs, stats)
+def _compile_in_pred(pred: InPred, low: _Lowering):
+    sub_rows = _rows_fn(pred.subplan, low)
+    values_fn = _row_fn(pred.exprs, low)
     negated = pred.negated
     refs = pred._refs
 
@@ -857,9 +1032,12 @@ def _compile_in_pred(pred: InPred, stats: _Stats):
             return sub_rows(o + (r,))
 
     else:
+        slot, fill = _build_site(low, pred, pred.subplan, _new_memo)
 
         def rows_for(r, o):
-            memo = pred._memo
+            memo = o[0].slots[slot]
+            if memo is None:
+                memo = fill(o)
             key = tuple(r[i] if d == 0 else o[-d][i] for d, i in refs)
             rows = memo.get(key)
             if rows is None:
@@ -875,15 +1053,33 @@ def _compile_in_pred(pred: InPred, stats: _Stats):
     return in_pred
 
 
-def _compile_semi_join_probe(pred: SemiJoinProbe, stats: _Stats):
-    """The set-membership kernel behind uncorrelated IN and the decorrelated
-    EXISTS/IN probes.  The build side stays on ``pred`` (read per call, never
-    captured), so nothing derived from bound rows outlives ``unbind_plan``."""
-    sub_iter = _iter_fn(pred.subplan, stats)
-    negated = pred.negated
+def _probe_source(pred: SemiJoinProbe):
+    """``(scan, signature)`` when ``pred``'s build is over a bare base-table
+    scan — its subplan projects current-row columns of the scan
+    (uncorrelated IN, and EXISTS/IN decorrelated with no remainder) or is
+    the scan itself — else None."""
+    subplan = pred.subplan
+    indices = (
+        column_indices(subplan.expressions) if isinstance(subplan, ProjectOp) else None
+    )
+    source = subplan.child if indices else subplan
+    if not isinstance(source, TableScan):
+        return None
+    return source, ("probe", pred.key_width, len(pred.exprs), indices)
 
-    def built():
-        return pred.materialize(lambda: sub_iter(()))
+
+def _compile_semi_join_probe(pred: SemiJoinProbe, low: _Lowering):
+    """The set-membership kernel behind uncorrelated IN and the decorrelated
+    EXISTS/IN probes, against a build side made once per run."""
+    sub_iter = _iter_fn(pred.subplan, low)
+    negated = pred.negated
+    slot, fill = _build_site(
+        low,
+        pred,
+        pred.subplan,
+        lambda outers: pred.index(sub_iter(outers[:1])),
+        _probe_source(pred),
+    )
 
     indices = column_indices(pred.exprs)
     if indices is not None and len(indices) == 1:
@@ -893,18 +1089,18 @@ def _compile_semi_join_probe(pred: SemiJoinProbe, stats: _Stats):
         if pred.key_width:
 
             def exists_key(r, o):
-                build = pred._build
+                build = o[0].slots[slot]
                 if build is None:
-                    build = built()
+                    build = fill(o)
                 return r[column] in build[0]
 
             return exists_key
         hit, miss = not negated, negated
 
         def in_column(r, o):
-            build = pred._build
+            build = o[0].slots[slot]
             if build is None:
-                build = built()
+                build = fill(o)
             value = r[column]
             if value in build[0]:
                 return hit
@@ -914,12 +1110,12 @@ def _compile_semi_join_probe(pred: SemiJoinProbe, stats: _Stats):
 
         return in_column
     lookup = pred.lookup
-    values_fn = _row_fn(pred.exprs, stats)
+    values_fn = _row_fn(pred.exprs, low)
 
     def semi_join(r, o):
-        build = pred._build
+        build = o[0].slots[slot]
         if build is None:
-            build = built()
+            build = fill(o)
         result = lookup(values_fn(r, o), build)
         if negated:
             return None if result is None else not result
@@ -951,10 +1147,9 @@ def _drained(child_iter: IterFn) -> IterFn:
 # A filter directly over a base-table scan does not call a predicate per
 # row: its leading probe-free conjuncts run as one fused selection
 # (:func:`_compile_fused`) over the table's column vectors, which are
-# pivoted on first touch, one column at a time, into the memo
-# :func:`~repro.engine.binding.bind_plan` installs on the scan — shared,
-# through the immutable ``Table``, by every plan that scans it, and dropped
-# from the plan by ``unbind_plan`` like the rows themselves.
+# pivoted on first touch, one column at a time, into the memo on the
+# immutable ``Table`` (:func:`_bound`) — shared by every run and every plan
+# that scans it, and never held by a plan.
 #
 # Exactness needs no new argument:
 #
@@ -1004,21 +1199,14 @@ def _conjuncts(pred) -> List[object]:
     return [pred]
 
 
-def _scan_vectors(
-    scan: TableScan, data: Sequence[Row], columns
-) -> List[Optional[list]]:
-    """The per-column memo of ``scan``'s bound rows with ``columns``
-    pivoted: ``vectors[i]`` is the list of every row's value in column
-    ``i``, or None while nothing has read that column."""
-    memo = scan._columns
-    if memo is None or memo[0] is not data:
-        # Rows installed by hand, not by bind_plan: a memo of the scan's
-        # own, with no table to memoize builds on.
-        memo = scan._columns = (data, [None] * scan.arity, None)
-    vectors = memo[1]
+def _scan_vectors(table, columns) -> List[Optional[list]]:
+    """The per-column memo of ``table``'s rows with ``columns`` pivoted:
+    ``vectors[i]`` is the list of every row's value in column ``i``, or
+    None while nothing has read that column."""
+    vectors = table._scan_cols
     for column in columns:
         if vectors[column] is None:
-            vectors[column] = list(map(itemgetter(column), data))
+            vectors[column] = list(map(itemgetter(column), table._scan_rows))
     return vectors
 
 
@@ -1116,18 +1304,16 @@ def _table_order(positions, lo: int, hi: int, nulls) -> List[int]:
 
 
 def _index_lookup(
-    scan: TableScan, data, column: int, run: list, nulls_too: bool, outers
+    table, column: int, run: list, nulls_too: bool, outers
 ) -> Optional[List[int]]:
-    """The positions, in table order, of the rows of ``data`` a scan with
+    """The positions, in table order, of the rows of ``table`` a scan with
     ``run`` leading its predicate must evaluate — with the NULL rows of
     ``column`` when ``nulls_too`` — or None when the table's sorted index
     of ``column`` cannot serve the run or leaves too many rows to pay."""
-    memo = scan._columns
-    if memo is None or memo[2] is None or memo[0] is not data:
-        return None  # rows installed by hand: no table to keep an index on
-    index = _resident(
-        scan, ("sorted", column),
-        lambda: _sorted_index(_scan_vectors(scan, data, (column,))[column]),
+    index = _table_memo(
+        table,
+        ("sorted", column),
+        lambda: _sorted_index(_scan_vectors(table, (column,))[column]),
     )
     if not index:
         return None
@@ -1136,12 +1322,12 @@ def _index_lookup(
         return None
     lo, hi = bounds
     nulls = index[3] if nulls_too else ()
-    if hi - lo + len(nulls) > len(data) * _INDEX_SHARE:
+    if hi - lo + len(nulls) > len(table._scan_rows) * _INDEX_SHARE:
         return None
     return _table_order(index[1], lo, hi, nulls)
 
 
-def _compile_scan_kernel(node: FilterOp, folded, stats: ScanKernelStats):
+def _compile_scan_kernel(node: FilterOp, folded, low: _Lowering):
     """Lower ``σ_folded(TableScan)`` to a scan kernel, as :func:`_split_filter`
     returns it: the kernel's row iterator plus what is left to test on each
     row it yields — nothing when the whole predicate fused, the whole
@@ -1163,28 +1349,29 @@ def _compile_scan_kernel(node: FilterOp, folded, stats: ScanKernelStats):
     if fused is None:
         return None
     kernel, columns = fused
-    scan = node.child
-    scan_rows = _rows_fn(scan, stats)
+    stats = low.stats
+    table_of = _scan_table(node.child, low)
     indexed, run = _index_run(conjuncts[:lead])
     nulls_too = len(run) < len(conjuncts)
     # What the caller still has to test on the rows it is handed: after a
     # prefix kernel, the full predicate.
-    residual = None if whole else _compile_folded(folded, stats)
+    residual = None if whole else _compile_folded(folded, low)
     row_pred = residual
 
     def replay(rows, outers):
         # A whole-predicate kernel compiles its row-wise twin on the first
         # fallback only: a single-use plan pays for one code generation.
+        # Its predicate holds no subquery, so it needs no run slot.
         nonlocal row_pred
         if row_pred is None:
-            row_pred = _compile_folded(folded, stats)
+            row_pred = _compile_folded(folded, _Lowering(stats))
         p = row_pred
         return (row for row in rows if p(row, outers) is True)
 
-    def batches(data, outers, vectors=None):
+    def batches(data, outers, vectors=None, table=None):
         stats.selections += 1
         if vectors is None:
-            vectors = _scan_vectors(scan, data, columns)
+            vectors = _scan_vectors(table, columns)
         rows = iter(data)
         cursors = {column: iter(vectors[column]) for column in columns}
         start, size, total = 0, _SCAN_BATCH, len(data)
@@ -1208,9 +1395,10 @@ def _compile_scan_kernel(node: FilterOp, folded, stats: ScanKernelStats):
             size *= _SCAN_BATCH_GROWTH
 
     def scan_kernel(outers):
-        data = scan_rows(outers)
+        table = table_of(outers)
+        data = table._scan_rows
         if run:
-            picked = _index_lookup(scan, data, indexed, run, nulls_too, outers)
+            picked = _index_lookup(table, indexed, run, nulls_too, outers)
             if picked is not None:
                 stats.lookups += 1
                 data = list(map(data.__getitem__, picked))
@@ -1218,47 +1406,48 @@ def _compile_scan_kernel(node: FilterOp, folded, stats: ScanKernelStats):
                 # with them by the kernel's zip.
                 vectors = {c: map(itemgetter(c), data) for c in columns}
                 return chain.from_iterable(batches(data, outers, vectors))
-        return chain.from_iterable(batches(data, outers))
+        return chain.from_iterable(batches(data, outers, table=table))
 
     return scan_kernel, residual
 
 
-def _probes_lowered(pred):
+def _probes_lowered(pred, low: _Lowering):
     """``pred`` itself, evaluated by its own ``__call__``, with each subquery
     probe inside it swapped for its codegen-off closure."""
     kind = type(pred)
     if kind is ComparePred or kind is IsNullPred or kind is ConstPred:
         return pred
     if kind is AndPred or kind is OrPred:
-        left, right = _probes_lowered(pred.left), _probes_lowered(pred.right)
+        left = _probes_lowered(pred.left, low)
+        right = _probes_lowered(pred.right, low)
         if left is pred.left and right is pred.right:
             return pred
         return kind(left, right)
     if kind is NotPred:
-        operand = _probes_lowered(pred.operand)
+        operand = _probes_lowered(pred.operand, low)
         return pred if operand is pred.operand else NotPred(operand)
-    return _compile_subpred(pred, None)
+    return _compile_subpred(pred, low)
 
 
-def _split_filter(node: PlanNode, stats: _Stats):
+def _split_filter(node: PlanNode, low: _Lowering):
     """Peel a FilterOp for fusion: ``(compiled input, predicate | ConstPred
     | None)`` — the rows to draw from and what is left to test on each.
     Under codegen the predicate is generated, and a filter over a
     base-table scan draws from its scan kernel."""
     if not isinstance(node, FilterOp):
-        return _iter_fn(node, stats), None
-    if stats is None:
-        return _iter_fn(node.child, None), _probes_lowered(node.predicate)
+        return _iter_fn(node, low), None
+    if low.stats is None:
+        return _iter_fn(node.child, low), _probes_lowered(node.predicate, low)
     folded = _fold_predicate(node.predicate)
     if isinstance(node.child, TableScan) and not isinstance(folded, ConstPred):
-        lowered = _compile_scan_kernel(node, folded, stats)
+        lowered = _compile_scan_kernel(node, folded, low)
         if lowered is not None:
             return lowered
-    return _iter_fn(node.child, stats), _compile_folded(folded, stats)
+    return _iter_fn(node.child, low), _compile_folded(folded, low)
 
 
-def _compile_filter(node: FilterOp, stats: _Stats) -> IterFn:
-    child_iter, pred = _split_filter(node, stats)
+def _compile_filter(node: FilterOp, low: _Lowering) -> IterFn:
+    child_iter, pred = _split_filter(node, low)
     if pred is None:
         return child_iter
     if isinstance(pred, ConstPred):
@@ -1275,8 +1464,8 @@ def _compile_filter(node: FilterOp, stats: _Stats) -> IterFn:
     return filter_iter
 
 
-def _compile_project(node: ProjectOp, stats: _Stats) -> IterFn:
-    child_iter, pred = _split_filter(node.child, stats)
+def _compile_project(node: ProjectOp, low: _Lowering) -> IterFn:
+    child_iter, pred = _split_filter(node.child, low)
     if isinstance(pred, ConstPred):
         if pred.value is True:
             pred = None
@@ -1290,7 +1479,7 @@ def _compile_project(node: ProjectOp, stats: _Stats) -> IterFn:
                 return lambda outers: map(getter, child_iter(outers))
             # One column: zip() wraps each value into its 1-tuple.
             return lambda outers: zip(map(getter, child_iter(outers)))
-        row_fn = _row_fn(node.expressions, stats)
+        row_fn = _row_fn(node.expressions, low)
 
         def project_iter(outers):
             build = row_fn
@@ -1298,7 +1487,7 @@ def _compile_project(node: ProjectOp, stats: _Stats) -> IterFn:
                 yield build(row, outers)
 
         return project_iter
-    row_fn = _row_fn(node.expressions, stats)
+    row_fn = _row_fn(node.expressions, low)
 
     def filter_project_iter(outers):
         p = pred
@@ -1310,8 +1499,8 @@ def _compile_project(node: ProjectOp, stats: _Stats) -> IterFn:
     return filter_project_iter
 
 
-def _compile_distinct(node: DistinctOp, stats: _Stats) -> IterFn:
-    child_iter = _iter_fn(node.child, stats)
+def _compile_distinct(node: DistinctOp, low: _Lowering) -> IterFn:
+    child_iter = _iter_fn(node.child, low)
 
     def distinct_iter(outers):
         seen = set()
@@ -1324,8 +1513,8 @@ def _compile_distinct(node: DistinctOp, stats: _Stats) -> IterFn:
     return distinct_iter
 
 
-def _compile_remap(node: RemapOp, stats: _Stats) -> IterFn:
-    child_iter = _iter_fn(node.child, stats)
+def _compile_remap(node: RemapOp, low: _Lowering) -> IterFn:
+    child_iter = _iter_fn(node.child, low)
     getter = itemgetter(*node.mapping)
     if len(node.mapping) > 1:
         return lambda outers: map(getter, child_iter(outers))
@@ -1341,8 +1530,8 @@ def _product_rows(materialized: List[Sequence[Row]]) -> Iterator[Row]:
         yield row
 
 
-def _compile_cross_join(node: CrossJoin, stats: _Stats) -> IterFn:
-    children_rows = [_rows_fn(child, stats) for child in node.children]
+def _compile_cross_join(node: CrossJoin, low: _Lowering) -> IterFn:
+    children_rows = [_rows_fn(child, low) for child in node.children]
 
     def cross_iter(outers):
         # Children materialize in order with an early empty-out: a later
@@ -1361,16 +1550,32 @@ def _compile_cross_join(node: CrossJoin, stats: _Stats) -> IterFn:
     return cross_iter
 
 
-def _compile_hash_join(node: HashJoin, stats: _Stats) -> IterFn:
-    """The right child materializes through its compiled ``rows`` function
-    into the node's own build kernel and probe loop — and the table lives
-    on the node (``_table`` / ``_closed_build``), so the binding layer's
-    reset/harvest/restore walks govern compiled execution unchanged."""
-    left_iter = _iter_fn(node.left, stats)
-    right_rows = _rows_fn(node.right, stats)
+def _compile_hash_join(node: HashJoin, low: _Lowering) -> IterFn:
+    """The right child materializes through its lowered ``rows`` function
+    into the node's build kernel, and the left child streams through the
+    node's probe.  A closed build is made once per run, at its build
+    site."""
+    left_iter = _iter_fn(node.left, low)
+    right_rows = _rows_fn(node.right, low)
+
+    def build(outers):
+        return node._build(right_rows(outers))
+
+    if node.right.free_refs() == frozenset():
+        resident = None
+        if isinstance(node.right, TableScan):
+            resident = node.right, ("hash", node.right_keys)
+        slot, fill = _build_site(low, node, node.right, build, resident)
+
+        def table_of(outers):
+            table = outers[0].slots[slot]
+            return fill(outers) if table is None else table
+
+    else:
+        table_of = build
 
     def hash_join_iter(outers):
-        table = node.build_table(outers, right_rows)
+        table = table_of(outers)
         if not table:
             return iter(())
         return node.probe(table, left_iter(outers))
@@ -1378,15 +1583,28 @@ def _compile_hash_join(node: HashJoin, stats: _Stats) -> IterFn:
     return hash_join_iter
 
 
-def _compile_generic_join(node: GenericJoin, stats: _Stats) -> IterFn:
+def _compile_generic_join(node: GenericJoin, low: _Lowering) -> IterFn:
     """Native lowering of the worst-case-optimal join: children materialize
-    through their compiled ``rows`` functions, while trie construction and
-    leapfrog enumeration reuse the node's own methods, exactly like the
-    hash-join build side."""
-    children_rows = [_rows_fn(child, stats) for child in node.children]
+    through their lowered ``rows`` functions into the node's trie kernel,
+    and the leapfrog enumeration is the node's own method.  Closed tries
+    are built once per run, at their build site, like a hash-join table."""
+    children_rows = [_rows_fn(child, low) for child in node.children]
+
+    def build(outers):
+        return node._build_tries([rows(outers) for rows in children_rows])
+
+    if node.free_refs() == frozenset():
+        slot, fill = _build_site(low, node, node, build)
+
+        def tries_of(outers):
+            tries = outers[0].slots[slot]
+            return fill(outers) if tries is None else tries
+
+    else:
+        tries_of = build
 
     def generic_join_iter(outers):
-        tries = node.build_tries(outers, children_rows)
+        tries = tries_of(outers)
         if any(not trie for trie in tries):
             return iter(())
         return node._solve(0, list(tries))
@@ -1394,9 +1612,9 @@ def _compile_generic_join(node: GenericJoin, stats: _Stats) -> IterFn:
     return generic_join_iter
 
 
-def _compile_hash_setop(node: HashSetOp, stats: _Stats) -> IterFn:
-    left_iter = _iter_fn(node.left, stats)
-    right_iter = _iter_fn(node.right, stats)
+def _compile_hash_setop(node: HashSetOp, low: _Lowering) -> IterFn:
+    left_iter = _iter_fn(node.left, low)
+    right_iter = _iter_fn(node.right, low)
     if node.op == "UNION":
         if node.all:
 
@@ -1462,11 +1680,11 @@ def _compile_hash_setop(node: HashSetOp, stats: _Stats) -> IterFn:
     raise ValueError(f"unknown set operation {node.op}")  # pragma: no cover
 
 
-def _compile_setop_counted(node: SetOpNode, stats: _Stats) -> IterFn:
+def _compile_setop_counted(node: SetOpNode, low: _Lowering) -> IterFn:
     """The naive counted-multiset set operation (``optimize=False`` plans):
     compiled children, same count-both-sides-and-re-expand algorithm."""
-    left_iter = _iter_fn(node.left, stats)
-    right_iter = _iter_fn(node.right, stats)
+    left_iter = _iter_fn(node.left, low)
+    right_iter = _iter_fn(node.right, low)
     op, all_ = node.op, node.all
 
     def setop_iter(outers):
@@ -1495,42 +1713,37 @@ def _compile_setop_counted(node: SetOpNode, stats: _Stats) -> IterFn:
 # -- materializers ------------------------------------------------------------
 
 
-def _rows_fn(node: PlanNode, stats: _Stats) -> RowsFn:
-    """The materialized rows of ``node``: scans and cached subplans hand
-    out their stored lists; everything else materializes a fresh list
-    from the compiled iterator."""
+def _rows_fn(node: PlanNode, low: _Lowering) -> RowsFn:
+    """The materialized rows of ``node``: scans hand out their table's
+    rows and cached subplans their run's materialization; everything else
+    materializes a fresh list from the lowered iterator."""
     if isinstance(node, TableScan):
-
-        def scan_rows(outers):
-            data = node.data
-            if data is None:
-                raise RuntimeError(
-                    f"TableScan({node.table!r}) executed without a bound "
-                    f"database (see repro.engine.binding.bind_plan)"
-                )
-            return data
-
-        return scan_rows
+        table_of = _scan_table(node, low)
+        return lambda outers: table_of(outers)._scan_rows
     if isinstance(node, StaticScan):
         data = node.data
         return lambda outers: data
     if isinstance(node, CachedSubplan):
-        child_rows = _rows_fn(node.child, stats)
+        child_rows = _rows_fn(node.child, low)
+        # The child is closed: the run alone is its outer stack.
+        slot, fill = _build_site(
+            low, node, node.child, lambda outers: child_rows(outers[:1])
+        )
 
         def cached_rows(outers):
-            rows = node._cache
-            if rows is None:
-                # The child is closed, so the outer stack is irrelevant.
-                rows = node._cache = child_rows(())
-            return rows
+            rows = outers[0].slots[slot]
+            return fill(outers) if rows is None else rows
 
         return cached_rows
     if isinstance(node, MemoSubplan):
-        child_rows = _rows_fn(node.child, stats)
+        child_rows = _rows_fn(node.child, low)
         memo_refs = node.memo_refs
+        slot, fill = _build_site(low, node, node.child, _new_memo)
 
         def memo_rows(outers):
-            memo = node._memo
+            memo = outers[0].slots[slot]
+            if memo is None:
+                memo = fill(outers)
             key = tuple(outers[-d][i] for d, i in memo_refs)
             rows = memo.get(key)
             if rows is None:
@@ -1538,53 +1751,54 @@ def _rows_fn(node: PlanNode, stats: _Stats) -> RowsFn:
             return rows
 
         return memo_rows
-    iter_fn = _iter_fn(node, stats)
+    iter_fn = _iter_fn(node, low)
     return lambda outers: list(iter_fn(outers))
 
 
 # -- dispatcher ---------------------------------------------------------------
 
 
-def _iter_fn(node: PlanNode, stats: _Stats) -> IterFn:
-    """The lowered iterator of ``node``.  ``stats`` is where its scan
-    kernels count, or None for a lowering without codegen (which runs no
-    scan kernel, so has nothing to count)."""
+def _iter_fn(node: PlanNode, low: _Lowering) -> IterFn:
+    """The lowered iterator of ``node``, its state numbered in ``low``."""
     if isinstance(node, (TableScan, StaticScan, CachedSubplan, MemoSubplan)):
-        rows_fn = _rows_fn(node, stats)
+        rows_fn = _rows_fn(node, low)
         return lambda outers: iter(rows_fn(outers))
     if isinstance(node, ProjectOp):
-        return _compile_project(node, stats)
+        return _compile_project(node, low)
     if isinstance(node, FilterOp):
-        return _compile_filter(node, stats)
+        return _compile_filter(node, low)
     if isinstance(node, HashJoin):
-        return _compile_hash_join(node, stats)
+        return _compile_hash_join(node, low)
     if isinstance(node, GenericJoin):
-        return _compile_generic_join(node, stats)
+        return _compile_generic_join(node, low)
     if isinstance(node, CrossJoin):
-        return _compile_cross_join(node, stats)
+        return _compile_cross_join(node, low)
     if isinstance(node, DistinctOp):
-        return _compile_distinct(node, stats)
+        return _compile_distinct(node, low)
     if isinstance(node, RemapOp):
-        return _compile_remap(node, stats)
+        return _compile_remap(node, low)
     if isinstance(node, HashSetOp):
-        return _compile_hash_setop(node, stats)
+        return _compile_hash_setop(node, low)
     if isinstance(node, SetOpNode):
-        return _compile_setop_counted(node, stats)
+        return _compile_setop_counted(node, low)
     raise TypeError(f"no lowering for plan node {type(node).__name__}")
 
 
 def compile_plan(
-    plan: PlanNode, stats: Optional[ScanKernelStats] = None, codegen: bool = True
-) -> IterFn:
-    """Lower a physical plan into its closure tree.
+    plan: PlanNode,
+    stats: Optional[ScanKernelStats] = None,
+    codegen: bool = True,
+) -> Tuple[IterFn, int]:
+    """Lower a physical plan into its closure tree: ``(root, slots)``.
 
-    Call the result with the outer-row stack (``()`` at the top level) to
-    iterate the plan's rows.  The plan node tree stays the carrier of all
-    mutable execution state, so :func:`~repro.engine.binding.bind_plan` /
-    :func:`~repro.engine.binding.unbind_plan` round-trip lowered plans:
-    compile once, bind/execute/unbind many.  ``codegen`` generates the
-    predicates and scan kernels (module docstring); ``stats`` is where the
-    plan's scan kernels count what they do (the engine passes its own;
-    without one the counts go nowhere).
+    ``root`` iterates the plan's rows when called with an outer stack whose
+    root is a :class:`Run` holding ``slots`` state slots
+    (:meth:`repro.engine.planner.CompiledQuery.run` makes one per
+    execution).  ``codegen`` generates the predicates and scan kernels
+    (module docstring); ``stats`` is where the plan's scan kernels count
+    what they do (the engine passes its own; without one the counts go
+    nowhere).
     """
-    return _iter_fn(plan, (stats or ScanKernelStats()) if codegen else None)
+    low = _Lowering((stats or ScanKernelStats()) if codegen else None)
+    root = _iter_fn(plan, low)
+    return root, low.slots

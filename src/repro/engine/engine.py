@@ -23,9 +23,10 @@ as a *scan kernel*, one generated comprehension over the table's column
 vectors replayed row-wise on a type clash (:mod:`repro.engine.compile`,
 "scan kernels") — is decided per optimized plan from what the engine can
 observe: the plan will be reused (plan-cache admission — generate once,
-execute many), or its single execution binds at least
+execute many), or its single execution reads at least
 ``SINGLE_USE_COMPILE_ROWS`` rows under its scans (known exactly before
-planning: the engine seeds table cardinalities at bind time).  So
+planning: every execution first records the sizes of its database's
+tables).  So
 ``plan_cache_size=0`` callers get the right lowering at both ends — the
 paper campaign's fresh query per trial over 6-row tables keeps its
 predicate objects (generating code would triple its engine time), while
@@ -43,14 +44,17 @@ Plan cache
 Compilation and optimization depend only on ``(query AST, schema, dialect,
 optimize)``, never on the database instance, so the engine memoizes
 optimized plans per query (dialect and optimize-flag are fixed per engine
-instance, completing the key).  Plans are compiled *unbound* — their base
-tables are :class:`~repro.engine.operators.TableScan` leaves — and
-:func:`repro.engine.binding.bind_plan` installs the current database's rows
-and clears per-execution memos before every run.  Prepared-statement-style
-reuse is what the trial campaigns and the equivalence checker exercise: the
-same query evaluated across many trial databases plans once.  ``cache_info()``
-exposes hit/miss/eviction counters for the benchmarks; ``plan_cache_size=0``
-disables caching entirely.
+instance, completing the key).  A lowered plan is a function of the
+database and the outer rows: its base tables are
+:class:`~repro.engine.operators.TableScan` leaves that name a table, and
+each execution is one run (:meth:`~repro.engine.planner.CompiledQuery.run`)
+that resolves them in the database it is given and keeps every
+per-execution memo in state slots of its own.  A cached plan therefore
+holds no rows and needs no reset between executions.
+Prepared-statement-style reuse is what the trial campaigns and the
+equivalence checker exercise: the same query evaluated across many trial
+databases plans once.  ``cache_info()`` exposes hit/miss/eviction counters
+for the benchmarks; ``plan_cache_size=0`` disables caching entirely.
 
 Build-side cache
 ----------------
@@ -60,15 +64,15 @@ hash-join build tables, semi-join probe sets, cached/memoized subquery
 materializations — across executions through a content-keyed
 :class:`~repro.engine.binding.BuildSideCache`: trial campaigns re-draw
 table contents from small domains, so identical table contents recur and
-the structures they determine need not be rebuilt.  Keys compare the bound
-rows themselves (exact, no digests), values are copies made at bind time
-(cached plans and cache entries never reference the
-:class:`~repro.core.schema.Database`), and ``build_cache_size=0`` disables
-sharing.  The cache only engages together with the plan cache — without
-plan reuse there is no second execution to share with — and, per plan,
-only from the second bind onward: keys are per plan node, so a plan
-executed once can neither hit nor be hit, and single-use plans (one fresh
-query per campaign trial) pay none of the bookkeeping.
+the structures they determine need not be rebuilt.  Keys compare the
+tables' rows themselves (exact, no digests), cache entries never reference
+the :class:`~repro.core.schema.Database`, and ``build_cache_size=0``
+disables sharing.  A run looks a build up the first time it needs it,
+storing it on a miss as soon as it is computed.  A build over a bare
+base-table scan is memoized on the scanned table instead, for every
+engine.  The cache only engages together with the plan cache: single-use
+plans (one fresh query per campaign trial) run without it, so their
+builds are never signed and pay none of the bookkeeping.
 """
 
 from __future__ import annotations
@@ -82,13 +86,7 @@ from ..core.schema import Database, Schema
 from ..core.table import Table
 from ..core.values import NULL
 from ..sql.ast import Query
-from .binding import (
-    BuildSideCache,
-    bind_plan,
-    estimate_bytes,
-    iter_plan_nodes,
-    unbind_plan,
-)
+from .binding import BuildSideCache, estimate_bytes, iter_plan_nodes
 from .compile import ScanKernelStats, compile_plan
 from .operators import TableScan
 from .optimizer import DEFAULT_TABLE_ROWS, optimize_plan
@@ -104,12 +102,12 @@ DEFAULT_BUILD_CACHE_SIZE = 128
 
 #: How far the current observed cardinality of a table must drift from the
 #: estimate a cached plan was optimized with before the plan is re-optimized
-#: at rebind (ratio either way).  Damping: re-planning costs a full compile,
+#: on a cache hit (ratio either way).  Damping: re-planning costs a full compile,
 #: so hair-trigger re-optimization on small fluctuations would thrash.
 REOPT_DRIFT_FACTOR = 2.0
 
-#: Rows bound under a plan's ``TableScan`` leaves (summed per scan, subquery
-#: plans included; exact, seeded at bind time) from which a *single-use*
+#: Rows under a plan's ``TableScan`` leaves (summed per scan, subquery
+#: plans included; exact, recorded before planning) from which a *single-use*
 #: plan — one the plan cache will not retain — still gets generated code
 #: (predicates and scan kernels).  Code generation is a fixed cost per
 #: query, evaluating the predicate objects a cost per row.  Measured on
@@ -126,9 +124,9 @@ SINGLE_USE_COMPILE_ROWS = 128
 def _estimate_plan_bytes(compiled: CompiledQuery) -> int:
     """Rough footprint of a cached plan: per-node/per-predicate object
     sizes over the full walk (subquery plans included) plus the label row.
-    Plans are cached *unbound* — no table rows — so object headers and
-    small per-node tuples dominate, and a node-count-proportional estimate
-    is the honest measure a byte budget can evict against."""
+    Plans hold no table rows, so object headers and small per-node tuples
+    dominate, and a node-count-proportional estimate is the honest measure
+    a byte budget can evict against."""
     size = sys.getsizeof(compiled) + estimate_bytes(compiled.labels)
     for node, pred in iter_plan_nodes(compiled.plan):
         size += sys.getsizeof(node if node is not None else pred, 64)
@@ -144,14 +142,13 @@ def _as_table(labels, rows) -> Table:
         else tuple(NULL if v is None else v for v in row)
         for row in rows
     )
-    # Bag() materializes fully, so unbinding afterwards is safe.
     return Table(labels, Bag(records))
 
 
 def _as_rows(labels, rows):
-    # list() materializes fully, so unbinding afterwards is safe; the set()
-    # passes are Bag's per-record tuple/arity validation (and Table's
-    # arity-vs-labels check) done once over the whole result, at C speed.
+    # The set() passes are Bag's per-record tuple/arity validation (and
+    # Table's arity-vs-labels check) done once over the whole result, at C
+    # speed.
     rows = list(rows)
     if not set(map(type, rows)) <= {tuple}:
         raise TypeError("result records must be tuples")
@@ -194,9 +191,9 @@ class Engine:
             if build_cache_size > 0
             else None
         )
-        #: Last observed bound row count per base table, harvested from
-        #: each cached plan's unbind walk — the cardinality feedback that
-        #: replaces ``DEFAULT_TABLE_ROWS`` when later queries are planned.
+        #: Row count per base table of the database last executed over —
+        #: the cardinality feedback that replaces ``DEFAULT_TABLE_ROWS``
+        #: when later queries are planned.
         self._observed_tables: Dict[str, int] = {}
         #: Ablation knobs forwarded to :func:`optimize_plan` (benchmarks
         #: compare e.g. ``{"reorder_joins": False}`` against the default).
@@ -215,32 +212,22 @@ class Engine:
         """:meth:`execute` for a consumer that wants rows, not a bag:
         ``(labels, rows)``, ``rows`` a list of tuples in emission order with
         NULL left as ``None`` — the wire representation (JSON's null) and
-        the executor's own.  Same plan, bind window and errors; restoring
+        the executor's own.  Same plan, run and errors; restoring
         NULL and bagging the rows gives ``execute(query, db).bag``."""
         return self._run(query, db, _as_rows)
 
     def _run(self, query: Query, db: Database, finish):
-        """Plan, bind, run, unbind.  ``finish(labels, rows)`` consumes the
-        row iterator *inside* the bind window and builds the result."""
-        if self.optimize:
-            # Bind-time cardinality seeding: the incoming database's true
-            # table sizes are known *before* planning, so a fresh plan (or
-            # the staleness check on a cached one) never has to assume
-            # DEFAULT_TABLE_ROWS for a table this execution will bind —
-            # single-use campaign plans included.
-            for name in db.schema.table_names:
-                self._observed_tables[name] = len(db.table(name))
+        """Plan and run; ``finish(labels, rows)`` consumes the rows and
+        builds the result."""
+        # Cardinality feedback: the incoming database's true table sizes
+        # are known *before* planning, so a fresh plan (or the staleness
+        # check on a cached one) never has to assume DEFAULT_TABLE_ROWS for
+        # a table this execution reads — single-use campaign plans
+        # included.
+        for name in db.schema.table_names:
+            self._observed_tables[name] = len(db.table(name))
         compiled = self._plan(query)
-        cache = self._build_cache if self.plan_cache_size > 0 else None
-        bind_plan(compiled.plan, db, cache=cache)
-        try:
-            return finish(compiled.labels, compiled.run(()))
-        finally:
-            if self.plan_cache_size > 0:
-                unbind_plan(compiled.plan, cache=cache)
-                observed = getattr(compiled.plan, "_observed_feedback", None)
-                if observed:
-                    self._observed_tables.update(observed["tables"])
+        return finish(compiled.labels, compiled.run(db))
 
     # -- plan cache ---------------------------------------------------------
 
@@ -251,7 +238,7 @@ class Engine:
         if cached is not None:
             self._cache_hits += 1
             self._plan_cache.move_to_end(query)
-            if not self._stale(cached.plan):
+            if not self._stale(cached):
                 return cached
             # The feedback loop closes here: the observed cardinalities
             # contradict the estimates this plan's join order was chosen
@@ -288,14 +275,14 @@ class Engine:
             self._plan_bytes -= self._plan_sizes.pop(evicted, 0)
             self._cache_evictions += 1
 
-    def _stale(self, plan) -> bool:
+    def _stale(self, compiled: CompiledQuery) -> bool:
         """Whether observed cardinalities have drifted far enough from the
-        estimates ``plan``'s join order was chosen with that re-optimizing
+        estimates the plan's join order was chosen with that re-optimizing
         could pick a different order.  Plans whose shape never depended on
-        estimates (``_cost_sensitive`` unset) can never go stale."""
-        if not getattr(plan, "_cost_sensitive", False):
+        estimates (``cost_sensitive`` unset) can never go stale."""
+        if not compiled.cost_sensitive:
             return False
-        for table, assumed in getattr(plan, "_planned_rows", {}).items():
+        for table, assumed in compiled.planned_rows.items():
             assumed = max(float(assumed), 1.0)
             current = max(
                 float(self._observed_tables.get(table, DEFAULT_TABLE_ROWS)), 1.0
@@ -312,13 +299,14 @@ class Engine:
         compiled = planner.compile(query)
         plan = compiled.plan
         bound_rows = 0
+        planned_rows: Dict[str, float] = {}
+        cost_sensitive = False
         if self.optimize:
-            # Cardinality feedback: seed unbound scans with the row counts
-            # the engine has observed (bind-time seeding makes that exact
-            # for the upcoming database), so the cost-based join ordering
-            # stops assuming DEFAULT_TABLE_ROWS; the snapshot of what was
-            # assumed feeds the staleness check on later cache hits.
-            planned_rows: Dict[str, float] = {}
+            # Cardinality feedback: seed the scans with the row counts the
+            # engine has observed (exact for the upcoming database, recorded
+            # by _run), so the cost-based join ordering stops assuming
+            # DEFAULT_TABLE_ROWS; the snapshot of what was assumed feeds the
+            # staleness check on later cache hits.
             for node, _pred in iter_plan_nodes(plan):
                 if isinstance(node, TableScan):
                     node.observed_rows = self._observed_tables.get(node.table)
@@ -328,8 +316,7 @@ class Engine:
                         else DEFAULT_TABLE_ROWS
                     )
                     bound_rows += node.observed_rows or 0
-            plan = optimize_plan(plan, **self.optimizer_options)
-            plan._planned_rows = planned_rows
+            plan, cost_sensitive = optimize_plan(plan, **self.optimizer_options)
         # Code is generated when it pays: the plan will be reused (cache
         # admission — generate once, execute many), or its one execution
         # walks enough rows to amortize generation.  The naive tier never
@@ -337,13 +324,23 @@ class Engine:
         codegen = self.optimize and (
             self.plan_cache_size > 0 or bound_rows >= SINGLE_USE_COMPILE_ROWS
         )
-        run = compile_plan(plan, self._scan_kernels, codegen)
-        return CompiledQuery(plan, compiled.labels, run)
+        root, slots = compile_plan(plan, self._scan_kernels, codegen)
+        return CompiledQuery(
+            plan,
+            compiled.labels,
+            root,
+            slots,
+            # Builds are shared through the build-side cache only by
+            # reused plans.
+            cache=self._build_cache if self.plan_cache_size > 0 else None,
+            planned_rows=planned_rows,
+            cost_sensitive=cost_sensitive,
+        )
 
     def cache_info(self) -> Dict[str, object]:
         """Plan-cache counters plus the observed-cardinality feedback:
-        ``observed_rows`` maps each base table to the row count last seen
-        (seeded at bind time, confirmed by the unbind walk), and
+        ``observed_rows`` maps each base table to its row count in the
+        database last executed over (recorded before planning), and
         ``reoptimizations`` counts cache hits whose plan was re-ordered
         because those observations contradicted its estimates.  ``entries``
         / ``bytes`` size the cache (estimated bytes, LRU-evicted against

@@ -1,15 +1,15 @@
 """Physical operators of the reference engine: the plan tree.
 
 A plan is a tree of these nodes, and every node is *data*: what it
-computes, never how to run it.  :func:`repro.engine.compile.compile_plan`
-lowers the tree into closures, the one executor, and the nodes carry the
-state those closures share across executions — build tables, tries,
-subquery caches and memos — which is what
-:func:`~repro.engine.binding.bind_plan` and
-:func:`~repro.engine.binding.unbind_plan` reset, harvest and restore.  The
-build kernels (:meth:`HashJoin._build`, :meth:`GenericJoin._build_tries`,
-:func:`build_probe_index`), the hash probe and the leapfrog enumeration
-live here, beside the state they fill.
+computes, never how to run it, and never what one execution of it found.
+:func:`repro.engine.compile.compile_plan` lowers the tree into closures,
+the one executor, and each execution keeps its build tables, tries,
+subquery caches and memos in its own run record
+(:class:`repro.engine.compile.Run`), so one plan can run over any number
+of databases, one after another or at once.  The build kernels
+(:meth:`HashJoin._build`, :meth:`GenericJoin._build_tries`,
+:meth:`SemiJoinProbe.index`), the hash probe and the leapfrog enumeration
+live here, beside the nodes whose configuration they read.
 
 Besides the textbook operators (:class:`StaticScan`, :class:`CrossJoin`,
 :class:`FilterOp`, :class:`ProjectOp`, :class:`DistinctOp`,
@@ -70,7 +70,6 @@ from .expressions import (
     Row,
     RowExpr,
     and3,
-    column_indices,
     compare,
     expr_refs,
     merge_refs,
@@ -101,13 +100,10 @@ __all__ = [
 ]
 
 
-def _partition(
-    rows: Sequence[Row], key_of: Callable, composite: bool
-) -> Tuple[dict, int]:
+def _partition(rows: Sequence[Row], key_of: Callable, composite: bool) -> dict:
     """``rows`` grouped by ``key_of(row)`` — keys in first-seen order, rows
     in input order within a group — minus every group whose key holds a
-    NULL; returns ``(groups, rows left out)``.  ``composite`` keys are
-    tuples, the others raw values."""
+    NULL.  ``composite`` keys are tuples, the others raw values."""
     groups: dict = {}
     get = groups.get
     for key, row in zip(map(key_of, rows), rows):
@@ -117,58 +113,33 @@ def _partition(
         else:
             group.append(row)
     if composite:
-        nulls = [key for key in groups if None in key]
+        for key in [key for key in groups if None in key]:
+            del groups[key]
     else:
-        nulls = [None] if None in groups else ()
-    return groups, sum([len(groups.pop(key)) for key in nulls])
+        groups.pop(None, None)
+    return groups
 
 
-def _resident(source: "PlanNode", signature: tuple, build: Callable[[], tuple]) -> tuple:
-    """``build()``, a closed build over ``source``'s rows — memoized, when
-    ``source`` is a bare base-table scan, on the immutable
-    :class:`~repro.core.table.Table` it is bound to, under the build's
-    ``signature``.  Such a build is a pure function of the table, like the
-    scan rows and column vectors beside it, so every plan and every engine
-    reading the same table builds it once, and the memo dies with the
-    database.  The dict is created on the first build; rows not installed
-    by :func:`~repro.engine.binding.bind_plan` (no table in the scan's
-    memo tuple, or other rows than its own) build afresh."""
-    memos = source._columns if isinstance(source, TableScan) else None
-    if memos is None or memos[2] is None or memos[0] is not source.data:
-        return build()
-    table = memos[2]
-    builds = table._scan_builds
-    if builds is None:
-        builds = table._scan_builds = {}
-    value = builds.get(signature)
-    if value is None:
-        value = builds[signature] = build()
-    return value
-
-
-def _trie(rows: Sequence[Row], getters: Sequence[Callable]) -> Tuple[dict, int]:
+def _trie(rows: Sequence[Row], getters: Sequence[Callable]) -> dict:
     """Nested dicts keyed like :func:`_partition`, one level per getter,
     leaf lists holding the rows; a row with a NULL key at any level is
-    left out, and no empty branch is kept.  Returns ``(trie, rows left
-    out)``.  One insertion loop per depth: a partition for one level, a
-    two-level loop for two, and a partition per extra level above that."""
+    left out, and no empty branch is kept.  One insertion loop per depth:
+    a partition for one level, a two-level loop for two, and a partition
+    per extra level above that."""
     if len(getters) == 1:
         return _partition(rows, getters[0], False)
     if len(getters) > 2:
-        node, dropped = _partition(rows, getters[0], False)
         trie = {}
-        for key, group in node.items():
-            child, lost = _trie(group, getters[1:])
-            dropped += lost
+        for key, group in _partition(rows, getters[0], False).items():
+            child = _trie(group, getters[1:])
             if child:
                 trie[key] = child
-        return trie, dropped
+        return trie
     first, second = getters
-    trie, dropped = {}, 0
+    trie = {}
     get = trie.get
     for outer, inner, row in zip(map(first, rows), map(second, rows), rows):
         if outer is None or inner is None:
-            dropped += 1
             continue
         node = get(outer)
         if node is None:
@@ -179,7 +150,7 @@ def _trie(rows: Sequence[Row], getters: Sequence[Callable]) -> Tuple[dict, int]:
             node[inner] = [row]
         else:
             leaf.append(row)
-    return trie, dropped
+    return trie
 
 
 def _sub_refs(refs: Optional[Refs]) -> Optional[Refs]:
@@ -224,9 +195,9 @@ class PlanNode:
         """Outer-stack positions (depth ≥ 1) the subtree reads; None if unknown.
 
         Memoized per node: the answer is purely structural (predicates and
-        children never change after construction — binding only installs
-        scan rows), and the optimizer asks repeatedly along nested paths,
-        which would otherwise make the recursion quadratic.
+        children never change after construction), and the optimizer asks
+        repeatedly along nested paths, which would otherwise make the
+        recursion quadratic.
         """
         memo = getattr(self, "_free_refs_memo", False)
         if memo is False:
@@ -244,7 +215,7 @@ class PlanNode:
 
 @dataclass
 class StaticScan(PlanNode):
-    """Scan of a materialized base table (rows captured at plan bind time).
+    """Scan of a materialized base table (rows captured at plan time).
 
     ``arity`` is recorded by the planner so the width is known even for an
     empty table (the data alone cannot tell).
@@ -264,29 +235,22 @@ class StaticScan(PlanNode):
 
 @dataclass
 class TableScan(PlanNode):
-    """Scan of a base table bound to row data *per execution*, not per plan.
+    """Scan of a base table named, not captured: it reads the table of
+    whichever database the execution runs over.
 
     Unlike :class:`StaticScan` (which captures the rows of one database at
-    plan time), a ``TableScan`` names the table and leaves ``data`` unbound;
-    :func:`repro.engine.binding.bind_plan` installs the rows of the current
-    database before each execution.  This is what makes a compiled plan
-    reusable across databases — the basis of the :class:`~repro.engine.Engine`
-    plan cache used by the trial campaigns, where the same query is never
-    re-planned for every trial database.
+    plan time), a ``TableScan`` only names its table; the lowered scan
+    resolves it in the run's database, once per run.  This is what makes a
+    compiled plan reusable across databases — the basis of the
+    :class:`~repro.engine.Engine` plan cache, where the same query is never
+    re-planned for every database it runs over.
     """
 
     table: str
     arity: int
-    data: Optional[List[Row]] = field(default=None, compare=False)
-    #: Row count seen the last time this scan was bound, recorded by the
-    #: unbind walk (and seeded by the engine on freshly planned scans):
-    #: the optimizer's cardinality feedback for unbound plans.
+    #: The table's row count the engine knew when it planned this scan:
+    #: the optimizer's cardinality feedback (None: assume the default).
     observed_rows: Optional[int] = field(default=None, compare=False, repr=False)
-    #: ``(bound rows, their per-column vector memo, the Table)`` for the
-    #: scan kernels and the builds over this scan (:func:`_resident`):
-    #: installed by ``bind_plan`` from the table's own memos, checked
-    #: against ``data`` by identity, cleared on unbind.
-    _columns: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def _free_refs(self) -> Refs:
         return frozenset()
@@ -393,40 +357,12 @@ class HashJoin(PlanNode):
     right: PlanNode
     left_keys: Tuple[int, ...]
     right_keys: Tuple[int, ...]
-    #: Build side, memoized per execution when the right child is closed
-    #: (cleared by the binding layer, shareable across executions through
-    #: the build-side cache of :mod:`repro.engine.binding`, and on the
-    #: scanned table itself when the right child is a bare scan).
-    _table: Optional[dict] = field(default=None, repr=False, compare=False)
-    _closed_build: Optional[bool] = field(default=None, repr=False, compare=False)
-    #: Rows held by ``_table`` — the cardinality feedback ``unbind_plan``
-    #: reports — counted where the build inserted them, or recorded with
-    #: the cache entry the table was restored from.
-    _build_rows: Optional[int] = field(default=None, repr=False, compare=False)
 
-    def _build(self, rows: Sequence[Row]) -> Tuple[dict, int]:
-        """``(key -> rows, rows inserted)`` over the right child's ``rows``:
-        the join's build kernel."""
+    def _build(self, rows: Sequence[Row]) -> dict:
+        """``key -> rows`` over the right child's ``rows``: the join's build
+        kernel."""
         keys = self.right_keys
-        table, dropped = _partition(rows, itemgetter(*keys), len(keys) > 1)
-        return table, len(rows) - dropped
-
-    def build_table(self, outers: OuterStack, right_rows: Callable) -> dict:
-        """The probe table over ``right_rows(outers)``, the right child's
-        materialized rows — built at most once per execution when closed,
-        and at most once per table and key columns when the right child is
-        a bare base-table scan."""
-        if self._closed_build is None:
-            self._closed_build = self.right.free_refs() == frozenset()
-        if not self._closed_build:
-            return self._build(right_rows(outers))[0]
-        if self._table is None:
-            self._table, self._build_rows = _resident(
-                self.right,
-                ("hash", self.right_keys),
-                lambda: self._build(right_rows(outers)),
-            )
-        return self._table
+        return _partition(rows, itemgetter(*keys), len(keys) > 1)
 
     def probe(self, table: dict, rows: Iterable[Row]) -> Iterator[Row]:
         """Each of the left child's ``rows`` concatenated with its matches."""
@@ -478,15 +414,6 @@ class GenericJoin(PlanNode):
     #: variable spans at least two children (a single-child equality is an
     #: ordinary pushed filter, not a variable).
     variables: Tuple[Tuple[Tuple[int, int], ...], ...]
-    #: Per-child hash tries, memoized per execution when every child is
-    #: closed (cleared by the binding layer, shareable across executions
-    #: through the build-side cache of :mod:`repro.engine.binding`).
-    _tries: Optional[List[object]] = field(default=None, repr=False, compare=False)
-    _closed_build: Optional[bool] = field(default=None, repr=False, compare=False)
-    #: Rows held by ``_tries`` — the cardinality feedback ``unbind_plan``
-    #: reports — counted where the build inserted them, or recorded with
-    #: the cache entry the tries were restored from.
-    _build_rows: Optional[int] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         # Purely structural, derived once: which variables each child binds
@@ -504,15 +431,13 @@ class GenericJoin(PlanNode):
         self._child_cols = [tuple(levels) for levels in per_child]
         self._var_children = tuple(var_children)
 
-    def _build_tries(self, children_rows: List[List[Row]]) -> Tuple[List[object], int]:
-        """One trie per child, and the rows they hold in all: nested dicts
-        keyed by the child's variables in order, leaf lists holding the rows
-        (bag multiplicity); children binding no variable contribute their
-        plain row list.  Rows with a NULL variable column — or two
-        same-variable columns that differ — can never match and are left
-        out.  The join's build kernel."""
+    def _build_tries(self, children_rows: List[List[Row]]) -> List[object]:
+        """One trie per child: nested dicts keyed by the child's variables
+        in order, leaf lists holding the rows (bag multiplicity); children
+        binding no variable contribute their plain row list.  Rows with a
+        NULL variable column — or two same-variable columns that differ —
+        can never match and are left out.  The join's build kernel."""
         tries: List[object] = []
-        held = 0
         for levels, rows in zip(self._child_cols, children_rows):
             if levels:
                 pairs = [(cols[0], extra) for cols in levels for extra in cols[1:]]
@@ -520,29 +445,10 @@ class GenericJoin(PlanNode):
                     # A NULL first column passes only beside a NULL, and a
                     # NULL key is left out of the trie.
                     rows = [r for r in rows if all(r[a] == r[b] for a, b in pairs)]
-                trie, dropped = _trie(rows, [itemgetter(cols[0]) for cols in levels])
-                held -= dropped
+                tries.append(_trie(rows, [itemgetter(cols[0]) for cols in levels]))
             else:
-                trie = rows
-            tries.append(trie)
-            held += len(rows)
-        return tries, held
-
-    def build_tries(
-        self, outers: OuterStack, children_rows: Sequence[Callable]
-    ) -> List[object]:
-        """The per-child tries over each ``children_rows[i](outers)``, the
-        children's materialized rows — built at most once per execution
-        when every child is closed (mirrors :meth:`HashJoin.build_table`)."""
-        if self._closed_build is None:
-            self._closed_build = self.free_refs() == frozenset()
-        if not self._closed_build:
-            return self._build_tries([rows(outers) for rows in children_rows])[0]
-        if self._tries is None:
-            self._tries, self._build_rows = self._build_tries(
-                [rows(outers) for rows in children_rows]
-            )
-        return self._tries
+                tries.append(rows)
+        return tries
 
     def _solve(self, level: int, positions: List[object]) -> Iterator[Row]:
         """Assign variable ``level`` by intersecting the involved children's
@@ -592,7 +498,6 @@ class CachedSubplan(PlanNode):
     """
 
     child: PlanNode
-    _cache: Optional[List[Row]] = field(default=None, repr=False, compare=False)
 
     def _free_refs(self) -> Optional[Refs]:
         return self.child.free_refs()
@@ -615,7 +520,6 @@ class MemoSubplan(PlanNode):
     child: PlanNode
     #: Sorted (depth, index) positions of the outer values the child reads.
     memo_refs: Tuple[Tuple[int, int], ...]
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _free_refs(self) -> Optional[Refs]:
         return self.child.free_refs()
@@ -696,7 +600,7 @@ class ExistsProbe:
     outer values at the subplan's free reference positions, the only inputs
     the subquery's result can depend on."""
 
-    __slots__ = ("subplan", "closed", "_known", "_refs", "_memo")
+    __slots__ = ("subplan", "closed", "_refs")
 
     def __init__(
         self,
@@ -706,9 +610,7 @@ class ExistsProbe:
     ):
         self.subplan = subplan
         self.closed = closed
-        self._known: Optional[bool] = None
         self._refs = tuple(sorted(memo_refs)) if memo_refs else None
-        self._memo: dict = {}
 
     def refs(self) -> Optional[Refs]:
         return _sub_refs(self.subplan.free_refs())
@@ -723,7 +625,7 @@ class InPred:
     rows per binding of the referenced outer values — a disjunction cannot
     change under duplicate elimination, so distinct rows suffice."""
 
-    __slots__ = ("exprs", "subplan", "negated", "_refs", "_memo")
+    __slots__ = ("exprs", "subplan", "negated", "_refs")
 
     def __init__(
         self,
@@ -736,7 +638,6 @@ class InPred:
         self.subplan = subplan
         self.negated = negated
         self._refs = tuple(sorted(memo_refs)) if memo_refs else None
-        self._memo: dict = {}
 
     def refs(self) -> Optional[Refs]:
         return merge_refs(
@@ -807,7 +708,7 @@ class SemiJoinProbe:
       IN is false and NOT IN true.
     """
 
-    __slots__ = ("exprs", "subplan", "negated", "key_width", "_build", "_source")
+    __slots__ = ("exprs", "subplan", "negated", "key_width")
 
     def __init__(
         self,
@@ -820,22 +721,6 @@ class SemiJoinProbe:
         self.subplan = subplan
         self.negated = negated
         self.key_width = key_width
-        #: ``build_probe_index`` of the subplan's rows: the one object the
-        #: build-side cache harvests and restores.
-        self._build: Optional[tuple] = None
-        #: ``(source, signature)`` for :func:`_resident`: the scan when the
-        #: subplan projects current-row columns of a base-table scan
-        #: (uncorrelated IN, and EXISTS/IN decorrelated with no remainder),
-        #: else the subplan itself, memoized only if it is a bare scan.
-        indices = (
-            column_indices(subplan.expressions)
-            if isinstance(subplan, ProjectOp)
-            else None
-        )
-        self._source = (
-            subplan.child if indices else subplan,
-            ("probe", key_width, len(self.exprs), indices),
-        )
 
     @property
     def group_width(self) -> int:
@@ -861,16 +746,10 @@ class SemiJoinProbe:
             return None if index or null_rows else False
         return _in_fold(values, _chain(index, null_rows))
 
-    def materialize(self, rows: Callable[[], Iterable[Row]]) -> tuple:
-        """Index the subplan's rows, ``rows()``, as this probe's build
-        side."""
-        source, signature = self._source
-        build = self._build = _resident(
-            source,
-            signature,
-            lambda: build_probe_index(rows(), self.key_width, len(self.exprs)),
-        )
-        return build
+    def index(self, rows: Iterable[Row]) -> tuple:
+        """The subplan's ``rows`` indexed as this probe's build side: the
+        probe's build kernel."""
+        return build_probe_index(rows, self.key_width, len(self.exprs))
 
     def refs(self) -> Optional[Refs]:
         return merge_refs(*(expr_refs(expr) for expr in self.exprs))

@@ -152,8 +152,9 @@ def optimize_plan(
     hash_setops: bool = True,
     wcoj: bool = True,
     dp_join_order: bool = True,
-) -> PlanNode:
-    """Rewrite a compiled plan into its optimized physical form.
+) -> Tuple[PlanNode, bool]:
+    """Rewrite a compiled plan into its optimized physical form:
+    ``(plan, cost_sensitive)``.
 
     ``reorder_joins`` / ``hash_setops`` / ``wcoj`` / ``dp_join_order``
     disable the cost-based join ordering, the hash set operations, the
@@ -161,16 +162,13 @@ def optimize_plan(
     (falling back to the greedy one) respectively — ablation knobs for the
     benchmark stages; everything else always applies.
 
-    The returned plan carries a ``_cost_sensitive`` flag: True when some
-    join order was chosen from cardinality estimates, i.e. when different
-    observed row counts could produce a different plan — the signal the
-    engine's rebind feedback loop uses to decide whether re-optimizing a
-    cached plan can pay off at all.
+    ``cost_sensitive`` is True when some join order was chosen from
+    cardinality estimates, i.e. when different observed row counts could
+    produce a different plan — what tells the engine whether re-optimizing
+    a cached plan can pay off at all.
     """
     optimizer = _Optimizer(reorder_joins, hash_setops, wcoj, dp_join_order)
-    optimized = optimizer.rewrite(plan)
-    optimized._cost_sensitive = optimizer.cost_sensitive
-    return optimized
+    return optimizer.rewrite(plan), optimizer.cost_sensitive
 
 
 class _Optimizer:
@@ -819,20 +817,18 @@ def _equi_endpoints(pred: Pred) -> Optional[Tuple[int, int]]:
 def estimate_rows(node: PlanNode) -> float:
     """Estimated output cardinality of a (sub)plan.
 
-    Bound scans report their true size; unbound :class:`TableScan` leaves
-    (the plan-cache path, where optimization happens before any database is
-    attached) report the row count a previous execution observed for their
-    table (``observed_rows``, the engine's cardinality feedback) and only
-    fall back to :data:`DEFAULT_TABLE_ROWS` — which ranks them equally and
-    leaves the ordering decision to pushed filters and join edges — when
-    the engine has executed nothing yet.  The estimates only ever *rank* candidate join orders, so crude
+    :class:`StaticScan` leaves report their true size; :class:`TableScan`
+    leaves (the engine's path, where optimization happens before any
+    database is attached) report the row count the engine last observed
+    for their table (``observed_rows``, the engine's cardinality feedback)
+    and only fall back to :data:`DEFAULT_TABLE_ROWS` — which ranks them
+    equally and leaves the ordering decision to pushed filters and join
+    edges — when the engine has executed nothing yet.  The estimates only ever *rank* candidate join orders, so crude
     selectivity constants are enough.
     """
     if isinstance(node, StaticScan):
         return float(len(node.data))
     if isinstance(node, TableScan):
-        if node.data is not None:
-            return float(len(node.data))
         if node.observed_rows is not None:
             # Cardinality feedback: the row count a previous execution
             # observed for this table (seeded by the engine at plan time).

@@ -23,7 +23,7 @@ represented as Python ``None``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import (
     AmbiguousReferenceError,
@@ -52,6 +52,8 @@ from ..sql.ast import (
     SetOp,
     TrueCond,
 )
+from .binding import BuildSideCache, _share_serial
+from .compile import IterFn, Run
 from .expressions import (
     AndPred,
     ColumnRef,
@@ -105,20 +107,35 @@ class _Scope:
 
 @dataclass
 class CompiledQuery:
-    """A compiled plan plus its output column labels.
+    """A compiled plan plus its output column labels, and — once the
+    :class:`~repro.engine.Engine` has lowered it — how to run it.
 
-    ``run`` is the plan's executor, its closure tree
-    (:func:`repro.engine.compile.compile_plan`): call it with ``()`` to
-    iterate the rows.  It shares all mutable state with the plan tree, so
-    binding and unbinding work on the plan.  The planner leaves it unset;
-    the :class:`~repro.engine.Engine` always fills it in, with generated
-    code when that pays (plan-cache admission, or a single-use plan binding
-    at least ``SINGLE_USE_COMPILE_ROWS`` rows).
+    ``root`` is the plan's closure tree and ``slots`` the number of state
+    slots a run of it needs (:func:`repro.engine.compile.compile_plan`);
+    the planner leaves them unset.  :meth:`run` is the only way a plan
+    executes.  Everything else here is fixed once the engine has built
+    it: ``cache`` is the engine's build-side cache its runs share builds
+    through (None: none), ``owner`` the serial the cache counts cross-plan
+    hits by, and ``planned_rows`` / ``cost_sensitive`` what the optimizer
+    assumed per table and whether any join order rested on it — what the
+    engine's staleness check on a cache hit reads.
     """
 
     plan: PlanNode
     labels: Tuple[Name, ...]
-    run: Optional[Callable[[OuterStack], object]] = None
+    root: Optional[IterFn] = None
+    slots: int = 0
+    cache: Optional[BuildSideCache] = None
+    planned_rows: Dict[str, float] = field(default_factory=dict)
+    cost_sensitive: bool = False
+    owner: int = field(default_factory=lambda: next(_share_serial))
+
+    def run(self, db: Optional[Database], outer: OuterStack = ()) -> Iterator[Row]:
+        """The plan's rows over ``db``, under the outer rows ``outer``: one
+        run, with state slots of its own, so runs of one plan over
+        different databases — one after another or at once — never meet."""
+        run = Run(db, [None] * self.slots, self.cache, self.owner)
+        return self.root((run, *outer))
 
 
 class Planner:
@@ -129,8 +146,8 @@ class Planner:
     plan-per-database mode).  With ``db=None`` it emits
     :class:`~repro.engine.operators.TableScan` leaves that only *name* their
     base table; the resulting plan is database-independent and is what the
-    :class:`~repro.engine.Engine` plan cache stores — bind it to an instance
-    with :func:`repro.engine.binding.bind_plan` before execution.  All
+    :class:`~repro.engine.Engine` plan cache stores, and each run reads the
+    tables of the database it is given (:meth:`CompiledQuery.run`).  All
     compile-time errors depend on the schema and query alone, so both modes
     reject exactly the same queries.
     """

@@ -108,13 +108,13 @@ class ValidationRunner:
         )
         # plan_cache_size=0: every campaign trial generates a *fresh* query,
         # so plan-cache lookups can never hit — they would only tax each
-        # trial with AST hashing, LRU bookkeeping and the unbind walk
-        # (~7% of campaign throughput, measured).  Workloads that do repeat
+        # trial with AST hashing, LRU bookkeeping and the signing of every
+        # closed build for the build-side cache.  Workloads that do repeat
         # queries (the equivalence checker, direct Engine use) keep the
         # default cache.  Trial plans also run without generated code, by
         # the engine's own rule rather than by this setting: a single-use
         # plan gets generated predicates and scan kernels only when its
-        # scans bind SINGLE_USE_COMPILE_ROWS or more, and a trial binds at
+        # scans read SINGLE_USE_COMPILE_ROWS or more, and a trial reads at
         # most a few dozen rows (code generation would cost 3x what it
         # saves here; raising ``data_config.max_rows`` far enough flips the
         # decision per query).

@@ -1,19 +1,21 @@
 """Cross-execution build-side sharing: hits on repeated content, automatic
-invalidation on rebind, LRU bounds, the no-row-pinning guarantee, and the
-builds over bare scans memoized on the table."""
+invalidation on other content, LRU bounds, the no-row-pinning guarantee,
+and the builds over bare scans memoized on the table."""
 
+import gc
 import sys
+import types
 from collections import Counter
 
 import pytest
 
 from repro.core import NULL, Database, Schema
 from repro.engine import Engine
-from repro.engine.binding import BuildSideCache, iter_plan_nodes
+from repro.engine.binding import BuildSideCache
 from repro.engine.operators import TableScan
 from repro.sql import annotate
 
-from ..executor import CodegenOffEngine, run_rows
+from ..executor import CodegenOffEngine, lowered
 
 
 @pytest.fixture
@@ -27,10 +29,13 @@ CONTENT = {
     "T": [(2, 1), (2, NULL), (5, 3)],
 }
 
-JOIN_SQL = "SELECT R.A FROM R, S WHERE R.A = S.A"
-PROBE_SQL = "SELECT R.A FROM R WHERE R.B IN (SELECT T.C FROM T)"
+# Builds over filtered scans: a build over a bare scan is memoized on the
+# scanned table instead (see "builds memoized on the table" below).
+JOIN_SQL = "SELECT R.A FROM R, S WHERE R.A = S.A AND S.A > 0"
+PROBE_SQL = "SELECT R.A FROM R WHERE R.B IN (SELECT T.C FROM T WHERE T.D > 0)"
+#: A correlation no probe set answers: a memo per binding of R.A.
 CORRELATED_SQL = (
-    "SELECT R.A FROM R WHERE EXISTS (SELECT S.A FROM S WHERE S.A = R.A)"
+    "SELECT R.A FROM R WHERE EXISTS (SELECT S.A FROM S WHERE S.A < R.A)"
 )
 
 
@@ -72,25 +77,24 @@ def test_repeated_content_hits_and_agrees(schema, sql):
     engine = Engine(schema)
     naive = Engine(schema, optimize=False)
     query = annotate(sql, schema)
+    # A run looks each build up the first time it needs it and stores it
+    # on a miss, so the first run misses and the second one hits.
     first = engine.execute(query, make_db(schema))
-    # Sharing engages from the second bind (a once-executed plan can never
-    # hit), so the second run misses-and-harvests and the third run hits.
-    second = engine.execute(query, make_db(schema))
     assert engine.build_cache_info()["hits"] == 0
     assert engine.build_cache_info()["misses"] > 0
-    third = engine.execute(query, make_db(schema))
+    second = engine.execute(query, make_db(schema))
     assert engine.build_cache_info()["hits"] > 0
+    third = engine.execute(query, make_db(schema))
     assert first.same_as(second) and second.same_as(third)
     assert third.same_as(naive.execute(query, make_db(schema)))
 
 
-def test_rebind_to_different_content_invalidates(schema):
+def test_other_content_misses(schema):
     """Different table contents must miss: stale probe sets would lie."""
     engine = Engine(schema)
     query = annotate(PROBE_SQL, schema)
     changed = dict(CONTENT, T=[(99, 1)])  # R.B IN (SELECT T.C ...) flips
-    engine.execute(query, make_db(schema))
-    engine.execute(query, make_db(schema))  # harvested under CONTENT's key
+    engine.execute(query, make_db(schema))  # stored under CONTENT's key
     hits_before = engine.build_cache_info()["hits"]
     result = engine.execute(query, make_db(schema, changed))
     assert engine.build_cache_info()["hits"] == hits_before  # pure misses
@@ -102,8 +106,8 @@ def test_rebind_to_different_content_invalidates(schema):
 
 
 def test_correlated_memo_survives_cache_round_trip(schema):
-    """Per-binding memo dicts are shared objects; the reset between
-    executions must re-bind fresh dicts, never clear the cached one."""
+    """Per-binding memo dicts are shared objects, which later runs over the
+    same content go on filling."""
     engine = Engine(schema)
     query = annotate(CORRELATED_SQL, schema)
     reference = None
@@ -152,10 +156,9 @@ def test_cross_query_sharing_between_different_statements(schema):
     left = annotate(PROBE_SQL, schema)
     # Different outer query, identical IN-subquery: same probe set.
     right = annotate(
-        "SELECT R.B FROM R WHERE R.B IN (SELECT T.C FROM T)", schema
+        "SELECT R.B FROM R WHERE R.B IN (SELECT T.C FROM T WHERE T.D > 0)", schema
     )
-    for _ in range(2):  # populate under `left` (engages from second bind)
-        engine.execute(left, make_db(schema))
+    engine.execute(left, make_db(schema))  # stored under `left`
     cross_before = engine.build_cache_info()["cross_hits"]
     result = engine.execute(right, make_db(schema))
     info = engine.build_cache_info()
@@ -169,9 +172,8 @@ def test_cross_query_hashjoin_build_side_shared(schema):
     table: the signature keys only the build (right) subtree and keys."""
     engine = Engine(schema)
     a = annotate(JOIN_SQL, schema)
-    b = annotate("SELECT R.B FROM R, S WHERE R.A = S.A", schema)
-    for _ in range(2):
-        engine.execute(a, make_db(schema))
+    b = annotate("SELECT R.B FROM R, S WHERE R.A = S.A AND S.A > 0", schema)
+    engine.execute(a, make_db(schema))
     cross_before = engine.build_cache_info()["cross_hits"]
     result = engine.execute(b, make_db(schema))
     assert engine.build_cache_info()["cross_hits"] > cross_before
@@ -184,31 +186,71 @@ def test_cross_query_same_text_different_plan_objects(schema):
     re-annotating the same SQL yields a distinct AST object but the same
     structural plan, which still shares."""
     engine = Engine(schema)
-    for _ in range(2):
-        engine.execute(annotate(PROBE_SQL, schema), make_db(schema))
+    engine.execute(annotate(PROBE_SQL, schema), make_db(schema))
     hits_before = engine.build_cache_info()["hits"]
     engine.execute(annotate(PROBE_SQL, schema), make_db(schema))
     assert engine.build_cache_info()["hits"] > hits_before
 
 
-def test_sharing_engages_first_bind_on_warm_cache(schema):
-    """A brand-new statement against a warm cache participates from its
-    first execution — the service's steady-state case."""
+def test_a_new_statement_shares_from_its_first_execution(schema):
+    """A brand-new statement against a warm cache hits from its first
+    execution — the service's steady-state case."""
     engine = Engine(schema)
-    for _ in range(2):
-        engine.execute(annotate(JOIN_SQL, schema), make_db(schema))
+    engine.execute(annotate(JOIN_SQL, schema), make_db(schema))
     assert len(engine._build_cache) > 0
-    fresh = annotate("SELECT S.A FROM S, R WHERE S.A = R.A", schema)
-    misses_before = engine.build_cache_info()["misses"]
+    fresh = annotate("SELECT R.B FROM R, S WHERE S.A = R.A AND S.A > 0", schema)
     hits_before = engine.build_cache_info()["hits"]
     engine.execute(fresh, make_db(schema))
+    assert engine.build_cache_info()["hits"] > hits_before
+
+
+def test_bare_scan_builds_are_shared_by_the_table_only(schema, monkeypatch):
+    """A build over a bare scan lives on its ``Table``, never in the
+    build-side cache: a plan-cache engine builds it once per database,
+    even for two databases of equal content, and answers both alike."""
+    from repro.engine import operators
+
+    builds = []
+    real = operators._partition
+
+    def spy(rows, key_of, composite):
+        builds.append(len(rows))
+        return real(rows, key_of, composite)
+
+    monkeypatch.setattr(operators, "_partition", spy)
+    engine = Engine(schema)
+    query = annotate("SELECT R.A FROM R, S WHERE R.A = S.A", schema)
+    first, second = make_db(schema), make_db(schema)
+    rows = engine.execute(query, first)
+    assert len(builds) == 1
+    assert engine.execute(query, first).same_as(rows)  # the table's build
+    assert len(builds) == 1
+    assert engine.execute(query, second).same_as(rows)  # equal content
+    assert len(builds) == 2
+    assert rows.same_as(Engine(schema, optimize=False).execute(query, second))
     info = engine.build_cache_info()
-    # First bind did bookkeeping: either it hit a shared entry or at least
-    # recorded misses for its own carriers.
-    assert info["hits"] > hits_before or info["misses"] > misses_before
+    assert info["entries"] == info["hits"] == info["misses"] == 0
 
 
 # -- byte budgets --------------------------------------------------------------
+
+
+def test_memos_grown_in_place_stay_within_the_byte_budget(schema):
+    """A memo dict is stored when its run creates it and grows while runs
+    fill it; under a byte budget the growth is charged and evicted, so the
+    cache never reports more bytes than its budget."""
+    budget = 2048
+    engine = Engine(schema, build_cache_bytes=budget)
+    naive = Engine(schema, optimize=False)
+    query = annotate(CORRELATED_SQL, schema)
+    for start in range(0, 200, 20):
+        # S is fixed, so each run looks up one memo and adds 20 bindings.
+        db = make_db(schema, dict(CONTENT, R=[(a, 0) for a in range(start, start + 20)]))
+        assert engine.execute(query, db).same_as(naive.execute(query, db))
+    info = engine.build_cache_info()
+    assert info["bytes"] <= budget
+    # Runs hit the memo, and its growth got it evicted along the way.
+    assert info["hits"] > 0 and info["evictions"] > 0
 
 
 def test_build_cache_byte_budget_enforced():
@@ -226,8 +268,8 @@ def test_build_cache_byte_budget_enforced():
 def test_info_bytes_equal_the_eager_estimate(max_bytes, monkeypatch):
     """Without a byte budget entries are stored unsized and ``info()``
     sizes them on demand; ``bytes`` must read exactly as if every store
-    had walked its value — through evictions, re-stores of the identical
-    object, a memo dict that grew in between, and replaced values."""
+    had walked its value — through evictions, a stored memo dict that grew
+    in place, and replaced values."""
     from repro.engine import binding
 
     walks = []
@@ -247,28 +289,26 @@ def test_info_bytes_equal_the_eager_estimate(max_bytes, monkeypatch):
     def expected():
         return sum(estimate(entry[0]) for entry in cache._entries.values())
 
-    cache.store(("table",), table, owner=1, rows=30)
+    cache.store(("table",), table, owner=1)
     cache.store(("memo",), memo, owner=1)
-    cache.store(("rows",), rows, owner=2, rows=50)
+    cache.store(("rows",), rows, owner=2)
     if max_bytes is None:
         assert walks == [] and cache.bytes == 0  # nothing sized on store
     assert cache.info()["bytes"] == expected()
-    memo[(2,)] = False  # a harvested memo gains a key between executions
-    cache.store(("memo",), memo, owner=1)
-    cache.store(("table",), table, owner=1)  # identical object: no re-walk
-    cache.store(("flag",), False, owner=3)  # evicts the LRU entry ("rows")
-    assert cache.evictions == 1 and cache.lookup(("rows",)) is not rows
-    cache.store(("rows",), rows[:10], owner=2)  # evicts ("memo",)
+    memo[(2,)] = False  # a stored memo gains a key in a later run
+    assert cache.info()["bytes"] == expected() == cache.bytes  # re-sized
+    assert cache.lookup(("table",)) is table  # ("memo",) is now the LRU
+    cache.store(("flag",), False, owner=3)  # evicts ("memo",)
+    assert cache.evictions == 1 and cache.lookup(("memo",)) is None
+    cache.store(("rows",), rows[:10], owner=2)  # same key, new value
     cache.store(("flag",), [1, 2, 3], owner=3)  # same key, new value
     walked_before_info = len(walks)
     assert cache.info()["bytes"] == expected() == cache.bytes
     assert cache.info()["bytes"] == expected()  # memoized: idempotent
     if max_bytes is None:
         # info() sized only what was stored since the last reading: the
-        # grown memo was evicted before anyone asked, and the identical
-        # table kept its earlier size.
+        # table, unchanged, kept its earlier size.
         assert len(walks) == walked_before_info + 2
-        assert cache.lookup_entry(("table",)) == (table, 30)
     cache.clear()
     assert cache.info()["bytes"] == 0
 
@@ -304,43 +344,51 @@ def test_engine_plan_cache_byte_budget(schema):
 # -- no pinning ---------------------------------------------------------------
 
 
+def rows_held_by_their_tables_alone(db):
+    """Whether every table's converted rows are referenced by the table
+    alone: no plan, closure, finished run or cache entry holds them."""
+    for name in db.schema.table_names:
+        table = db.table(name)
+        if table._scan_rows is not None:
+            holders = gc.get_referrers(table._scan_rows)
+            if [ref for ref in holders if not isinstance(ref, types.FrameType)] != [table]:
+                return False
+    return True
+
+
 def test_cached_plans_pin_no_database_rows(schema):
-    """After execute, cached plans are unbound and neither the plan cache
-    nor the build-side cache keeps the Database object alive."""
+    """After execute, neither the plan cache nor the build-side cache keeps
+    the Database object or its rows alive."""
     engine = Engine(schema)
     query = annotate(PROBE_SQL, schema)
     db = make_db(schema)
     engine.execute(query, db)
-    for compiled in engine._plan_cache.values():
-        for node, _pred in iter_plan_nodes(compiled.plan):
-            if isinstance(node, TableScan):
-                assert node.data is None
-    # No cache holds a reference to the Database itself (entries are copies
-    # made at bind time): executing must not change its reference count.
+    assert rows_held_by_their_tables_alone(db)
+    # No cache holds a reference to the Database itself: executing must
+    # not change its reference count.
     before = sys.getrefcount(db)
     engine.execute(query, db)
     assert sys.getrefcount(db) == before
 
 
-def test_plans_unbound_even_with_sharing_hits(schema):
+def test_plans_hold_no_rows_even_with_sharing_hits(schema):
     engine = Engine(schema)
     query = annotate(JOIN_SQL, schema)
-    engine.execute(query, make_db(schema))
-    engine.execute(query, make_db(schema))
-    engine.execute(query, make_db(schema))  # third run restores from cache
+    dbs = [make_db(schema) for _ in range(3)]
+    for db in dbs:  # the later runs are served from the cache
+        engine.execute(query, db)
     assert engine.build_cache_info()["hits"] > 0
-    for compiled in engine._plan_cache.values():
-        for node, _pred in iter_plan_nodes(compiled.plan):
-            if isinstance(node, TableScan):
-                assert node.data is None
+    assert all(rows_held_by_their_tables_alone(db) for db in dbs)
 
 
 # -- where the bytes go, and that they go nowhere else --------------------------
 
+#: Probe sets over filtered scans: flat, and keyed by a decorrelated EXISTS
+#: and NOT IN.
 KEYED_SQL = [
     PROBE_SQL,
-    CORRELATED_SQL,
-    "SELECT R.A FROM R WHERE R.B NOT IN (SELECT T.D FROM T WHERE T.C = R.A)",
+    "SELECT R.A FROM R WHERE EXISTS (SELECT S.A FROM S WHERE S.A = R.A AND S.A > 0)",
+    "SELECT R.A FROM R WHERE R.B NOT IN (SELECT T.D FROM T WHERE T.C = R.A AND T.D > 0)",
 ]
 
 
@@ -350,7 +398,7 @@ def test_info_breaks_entries_and_bytes_down_by_carrier_kind(schema):
     for sql in statements:
         query = annotate(sql, schema)
         engine.execute(query, make_db(schema))
-        engine.execute(query, make_db(schema))  # second bind: harvested
+        engine.execute(query, make_db(schema))
     info = engine.build_cache_info()
     kinds = info["kinds"]
     assert set(kinds) == {"hash_join", "tries", "probes", "memos"}
@@ -363,21 +411,15 @@ def test_info_breaks_entries_and_bytes_down_by_carrier_kind(schema):
     assert all(kind["bytes"] > 0 for kind in kinds.values() if kind["entries"])
 
 
-def test_probe_build_sides_survive_unbind_in_the_build_cache_only(schema):
-    """After ``unbind_plan`` the only reference to a probe's index is the
+def test_probe_build_sides_live_in_the_build_cache_only(schema):
+    """Once its runs are over, the only reference to a probe's index is the
     cache entry: no plan node, predicate or compiled closure keeps a second
     copy (or the first) alive."""
-    import gc
-    import types
-
     engine = Engine(schema)
     for sql in KEYED_SQL:
         query = annotate(sql, schema)
         engine.execute(query, make_db(schema))
         engine.execute(query, make_db(schema))
-    for compiled in engine._plan_cache.values():
-        for _node, pred in iter_plan_nodes(compiled.plan):
-            assert getattr(pred, "_build", None) is None
     entries = list(engine._build_cache._entries.values())
     assert len(entries) == len(KEYED_SQL)
 
@@ -568,65 +610,56 @@ def test_probe_sets_over_a_projected_scan(single_use):
 
 
 @pytest.mark.parametrize("codegen", [True, False], ids=["codegen", "codegen-off"])
-def test_hand_installed_scan_rows_do_not_read_the_memo(codegen):
-    """Rows put on a ``TableScan`` by hand, not by ``bind_plan``, are the
-    build's input, whatever the bound table has memoized."""
-    from repro.engine.binding import bind_plan
+def test_one_lowered_plan_builds_over_the_tables_of_each_run(codegen):
+    """A build over a bare scan is memoized on the table of the run's own
+    database: one lowered plan run over two databases reads each one's
+    rows, and leaves each table its own build."""
     from repro.engine.operators import (
+        FilterOp,
         HashJoin,
         ProjectOp,
         SemiJoinProbe,
         StaticScan,
-        FilterOp,
     )
     from repro.engine.expressions import ColumnRef
 
-    db = memo_db()
-    scan = TableScan("T", 2)
-    join = HashJoin(StaticScan([(1,), (3,), (5,)], arity=1), scan, (0,), (0,))
+    join = HashJoin(StaticScan([(1,), (3,), (5,)], arity=1), TableScan("T", 2), (0,), (0,))
     probe = SemiJoinProbe(
         [ColumnRef(0, 0)], ProjectOp(TableScan("T", 2), [ColumnRef(0, 0)]), False
     )
     filtered = FilterOp(StaticScan([(1,), (3,), (5,)], arity=1), probe)
-
-    def run(plan):
-        return Counter(run_rows(plan, codegen=codegen))
-
-    bind_plan(join, db)
-    assert run(join) == Counter({(1, 1, 2): 2, (3, 3, None): 1, (3, 3, 4): 1})
-    bind_plan(filtered, db)
-    assert run(filtered) == Counter([(1,), (3,)])
-    assert ("hash", (0,)) in memo_of(db) and ("probe", 0, 1, (0,)) in memo_of(db)
-    # After binding: the scan's memo tuple no longer matches its rows.
-    bind_plan(join, db)
-    scan.data = [(5, 9)]
-    assert run(join) == Counter([(5, 5, 9)])
-    bind_plan(filtered, db)
-    probe.subplan.child.data = [(5, 9)]
-    assert run(filtered) == Counter([(5,)])
-    # Never bound: no memo tuple at all.
-    fresh = TableScan("T", 2, data=[(3, 7)])
-    assert run(HashJoin(StaticScan([(3,)], arity=1), fresh, (0,), (0,))) == Counter(
-        [(3, 3, 7)]
-    )
+    plans = [lowered(plan, codegen) for plan in (join, filtered)]
+    first, second = memo_db(), memo_db(dict(MEMO_CONTENT, T=[(5, 9)]))
+    for _ in range(2):
+        assert Counter(plans[0].run(first)) == Counter(
+            {(1, 1, 2): 2, (3, 3, None): 1, (3, 3, 4): 1}
+        )
+        assert Counter(plans[1].run(first)) == Counter([(1,), (3,)])
+        assert Counter(plans[0].run(second)) == Counter([(5, 5, 9)])
+        assert Counter(plans[1].run(second)) == Counter([(5,)])
+    for db in (first, second):
+        assert set(memo_of(db)) == {("hash", (0,)), ("probe", 0, 1, (0,))}
+    assert memo_of(first)[("hash", (0,))] is not memo_of(second)[("hash", (0,))]
 
 
 @pytest.mark.parametrize("codegen", [True, False], ids=["codegen", "codegen-off"])
 def test_build_rows_equal_on_hit_and_miss(codegen):
-    from repro.engine.binding import bind_plan
     from repro.engine.operators import HashJoin, StaticScan
 
     db = memo_db()
-    join = HashJoin(StaticScan([(1,), (3,)], arity=1), TableScan("T", 2), (0,), (0,))
+    join = lowered(
+        HashJoin(StaticScan([(1,), (3,)], arity=1), TableScan("T", 2), (0,), (0,)),
+        codegen,
+    )
     seen = []
-    for _ in range(2):
-        bind_plan(join, db)  # resets the per-execution table
-        rows = run_rows(join, codegen=codegen)
-        seen.append((Counter(rows), join._build_rows, join._table))
-    (rows, miss, built), (again, hit, restored) = seen
-    assert rows == again and restored is built
-    # T's rows whose key is NULL-free.
-    assert miss == hit == sum(1 for c, _d in MEMO_CONTENT["T"] if c is not NULL)
+    for _ in range(2):  # built, then read back from the table memo
+        rows = Counter(join.run(db))
+        seen.append((rows, memo_of(db)[("hash", (0,))]))
+    (rows, built), (again, read) = seen
+    assert rows == again and read is built
+    # Every T row whose key joins, counted independently.
+    T = [(None if c is NULL else c, None if d is NULL else d) for c, d in MEMO_CONTENT["T"]]
+    assert rows == Counter((k,) + t for k in (1, 3) for t in T if t[0] == k)
 
 
 def test_second_single_use_query_builds_nothing(single_use, monkeypatch):

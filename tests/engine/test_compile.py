@@ -8,9 +8,9 @@ Pins the contracts the compiler must keep:
 * constant folding is exact: total comparisons fold, raising ones do not,
   and the 3VL connectives absorb constants only along the interpreted
   short-circuit order;
-* compiled plans round-trip through ``bind_plan``/``unbind_plan``: cached
-  compiled plans pin no database rows, per-execution memos reset, and the
-  build-side cache keeps sharing structures;
+* a lowered plan is a function of the database it runs over: cached plans
+  hold no rows and no state between runs, each run reads its own
+  database, and the build-side cache keeps sharing structures;
 * every plan is lowered, and code is generated when that pays: at
   plan-cache admission, or — for single-use plans (``plan_cache_size=0``)
   — once the rows bound under its scans reach ``SINGLE_USE_COMPILE_ROWS``;
@@ -24,10 +24,9 @@ import pytest
 
 from repro.core import NULL, Database, Schema
 from repro.core.errors import CompileError
-from repro.engine import Engine, compile_plan, compile_predicate
+from repro.engine import Engine, compile_predicate
 from repro.engine import compile as compile_module
 from repro.engine import engine as engine_module
-from repro.engine.binding import bind_plan, iter_plan_nodes
 from repro.engine.compile import compile_row
 from repro.engine.expressions import (
     AndPred,
@@ -39,11 +38,11 @@ from repro.engine.expressions import (
     NotPred,
     OrPred,
 )
-from repro.engine.operators import FilterOp, StaticScan, TableScan
+from repro.engine.operators import FilterOp, StaticScan
 from repro.service.protocol import bind_parameters, expand_placeholders
 from repro.sql import annotate
 
-from ..executor import CodegenOffEngine, generated_code
+from ..executor import CodegenOffEngine, generated_code, lowered
 
 SCHEMA = Schema({"R": ("A", "B"), "S": ("A",)})
 
@@ -197,9 +196,8 @@ def test_filter_with_false_predicate_still_drains_its_child():
     plan = FilterOp(
         FilterOp(StaticScan([(1,), (2,)], arity=1), boom), ConstPred(False)
     )
-    compiled = compile_plan(plan)
     with pytest.raises(CompileError):
-        list(compiled(()))
+        list(lowered(plan).run(None))
 
 
 # -- engine integration -------------------------------------------------------
@@ -225,28 +223,42 @@ def test_compiled_engine_matches_interpreted_on_handwritten_queries():
         assert compiled.same_as(interpreted), text
 
 
-def test_compiled_plan_unbinds_and_rebinds():
-    """A cached compiled plan must pin no rows between executions, and the
-    compiled closures must see each execution's freshly bound data."""
+def test_a_cached_plan_runs_over_the_database_it_is_given():
+    """A cached compiled plan holds no rows between executions, and each
+    run of it reads the database it is given."""
+    import gc
+    import types
+
     engine = Engine(SCHEMA, "postgres")
     query = annotate("SELECT R.A FROM R WHERE R.A IN (SELECT S.A FROM S)", SCHEMA)
     db1 = make_db([(1, 2), (3, 4)], [(1,)])
     db2 = make_db([(1, 2), (3, 4)], [(3,)])
     assert [r for r in engine.execute(query, db1).bag] == [(1,)]
     assert [r for r in engine.execute(query, db2).bag] == [(3,)]
-    plan = engine._plan(query).plan
-    assert generated_code(engine._plan(query).run)
-    for node, _pred in iter_plan_nodes(plan):
-        if isinstance(node, TableScan):
-            assert node.data is None  # unbound: no database rows pinned
-    # Executing the unbound plan fails loudly.
-    with pytest.raises(RuntimeError, match="without a bound database"):
-        list(engine._plan(query).run(()))
+    compiled = engine._plan(query)
+    assert generated_code(compiled)
+    for db, expected in ((db1, [(1,)]), (db2, [(3,)]), (db1, [(1,)])):
+        assert list(compiled.run(db)) == expected
+    # The scanned rows are held by their table alone: not by the plan, its
+    # closures or a finished run.
+    for db in (db1, db2):
+        for name in ("R", "S"):
+            table = db.table(name)
+            holders = [
+                ref
+                for ref in gc.get_referrers(table._scan_rows)
+                if not isinstance(ref, types.FrameType)
+            ]
+            assert holders == [table], name
 
 
 def test_compiled_engine_uses_build_side_cache():
+    # A probe set over a filtered scan: a build over a bare scan would be
+    # memoized on the table instead.
     engine = Engine(SCHEMA, "postgres")
-    query = annotate("SELECT R.A FROM R WHERE R.A IN (SELECT S.A FROM S)", SCHEMA)
+    query = annotate(
+        "SELECT R.A FROM R WHERE R.A IN (SELECT S.A FROM S WHERE S.A > 0)", SCHEMA
+    )
     db = make_db([(1, 2), (3, 4)], [(1,), (3,)])
     for _ in range(3):
         assert len(engine.execute(query, db)) == 2
@@ -256,11 +268,11 @@ def test_compiled_engine_uses_build_side_cache():
 def test_compilation_hooks_in_at_plan_cache_admission_or_size():
     query = annotate("SELECT R.A FROM R WHERE R.B > 0", SCHEMA)
     cached_engine = Engine(SCHEMA, "postgres")
-    assert generated_code(cached_engine._plan(query).run)
+    assert generated_code(cached_engine._plan(query))
     single_use = Engine(SCHEMA, "postgres", plan_cache_size=0)
-    assert not generated_code(single_use._plan(query).run)  # nothing bound yet
+    assert not generated_code(single_use._plan(query))  # nothing bound yet
     naive = Engine(SCHEMA, "postgres", optimize=False)
-    assert not generated_code(naive._plan(query).run)
+    assert not generated_code(naive._plan(query))
     # All three still agree, of course.
     db = make_db([(1, 2)], [(1,)])
     results = [
@@ -286,8 +298,8 @@ def test_single_use_plans_compile_at_the_break_even_constant():
         result = engine.execute(query, db)
         # The engine keeps the cardinalities it was last bound to, so the
         # plan it would build for that database can be inspected.
-        assert generated_code(engine._plan(query).run) is compiled
-        assert not generated_code(reference._plan(query).run)
+        assert generated_code(engine._plan(query)) is compiled
+        assert not generated_code(reference._plan(query))
         assert result.same_as(reference.execute(query, db))
 
 
@@ -298,7 +310,7 @@ def test_single_use_ablation_never_compiles():
     )
     ablated = CodegenOffEngine(SCHEMA, "postgres")
     ablated.execute(query, db)
-    assert not generated_code(ablated._plan(query).run)
+    assert not generated_code(ablated._plan(query))
     assert ablated.cache_info()["scan_kernels"]["selections"] == 0
 
 
@@ -328,7 +340,7 @@ def _execute_literals(literals):
         template, count = templates["T.S" if isinstance(literal, str) else "T.N"]
         query = bind_parameters(template, [literal, literal], count)
         counts.append(len(engine.execute(query, db)))
-        assert engine._plan(query).run is not None
+        assert engine._plan(query).root is not None
     return counts
 
 
@@ -455,10 +467,9 @@ def test_compiled_single_use_plans_die_by_refcount(monkeypatch):
     try:
         pred = compile_predicate(ComparePred("<", ColumnRef(0, 0), LiteralExpr(3)))
         planned = engine._plan(query)
-        assert planned.run is not None
-        bind_plan(planned.plan, db)
-        assert list(planned.run(())) == [(1,)]
-        dead = [weakref.ref(pred), weakref.ref(planned.plan), weakref.ref(planned.run)]
+        assert planned.root is not None
+        assert list(planned.run(db)) == [(1,)]
+        dead = [weakref.ref(pred), weakref.ref(planned.plan), weakref.ref(planned.root)]
         del pred, planned
         assert [ref() for ref in dead] == [None, None, None]
     finally:

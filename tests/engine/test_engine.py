@@ -208,8 +208,8 @@ def test_nested_correlation_two_levels(pg, schema, db):
 
 # -- execute_rows: the same execution, finished as wire rows -------------------
 #
-# ``Engine.execute`` and ``Engine.execute_rows`` share one plan/bind/run/
-# unbind driver and differ only in the finisher, so they must agree on
+# ``Engine.execute`` and ``Engine.execute_rows`` share one plan-and-run
+# driver and differ only in the finisher, so they must agree on
 # every query: same labels, same bag once NULL is restored, same error
 # class and message — plan cache cold and hot, on every row-wise tier.
 
@@ -257,7 +257,7 @@ def rows_vs_table_failures(engine, pairs):
             continue
         try:
             labels, rows = wire
-            assert type(rows) is list, "rows must be materialized before unbind"
+            assert type(rows) is list, "rows must be materialized"
             assert not any(NULL in row for row in rows), "NULL leaked; None is NULL here"
             assert labels == table.columns and Bag(rows_from_json(rows)) == table.bag
         except Exception as exc:
@@ -277,10 +277,9 @@ def test_execute_rows_is_execute_without_the_bag(dialect, tier, paper_pairs):
         assert engine.cache_info()["hits"] >= PAPER_TRIALS * 9 // 10
 
 
-def test_execute_rows_error_parity_leaves_the_plan_unbound():
+def test_execute_rows_error_parity_leaves_the_plan_reusable():
     """A runtime error raised mid-iteration surfaces identically from both
-    finishers, and the shared ``finally`` unbinds either way: the cached
-    plan runs again on the next database."""
+    finishers, and the cached plan runs again on the next database."""
     schema = Schema({"R": ("A", "B")})
     query = annotate("SELECT R.A FROM R WHERE R.B < 3", schema)
     clash = Database(schema, {"R": [(1, 2), (2, "x")]})
@@ -323,7 +322,7 @@ def _canary_failures(monkeypatch, finisher, pairs):
 
 
 def test_canary_unmaterialized_rows_trip_the_battery(monkeypatch, paper_pairs):
-    """(b) the row iterator escapes the bind window un-consumed."""
+    """(b) the row iterator escapes un-consumed."""
     failures = _canary_failures(
         monkeypatch, lambda labels, rows: (labels, rows), paper_pairs
     )

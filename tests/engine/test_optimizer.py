@@ -10,6 +10,7 @@ from repro.engine.expressions import ColumnRef, ComparePred, IsNullPred
 from repro.engine.operators import (
     CachedSubplan,
     CrossJoin,
+    ExistsPred,
     ExistsProbe,
     FilterOp,
     HashJoin,
@@ -58,7 +59,7 @@ def both_ways(schema, db, sql, dialect=DIALECT_POSTGRES):
 
 def test_equality_conjunct_becomes_hash_join(schema, db):
     c = compiled(schema, db, "SELECT R.A FROM R, S WHERE R.A = S.A")
-    plan = optimize_plan(c.plan)
+    plan, _ = optimize_plan(c.plan)
     assert isinstance(plan, ProjectOp)
     assert isinstance(plan.child, HashJoin)
     assert plan.child.left_keys == (0,) and plan.child.right_keys == (0,)
@@ -66,7 +67,7 @@ def test_equality_conjunct_becomes_hash_join(schema, db):
 
 def test_single_table_conjunct_pushed_below_join(schema, db):
     c = compiled(schema, db, "SELECT R.A FROM R, T WHERE R.B = 2 AND T.C = 5")
-    plan = optimize_plan(c.plan)
+    plan, _ = optimize_plan(c.plan)
     # No equality across children: a cross join of two filtered scans.
     join = plan.child
     assert isinstance(join, CrossJoin)
@@ -81,7 +82,7 @@ def test_single_table_conjunct_pushed_below_join(schema, db):
 
 def test_closed_exists_becomes_cached_probe(schema, db):
     c = compiled(schema, db, "SELECT R.A FROM R WHERE EXISTS (SELECT S.A FROM S)")
-    plan = optimize_plan(c.plan)
+    plan, _ = optimize_plan(c.plan)
     probe = plan.child.predicate
     assert isinstance(probe, ExistsProbe) and probe.closed
 
@@ -90,7 +91,7 @@ def test_equality_correlated_exists_becomes_keyed_probe(schema, db):
     c = compiled(
         schema, db, "SELECT R.A FROM R WHERE EXISTS (SELECT S.A FROM S WHERE S.A = R.A)"
     )
-    plan = optimize_plan(c.plan)
+    plan, _ = optimize_plan(c.plan)
     probe = plan.child.predicate
     # Keyed on every column (two-valued), probing R.A, over a closed build
     # side that projects the inner key column only.
@@ -108,7 +109,7 @@ def test_equality_correlated_in_becomes_grouped_probe(schema, db):
         "SELECT R.A FROM R WHERE R.B NOT IN "
         "(SELECT DISTINCT T.C FROM T WHERE T.D = R.A AND T.C > 1)",
     )
-    plan = optimize_plan(c.plan)
+    plan, _ = optimize_plan(c.plan)
     probe = plan.child.predicate
     assert isinstance(probe, SemiJoinProbe) and probe.negated
     # The correlation key R.A leads, the IN value R.B follows; the build
@@ -150,7 +151,7 @@ def test_equality_correlated_in_becomes_grouped_probe(schema, db):
     ],
 )
 def test_other_correlated_shapes_keep_the_memo_path(schema, db, sql, kind):
-    plan = optimize_plan(compiled(schema, db, sql).plan)
+    plan, _ = optimize_plan(compiled(schema, db, sql).plan)
     probe = plan.child.predicate
     assert type(probe) is kind
     if kind is ExistsProbe:
@@ -161,7 +162,7 @@ def test_other_correlated_shapes_keep_the_memo_path(schema, db, sql, kind):
 
 def test_closed_in_becomes_semi_join_probe(schema, db):
     c = compiled(schema, db, "SELECT R.A FROM R WHERE R.A IN (SELECT S.A FROM S)")
-    plan = optimize_plan(c.plan)
+    plan, _ = optimize_plan(c.plan)
     probe = plan.child.predicate
     assert isinstance(probe, SemiJoinProbe)
 
@@ -174,7 +175,7 @@ def test_closed_from_subquery_cached_inside_correlated_exists(schema, db):
         "(SELECT S.A FROM S, (SELECT T.C AS C FROM T) AS U "
         "WHERE S.A = R.A AND U.C = 2)",
     )
-    plan = optimize_plan(c.plan)
+    plan, _ = optimize_plan(c.plan)
     probe = plan.child.predicate
     # The EXISTS is decorrelated on S.A = R.A; the closed remainder keeps
     # the FROM product, whose closed FROM-subquery is still materialized
@@ -202,7 +203,7 @@ def _walk(plan):
 def test_opaque_predicates_survive_untouched(schema, db):
     marker = lambda row, outers: True  # noqa: E731 - deliberately opaque
     plan = FilterOp(StaticScan([(1,)], arity=1), marker)
-    optimized = optimize_plan(plan)
+    optimized, _ = optimize_plan(plan)
     assert isinstance(optimized, FilterOp) and optimized.predicate is marker
 
 
@@ -270,9 +271,6 @@ def test_hash_join_keys_are_raw_values(case, codegen):
     node = HashJoin(StaticScan(left, arity=2), StaticScan(right, arity=2), keys, keys)
     rows = run_rows(node, codegen=codegen)
     assert Counter(rows) == formal_join(left, right, keys)
-    # The closed build holds every right row whose key is NULL-free.
-    held = [row for row in right if None not in [row[k] for k in keys]]
-    assert node._build_rows == len(held)
 
 
 def test_hash_join_null_keys_never_match():
@@ -289,7 +287,7 @@ def test_hash_join_multiplicities():
     assert sorted(run_rows(join)) == [(1, 1, 7), (1, 1, 7), (1, 1, 8), (1, 1, 8)]
 
 
-def test_cached_subplan_materializes_once():
+def test_cached_subplan_materializes_once_per_run():
     calls = []
 
     def spy(row, outers):
@@ -297,9 +295,12 @@ def test_cached_subplan_materializes_once():
         return True
 
     cached = CachedSubplan(FilterOp(StaticScan([(1,)], arity=1), spy))
-    assert run_rows(cached) == [(1,)]
-    assert run_rows(cached) == [(1,)]
+    # Three probing rows, each asking for the subplan's rows.
+    probed = FilterOp(StaticScan([(1,), (2,), (3,)], arity=1), ExistsPred(cached))
+    assert run_rows(probed) == [(1,), (2,), (3,)]
     assert len(calls) == 1
+    assert run_rows(probed) == [(1,), (2,), (3,)]
+    assert len(calls) == 2  # a new run materializes afresh
 
 
 def test_semi_join_probe_three_valued_null_handling(schema, db):

@@ -4,10 +4,11 @@ filter sinking through projections, and correlated FROM-subquery memos."""
 import pytest
 
 from repro.core import NULL, Database, Schema
-from repro.engine import DIALECT_ORACLE, DIALECT_POSTGRES, Engine, compile_plan
+from repro.engine import DIALECT_ORACLE, DIALECT_POSTGRES, Engine
 from repro.engine.operators import (
     CachedSubplan,
     CrossJoin,
+    ExistsPred,
     FilterOp,
     HashJoin,
     HashSetOp,
@@ -21,7 +22,7 @@ from repro.engine.optimizer import estimate_rows, optimize_plan
 from repro.engine.planner import Planner
 from repro.sql import annotate
 
-from ..executor import run_rows
+from ..executor import lowered, run_rows
 
 
 @pytest.fixture
@@ -68,7 +69,7 @@ ADVERSARIAL = (
 
 
 def test_adversarial_from_order_is_reordered(schema, db):
-    plan = optimize_plan(compiled(schema, db, ADVERSARIAL).plan)
+    plan, _ = optimize_plan(compiled(schema, db, ADVERSARIAL).plan)
     remaps = [node for node in walk(plan) if isinstance(node, RemapOp)]
     assert remaps, "expected a RemapOp above the reordered join tree"
     # The reordered tree joins through hash joins, never a cross product.
@@ -78,7 +79,7 @@ def test_adversarial_from_order_is_reordered(schema, db):
 
 
 def test_reordering_is_ablatable(schema, db):
-    plan = optimize_plan(compiled(schema, db, ADVERSARIAL).plan, reorder_joins=False)
+    plan, _ = optimize_plan(compiled(schema, db, ADVERSARIAL).plan, reorder_joins=False)
     assert not any(isinstance(node, RemapOp) for node in walk(plan))
     # FROM order: BIG x BIG2 has no usable edge, so a cross join remains.
     assert any(isinstance(node, CrossJoin) for node in walk(plan))
@@ -89,7 +90,7 @@ def test_good_from_order_keeps_remap_free_plan(schema, db):
         "SELECT TINY.B FROM TINY, BIG, BIG2 "
         "WHERE TINY.A = BIG.A AND TINY.B = BIG2.A"
     )
-    plan = optimize_plan(compiled(schema, db, sql).plan)
+    plan, _ = optimize_plan(compiled(schema, db, sql).plan)
     assert not any(isinstance(node, RemapOp) for node in walk(plan))
 
 
@@ -123,7 +124,7 @@ def test_estimate_rows_uses_bound_sizes(schema, db):
     # ProjectOp over a 30-row StaticScan.
     assert estimate_rows(c.plan) == 30.0
     filtered = compiled(schema, db, "SELECT TINY.A FROM TINY WHERE TINY.A = 1")
-    assert estimate_rows(optimize_plan(filtered.plan)) < 3.0
+    assert estimate_rows(optimize_plan(filtered.plan)[0]) < 3.0
 
 
 # -- hash set operations ------------------------------------------------------
@@ -131,9 +132,9 @@ def test_estimate_rows_uses_bound_sizes(schema, db):
 
 def test_setop_becomes_hash_setop(schema, db):
     c = compiled(schema, db, "SELECT BIG.A FROM BIG UNION SELECT BIG2.A FROM BIG2")
-    assert isinstance(optimize_plan(c.plan), HashSetOp)
+    assert isinstance(optimize_plan(c.plan)[0], HashSetOp)
     assert isinstance(
-        optimize_plan(c.plan, hash_setops=False), SetOpNode
+        optimize_plan(c.plan, hash_setops=False)[0], SetOpNode
     )
 
 
@@ -155,7 +156,7 @@ def test_hash_setop_streams_left_side():
 
     exploding = FilterOp(StaticScan([(1,), (2,)], arity=1), first_row_only)
     union = HashSetOp("UNION", True, exploding, StaticScan([(2,)], arity=1))
-    assert next(compile_plan(union)(())) == (1,)
+    assert next(lowered(union).run(None)) == (1,)
 
 
 # -- filter sinking and FROM-subquery memos -----------------------------------
@@ -166,7 +167,7 @@ def test_filter_sinks_through_projection_into_cached_subquery(schema, db):
         "SELECT BIG.A FROM BIG, (SELECT TINY.A AS X FROM TINY) AS U "
         "WHERE U.X = 1 AND BIG.B = 2"
     )
-    plan = optimize_plan(compiled(schema, db, sql).plan)
+    plan, _ = optimize_plan(compiled(schema, db, sql).plan)
     cached = [node for node in walk(plan) if isinstance(node, CachedSubplan)]
     assert cached
     # The U.X = 1 filter moved inside the materialization, below the
@@ -183,7 +184,7 @@ def test_correlated_from_subquery_is_memoized(schema, db):
         "SELECT BIG.A FROM BIG WHERE EXISTS "
         "(SELECT U.Y FROM (SELECT TINY.B AS Y FROM TINY WHERE TINY.A = BIG.A) AS U)"
     )
-    plan = optimize_plan(compiled(schema, db, sql).plan)
+    plan, _ = optimize_plan(compiled(schema, db, sql).plan)
     memos = [node for node in walk(plan) if isinstance(node, MemoSubplan)]
     assert memos, "correlated FROM-subquery should be wrapped in MemoSubplan"
     fast, naive = both_ways(schema, db, sql)
@@ -194,17 +195,18 @@ def test_memo_subplan_evaluates_once_per_binding():
     calls = []
 
     def spy(row, outers):
-        calls.append(outers)
+        calls.append(outers[-1])
         return True
 
     memo = MemoSubplan(FilterOp(StaticScan([(1,)], arity=1), spy), ((1, 0),))
-    outer_a, outer_b = (7, 0), (8, 0)
-    run_rows(memo, (outer_a,))
-    run_rows(memo, (outer_a,))
-    run_rows(memo, ((7, 99),))  # same binding value at (1, 0): replayed
-    assert len(calls) == 1
-    run_rows(memo, (outer_b,))
-    assert len(calls) == 2
+    # Probing rows bind (1, 0) to 7, 7, 7 (a different value at (1, 1)
+    # changes nothing) and 8.
+    rows = [(7, 0), (7, 0), (7, 99), (8, 0)]
+    probed = FilterOp(StaticScan(rows, arity=2), ExistsPred(memo))
+    assert run_rows(probed) == rows
+    assert calls == [(7, 0), (8, 0)]
+    run_rows(probed)
+    assert len(calls) == 4  # a new run memoizes afresh
 
 
 # -- end-to-end equivalence on targeted shapes --------------------------------

@@ -11,10 +11,10 @@ that lowering must keep:
   same message, and only where the row-wise order reaches it — not behind
   a FALSE conjunct or a TRUE disjunct, not past the row an EXISTS stops at;
 * kernel output feeds probes, joins, DISTINCT and set operations, and a
-  cached kernel plan rebinds bit-identically;
+  cached kernel plan runs bit-identically over each database;
 * a prefix kernel hands on the rows on which its conjuncts are UNKNOWN;
 * column vectors are a per-column memo on the ``Table``: pivoted on first
-  touch, shared by every plan, referenced by no unbound plan;
+  touch, shared by every plan and run, referenced by no plan;
 * the row-wise predicate is compiled on the first fallback only, and the
   kernel's source does not depend on literals or column positions;
 * ``cache_info()["scan_kernels"]`` counts scans, rows, fallbacks and index
@@ -27,14 +27,16 @@ that lowering must keep:
   scan, and one index per table and column.
 """
 
+import gc
 import itertools
 import operator
+import types
 
 import pytest
 
 from repro.core import NULL, Database, Schema
 from repro.core.errors import CompileError
-from repro.engine import Engine, compile_plan
+from repro.engine import Engine
 from repro.engine import compile as compile_module
 from repro.engine import engine as engine_module
 from repro.engine.binding import iter_plan_nodes
@@ -44,7 +46,7 @@ from repro.semantics import SqlSemantics
 from repro.sql import annotate
 from repro.validation.compare import capture
 
-from ..executor import CodegenOffEngine
+from ..executor import CodegenOffEngine, lowered
 
 SCHEMA = Schema({"R": ("A", "B", "C"), "S": ("A", "B")})
 
@@ -64,7 +66,9 @@ def assert_matches_codegen_off(text, db, kernel=True):
     must have run a scan kernel.  Returns the codegen-off outcome."""
     query = annotate(text, SCHEMA)
     expected = capture(lambda: CodegenOffEngine(SCHEMA).execute(query, db))
-    default = Engine(SCHEMA)
+    # No build-side cache, so the hot plan runs its kernels again instead
+    # of reading a build the cold run stored.
+    default = Engine(SCHEMA, build_cache_size=0)
     for engine in (default, default, Engine(SCHEMA, plan_cache_size=0)):
         before = selections(engine)
         outcome = capture(lambda: engine.execute(query, db))
@@ -353,23 +357,21 @@ def test_vectors_are_pivoted_per_column_shared_and_unpinned():
     Engine(SCHEMA).execute(first, db)
     engine.execute(first, db)
     assert table._scan_rows is rows and table._scan_cols[1] is pivot
-    for query in (first, second):
-        for node, _pred in iter_plan_nodes(engine._plan(query).plan):
-            if isinstance(node, TableScan):
-                assert node.data is None and node._columns is None
+    # Held by the table alone: no plan, closure or finished run keeps them.
+    for memo in ("_scan_rows", "_scan_cols"):
+        holders = gc.get_referrers(getattr(table, memo))
+        assert [ref for ref in holders if not isinstance(ref, types.FrameType)] == [table]
 
 
-def test_hand_bound_scan_pivots_its_own_vectors():
-    scan = TableScan("R", 3)
-    plan = FilterOp(scan, ComparePred(">", ColumnRef(0, 1), LiteralExpr(2)))
-    run = compile_plan(plan)
-    scan.data = [(1, 2, 3), (4, 5, 6)]
-    assert list(run(())) == [(4, 5, 6)]
-    scan.data = [(7, 8, 9)]  # rebound by hand: the stale vectors are not read
-    assert list(run(())) == [(7, 8, 9)]
-    scan.data = None
-    with pytest.raises(RuntimeError, match="without a bound database"):
-        run(())
+def test_one_lowered_scan_pivots_the_vectors_of_each_run_database():
+    plan = FilterOp(TableScan("R", 3), ComparePred(">", ColumnRef(0, 1), LiteralExpr(2)))
+    compiled = lowered(plan)
+    first, second = make_db([(1, 2, 3), (4, 5, 6)]), make_db([(7, 8, 9)])
+    for _ in range(2):
+        assert list(compiled.run(first)) == [(4, 5, 6)]
+        assert list(compiled.run(second)) == [(7, 8, 9)]
+    assert first.table("R")._scan_cols == [None, [2, 5], None]
+    assert second.table("R")._scan_cols == [None, [8], None]
 
 
 # -- code generation ----------------------------------------------------------
@@ -523,7 +525,7 @@ def test_a_cached_kernel_plan_rebinds_bit_identically():
 # -- cardinality feedback -----------------------------------------------------
 
 
-def test_build_sides_carry_the_row_count_they_were_built_with():
+def test_build_sides_served_again_answer_as_built():
     schema = Schema({"E": ("S", "D"), "F": ("S", "D"), "G": ("S", "D")})
     edges = [(i % 5, (i * 3) % 5) for i in range(20)] + [(NULL, 1)]
     db = Database(schema, {"E": edges, "F": edges, "G": edges})
@@ -536,16 +538,13 @@ def test_build_sides_carry_the_row_count_they_were_built_with():
     ):
         engine = Engine(schema)
         query = annotate(text, schema)
-        for _ in range(3):  # built, harvested, restored from the cache
-            engine.execute(query, db)
-            plan = engine._plan(query).plan
-            counts = [
-                count
-                for key, count in plan._observed_feedback["nodes"].items()
-                if key.endswith(kind.__name__)
-            ]
-            # The NULL-keyed row is in no build side: 20 rows per child.
-            assert counts == [20 if kind is HashJoin else 60], text
+        expected = SqlSemantics(schema).run(query, db)
+        # Built, then served from the table memo (the hash join over a bare
+        # scan) or the build-side cache (the tries).
+        for _ in range(3):
+            assert engine.execute(query, db).same_as(expected), text
+        plan = engine._plan(query).plan
+        assert any(isinstance(node, kind) for node, _pred in iter_plan_nodes(plan))
 
 
 # -- sorted column indexes ----------------------------------------------------
@@ -582,7 +581,9 @@ def assert_index_path(text, db, served=True):
     query = annotate(text, SCHEMA)
     codegen_off = CodegenOffEngine(SCHEMA)
     expected = capture(lambda: codegen_off.execute_rows(query, db))
-    default = Engine(SCHEMA)
+    # No build-side cache, so the hot plan runs its kernels again instead
+    # of reading a build the cold run stored.
+    default = Engine(SCHEMA, build_cache_size=0)
     for engine in (default, default, Engine(SCHEMA, plan_cache_size=0)):
         before = lookups(engine)
         outcome = capture(lambda: engine.execute_rows(query, db))
@@ -763,16 +764,6 @@ def test_an_outer_row_operand_including_a_null_one(text):
     assert_index_path(text, INDEX_DB)
     only_null = make_db(INDEX_ROWS, [(NULL, 6)])
     assert_index_path(text, only_null, served=False)
-
-
-def test_hand_installed_rows_take_the_full_scan():
-    scan = TableScan("R", 3)
-    plan = FilterOp(scan, ComparePred("=", ColumnRef(0, 0), LiteralExpr(14)))
-    stats = compile_module.ScanKernelStats()
-    run = compile_plan(plan, stats)
-    scan.data = [tuple(None if v is NULL else v for v in row) for row in INDEX_ROWS]
-    assert list(run(())) == [row for row in scan.data if row[0] == 14]
-    assert (stats.lookups, stats.rows_in) == (0, len(INDEX_ROWS))
 
 
 def test_databases_with_equal_table_names_keep_their_own_indexes():

@@ -1,7 +1,8 @@
 """The engine's one executor, as the tests drive it.
 
-* :func:`run_rows` — a plan node's rows, in emission order, through
-  :func:`repro.engine.compile_plan` (what ``Engine`` runs too).
+* :func:`lowered` / :func:`run_rows` — a plan node lowered by
+  :func:`repro.engine.compile_plan`, and its rows, in emission order, from
+  one run of it (what ``Engine`` runs too).
 * :func:`generated_code` — whether a lowered plan runs generated code.
 * :class:`CodegenOffEngine` — the codegen-off leg: the closures over the
   predicate objects themselves, with no generated predicate and no scan
@@ -11,21 +12,29 @@
 
 from __future__ import annotations
 
-from repro.engine import DIALECT_POSTGRES, Engine, compile_plan
+from repro.engine import CompiledQuery, DIALECT_POSTGRES, Engine, compile_plan
 from repro.engine import engine as engine_module
 
 
-def run_rows(node, outers=(), codegen=True):
-    """``node``'s rows under the outer-row stack ``outers``, lowered by
-    :func:`~repro.engine.compile_plan` (with generated code unless
-    ``codegen`` is false) and iterated to the end."""
-    return list(compile_plan(node, codegen=codegen)(outers))
+def lowered(node, codegen=True) -> CompiledQuery:
+    """``node`` lowered by :func:`~repro.engine.compile_plan` (with generated
+    code unless ``codegen`` is false), ready to ``run``."""
+    root, slots = compile_plan(node, codegen=codegen)
+    return CompiledQuery(node, (), root, slots)
 
 
-def generated_code(run) -> bool:
-    """Whether the closure tree ``run`` (``CompiledQuery.run``) holds a
-    generated function: a predicate, a row builder or a scan kernel."""
-    stack, seen = [run], set()
+def run_rows(node, outers=(), codegen=True, db=None):
+    """``node``'s rows over the database ``db`` (needed by plans that scan
+    base tables) under the outer rows ``outers``, in one run of
+    :func:`lowered` iterated to the end."""
+    return list(lowered(node, codegen).run(db, outers))
+
+
+def generated_code(compiled) -> bool:
+    """Whether the closure tree of ``compiled`` (a lowered
+    ``CompiledQuery``) holds a generated function: a predicate, a row
+    builder or a scan kernel."""
+    stack, seen = [compiled.root], set()
     while stack:
         fn = stack.pop()
         code = getattr(fn, "__code__", None)

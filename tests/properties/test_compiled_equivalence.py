@@ -15,8 +15,12 @@ raise.  The same three engines also run the join workload of
 A hot-plan-cache battery then re-runs a prefix of the workload through
 one compiled engine twice more (plan cache and build-side cache hot, so
 every plan executes through closures compiled at cache admission and
-build sides restored from the content-keyed cache) and demands
-bit-identical outcomes.
+build sides served from the content-keyed cache) and demands
+bit-identical outcomes; then it runs each cached plan over the *next*
+pair's database, where only the formal semantics can say what is right —
+a plan that kept any state from its own database would show there.  The
+same battery runs again with every write to a plan node or predicate
+forbidden once the engine has built the plan: plans are stateless.
 
 A third battery covers the engine's size rule for *single-use* plans
 (``plan_cache_size=0``): the same workload with the break-even constant
@@ -31,12 +35,23 @@ import pytest
 
 from repro.core import validation_schema
 from repro.engine import DIALECT_ORACLE, DIALECT_POSTGRES, Engine
+from repro.engine.binding import iter_plan_nodes
+from repro.engine.expressions import PredNode
+from repro.engine.operators import (
+    ExistsPred,
+    ExistsProbe,
+    InPred,
+    PlanNode,
+    SemiJoinProbe,
+)
 from repro.generator import (
     DataFillerConfig,
     PAPER_CONFIG,
     QueryGenerator,
     fill_database,
 )
+from repro.semantics import STAR_COMPOSITIONAL, STAR_STANDARD, SqlSemantics
+from repro.sql.typecheck import check_query
 from repro.validation.compare import capture
 
 from ..executor import CodegenOffEngine
@@ -100,20 +115,76 @@ def test_compiled_interpreted_and_naive_coincide_on_joins(dialect):
     assert_tiers_coincide(CYCLIC_SCHEMA, dialect, join_pairs())
 
 
+#: dialect -> the star style its formal semantics reads ``SELECT *`` with.
+STAR_STYLES = {DIALECT_POSTGRES: STAR_COMPOSITIONAL, DIALECT_ORACLE: STAR_STANDARD}
+
+
 @pytest.mark.parametrize("dialect", DIALECTS)
 def test_hot_plan_cache_compiled_outcomes_are_bit_identical(dialect):
     """Passes 2 and 3 execute nothing but cache-admitted compiled plans
-    (pass 2 also harvests build sides pass 3 restores); outcomes must
-    match the cold pass exactly."""
+    (build sides the earlier passes stored are served from the cache);
+    outcomes must match the cold pass exactly.  A last pass runs the
+    cached plan of pair ``i`` over the database of pair ``i + 1``, and
+    must agree with the formal semantics there."""
     engine = Engine(SCHEMA, dialect)
     pairs = [_pair(seed) for seed in range(40)]
     cold = [capture(lambda: engine.execute(q, db)) for q, db in pairs]
     [capture(lambda: engine.execute(q, db)) for q, db in pairs]
     hot = [capture(lambda: engine.execute(q, db)) for q, db in pairs]
-    assert engine.cache_info()["hits"] >= 2 * len(pairs)
-    assert engine.build_cache_info()["hits"] > 0
-    for seed, (a, b) in enumerate(zip(cold, hot)):
-        assert a.error == b.error and a.agrees_with(b), f"seed {seed} changed"
+    hot_hits = engine.cache_info()["hits"], engine.build_cache_info()["hits"]
+    failures = [
+        f"seed {seed} changed"
+        for seed, (a, b) in enumerate(zip(cold, hot))
+        if a.error != b.error or not a.agrees_with(b)
+    ]
+    star_style = STAR_STYLES[dialect]
+    semantics = SqlSemantics(SCHEMA, star_style=star_style)
+    for seed, (query, _db) in enumerate(pairs):
+        db = pairs[(seed + 1) % len(pairs)][1]
+
+        def oracle():
+            check_query(query, SCHEMA, star_style=star_style)
+            return semantics.run(query, db)
+
+        rotated = capture(lambda: engine.execute(query, db))
+        if not rotated.agrees_with(capture(oracle)):
+            failures.append(f"seed {seed} over db {seed + 1} differs from the semantics")
+    assert not failures, f"{len(failures)} failures: " + "; ".join(failures[:5])
+    plan_hits, build_hits = hot_hits
+    assert plan_hits >= 2 * len(pairs) and build_hits > 0
+    assert engine.cache_info()["hits"] == plan_hits + len(pairs)
+
+
+def forbid_plan_writes(monkeypatch):
+    """Once ``Engine._compile`` returns a plan, writing any attribute of its
+    nodes and predicates raises."""
+    frozen, built = set(), []
+
+    def guarded(self, name, value):
+        if id(self) in frozen:
+            raise AttributeError(f"{type(self).__name__}.{name} written after planning")
+        object.__setattr__(self, name, value)
+
+    for kind in (PlanNode, PredNode, ExistsPred, ExistsProbe, InPred, SemiJoinProbe):
+        monkeypatch.setattr(kind, "__setattr__", guarded)
+    compile_query = Engine._compile
+
+    def compile_frozen(self, query):
+        compiled = compile_query(self, query)
+        built.append(compiled)  # keeps the ids in ``frozen`` unique
+        for node, pred in iter_plan_nodes(compiled.plan):
+            frozen.add(id(pred if node is None else node))
+        return compiled
+
+    monkeypatch.setattr(Engine, "_compile", compile_frozen)
+    return built
+
+
+@pytest.mark.parametrize("dialect", DIALECTS)
+def test_hot_plan_cache_battery_writes_no_plan(dialect, monkeypatch):
+    built = forbid_plan_writes(monkeypatch)
+    test_hot_plan_cache_compiled_outcomes_are_bit_identical(dialect)
+    assert len(built) >= 40
 
 
 @pytest.mark.parametrize("dialect", DIALECTS)

@@ -58,13 +58,13 @@ def null_keys_are_inserted(monkeypatch):
         groups = {}
         for row in rows:
             groups.setdefault(key_of(row), []).append(row)
-        return groups, 0
+        return groups
 
     def trie(rows, getters):
-        node, _ = partition(rows, getters[0], False)
+        node = partition(rows, getters[0], False)
         if len(getters) > 1:
-            node = {key: trie(group, getters[1:])[0] for key, group in node.items()}
-        return node, 0
+            node = {key: trie(group, getters[1:]) for key, group in node.items()}
+        return node
 
     monkeypatch.setattr(operators, "_partition", partition)
     monkeypatch.setattr(operators, "_trie", trie)
@@ -74,11 +74,10 @@ def unequal_same_variable_rows_kept(monkeypatch):
     """Seeded bug (b): a trie is keyed by each variable's first column only."""
 
     def build_tries(self, children_rows):
-        tries = [
-            operators._trie(rows, [itemgetter(c[0]) for c in levels])[0] if levels else rows
+        return [
+            operators._trie(rows, [itemgetter(c[0]) for c in levels]) if levels else rows
             for levels, rows in zip(self._child_cols, children_rows)
         ]
-        return tries, sum(map(len, children_rows))
 
     monkeypatch.setattr(operators.GenericJoin, "_build_tries", build_tries)
 

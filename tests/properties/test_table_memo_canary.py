@@ -3,8 +3,9 @@ when a bug is seeded into the builds memoized on the table.
 
 A closed build over a bare base-table scan — a hash-join partition, a
 probe set over a projection of the scan's columns — is memoized on the
-immutable :class:`~repro.core.table.Table` under its signature
-(``operators._resident``).  That is exact only while the signature names
+immutable :class:`~repro.core.table.Table` under its signature, by the one
+site every closed build goes through (``compile._build_site``, given the
+scan and the signature).  That is exact only while the signature names
 everything the build reads besides the rows, and the memo lives on the
 table itself.  Three bugs, one per premise:
 
@@ -26,7 +27,7 @@ would be gating nothing.
 import re
 
 from repro.engine import DIALECT_POSTGRES
-from repro.engine import operators
+from repro.engine import compile as compile_module
 from repro.semantics import STAR_COMPOSITIONAL
 
 from ..engine import test_build_cache
@@ -37,14 +38,15 @@ from .decorrelation import battery
 
 def signature_narrowed(monkeypatch, kind, keep):
     """Memoize ``kind`` builds under the first ``keep`` signature fields."""
-    real = operators._resident
+    real = compile_module._build_site
 
-    def resident(source, signature, build):
-        if signature[0] == kind:
-            signature = signature[:keep]
-        return real(source, signature, build)
+    def build_site(low, carrier, subtree, build, resident=None):
+        if resident is not None and resident[1][0] == kind:
+            scan, signature = resident
+            resident = scan, signature[:keep]
+        return real(low, carrier, subtree, build, resident)
 
-    monkeypatch.setattr(operators, "_resident", resident)
+    monkeypatch.setattr(compile_module, "_build_site", build_site)
 
 
 def key_columns_dropped(monkeypatch):
@@ -55,16 +57,22 @@ def key_columns_dropped(monkeypatch):
 def memo_keyed_by_table_name(monkeypatch):
     """Seeded bug (b): one process-wide memo, keyed by table name."""
     memo = {}
+    real = compile_module._build_site
 
-    def resident(source, signature, build):
-        if not isinstance(source, operators.TableScan) or source.data is None:
-            return build()
-        key = (source.table, signature)
-        if key not in memo:
-            memo[key] = build()
-        return memo[key]
+    def build_site(low, carrier, subtree, build, resident=None):
+        if resident is None:
+            return real(low, carrier, subtree, build)
+        scan, signature = resident
 
-    monkeypatch.setattr(operators, "_resident", resident)
+        def by_name(outers):
+            key = (scan.table, signature)
+            if key not in memo:
+                memo[key] = build(outers)
+            return memo[key]
+
+        return real(low, carrier, subtree, by_name)
+
+    monkeypatch.setattr(compile_module, "_build_site", build_site)
 
 
 def projection_dropped(monkeypatch):
