@@ -30,7 +30,11 @@ class Table:
     """An immutable labelled bag of records.
 
     ``columns`` and the bag arity must agree (unless the bag is empty, in
-    which case the declared columns fix the arity).
+    which case the declared columns fix the arity).  Iterating a table
+    iterates its bag: a table built from records (a base table, an engine
+    result) yields them in the order given, duplicates where they were
+    given; a table over a bag built from counts (an oracle result) yields
+    them grouped by record.  Comparison ignores the order (Section 4).
     """
 
     __slots__ = (

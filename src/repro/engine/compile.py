@@ -842,17 +842,26 @@ def _row_fn(exprs: Sequence[RowExpr], low: _Lowering):
 
 def _bound(table):
     """``table`` with the executor's memos of it started: its rows in the
-    executor's value domain (NULL as None) and its column-vector memo, one
-    entry per column, None until a scan kernel first reads that column.
+    executor's value domain (NULL as None; a record with no NULL is the
+    bag's own tuple) and its column-vector memo, one entry per column,
+    None until a scan kernel first reads that column.
     Both are pure functions of the immutable table, memoized on it, so
     every run, plan and engine reading it converts it once, and the memos
     die with the database."""
     if table._scan_rows is None:
         table._scan_cols = [None] * len(table.columns)
-        table._scan_rows = [
-            tuple(None if isinstance(v, Null) else v for v in record)
-            for record in table.bag
-        ]
+        rows = list(table.bag)
+        # One C-speed pass over the values' types: a NULL-free record is
+        # shared with the bag as it is, and only a record holding NULL is
+        # rebuilt.
+        if Null in map(type, chain.from_iterable(rows)):
+            rows = [
+                record
+                if Null not in map(type, record)
+                else tuple(None if isinstance(v, Null) else v for v in record)
+                for record in rows
+            ]
+        table._scan_rows = rows
     return table
 
 

@@ -79,9 +79,10 @@ from __future__ import annotations
 
 import sys
 from collections import OrderedDict
+from itertools import chain
 from typing import Dict, Optional
 
-from ..core.bag import Bag
+from ..core.bag import Bag, record_arity
 from ..core.schema import Database, Schema
 from ..core.table import Table
 from ..core.values import NULL
@@ -134,26 +135,23 @@ def _estimate_plan_bytes(compiled: CompiledQuery) -> int:
 
 
 def _as_table(labels, rows) -> Table:
-    # NULL restoration at the output boundary; null-free rows (the
-    # common case) pass through without rebuilding the tuple.
-    records = (
-        row
-        if None not in row
-        else tuple(NULL if v is None else v for v in row)
-        for row in rows
-    )
-    return Table(labels, Bag(records))
+    # NULL restoration at the output boundary: one C-speed pass looks for
+    # None, and only a result that holds one rebuilds its NULL rows; every
+    # other row tuple becomes a bag record as it is.
+    rows = list(rows)
+    if None in chain.from_iterable(rows):
+        rows = [
+            row if None not in row else tuple(NULL if v is None else v for v in row)
+            for row in rows
+        ]
+    return Table(labels, Bag(rows))
 
 
 def _as_rows(labels, rows):
-    # The set() passes are Bag's per-record tuple/arity validation (and
-    # Table's arity-vs-labels check) done once over the whole result, at C
-    # speed.
+    # Bag's record-shape check (and Table's arity-vs-labels check), once
+    # over the whole result.
     rows = list(rows)
-    if not set(map(type, rows)) <= {tuple}:
-        raise TypeError("result records must be tuples")
-    if not set(map(len, rows)) <= {len(labels)}:
-        raise ValueError(f"result records are not all of arity {len(labels)}")
+    record_arity(rows, len(labels))
     return labels, rows
 
 

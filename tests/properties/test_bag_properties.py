@@ -4,6 +4,9 @@ Every property here is a direct consequence of the defining multiplicity
 equations, checked on arbitrary bags of small records (including NULLs —
 record equality is syntactic)."""
 
+from collections import Counter
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,3 +113,79 @@ def test_except_set_flavor_equals_epsilon_of_all_iff_right_dedup(a, b):
     left = a.distinct_bag().difference(b)
     right = a.distinct_bag().difference(b.distinct_bag())
     assert left == right
+
+
+# -- representation battery ---------------------------------------------------
+#
+# A bag built from records keeps them as a list and counts them on first
+# need; a bag built from counts keeps the map.  Both are the same bag.
+
+record_lists = st.lists(records, max_size=16)
+
+
+def algebra(a, b):
+    """Every bag-algebra operation on ``(a, b)``, as comparable values."""
+    return (
+        a.union(b),
+        a.intersection(b),
+        a.difference(b),
+        b.difference(a),
+        a.product(b),
+        a.distinct_bag(),
+    )
+
+
+def observations(bag, probes):
+    return (
+        hash(bag),
+        len(bag),
+        bag.distinct_size(),
+        [bag.multiplicity(r) for r in probes],
+        [r in bag for r in probes],
+        repr(bag),
+        bag.arity,
+        bag.is_empty(),
+    )
+
+
+@given(record_lists, record_lists)
+def test_record_and_count_built_bags_are_one_bag(rows, other):
+    built, counted = Bag(rows), Bag.from_counts(Counter(rows))
+    other_built, other_counted = Bag(other), Bag.from_counts(Counter(other))
+    probes = rows + other + [(NULL, NULL)]
+    assert built == counted and counted == built
+    assert observations(built, probes) == observations(counted, probes)
+    assert dict(built.counts()) == dict(counted.counts()) == dict(Counter(rows))
+    assert sorted(built.distinct(), key=repr) == sorted(counted.distinct(), key=repr)
+    for left, right in ((built, other_built), (counted, other_counted), (built, other_counted)):
+        assert algebra(left, right) == algebra(counted, other_counted)
+    assert (built == other_built) == (Counter(rows) == Counter(other))
+
+
+@given(record_lists, record_lists)
+def test_record_built_bag_iterates_its_record_list(rows, other):
+    """Insertion order, duplicates where they were inserted, before and
+    after anything counts the bag."""
+    bag = Bag(iter(rows))
+    assert list(bag) == rows
+    bag.counts(), bag.multiplicity((0, 0)), hash(bag), bag == Bag(other)
+    bag.union(Bag(other)), repr(bag), bag.distinct_size()
+    assert list(bag) == rows
+    counted = Bag.from_counts(Counter(rows))
+    grouped = [r for r, n in Counter(rows).items() for _ in range(n)]
+    assert list(counted) == grouped
+
+
+@given(record_lists)
+def test_both_constructors_keep_their_errors(rows):
+    good = rows or [(0, 0)]
+    with pytest.raises(TypeError, match="must be tuples, got list"):
+        Bag([*good, [1, 2]])
+    with pytest.raises(TypeError, match="must be tuples, got str"):
+        Bag.from_counts({**Counter(good), "ab": 1})
+    with pytest.raises(ValueError, match="mixed arity in bag: 2 and 1"):
+        Bag([*good, (1,)])
+    with pytest.raises(ValueError, match="mixed arity in bag: 2 and 1"):
+        Bag.from_counts({**Counter(good), (1,): 1})
+    with pytest.raises(ValueError, match="negative multiplicity -1"):
+        Bag.from_counts({**Counter(good), (3, 3): -1})
