@@ -20,7 +20,7 @@ pipeline stage so regressions are visible.  pytest-benchmark measures:
   keyed probes) against ``optimize=False`` on a selective-outer workload,
 * scan kernels (filters over base-table scans as fused selections over
   column vectors) against the codegen-off leg (the same plans, one
-  predicate-object call per row) on scan-, join-input- and
+  predicate-closure call per row) on scan-, join-input- and
   set-operation-shaped statements,
 * the full Theorem 1 translation (to SQL-RA + desugaring).
 
@@ -393,7 +393,7 @@ def test_bench_engine_compiled(benchmark):
 def test_bench_engine_interpreted(benchmark):
     """Ablation: the codegen-off leg — the same optimized plans, planned
     and lowered per execution (no plan cache), their predicates evaluated
-    by the predicate objects (per-row virtual dispatch)."""
+    by the predicate closures alone (no scan kernel)."""
     engine = CodegenOffEngine(SCHEMA, "postgres")
     pairs = engine_pairs()
     run_workload(engine, pairs)
@@ -496,7 +496,7 @@ def test_bench_engine_scan(benchmark, rows):
 
 @pytest.mark.parametrize("rows", (PAPER_ROW_CAP, 5000))
 def test_bench_engine_scan_interpreted(benchmark, rows):
-    """Ablation: the codegen-off leg, one predicate-object call per row
+    """Ablation: the codegen-off leg, one predicate-closure call per row
     (and planning per execution)."""
     engine = CodegenOffEngine(SCAN_SCHEMA, "postgres", build_cache_size=0)
     pairs = scan_pairs(rows=rows)

@@ -35,13 +35,14 @@ Engine stages (written to ``BENCH_engine.json``)
 * ``engine_optimized``      — reference engine, default optimizer
 * ``engine_naive``          — reference engine, ``optimize=False``
 * ``engine_compiled``       — the default engine, plan cache hot: plans
-  lowered with generated code once, executed many times
+  lowered once, with scan kernels, executed many times
 * ``engine_interpreted``    — same optimized plans on the codegen-off leg
   (``tests.executor.CodegenOffEngine``: no plan cache, and
   ``engine.SINGLE_USE_COMPILE_ROWS`` raised past the workload's bound rows
   while it plans, so every plan is planned and lowered per execution and
-  evaluates its interpreted predicate objects; the pair's digest equality
-  and ``compiled_speedup`` are recorded, and a mismatch fails the run)
+  filters through its predicate closures alone, with no scan kernel; the
+  pair's digest equality and ``compiled_speedup`` are recorded, and a
+  mismatch fails the run)
 * ``engine_wcoj``           — worst-case-optimal multiway joins
   (``GenericJoin``) on the cyclic triangle/4-cycle workload, sized by
   ``--rows`` (default: the paper's 50-row cap)
@@ -63,7 +64,7 @@ Engine stages (written to ``BENCH_engine.json``)
   tables' column vectors), sized by ``--rows`` (plan cache hot, build-side
   cache off)
 * ``engine_scan_interpreted`` — same workload on the codegen-off leg (one
-  predicate-object call per row, planning per execution; the pair's
+  predicate-closure call per row, planning per execution; the pair's
   ``scan_speedup`` is recorded, with a three-way digest gate — kernels vs
   codegen-off vs naive — at the 50-row cap plus a kernels-vs-codegen-off
   check at ``--rows`` scale)
@@ -102,7 +103,7 @@ leg can only measure worker-process overhead, so it is skipped and marked
 ``"skipped"`` in the record; the point of the speedup is the trajectory
 on real hardware.  The stage also runs a paired engine-tier A/B, recorded
 as ``engine_tier_ab``: over a 10,000-row live-SQLite scenario the shipped
-engine (whose size rule generates code for those single-use plans) vs
+engine (whose size rule generates scan kernels for those single-use plans) vs
 the codegen-off leg, digest-gated.  It exits non-zero if the shipped tier is
 more than 5% slower than the alternative.
 
@@ -417,10 +418,10 @@ def build_stages(selected, rows=50):
         )
     if need("engine_compiled", "engine_interpreted"):
         # Generated-code workload: the paper-scale pairs, with the plan
-        # cache on for the default engine — code is generated at cache
-        # admission, so after the warm-up pass it executes cached plans —
-        # against the codegen-off leg, which plans each execution afresh
-        # and evaluates the predicate objects.
+        # cache on for the default engine — scan kernels are generated at
+        # cache admission, so after the warm-up pass it executes cached
+        # plans — against the codegen-off leg, which plans each execution
+        # afresh and filters through the predicate closures alone.
         compiled_pairs = paper_pairs
         compiled_engine = Engine(SCHEMA, "postgres")
         interpreted_engine = CodegenOffEngine(SCHEMA, "postgres")
@@ -530,7 +531,7 @@ def build_stages(selected, rows=50):
     if need("engine_scan", "engine_scan_interpreted"):
         # Scan-kernel workload, sized by --rows.  The kernels' plan cache
         # is on, so after warm-up they run cached plans, against a
-        # predicate-object call per row on the same plans, planned per
+        # predicate-closure call per row on the same plans, planned per
         # execution; the build-side cache is off, so the join statement
         # scans and builds on every run.
         kernel_pairs = scan_pairs(rows=rows)

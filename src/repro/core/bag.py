@@ -103,6 +103,19 @@ class Bag:
         return bag
 
     @classmethod
+    def _adopt(cls, rows: List[Record]) -> "Bag":
+        """A bag of the records in ``rows``, keeping that list itself: the
+        caller hands over a list nothing else will change, and saves the
+        copy :class:`Bag` makes of what it is given."""
+        bag = cls.__new__(cls)
+        bag._arity = record_arity(rows)
+        bag._rows = rows
+        bag._counts = None
+        bag._size = len(rows)
+        bag._hash = None
+        return bag
+
+    @classmethod
     def empty(cls) -> "Bag":
         return _EMPTY
 

@@ -23,40 +23,32 @@ build site (:func:`_build_site`): a build over a bare base-table scan is
 memoized on the scanned table, and any other is shared across runs through
 the engine's :class:`~repro.engine.binding.BuildSideCache`.
 
-Generated code is a per-plan decision on top of that one lowering
-(``codegen``, set by ``Engine._compile`` for plans that are reused or read
-at least ``SINGLE_USE_COMPILE_ROWS`` rows):
+Every predicate, in every plan, runs as **composed closures** ``(row,
+outers) -> truth`` (:func:`_pred_fn`), built once at lowering from the
+predicate tree after exact constant folding (:func:`_fold_predicate`): one
+closure per connective and comparison over the comparison helpers of
+:mod:`repro.engine.expressions`, with Kleene 3VL evaluated left to right —
+an AND runs its right side unless its left side is FALSE, an OR unless it
+is TRUE — and subquery probes lowered to their own closures.  A ``column op
+literal`` comparison, and an AND whose left side is one, are the only
+specialized shapes.  Projected rows and probe values are built the same way;
+a projection of plain columns is a C-level ``map(itemgetter(...))`` over its
+lowered child.
 
-* :func:`compile_predicate` turns a whole ``PredNode`` tree into **one
-  generated Python function** ``(row, outers) -> truth``: the
-  ``ComparePred`` / ``IsNullPred`` / ``AndPred`` / ``OrPred`` / ``NotPred``
-  structure is emitted as straight-line source (3VL short-circuits become
-  ``if`` statements, comparisons become calls to specialized total
-  helpers, column references become ``r[i]`` subscripts) and compiled in a
-  single call frame.  Constant subtrees are folded away exactly — only
-  rewrites that cannot change error behaviour are applied (total
-  comparisons over literals, short-circuit absorption).  Generated code
-  objects are cached by source text, which spells out only the
-  predicate's shape, so structurally repeating predicates — the normal
-  case for generated campaign queries and re-bound prepared statements —
-  compile in microseconds whatever their literals, columns and operators.
-* a filter over a base-table scan becomes a *scan kernel* — the leading
-  probe-free conjuncts of its predicate as one fused comprehension over
-  the table's column vectors, in lazily chained batches, with an exact
-  row-wise replay when a batch hits a type clash, and over only the rows a
-  sorted column index bisects to when the predicate opens with
-  comparisons that keep few (see the "scan kernels" section below).
-
-Without codegen the same closures take each filter's predicate object as
-it is — its own ``__call__``, with the subquery probes inside it swapped
-for their closures — build projected rows as a tuple over the expression
-objects, and run no scan kernel.  That lowering is cheap enough for the
-fresh, tiny plans of the paper campaign, and it is the row-wise reference
-the generated predicates and scan kernels are held to: evaluation order,
-3VL short-circuits, streaming/early-termination points, materialization
-order and raised errors are the same with and without codegen (verified
-by ``tests/properties/test_compiled_equivalence.py`` and the digest gate
-of ``scripts/bench.py --stages engine_compiled,engine_interpreted``).
+The only generated code is the *scan kernel*, a per-plan decision
+(``kernels``, set by ``Engine._compile`` for plans that are reused or read
+at least ``SINGLE_USE_COMPILE_ROWS`` rows): a filter over a base-table scan
+runs the leading probe-free conjuncts of its predicate as one fused
+comprehension over the table's column vectors, in lazily chained batches,
+with an exact row-wise replay through the closures when a batch hits a type
+clash, and over only the rows a sorted column index bisects to when the
+predicate opens with comparisons that keep few (see the "scan kernels"
+section below).  The closures are the row-wise reference the kernels are
+held to: evaluation order, 3VL short-circuits, streaming/early-termination
+points, materialization order and raised errors are the same with and
+without kernels (verified by ``tests/properties/test_compiled_equivalence.py``
+and the digest gate of ``scripts/bench.py --stages
+engine_compiled,engine_interpreted``).
 """
 
 from __future__ import annotations
@@ -73,6 +65,7 @@ from ..core.errors import CompileError
 from ..core.values import Null
 from .binding import _carrier_kind, _Fingerprint, _subtree_tables, share_signature
 from .expressions import (
+    _OP_HELPERS,
     AndPred,
     ColumnRef,
     ComparePred,
@@ -84,10 +77,10 @@ from .expressions import (
     OuterStack,
     Row,
     RowExpr,
+    _like_match,
     column_indices,
     not3,
 )
-from .expressions import COMPARE_FUNCS as _COMPARE_FUNCS
 from .operators import (
     CachedSubplan,
     CrossJoin,
@@ -166,8 +159,7 @@ class Run:
 class _Lowering:
     """What one :func:`compile_plan` call shares across its closures:
     ``stats``, where its scan kernels count (None for a lowering without
-    codegen, which runs no scan kernel), and ``slots``, how many run slots
-    it has numbered."""
+    kernels), and ``slots``, how many run slots it has numbered."""
 
     __slots__ = ("stats", "slots", "_scans")
 
@@ -189,115 +181,31 @@ class _Lowering:
         return slot
 
 
-# -- comparison helpers -------------------------------------------------------
-#
-# One specialized function per operator, replacing the per-object chain
-# ``ComparePred.__call__ -> compare -> COMPARE_FUNCS[op] -> _ordered``.
-# NULL propagation and error behaviour (message included) match
-# :func:`repro.engine.expressions.compare` exactly.
-
-_LIKE_FUNC = _COMPARE_FUNCS["LIKE"]
-
-
-def _eq(a, b):
-    if a is None or b is None:
-        return None
-    return a == b and isinstance(a, str) == isinstance(b, str)
-
-
-def _ne(a, b):
-    if a is None or b is None:
-        return None
-    return not (a == b and isinstance(a, str) == isinstance(b, str))
-
-
-def _lt(a, b):
-    if a is None or b is None:
-        return None
-    if isinstance(a, str) != isinstance(b, str):
-        raise CompileError(f"type clash in comparison: {a!r} < {b!r}")
-    return a < b
-
-
-def _le(a, b):
-    if a is None or b is None:
-        return None
-    if isinstance(a, str) != isinstance(b, str):
-        raise CompileError(f"type clash in comparison: {a!r} <= {b!r}")
-    return a <= b
-
-
-def _gt(a, b):
-    if a is None or b is None:
-        return None
-    if isinstance(a, str) != isinstance(b, str):
-        raise CompileError(f"type clash in comparison: {a!r} > {b!r}")
-    return a > b
-
-
-def _ge(a, b):
-    if a is None or b is None:
-        return None
-    if isinstance(a, str) != isinstance(b, str):
-        raise CompileError(f"type clash in comparison: {a!r} >= {b!r}")
-    return a >= b
-
-
-def _like(a, b):
-    if a is None or b is None:
-        return None
-    return _LIKE_FUNC(a, b)
-
-
-#: Comparison operator -> the helper the generated code calls.
-_OP_HELPERS = {
-    "=": _eq,
-    "<>": _ne,
-    "<": _lt,
-    "<=": _le,
-    ">": _gt,
-    ">=": _ge,
-    "LIKE": _like,
-}
-
 #: Total comparisons: can never raise, so literal operands fold exactly.
 _TOTAL_OPS = ("=", "<>")
 
-#: The globals every generated function starts from.
-_BASE_NAMESPACE = {
-    "__builtins__": {"isinstance": isinstance, "str": str, "tuple": tuple},
-}
-
-#: Generated source -> code object.  Sources spell out only the predicate's
-#: *shape* — its 3VL structure and which operands are columns, outer
-#: references, literals or subqueries — and name everything else
-#: positionally: comparison helpers ``_fN``, column indices ``_iN``,
-#: int/str/float literals ``_kN``, captured objects ``_cN``.  The same
-#: statement over a new literal, another column or another comparison
-#: operator therefore reuses one compilation; query generators and
-#: re-bound prepared statements repeat shapes constantly, which is why
-#: compiling a fresh query stays in the microsecond range and rarely pays
-#: ``builtins.compile``.
+#: Generated source -> code object, for the scan kernels.  A kernel's source
+#: spells out only its *shape* — its 3VL structure, its comparison operators
+#: and which operands are columns, outer references or literals — and names
+#: column positions ``_iN`` and literals ``_kN`` positionally, so the same
+#: filter over a new literal or another column reuses one compilation; query
+#: generators and re-bound prepared statements repeat shapes constantly.
 _CODE_CACHE: Dict[str, object] = {}
 
-#: Shapes, not literals, populate the cache, so the bound can be small
-#: (it was 8,192 when every literal minted an entry).  Workloads are a head
-#: of recurring shapes plus a tail no size catches: 1,850 live-campaign
-#: trials need 75 row-wise entries in all, while 14,000 paper-generator
-#: queries mint 22,000 distinct shapes and miss 30% of lookups unbounded, 38%
-#: at 1,024 and 41% at 512.  At ~2 KB resident per entry 1,024 entries hold
-#: the head within 2 MB.
+#: Shapes, not literals, populate the cache, so the bound can be small.
+#: Workloads are a head of recurring shapes plus a tail no size catches:
+#: 1,850 queries of the live-campaign generator over a 10,000-row library
+#: scenario compile 261 kernel shapes, 144 of them exactly once.  At ~2.5 KB
+#: resident per entry 1,024 entries hold the head within 3 MB.
 _CODE_CACHE_MAX = 1024
 
 #: ``hash(source)`` of the sources compiled once so far: a shape enters the
-#: cache the *second* time it is compiled.  The fused selections spell their
-#: comparison operators out (an inline ``c0 < _k1`` is the point of them),
-#: so their shapes multiply where the row-wise ones add up — the same 1,850
-#: live-campaign trials compile 410 of them, 280 exactly once — and a
-#: one-off's code object is garbage as soon as its single-use plan is, unless
-#: the cache pins it (2.5 KB each; +0.3 MB of peak RSS on that campaign).
-#: Recurring shapes pay one extra compilation each, once per process.
-#: Bounded like the cache, oldest first.
+#: cache the *second* time it is compiled.  A one-off's code object is
+#: garbage as soon as its single-use plan is, unless the cache pins it, and
+#: most shapes of a generated query stream are one-offs (the kernels spell
+#: their comparison operators out: an inline ``c0 < _k1`` is the point of
+#: them).  Recurring shapes pay one extra compilation each, once per
+#: process.  Bounded like the cache, oldest first.
 _COMPILED_ONCE: Dict[int, None] = {}
 
 
@@ -319,99 +227,6 @@ def _compiled_code(source: str):
     return code
 
 
-class _Constants:
-    """The values one generated function names instead of spelling out.
-
-    Every hoisted value gets a fresh positional name — never deduped by
-    value: ``A = 1 AND B = 1`` and ``A = 1 AND B = 2`` must generate the
-    same text — and is bound as a default argument, so the source is
-    value-independent while the operand is still read with a ``LOAD_FAST``.
-    """
-
-    def __init__(self):
-        self.constants: Dict[str, object] = {}
-
-    def constant(self, value, prefix: str = "_k") -> str:
-        name = f"{prefix}{len(self.constants)}"
-        self.constants[name] = value
-        return name
-
-    def signature(self, params: str) -> str:
-        """``params`` plus one ``name=name`` default per hoisted value."""
-        return ", ".join([params, *(f"{k}={k}" for k in self.constants)])
-
-
-def _literal_source(emitter: _Constants, value) -> Optional[str]:
-    """Source text for a literal operand, or None to capture it.
-
-    NULL and booleans stay folded into the text — they steer constant
-    folding and NULL-guard emission, so they are part of the shape; every
-    other embeddable literal is hoisted (see :class:`_Constants`)."""
-    if value is None or isinstance(value, bool):
-        return repr(value)
-    if isinstance(value, (int, str, float)):
-        return emitter.constant(value)
-    return None
-
-
-def _assemble(name: str, source: str, *bindings: Dict[str, object], base=None):
-    """The function ``name`` that ``source`` defines, over ``base`` (default:
-    :data:`_BASE_NAMESPACE`) plus the emitter's captured objects and hoisted
-    constants."""
-    namespace = dict(_BASE_NAMESPACE if base is None else base)
-    for names in bindings:
-        namespace.update(names)
-    exec(_compiled_code(source), namespace)
-    # pop, not read: the function's globals are this namespace, and leaving
-    # the function in it would make every generated function a reference
-    # cycle that only the cyclic collector frees — single-use plans would
-    # then pile up (with the build sides their probes captured) until the
-    # next full collection.
-    return namespace.pop(name)
-
-
-class _Emitter(_Constants):
-    """Accumulates generated source lines plus captured runtime objects."""
-
-    def __init__(self, low: Optional[_Lowering] = None):
-        super().__init__()
-        #: The lowering captured subquery probes are numbered in.
-        self.low = low
-        self.lines: List[str] = []
-        self.captured: Dict[str, object] = {}
-        self._capture_ids: Dict[int, str] = {}
-        self._temps = 0
-
-    def temp(self) -> str:
-        self._temps += 1
-        return f"t{self._temps}"
-
-    def capture(self, obj) -> str:
-        name = self._capture_ids.get(id(obj))
-        if name is None:
-            name = f"_c{len(self.captured)}"
-            self.captured[name] = obj
-            self._capture_ids[id(obj)] = name
-        return name
-
-    def emit(self, depth: int, line: str) -> None:
-        self.lines.append("    " * (depth + 1) + line)
-
-
-def _expr_source(emitter: _Emitter, expr: RowExpr) -> str:
-    """An expression string over ``r`` (row) and ``o`` (outer stack)."""
-    if isinstance(expr, ColumnRef):
-        index = emitter.constant(expr.index, "_i")
-        if expr.depth == 0:
-            return f"r[{index}]"
-        return f"o[-{expr.depth}][{index}]"
-    if isinstance(expr, LiteralExpr):
-        text = _literal_source(emitter, expr.value)
-        if text is not None:
-            return text
-    return f"{emitter.capture(expr)}(r, o)"
-
-
 # -- constant folding ---------------------------------------------------------
 
 
@@ -428,147 +243,215 @@ def _fold_predicate(pred):
     Ordered comparisons and LIKE can raise on type clashes, so they are
     never folded.
     """
-    if isinstance(pred, ComparePred):
+    kind = type(pred)
+    if kind is ComparePred:
         if (
             pred.op in _TOTAL_OPS
-            and isinstance(pred.left, LiteralExpr)
-            and isinstance(pred.right, LiteralExpr)
+            and type(pred.left) is LiteralExpr
+            and type(pred.right) is LiteralExpr
         ):
-            a, b = pred.left.value, pred.right.value
-            if a is None or b is None:
-                return ConstPred(None)
-            return ConstPred(_eq(a, b) if pred.op == "=" else _ne(a, b))
+            return ConstPred(_OP_HELPERS[pred.op](pred.left.value, pred.right.value))
         return pred
-    if isinstance(pred, IsNullPred):
-        if isinstance(pred.expr, LiteralExpr):
-            is_null = pred.expr.value is None
-            return ConstPred(is_null is not pred.negated)
-        return pred
-    if isinstance(pred, AndPred):
+    if kind is AndPred:
         left = _fold_predicate(pred.left)
         right = _fold_predicate(pred.right)
-        if isinstance(left, ConstPred):
+        if type(left) is ConstPred:
             if left.value is False:
                 return ConstPred(False)
             if left.value is True:
                 return right
             # left is UNKNOWN: and3(None, b) is False iff b is False,
             # else None — still needs the right side (which may raise).
-            if isinstance(right, ConstPred):
+            if type(right) is ConstPred:
                 return ConstPred(False if right.value is False else None)
-        if isinstance(right, ConstPred) and right.value is True:
+        if type(right) is ConstPred and right.value is True:
             return left  # and3(a, True) == a for every a
         if left is pred.left and right is pred.right:
             return pred
         return AndPred(left, right)
-    if isinstance(pred, OrPred):
+    if kind is OrPred:
         left = _fold_predicate(pred.left)
         right = _fold_predicate(pred.right)
-        if isinstance(left, ConstPred):
+        if type(left) is ConstPred:
             if left.value is True:
                 return ConstPred(True)
             if left.value is False:
                 return right  # or3(False, b) == b for every b
-            if isinstance(right, ConstPred):
+            if type(right) is ConstPred:
                 return ConstPred(True if right.value is True else None)
-        if isinstance(right, ConstPred) and right.value is False:
+        if type(right) is ConstPred and right.value is False:
             return left  # or3(a, False) == a for every a
         if left is pred.left and right is pred.right:
             return pred
         return OrPred(left, right)
-    if isinstance(pred, NotPred):
+    if kind is NotPred:
         operand = _fold_predicate(pred.operand)
-        if isinstance(operand, ConstPred):
+        if type(operand) is ConstPred:
             return ConstPred(not3(operand.value))
         if operand is pred.operand:
             return pred
         return NotPred(operand)
+    if kind is IsNullPred and type(pred.expr) is LiteralExpr:
+        return ConstPred((pred.expr.value is None) is not pred.negated)
     return pred
 
 
-# -- predicate code generation ------------------------------------------------
+# -- predicate lowering -------------------------------------------------------
+#
+# A folded predicate tree becomes one closure per node, ``(row, outers) ->
+# truth``, composed at lowering: connectives over their operands' closures,
+# comparisons over the helpers of ``expressions._OP_HELPERS``, subquery
+# probes over their own closures (:func:`_compile_subpred`).  Nothing is
+# dispatched per row.
 
 
-def _generate_predicate(emitter: _Emitter, pred, depth: int) -> str:
-    """Emit statements computing ``pred``; returns the result variable."""
-    target = emitter.temp()
-    if isinstance(pred, ConstPred):
-        emitter.emit(depth, f"{target} = {pred.value!r}")
-        return target
-    if isinstance(pred, ComparePred) and pred.op in _OP_HELPERS:
-        helper = emitter.constant(_OP_HELPERS[pred.op], "_f")
-        left = _expr_source(emitter, pred.left)
-        right = _expr_source(emitter, pred.right)
-        emitter.emit(depth, f"{target} = {helper}({left}, {right})")
-        return target
-    if isinstance(pred, IsNullPred):
-        op = "is not" if pred.negated else "is"
-        expr = _expr_source(emitter, pred.expr)
-        emitter.emit(depth, f"{target} = ({expr} {op} None)")
-        return target
-    if isinstance(pred, AndPred):
-        left = _generate_predicate(emitter, pred.left, depth)
-        emitter.emit(depth, f"if {left} is False:")
-        emitter.emit(depth + 1, f"{target} = False")
-        emitter.emit(depth, "else:")
-        right = _generate_predicate(emitter, pred.right, depth + 1)
-        emitter.emit(
-            depth + 1,
-            f"{target} = False if {right} is False else "
-            f"(None if ({left} is None or {right} is None) else True)",
-        )
-        return target
-    if isinstance(pred, OrPred):
-        left = _generate_predicate(emitter, pred.left, depth)
-        emitter.emit(depth, f"if {left} is True:")
-        emitter.emit(depth + 1, f"{target} = True")
-        emitter.emit(depth, "else:")
-        right = _generate_predicate(emitter, pred.right, depth + 1)
-        emitter.emit(
-            depth + 1,
-            f"{target} = True if {right} is True else "
-            f"(None if ({left} is None or {right} is None) else False)",
-        )
-        return target
-    if isinstance(pred, NotPred):
-        operand = _generate_predicate(emitter, pred.operand, depth)
-        emitter.emit(
-            depth, f"{target} = (None if {operand} is None else not {operand})"
-        )
-        return target
-    # Subquery probes and opaque callables: captured as compiled closures.
-    probe = emitter.capture(_compile_subpred(pred, emitter.low))
-    emitter.emit(depth, f"{target} = {probe}(r, o)")
-    return target
+def _expr_fn(expr):
+    """A row expression as a closure ``(row, outers) -> value``."""
+    kind = type(expr)
+    if kind is ColumnRef:
+        index, depth = expr.index, expr.depth
+        if depth == 0:
+            return lambda r, o: r[index]
+        return lambda r, o: o[-depth][index]
+    if kind is LiteralExpr:
+        value = expr.value
+        return lambda r, o: value
+    return expr  # opaque callable: invoked as-is
 
 
-def compile_predicate(pred, stats: Optional[ScanKernelStats] = None):
-    """Compile a predicate tree into one generated function (or a
-    :class:`~repro.engine.expressions.ConstPred` when it folds away).
+def _comparison(op: str):
+    """The helper of comparison operator ``op``.  An operator without one
+    still compares to UNKNOWN when an operand is NULL, and raises only when
+    it is evaluated over two non-NULL operands."""
+    helper = _OP_HELPERS.get(op)
+    if helper is None:
 
-    The returned object is a ``(row, outers) -> Optional[bool]`` callable
-    either way; callers that can specialize on a constant verdict (e.g.
-    dropping a ``WHERE TRUE`` filter) check for ``ConstPred``.  ``stats``
-    is where the scan kernels of any subquery plan inside ``pred`` count;
-    a predicate holding a subquery runs as part of a plan
-    (:func:`compile_plan`), whose run holds the subquery's state.
-    """
-    lowering = _Lowering(stats or ScanKernelStats())
-    return _compile_folded(_fold_predicate(pred), lowering)
+        def helper(a, b):
+            if a is None or b is None:
+                return None
+            raise CompileError(f"unknown comparison operator: {op}")
+
+    return helper
 
 
-def _compile_folded(folded, low: _Lowering):
-    """:func:`compile_predicate` over an already folded tree."""
-    if isinstance(folded, ConstPred):
-        return folded
-    emitter = _Emitter(low)
-    result = _generate_predicate(emitter, folded, 0)
-    source = (
-        f"def _pred({emitter.signature('r, o')}):\n"
-        + "\n".join(emitter.lines)
-        + f"\n    return {result}\n"
-    )
-    return _assemble("_pred", source, emitter.captured, emitter.constants)
+def _leaf(pred):
+    """``(holds, index, value)`` when ``pred`` is a ``column op literal``
+    comparison over the current row — evaluated as ``holds(row[index],
+    value)`` — else None."""
+    if (
+        type(pred) is ComparePred
+        and type(pred.right) is LiteralExpr
+        and type(pred.left) is ColumnRef
+        and pred.left.depth == 0
+    ):
+        return _comparison(pred.op), pred.left.index, pred.right.value
+    return None
+
+
+def _and_fn(pred: AndPred, low: _Lowering):
+    """3VL AND, left first: the right side runs unless the left side is
+    FALSE — on left-UNKNOWN rows too, where only it can tell FALSE from
+    UNKNOWN.  A ``column op literal`` left side (the residual of every
+    prefix scan kernel) is evaluated inline."""
+    leaf = _leaf(pred.left)
+    left = None if leaf else _pred_fn(pred.left, low)
+    right = _pred_fn(pred.right, low)
+    if leaf:
+        holds, index, value = leaf
+
+        def and_leaf(r, o):
+            a = holds(r[index], value)
+            if a is False:
+                return False
+            b = right(r, o)
+            if b is False:
+                return False
+            return None if a is None or b is None else True
+
+        return and_leaf
+
+    def and_(r, o):
+        a = left(r, o)
+        if a is False:
+            return False
+        b = right(r, o)
+        if b is False:
+            return False
+        return None if a is None or b is None else True
+
+    return and_
+
+
+def _or_fn(pred: OrPred, low: _Lowering):
+    """3VL OR, left first: the right side runs unless the left side is
+    TRUE."""
+    left = _pred_fn(pred.left, low)
+    right = _pred_fn(pred.right, low)
+
+    def or_(r, o):
+        a = left(r, o)
+        if a is True:
+            return True
+        b = right(r, o)
+        if b is True:
+            return True
+        return None if a is None or b is None else False
+
+    return or_
+
+
+def _pred_fn(pred, low: _Lowering):
+    """The closure ``(row, outers) -> truth`` of a folded predicate tree,
+    its subquery probes' state numbered in ``low``."""
+    kind = type(pred)
+    if kind is ComparePred:
+        leaf = _leaf(pred)
+        if leaf:
+            holds, index, value = leaf
+            return lambda r, o: holds(r[index], value)
+        holds = _comparison(pred.op)
+        left, right = _expr_fn(pred.left), _expr_fn(pred.right)
+        return lambda r, o: holds(left(r, o), right(r, o))
+    if kind is AndPred:
+        return _and_fn(pred, low)
+    if kind is OrPred:
+        return _or_fn(pred, low)
+    if kind is NotPred:
+        operand = _pred_fn(pred.operand, low)
+
+        def not_(r, o):
+            a = operand(r, o)
+            return None if a is None else not a
+
+        return not_
+    if kind is IsNullPred:
+        expr = _expr_fn(pred.expr)
+        if pred.negated:
+            return lambda r, o: expr(r, o) is not None
+        return lambda r, o: expr(r, o) is None
+    if kind is ConstPred:
+        value = pred.value
+        return lambda r, o: value
+    return _compile_subpred(pred, low)
+
+
+def compile_predicate(pred):
+    """A predicate tree as its closure ``(row, outers) -> Optional[bool]``,
+    after exact constant folding — how every filter of a lowered plan tests
+    its rows.  A predicate holding a subquery runs as part of a plan
+    (:func:`compile_plan`), whose run holds the subquery's state."""
+    return _pred_fn(_fold_predicate(pred), _Lowering(None))
+
+
+def _row_fn(exprs: Sequence[RowExpr]):
+    """The closure ``(row, outers) -> tuple`` of a projection's output row,
+    or of the probe values of an IN predicate."""
+    indices = column_indices(exprs)
+    if indices and len(indices) > 1:
+        getter = itemgetter(*indices)
+        return lambda r, o: getter(r)
+    fns = tuple(map(_expr_fn, exprs))
+    return lambda r, o: tuple([fn(r, o) for fn in fns])
 
 
 # -- fused selection code generation ------------------------------------------
@@ -581,12 +464,12 @@ def _compile_folded(folded, low: _Lowering):
 #        if c0 is not None and c1 is not None and c0 < c1 and c0 == _k2]
 #
 # ``R`` holds the row tuples of a base-table scan (the scan kernels below)
-# and ``C[i]`` the vector of column ``i``, aligned with ``R``.  Like the
-# row-wise sources, the text is shape-keyed: literals and column positions
-# are hoisted, so one compilation serves every literal and every column.
+# and ``C[i]`` the vector of column ``i``, aligned with ``R``.  The text is
+# shape-keyed: literals and column positions are hoisted, so one
+# compilation serves every literal and every column.
 #
 # The generated expression is evaluation-congruent with the row-wise
-# tier, so a type clash raises on exactly the executions the row-wise
+# closures, so a type clash raises on exactly the executions the row-wise
 # order raises on (the caller's row-wise replay then reproduces the exact
 # error):
 #
@@ -649,7 +532,7 @@ _FUSE_BODY = {
 _FUSE_CAP = 4000
 
 #: Globals of every fused selection.
-_FUSE_NAMESPACE = {"_LF": _LIKE_FUNC, "__builtins__": {"zip": zip}}
+_FUSE_NAMESPACE = {"_LF": _like_match, "__builtins__": {"zip": zip}}
 
 
 def _probe_segments(pred) -> int:
@@ -663,11 +546,18 @@ def _probe_segments(pred) -> int:
     return 1
 
 
-class _FuseEmitter(_Constants):
-    """Operand bookkeeping for one fused selection comprehension."""
+class _FuseEmitter:
+    """Operand bookkeeping for one fused selection comprehension.
+
+    Every column position and literal the kernel reads gets a fresh
+    positional name — never deduped by value: ``A = 1 AND B = 1`` and ``A =
+    1 AND B = 2`` must generate the same text — bound as a default argument,
+    so the source is value-independent while the operand is still read with
+    a ``LOAD_FAST``."""
 
     def __init__(self):
-        super().__init__()
+        #: hoisted name -> value.
+        self.constants: Dict[str, object] = {}
         #: column position -> (loop variable, hoisted position name), in
         #: first-use order so the text does not depend on the positions.
         self.columns: Dict[int, Tuple[str, str]] = {}
@@ -690,6 +580,11 @@ class _FuseEmitter(_Constants):
             self.prelude.append(f"{name} = o[-{depth}][{self.constant(index, '_i')}]")
         return name
 
+    def constant(self, value, prefix: str = "_k") -> str:
+        name = f"{prefix}{len(self.constants)}"
+        self.constants[name] = value
+        return name
+
 
 def _fuse_operand(emitter: _FuseEmitter, expr) -> Tuple[str, bool]:
     """``(source, nullable)`` for an operand expression.
@@ -702,9 +597,7 @@ def _fuse_operand(emitter: _FuseEmitter, expr) -> Tuple[str, bool]:
             return emitter.column(expr.index), True
         return emitter.scalar(expr.depth, expr.index), True
     if isinstance(expr, LiteralExpr):
-        text = _literal_source(emitter, expr.value)
-        if text is not None:
-            return text, False
+        return emitter.constant(expr.value), False
     raise _Unvectorizable
 
 
@@ -803,34 +696,17 @@ def _compile_fused(pred, keep_unknown: bool = False):
         # type clashes raise per row (and not at all when empty) —
         # exactly the row-wise behaviour.
         comp = f"[x for x in R if {keep}]"
-    lines = [f"def _fsel({emitter.signature('R, C, o')}):"]
+    params = ", ".join(["R, C, o", *(f"{k}={k}" for k in emitter.constants)])
+    lines = [f"def _fsel({params}):"]
     lines.extend("    " + line for line in emitter.prelude)
     lines.append(f"    return {comp}")
-    source = "\n".join(lines) + "\n"
-    kernel = _assemble("_fsel", source, emitter.constants, base=_FUSE_NAMESPACE)
-    return kernel, tuple(emitter.columns)
-
-
-# -- row (projection / probe-value) compilation -------------------------------
-
-
-def compile_row(exprs: Sequence[RowExpr]) -> Callable[[Row, OuterStack], Row]:
-    """One generated function building the output tuple of a projection
-    (or the probe values of an IN predicate) in a single call frame."""
-    emitter = _Emitter()
-    parts = [_expr_source(emitter, expr) for expr in exprs]
-    body = ", ".join(parts) + ("," if len(parts) == 1 else "")
-    source = f"def _row({emitter.signature('r, o')}):\n    return ({body})\n"
-    return _assemble("_row", source, emitter.captured, emitter.constants)
-
-
-def _row_fn(exprs: Sequence[RowExpr], low: _Lowering):
-    """:func:`compile_row` under codegen; without it (``low.stats`` None) a
-    tuple over the expression objects themselves."""
-    if low.stats is not None:
-        return compile_row(exprs)
-    exprs = tuple(exprs)
-    return lambda r, o: tuple([expr(r, o) for expr in exprs])
+    namespace = dict(_FUSE_NAMESPACE, **emitter.constants)
+    exec(_compiled_code("\n".join(lines) + "\n"), namespace)
+    # pop, not read: the kernel's globals are this namespace, and leaving
+    # the kernel in it would make every kernel a reference cycle that only
+    # the cyclic collector frees — single-use plans would then pile up until
+    # the next full collection.
+    return namespace.pop("_fsel"), tuple(emitter.columns)
 
 
 # -- run state ----------------------------------------------------------------
@@ -1031,7 +907,7 @@ def _compile_exists_probe(pred: ExistsProbe, low: _Lowering):
 
 def _compile_in_pred(pred: InPred, low: _Lowering):
     sub_rows = _rows_fn(pred.subplan, low)
-    values_fn = _row_fn(pred.exprs, low)
+    values_fn = _row_fn(pred.exprs)
     negated = pred.negated
     refs = pred._refs
 
@@ -1119,7 +995,7 @@ def _compile_semi_join_probe(pred: SemiJoinProbe, low: _Lowering):
 
         return in_column
     lookup = pred.lookup
-    values_fn = _row_fn(pred.exprs, low)
+    values_fn = _row_fn(pred.exprs)
 
     def semi_join(r, o):
         build = o[0].slots[slot]
@@ -1362,18 +1238,11 @@ def _compile_scan_kernel(node: FilterOp, folded, low: _Lowering):
     table_of = _scan_table(node.child, low)
     indexed, run = _index_run(conjuncts[:lead])
     nulls_too = len(run) < len(conjuncts)
-    # What the caller still has to test on the rows it is handed: after a
-    # prefix kernel, the full predicate.
-    residual = None if whole else _compile_folded(folded, low)
-    row_pred = residual
+    # The row-wise predicate: what a fallback replays, and what the caller
+    # still has to test on the rows it is handed after a prefix kernel.
+    row_pred = _pred_fn(folded, low)
 
     def replay(rows, outers):
-        # A whole-predicate kernel compiles its row-wise twin on the first
-        # fallback only: a single-use plan pays for one code generation.
-        # Its predicate holds no subquery, so it needs no run slot.
-        nonlocal row_pred
-        if row_pred is None:
-            row_pred = _compile_folded(folded, _Lowering(stats))
         p = row_pred
         return (row for row in rows if p(row, outers) is True)
 
@@ -1417,46 +1286,29 @@ def _compile_scan_kernel(node: FilterOp, folded, low: _Lowering):
                 return chain.from_iterable(batches(data, outers, vectors))
         return chain.from_iterable(batches(data, outers, table=table))
 
-    return scan_kernel, residual
-
-
-def _probes_lowered(pred, low: _Lowering):
-    """``pred`` itself, evaluated by its own ``__call__``, with each subquery
-    probe inside it swapped for its codegen-off closure."""
-    kind = type(pred)
-    if kind is ComparePred or kind is IsNullPred or kind is ConstPred:
-        return pred
-    if kind is AndPred or kind is OrPred:
-        left = _probes_lowered(pred.left, low)
-        right = _probes_lowered(pred.right, low)
-        if left is pred.left and right is pred.right:
-            return pred
-        return kind(left, right)
-    if kind is NotPred:
-        operand = _probes_lowered(pred.operand, low)
-        return pred if operand is pred.operand else NotPred(operand)
-    return _compile_subpred(pred, low)
+    return scan_kernel, None if whole else row_pred
 
 
 def _split_filter(node: PlanNode, low: _Lowering):
     """Peel a FilterOp for fusion: ``(compiled input, predicate | ConstPred
-    | None)`` — the rows to draw from and what is left to test on each.
-    Under codegen the predicate is generated, and a filter over a
-    base-table scan draws from its scan kernel."""
+    | None)`` — the rows to draw from and what is left to test on each,
+    its folded predicate's closure or the constant it folded to.  Under
+    kernels a filter over a base-table scan draws from its scan kernel."""
     if not isinstance(node, FilterOp):
         return _iter_fn(node, low), None
-    if low.stats is None:
-        return _iter_fn(node.child, low), _probes_lowered(node.predicate, low)
     folded = _fold_predicate(node.predicate)
-    if isinstance(node.child, TableScan) and not isinstance(folded, ConstPred):
+    if isinstance(folded, ConstPred):
+        return _iter_fn(node.child, low), folded
+    if low.stats is not None and isinstance(node.child, TableScan):
         lowered = _compile_scan_kernel(node, folded, low)
         if lowered is not None:
             return lowered
-    return _iter_fn(node.child, low), _compile_folded(folded, low)
+    return _iter_fn(node.child, low), _pred_fn(folded, low)
 
 
-def _compile_filter(node: FilterOp, low: _Lowering) -> IterFn:
-    child_iter, pred = _split_filter(node, low)
+def _filtered(child_iter: IterFn, pred) -> IterFn:
+    """``child_iter``'s rows on which ``pred`` (as :func:`_split_filter`
+    returns it) is TRUE."""
     if pred is None:
         return child_iter
     if isinstance(pred, ConstPred):
@@ -1473,30 +1325,30 @@ def _compile_filter(node: FilterOp, low: _Lowering) -> IterFn:
     return filter_iter
 
 
+def _compile_filter(node: FilterOp, low: _Lowering) -> IterFn:
+    return _filtered(*_split_filter(node, low))
+
+
 def _compile_project(node: ProjectOp, low: _Lowering) -> IterFn:
     child_iter, pred = _split_filter(node.child, low)
-    if isinstance(pred, ConstPred):
-        if pred.value is True:
-            pred = None
-        else:
-            return _drained(child_iter)
     indices = column_indices(node.expressions)
-    if pred is None:
-        if indices:
-            getter = itemgetter(*indices)
-            if len(indices) > 1:
-                return lambda outers: map(getter, child_iter(outers))
-            # One column: zip() wraps each value into its 1-tuple.
-            return lambda outers: zip(map(getter, child_iter(outers)))
-        row_fn = _row_fn(node.expressions, low)
+    if indices:
+        rows = _filtered(child_iter, pred)
+        getter = itemgetter(*indices)
+        if len(indices) > 1:
+            return lambda outers: map(getter, rows(outers))
+        # One column: zip() wraps each value into its 1-tuple.
+        return lambda outers: zip(map(getter, rows(outers)))
+    row_fn = _row_fn(node.expressions)
+    if pred is None or isinstance(pred, ConstPred):
+        rows = _filtered(child_iter, pred)
 
         def project_iter(outers):
             build = row_fn
-            for row in child_iter(outers):
+            for row in rows(outers):
                 yield build(row, outers)
 
         return project_iter
-    row_fn = _row_fn(node.expressions, low)
 
     def filter_project_iter(outers):
         p = pred
@@ -1796,18 +1648,18 @@ def _iter_fn(node: PlanNode, low: _Lowering) -> IterFn:
 def compile_plan(
     plan: PlanNode,
     stats: Optional[ScanKernelStats] = None,
-    codegen: bool = True,
+    kernels: bool = True,
 ) -> Tuple[IterFn, int]:
     """Lower a physical plan into its closure tree: ``(root, slots)``.
 
     ``root`` iterates the plan's rows when called with an outer stack whose
     root is a :class:`Run` holding ``slots`` state slots
     (:meth:`repro.engine.planner.CompiledQuery.run` makes one per
-    execution).  ``codegen`` generates the predicates and scan kernels
-    (module docstring); ``stats`` is where the plan's scan kernels count
+    execution).  ``kernels`` runs each filter over a base-table scan as a scan
+    kernel where it can (module docstring); ``stats`` is where the plan's scan kernels count
     what they do (the engine passes its own; without one the counts go
     nowhere).
     """
-    low = _Lowering((stats or ScanKernelStats()) if codegen else None)
+    low = _Lowering((stats or ScanKernelStats()) if kernels else None)
     root = _iter_fn(plan, low)
     return root, low.slots

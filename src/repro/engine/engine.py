@@ -16,27 +16,25 @@ guaranteeing both paths agree with the formal semantics.
 
 Every plan, naive or optimized, runs as nested Python closures
 (:func:`repro.engine.compile.compile_plan`, the one executor): operators
-capture their children's lowered iterators directly, and per-node dispatch
-disappears from the hot path.  Generated code on top of that — predicate
-trees as one generated function each, and a filter over a base-table scan
-as a *scan kernel*, one generated comprehension over the table's column
-vectors replayed row-wise on a type clash (:mod:`repro.engine.compile`,
-"scan kernels") — is decided per optimized plan from what the engine can
-observe: the plan will be reused (plan-cache admission — generate once,
-execute many), or its single execution reads at least
-``SINGLE_USE_COMPILE_ROWS`` rows under its scans (known exactly before
-planning: every execution first records the sizes of its database's
-tables).  So
-``plan_cache_size=0`` callers get the right lowering at both ends — the
-paper campaign's fresh query per trial over 6-row tables keeps its
-predicate objects (generating code would triple its engine time), while
-the live-DBMS campaign over a 10^4-row database runs 2-3x faster with
-generated code, and so do the service's ad-hoc ``POST /query`` requests
-over a tenant of that size.  Outcomes are bit-identical either way: the
-lowering without codegen is the row-wise reference the digest gates of
-``scripts/bench.py`` hold generated code to.  No knob selects it, and
-``cache_info()["scan_kernels"]`` counts the kernels' scans, rows and
-fallbacks.
+capture their children's lowered iterators directly, and every predicate is
+a closure composed once at lowering, so per-node dispatch disappears from
+the hot path.  The only generated code is the *scan kernel*: a filter over a
+base-table scan as one generated comprehension over the table's column
+vectors, replayed row-wise through the closures on a type clash
+(:mod:`repro.engine.compile`, "scan kernels").  Whether a plan gets scan
+kernels is decided per optimized plan from what the engine can observe: the
+plan will be reused (plan-cache admission — generate once, execute many), or
+its single execution reads at least ``SINGLE_USE_COMPILE_ROWS`` rows under
+its scans (known exactly before planning: every execution first records the
+sizes of its database's tables).  So ``plan_cache_size=0`` callers get the
+right lowering at both ends — the paper campaign's fresh query per trial
+over 6-row tables filters through closures alone, while the live-DBMS
+campaign over a 10^4-row database runs its filters as kernels, and so do
+the service's ad-hoc ``POST /query`` requests over a tenant of that size.
+Outcomes are bit-identical either way: the closures are the row-wise
+reference the digest gates of ``scripts/bench.py`` hold the kernels to.  No
+knob selects it, and ``cache_info()["scan_kernels"]`` counts the kernels'
+scans, rows and fallbacks.
 
 Plan cache
 ----------
@@ -109,17 +107,16 @@ REOPT_DRIFT_FACTOR = 2.0
 
 #: Rows under a plan's ``TableScan`` leaves (summed per scan, subquery
 #: plans included; exact, recorded before planning) from which a *single-use*
-#: plan — one the plan cache will not retain — still gets generated code
-#: (predicates and scan kernels).  Code generation is a fixed cost per
-#: query, evaluating the predicate objects a cost per row.  Measured on
-#: fresh query streams from both generators (docs/BENCHMARKS.md,
-#: "Single-use lowering break-even"): mean time breaks even at 32-64 bound
-#: rows, but below 128 the *median* paper-generator query still loses; from
-#: 128 the median query of both generators is >= 1.4x faster with generated
-#: code (means 1.5x-3.9x), and the paper campaign (<= 36 bound rows, 2.9x
-#: slower with it) keeps its predicate objects.  Deliberately a constant,
-#: not a knob.
-SINGLE_USE_COMPILE_ROWS = 128
+#: plan — one the plan cache will not retain — still gets scan kernels.
+#: Generating a kernel is a fixed cost per query, testing rows through the
+#: predicate closures a cost per row.  Measured on fresh query streams from
+#: both generators, kernels against closures (docs/BENCHMARKS.md,
+#: "Single-use lowering break-even"): from 1,024 bound rows the median
+#: FK-walk query is faster with kernels (1.04-1.09x), below it slower (the
+#: median paper-generator query stays below 1x up to the 767 rows measured);
+#: the paper campaign (<= 36 bound rows) never gets them.  Deliberately a
+#: constant, not a knob.
+SINGLE_USE_COMPILE_ROWS = 1024
 
 
 def _estimate_plan_bytes(compiled: CompiledQuery) -> int:
@@ -137,14 +134,15 @@ def _estimate_plan_bytes(compiled: CompiledQuery) -> int:
 def _as_table(labels, rows) -> Table:
     # NULL restoration at the output boundary: one C-speed pass looks for
     # None, and only a result that holds one rebuilds its NULL rows; every
-    # other row tuple becomes a bag record as it is.
+    # other row tuple becomes a bag record as it is, in the one list the bag
+    # then keeps.
     rows = list(rows)
     if None in chain.from_iterable(rows):
         rows = [
             row if None not in row else tuple(NULL if v is None else v for v in row)
             for row in rows
         ]
-    return Table(labels, Bag(rows))
+    return Table(labels, Bag._adopt(rows))
 
 
 def _as_rows(labels, rows):
@@ -315,14 +313,14 @@ class Engine:
                     )
                     bound_rows += node.observed_rows or 0
             plan, cost_sensitive = optimize_plan(plan, **self.optimizer_options)
-        # Code is generated when it pays: the plan will be reused (cache
-        # admission — generate once, execute many), or its one execution
-        # walks enough rows to amortize generation.  The naive tier never
-        # gets it.
-        codegen = self.optimize and (
+        # Scan kernels are generated when they pay: the plan will be reused
+        # (cache admission — generate once, execute many), or its one
+        # execution walks enough rows to amortize generation.  The naive
+        # tier never gets them.
+        kernels = self.optimize and (
             self.plan_cache_size > 0 or bound_rows >= SINGLE_USE_COMPILE_ROWS
         )
-        root, slots = compile_plan(plan, self._scan_kernels, codegen)
+        root, slots = compile_plan(plan, self._scan_kernels, kernels)
         return CompiledQuery(
             plan,
             compiled.labels,

@@ -10,23 +10,25 @@ resolves correlated references.
 
 Only the input/output boundary converts between the two representations.
 
-Besides the two row expressions (:class:`ColumnRef`, :class:`LiteralExpr`),
-this module defines the *structured predicate nodes* the planner compiles
-WHERE clauses into (:class:`ComparePred`, :class:`IsNullPred`,
-:class:`AndPred`, …).  They are callables with the same
-``(row, outers) -> Optional[bool]`` signature the operators expect, but —
-unlike opaque closures — they expose which ``(depth, index)`` positions they
-read (:func:`expr_refs` / the nodes' ``refs()``), which is what lets the
-optimizer (:mod:`repro.engine.optimizer`) push filters below joins and turn
-equality conjuncts into hash joins.  Depth 0 is the current row; depth k > 0
-is the k-th enclosing row of a correlated subquery.
+This module holds the *data* the planner compiles terms and WHERE clauses
+into — the row expressions :class:`ColumnRef` and :class:`LiteralExpr`, and
+the predicate nodes (:class:`ComparePred`, :class:`IsNullPred`,
+:class:`AndPred`, …) — and the one definition of what they compute: the 3VL
+connectives (:func:`and3`, :func:`or3`, :func:`not3`) and one comparison
+helper per operator (:data:`_OP_HELPERS`).  The nodes expose which
+``(depth, index)`` positions they read (:func:`expr_refs` / the nodes'
+``refs()``), which is what lets the optimizer (:mod:`repro.engine.optimizer`)
+push filters below joins and turn equality conjuncts into hash joins; they
+do not evaluate themselves — :mod:`repro.engine.compile` lowers them to
+closures over these helpers.  Depth 0 is the current row; depth k > 0 is
+the k-th enclosing row of a correlated subquery.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, Optional, Sequence, Tuple, Union
 
 from ..core.errors import CompileError
 
@@ -53,8 +55,6 @@ __all__ = [
     "and3",
     "or3",
     "not3",
-    "compare",
-    "COMPARE_FUNCS",
 ]
 
 #: A runtime row: a tuple of ints/strings/None.
@@ -72,11 +72,6 @@ class ColumnRef:
     depth: int
     index: int
 
-    def __call__(self, row: Row, outers: OuterStack) -> object:
-        if self.depth == 0:
-            return row[self.index]
-        return outers[-self.depth][self.index]
-
     def refs(self) -> "Refs":
         return frozenset({(self.depth, self.index)})
 
@@ -87,14 +82,13 @@ class LiteralExpr:
 
     value: object
 
-    def __call__(self, row: Row, outers: OuterStack) -> object:
-        return self.value
-
     def refs(self) -> "Refs":
         return frozenset()
 
 
-RowExpr = Callable[[Row, OuterStack], object]
+#: A row expression: a :class:`ColumnRef`, a :class:`LiteralExpr`, or an
+#: opaque ``(row, outers) -> value`` callable, evaluated as it is.
+RowExpr = Union[ColumnRef, LiteralExpr, Callable[[Row, OuterStack], object]]
 
 #: The positions an expression or predicate reads: a set of (depth, index)
 #: pairs, depth 0 being the current row.
@@ -190,9 +184,14 @@ def not3(a: Optional[bool]) -> Optional[bool]:
 
 
 # -- comparisons -----------------------------------------------------------------
+#
+# One helper per operator: UNKNOWN (None) when either operand is NULL;
+# equality never holds across the str boundary, and an ordered comparison
+# across it raises.
 
 
-def _like(value: object, pattern: object) -> bool:
+def _like_match(value: object, pattern: object) -> bool:
+    """LIKE over two non-NULL operands."""
     if not isinstance(value, str) or not isinstance(pattern, str):
         raise CompileError("LIKE is defined on strings only")
     regex = "".join(
@@ -201,44 +200,71 @@ def _like(value: object, pattern: object) -> bool:
     return re.fullmatch(regex, value) is not None
 
 
-def _ordered(op: str, a: object, b: object) -> bool:
+def _eq(a, b):
+    if a is None or b is None:
+        return None
+    return a == b and isinstance(a, str) == isinstance(b, str)
+
+
+def _ne(a, b):
+    if a is None or b is None:
+        return None
+    return not (a == b and isinstance(a, str) == isinstance(b, str))
+
+
+def _lt(a, b):
+    if a is None or b is None:
+        return None
     if isinstance(a, str) != isinstance(b, str):
-        raise CompileError(f"type clash in comparison: {a!r} {op} {b!r}")
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
+        raise CompileError(f"type clash in comparison: {a!r} < {b!r}")
+    return a < b
+
+
+def _le(a, b):
+    if a is None or b is None:
+        return None
+    if isinstance(a, str) != isinstance(b, str):
+        raise CompileError(f"type clash in comparison: {a!r} <= {b!r}")
+    return a <= b
+
+
+def _gt(a, b):
+    if a is None or b is None:
+        return None
+    if isinstance(a, str) != isinstance(b, str):
+        raise CompileError(f"type clash in comparison: {a!r} > {b!r}")
+    return a > b
+
+
+def _ge(a, b):
+    if a is None or b is None:
+        return None
+    if isinstance(a, str) != isinstance(b, str):
+        raise CompileError(f"type clash in comparison: {a!r} >= {b!r}")
     return a >= b
 
 
-COMPARE_FUNCS = {
-    "=": lambda a, b: a == b and isinstance(a, str) == isinstance(b, str),
-    "<>": lambda a, b: not (a == b and isinstance(a, str) == isinstance(b, str)),
-    "<": lambda a, b: _ordered("<", a, b),
-    "<=": lambda a, b: _ordered("<=", a, b),
-    ">": lambda a, b: _ordered(">", a, b),
-    ">=": lambda a, b: _ordered(">=", a, b),
+def _like(a, b):
+    if a is None or b is None:
+        return None
+    return _like_match(a, b)
+
+
+#: Comparison operator -> its helper ``(a, b) -> Optional[bool]``.
+_OP_HELPERS = {
+    "=": _eq,
+    "<>": _ne,
+    "<": _lt,
+    "<=": _le,
+    ">": _gt,
+    ">=": _ge,
     "LIKE": _like,
 }
 
 
-def compare(op: str, a: object, b: object) -> Optional[bool]:
-    """SQL comparison: None (unknown) when either side is NULL."""
-    if a is None or b is None:
-        return None
-    try:
-        func = COMPARE_FUNCS[op]
-    except KeyError:
-        raise CompileError(f"unknown comparison operator: {op}") from None
-    return func(a, b)
-
-
 # -- predicate nodes ---------------------------------------------------------
 #
-# Structured, introspectable replacements for the closures the planner used
-# to emit.  ``refs()`` returns the (depth, index) positions the predicate
+# Plain data: what a WHERE clause computes, never how.  ``refs()`` returns the (depth, index) positions the predicate
 # reads (None when it contains an opaque callable), and ``shifted(offset)``
 # rebuilds the predicate with depth-0 indices re-based for evaluation inside
 # a join child (None when the predicate cannot be safely relocated, e.g.
@@ -250,12 +276,9 @@ ExprRewrite = Callable[[RowExpr], Optional[RowExpr]]
 
 
 class PredNode:
-    """Base class of compiled WHERE predicates: a 3VL callable with refs."""
+    """Base class of compiled WHERE predicates: a 3VL condition with refs."""
 
     __slots__ = ()
-
-    def __call__(self, row: Row, outers: OuterStack) -> Optional[bool]:
-        raise NotImplementedError
 
     def refs(self) -> Optional[Refs]:
         """All (depth, index) positions read, or None if not introspectable."""
@@ -290,9 +313,6 @@ class ConstPred(PredNode):
     def __init__(self, value: Optional[bool]):
         self.value = value
 
-    def __call__(self, row: Row, outers: OuterStack) -> Optional[bool]:
-        return self.value
-
     def refs(self) -> Refs:
         return frozenset()
 
@@ -309,9 +329,6 @@ class ComparePred(PredNode):
         self.op = op
         self.left = left
         self.right = right
-
-    def __call__(self, row: Row, outers: OuterStack) -> Optional[bool]:
-        return compare(self.op, self.left(row, outers), self.right(row, outers))
 
     def refs(self) -> Optional[Refs]:
         left = expr_refs(self.left)
@@ -336,11 +353,6 @@ class IsNullPred(PredNode):
     def __init__(self, expr: RowExpr, negated: bool = False):
         self.expr = expr
         self.negated = negated
-
-    def __call__(self, row: Row, outers: OuterStack) -> bool:
-        if self.negated:
-            return self.expr(row, outers) is not None
-        return self.expr(row, outers) is None
 
     def refs(self) -> Optional[Refs]:
         return expr_refs(self.expr)
@@ -380,12 +392,6 @@ class AndPred(PredNode):
         self.left = left
         self.right = right
 
-    def __call__(self, row: Row, outers: OuterStack) -> Optional[bool]:
-        a = self.left(row, outers)
-        if a is False:
-            return False
-        return and3(a, self.right(row, outers))
-
     def refs(self) -> Optional[Refs]:
         return _child_refs(self.left, self.right)
 
@@ -406,12 +412,6 @@ class OrPred(PredNode):
         self.left = left
         self.right = right
 
-    def __call__(self, row: Row, outers: OuterStack) -> Optional[bool]:
-        a = self.left(row, outers)
-        if a is True:
-            return True
-        return or3(a, self.right(row, outers))
-
     def refs(self) -> Optional[Refs]:
         return _child_refs(self.left, self.right)
 
@@ -430,9 +430,6 @@ class NotPred(PredNode):
 
     def __init__(self, operand: Callable):
         self.operand = operand
-
-    def __call__(self, row: Row, outers: OuterStack) -> Optional[bool]:
-        return not3(self.operand(row, outers))
 
     def refs(self) -> Optional[Refs]:
         return _child_refs(self.operand)

@@ -41,7 +41,7 @@ optimizer (:mod:`repro.engine.optimizer`):
   their equality correlation keys).
 
 Join and probe builds rest on one *equality lemma*: on non-NULL values
-SQL's ``=`` (:func:`~repro.engine.expressions.compare`) holds iff Python
+SQL's ``=`` (``_OP_HELPERS["="]`` of :mod:`repro.engine.expressions`) holds iff Python
 ``==`` does — the paper's syntactic equality (Definition 2, which
 :mod:`repro.core.values` already equates with Python's), and Python never
 equates a string with a number.  So a dict keyed by the raw values (a
@@ -65,12 +65,12 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .expressions import (
+    _OP_HELPERS,
     OuterStack,
     Refs,
     Row,
     RowExpr,
     and3,
-    compare,
     expr_refs,
     merge_refs,
     or3,
@@ -172,6 +172,10 @@ def _outer_part(refs: Optional[Refs]) -> Optional[Refs]:
     return frozenset(r for r in refs if r[0] >= 1)
 
 
+#: SQL's ``=`` under 3VL.
+_EQ = _OP_HELPERS["="]
+
+
 def _in_fold(values: Row, sub_rows) -> Optional[bool]:
     """The 3VL fold of ``t̄ IN Q``: the disjunction over Q's rows of the
     conjunction of per-position equalities, with short-circuits."""
@@ -179,7 +183,7 @@ def _in_fold(values: Row, sub_rows) -> Optional[bool]:
     for sub_row in sub_rows:
         comparison: Optional[bool] = True
         for a, b in zip(values, sub_row):
-            comparison = and3(comparison, compare("=", a, b))
+            comparison = and3(comparison, _EQ(a, b))
             if comparison is False:
                 break
         result = or3(result, comparison)
@@ -346,10 +350,9 @@ class HashJoin(PlanNode):
 
     Replaces ``σ_{l=r}(L × R)``.  By the equality lemma (module docstring)
     the table is keyed by the raw key value — the ``itemgetter`` tuple for a
-    composite key — so ``1`` and ``'1'`` never meet, exactly as under
-    :func:`repro.engine.expressions.compare`; build rows whose key holds a
-    NULL are left out (the equality they stand in for would be unknown), so
-    a NULL-holding probe key misses.  Output rows are ``left + right``
+    composite key — so ``1`` and ``'1'`` never meet, exactly as under SQL's
+    ``=``; build rows whose key holds a NULL are left out (the equality they
+    stand in for would be unknown), so a NULL-holding probe key misses.  Output rows are ``left + right``
     concatenations, preserving the FROM-clause column layout.
     """
 

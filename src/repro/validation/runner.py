@@ -113,10 +113,9 @@ class ValidationRunner:
         # queries (the equivalence checker, direct Engine use) keep the
         # default cache.  Trial plans also run without generated code, by
         # the engine's own rule rather than by this setting: a single-use
-        # plan gets generated predicates and scan kernels only when its
-        # scans read SINGLE_USE_COMPILE_ROWS or more, and a trial reads at
-        # most a few dozen rows (code generation would cost 3x what it
-        # saves here; raising ``data_config.max_rows`` far enough flips the
+        # plan gets scan kernels only when its scans read
+        # SINGLE_USE_COMPILE_ROWS or more, and a trial reads at most a few
+        # dozen rows (raising ``data_config.max_rows`` far enough flips the
         # decision per query).
         if variant == "postgres":
             self.star_style = STAR_COMPOSITIONAL

@@ -1,33 +1,37 @@
-"""The closure-generating compiler (:mod:`repro.engine.compile`).
+"""The executor's lowering (:mod:`repro.engine.compile`).
 
-Pins the contracts the compiler must keep:
+Pins the contracts the lowering must keep:
 
-* a compiled predicate tree is one function that agrees with the
-  interpreted ``PredNode`` chain on every 3VL input — including *which*
-  errors are raised, and when;
+* a predicate tree lowers to composed closures that agree with the formal
+  semantics' own 3VL connectives and comparisons on every input, evaluated
+  in the engine's left-to-right order — including *which* errors are
+  raised, and when;
 * constant folding is exact: total comparisons fold, raising ones do not,
-  and the 3VL connectives absorb constants only along the interpreted
+  and the 3VL connectives absorb constants only along the row-wise
   short-circuit order;
 * a lowered plan is a function of the database it runs over: cached plans
   hold no rows and no state between runs, each run reads its own
   database, and the build-side cache keeps sharing structures;
-* every plan is lowered, and code is generated when that pays: at
-  plan-cache admission, or — for single-use plans (``plan_cache_size=0``)
-  — once the rows bound under its scans reach ``SINGLE_USE_COMPILE_ROWS``;
-  validation trials keep their predicate objects;
-* generated sources are shape-keyed: literals, column indices and
-  comparison operators never reach the process-wide code cache's keys, and
-  the cache sheds its oldest entry, never everything, when full.
+* scan kernels are the only generated code, and they are generated when
+  that pays: at plan-cache admission, or — for single-use plans
+  (``plan_cache_size=0``) — once the rows bound under a plan's scans reach
+  ``SINGLE_USE_COMPILE_ROWS``; validation trials filter through closures
+  alone;
+* kernel sources are shape-keyed: literals and column indices never reach
+  the process-wide code cache's keys, and the cache sheds its oldest entry,
+  never everything, when full.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.core import NULL, Database, Schema
 from repro.core.errors import CompileError
+from repro.core.truth import FALSE, TRUE, UNKNOWN, Truth, conj, disj, neg
 from repro.engine import Engine, compile_predicate
 from repro.engine import compile as compile_module
 from repro.engine import engine as engine_module
-from repro.engine.compile import compile_row
 from repro.engine.expressions import (
     AndPred,
     ColumnRef,
@@ -39,10 +43,12 @@ from repro.engine.expressions import (
     OrPred,
 )
 from repro.engine.operators import FilterOp, StaticScan
+from repro.semantics.predicates import default_registry
 from repro.service.protocol import bind_parameters, expand_placeholders
 from repro.sql import annotate
+from repro.sql.ast import Predicate
 
-from ..executor import CodegenOffEngine, generated_code, lowered
+from ..executor import CodegenOffEngine, generated_code, generated_functions, lowered
 
 SCHEMA = Schema({"R": ("A", "B"), "S": ("A",)})
 
@@ -51,11 +57,60 @@ def make_db(rows_r, rows_s):
     return Database(SCHEMA, {"R": rows_r, "S": rows_s})
 
 
-def run(pred, row, outers=()):
-    return pred(row, outers)
+# -- the reference: the formal semantics' own logic ---------------------------
+
+#: The oracle's comparisons (Section 2's collection P).
+REGISTRY = default_registry()
+
+#: Truth value -> the engine's representation of it.
+AS_ENGINE = {TRUE: True, FALSE: False, UNKNOWN: None}
 
 
-# -- predicate compilation ----------------------------------------------------
+def reference(pred, row, outers=()) -> Truth:
+    """``pred`` over ``row`` under the formal semantics' connectives
+    (``conj`` / ``disj`` / ``neg``) and comparisons, NULL as None, in the
+    engine's evaluation order: an AND or OR evaluates its right side unless
+    its left side alone decides it."""
+
+    def value(expr):
+        if isinstance(expr, LiteralExpr):
+            return expr.value
+        return row[expr.index] if expr.depth == 0 else outers[-expr.depth][expr.index]
+
+    if isinstance(pred, ConstPred):
+        return {True: TRUE, False: FALSE, None: UNKNOWN}[pred.value]
+    if isinstance(pred, ComparePred):
+        args = (value(pred.left), value(pred.right))
+        if None in args:
+            return UNKNOWN
+        return Truth.from_bool(REGISTRY.holds(pred.op, args))
+    if isinstance(pred, IsNullPred):
+        return Truth.from_bool((value(pred.expr) is None) is not pred.negated)
+    if isinstance(pred, AndPred):
+        left = reference(pred.left, row, outers)
+        return FALSE if left is FALSE else conj(left, reference(pred.right, row, outers))
+    if isinstance(pred, OrPred):
+        left = reference(pred.left, row, outers)
+        return TRUE if left is TRUE else disj(left, reference(pred.right, row, outers))
+    if isinstance(pred, NotPred):
+        return neg(reference(pred.operand, row, outers))
+    raise TypeError(pred)
+
+
+def assert_agrees(pred, row, outers=()):
+    """The closure of ``pred`` gives the reference's truth value on ``row``,
+    or raises a ``CompileError`` exactly where the reference does."""
+    closure = compile_predicate(pred)
+    try:
+        expected = AS_ENGINE[reference(pred, row, outers)]
+    except CompileError:
+        with pytest.raises(CompileError):
+            closure(row, outers)
+        return
+    assert closure(row, outers) is expected, (row, outers)
+
+
+# -- predicate lowering -------------------------------------------------------
 
 
 PRED_CASES = [
@@ -63,17 +118,37 @@ PRED_CASES = [
     ComparePred("<>", ColumnRef(0, 0), LiteralExpr(3)),
     ComparePred("<", ColumnRef(0, 0), ColumnRef(0, 1)),
     ComparePred(">=", ColumnRef(0, 1), LiteralExpr(2)),
+    ComparePred("<=", LiteralExpr("a"), ColumnRef(0, 1)),
+    ComparePred(">", ColumnRef(0, 0), LiteralExpr(None)),
+    ComparePred("LIKE", ColumnRef(0, 0), LiteralExpr("a%")),
+    ComparePred("=", ColumnRef(0, 0), LiteralExpr(True)),
     IsNullPred(ColumnRef(0, 0)),
     IsNullPred(ColumnRef(0, 1), negated=True),
     AndPred(
         ComparePred("=", ColumnRef(0, 0), LiteralExpr(1)),
         IsNullPred(ColumnRef(0, 1), negated=True),
     ),
+    AndPred(
+        ComparePred("<", ColumnRef(0, 1), ColumnRef(0, 0)),
+        ComparePred("=", ColumnRef(0, 0), LiteralExpr(1)),
+    ),
     OrPred(
         ComparePred("=", ColumnRef(0, 0), LiteralExpr(1)),
         ComparePred("=", ColumnRef(0, 1), LiteralExpr(2)),
     ),
     NotPred(ComparePred("=", ColumnRef(0, 0), ColumnRef(0, 1))),
+    NotPred(
+        AndPred(
+            ComparePred("=", ColumnRef(0, 0), LiteralExpr(1)),
+            ComparePred("<", ColumnRef(0, 1), LiteralExpr(2)),
+        )
+    ),
+    NotPred(
+        OrPred(
+            ComparePred("<>", ColumnRef(0, 0), LiteralExpr(1)),
+            ComparePred(">", ColumnRef(0, 1), LiteralExpr(1)),
+        )
+    ),
     AndPred(
         OrPred(
             IsNullPred(ColumnRef(0, 0)),
@@ -93,43 +168,62 @@ ROWS = [
     ("a", "b"),
     ("a", "a"),
     ("1", 1),
+    (1, "1"),
 ]
 
 
 @pytest.mark.parametrize("pred", PRED_CASES, ids=lambda p: type(p).__name__)
-def test_compiled_predicate_matches_interpreted_on_3vl_grid(pred):
-    compiled = compile_predicate(pred)
+def test_predicate_closures_match_the_formal_semantics_on_3vl_grid(pred):
     for row in ROWS:
-        try:
-            expected = run(pred, row)
-            raised = None
-        except CompileError as exc:
-            expected, raised = None, exc
-        if raised is None:
-            assert run(compiled, row) == expected, row
-        else:
-            with pytest.raises(CompileError) as caught:
-                run(compiled, row)
-            assert str(caught.value) == str(raised), row
+        assert_agrees(pred, row)
 
 
-def test_compiled_predicate_matches_interpreted_error_messages():
-    pred = ComparePred("<", ColumnRef(0, 0), ColumnRef(0, 1))
-    compiled = compile_predicate(pred)
-    with pytest.raises(CompileError) as interpreted_err:
-        run(pred, ("a", 1))
-    with pytest.raises(CompileError) as compiled_err:
-        run(compiled, ("a", 1))
-    assert str(compiled_err.value) == str(interpreted_err.value)
+@pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+def test_predicate_closures_word_type_clashes_as_the_engine_does(op):
+    """Where the oracle finds a type clash, the closure raises the
+    engine's ``CompileError``, worded with the operator and both operands,
+    whichever operand is a column."""
+    for pred in (
+        ComparePred(op, ColumnRef(0, 0), ColumnRef(0, 1)),
+        ComparePred(op, ColumnRef(0, 0), LiteralExpr(1)),
+        AndPred(ComparePred(op, ColumnRef(0, 0), LiteralExpr(1)), ConstPred(True)),
+    ):
+        with pytest.raises(CompileError):
+            reference(pred, ("a", 1))
+        with pytest.raises(CompileError) as caught:
+            compile_predicate(pred)(("a", 1), ())
+        assert str(caught.value) == f"type clash in comparison: 'a' {op} 1"
 
 
-def test_outer_references_compile_to_stack_lookups():
+def test_an_and_evaluates_its_right_side_on_left_unknown_rows():
+    """A left-UNKNOWN AND still runs its right side (only it can tell
+    FALSE from UNKNOWN), so the right side's error surfaces; a left-FALSE
+    AND never runs it, nor does a left-TRUE OR."""
+    raising = ComparePred("<", ColumnRef(0, 1), LiteralExpr(1))
+    for left in (
+        ComparePred("=", ColumnRef(0, 0), LiteralExpr(1)),  # the leaf shape
+        ComparePred("=", LiteralExpr(1), ColumnRef(0, 0)),
+    ):
+        for row, raises in (((None, "x"), True), ((2, "x"), False)):
+            pred = AndPred(left, raising)
+            assert_agrees(pred, row)
+            if raises:
+                with pytest.raises(CompileError):
+                    compile_predicate(pred)(row, ())
+            else:
+                assert compile_predicate(pred)(row, ()) is False
+        assert compile_predicate(OrPred(left, raising))((1, "x"), ()) is True
+
+
+def test_outer_references_lower_to_stack_lookups():
     pred = ComparePred("=", ColumnRef(0, 0), ColumnRef(2, 1))
-    compiled = compile_predicate(pred)
     outers = ((7, 8), (9, 10))
     # depth 2 = the outermost of the two enclosing rows.
-    assert run(compiled, (8,), outers) is run(pred, (8,), outers) is True
-    assert run(compiled, (10,), outers) is False
+    assert compile_predicate(pred)((8,), outers) is True
+    assert compile_predicate(pred)((10,), outers) is False
+    for row in ((8,), (10,), (None,)):
+        assert_agrees(pred, row, outers)
+        assert_agrees(AndPred(IsNullPred(ColumnRef(1, 0)), pred), row, outers)
 
 
 def test_total_comparisons_over_literals_fold():
@@ -142,47 +236,50 @@ def test_total_comparisons_over_literals_fold():
         (IsNullPred(LiteralExpr(None)), True),
         (IsNullPred(LiteralExpr(3), negated=True), True),
     ]:
-        compiled = compile_predicate(pred)
-        assert isinstance(compiled, ConstPred)
-        assert compiled.value is expected
+        folded = compile_module._fold_predicate(pred)
+        assert isinstance(folded, ConstPred)
+        assert folded.value is expected
+        assert compile_predicate(pred)((), ()) is expected
+        assert_agrees(pred, ())
 
 
 def test_raising_comparisons_never_fold():
-    """``1 < 'a'`` raises per evaluation in the interpreter; folding it at
-    compile time would move (or suppress) the error."""
+    """``1 < 'a'`` raises per evaluation; folding it at lowering would
+    move (or suppress) the error."""
     pred = ComparePred("<", LiteralExpr(1), LiteralExpr("a"))
-    compiled = compile_predicate(pred)  # must not raise here
-    assert not isinstance(compiled, ConstPred)
+    assert compile_module._fold_predicate(pred) is pred
+    closure = compile_predicate(pred)  # must not raise here
     with pytest.raises(CompileError):
-        run(compiled, ())
+        closure((), ())
 
 
 def test_connective_absorption_is_shortcircuit_exact():
+    fold = compile_module._fold_predicate
     raising = ComparePred("<", LiteralExpr(1), LiteralExpr("a"))
     # AND with a left FALSE never evaluates its right side.
-    folded = compile_predicate(AndPred(ConstPred(False), raising))
+    folded = fold(AndPred(ConstPred(False), raising))
     assert isinstance(folded, ConstPred) and folded.value is False
     # OR with a left TRUE never evaluates its right side.
-    folded = compile_predicate(OrPred(ConstPred(True), raising))
+    folded = fold(OrPred(ConstPred(True), raising))
     assert isinstance(folded, ConstPred) and folded.value is True
     # ... but a right-side constant cannot drop a raising left side.
-    compiled = compile_predicate(AndPred(raising, ConstPred(False)))
     with pytest.raises(CompileError):
-        run(compiled, ())
+        compile_predicate(AndPred(raising, ConstPred(False)))((), ())
     # AND TRUE / OR FALSE are exact identities.
     keep = ComparePred("=", ColumnRef(0, 0), LiteralExpr(1))
     for combined in (AndPred(keep, ConstPred(True)), OrPred(keep, ConstPred(False))):
-        compiled = compile_predicate(combined)
-        assert run(compiled, (1,)) is True
-        assert run(compiled, (2,)) is False
-        assert run(compiled, (None,)) is None
+        assert fold(combined) is keep
+        closure = compile_predicate(combined)
+        assert closure((1,), ()) is True
+        assert closure((2,), ()) is False
+        assert closure((None,), ()) is None
 
 
-def test_compile_row_builds_projection_tuples():
-    row_fn = compile_row((ColumnRef(0, 1), LiteralExpr("x"), ColumnRef(1, 0)))
+def test_row_closures_build_projection_tuples():
+    row_fn = compile_module._row_fn((ColumnRef(0, 1), LiteralExpr("x"), ColumnRef(1, 0)))
     assert row_fn((1, 2), ((9,),)) == (2, "x", 9)
-    single = compile_row((ColumnRef(0, 0),))
-    assert single((5,), ()) == (5,)
+    assert compile_module._row_fn((ColumnRef(0, 0),))((5,), ()) == (5,)
+    assert compile_module._row_fn((ColumnRef(0, 1), ColumnRef(0, 0)))((5, 6), ()) == (6, 5)
 
 
 def test_filter_with_false_predicate_still_drains_its_child():
@@ -198,6 +295,25 @@ def test_filter_with_false_predicate_still_drains_its_child():
     )
     with pytest.raises(CompileError):
         list(lowered(plan).run(None))
+
+
+@pytest.mark.parametrize("right", ["column", "literal"])
+@pytest.mark.parametrize("cache", [True, False], ids=["cached", "single-use"])
+def test_an_unknown_comparison_operator_raises_only_on_non_null_operands(cache, right):
+    """The formal semantics evaluates a predicate only over non-NULL
+    arguments: ``R.A ~ t`` is UNKNOWN on a NULL row, an error on a row of
+    two non-NULL operands, and nothing at all over an empty table — never
+    an error at planning."""
+    query = annotate("SELECT R.A FROM R WHERE R.A = R.B", SCHEMA)
+    where = query.where
+    operand = where.args[1] if right == "column" else 1
+    query = dataclasses.replace(query, where=Predicate("~", (where.args[0], operand)))
+    kwargs = {} if cache else {"plan_cache_size": 0}
+    engine = Engine(SCHEMA, "postgres", **kwargs)
+    assert list(engine.execute(query, make_db([(NULL, 1)], [])).bag) == []
+    with pytest.raises(CompileError, match="unknown comparison operator: ~"):
+        engine.execute(query, make_db([(1, 1)], []))
+    assert list(engine.execute(query, make_db([], [])).bag) == []
 
 
 # -- engine integration -------------------------------------------------------
@@ -224,13 +340,15 @@ def test_compiled_engine_matches_interpreted_on_handwritten_queries():
 
 
 def test_a_cached_plan_runs_over_the_database_it_is_given():
-    """A cached compiled plan holds no rows between executions, and each
-    run of it reads the database it is given."""
+    """A cached plan — a scan kernel in it — holds no rows between
+    executions, and each run of it reads the database it is given."""
     import gc
     import types
 
     engine = Engine(SCHEMA, "postgres")
-    query = annotate("SELECT R.A FROM R WHERE R.A IN (SELECT S.A FROM S)", SCHEMA)
+    query = annotate(
+        "SELECT R.A FROM R WHERE R.B > 0 AND R.A IN (SELECT S.A FROM S)", SCHEMA
+    )
     db1 = make_db([(1, 2), (3, 4)], [(1,)])
     db2 = make_db([(1, 2), (3, 4)], [(3,)])
     assert [r for r in engine.execute(query, db1).bag] == [(1,)]
@@ -282,13 +400,55 @@ def test_compilation_hooks_in_at_plan_cache_admission_or_size():
     assert results[0].same_as(results[1]) and results[0].same_as(results[2])
 
 
+#: Filters over scans, joins and subqueries, outer references, probes,
+#: projections of columns and of literals, set operations.
+KERNEL_BATTERY = [
+    "SELECT R.A, R.B FROM R WHERE R.A = 1 OR R.B IS NULL",
+    "SELECT R.A FROM R, S WHERE R.A = S.A AND R.B > 1",
+    "SELECT R.B, R.A FROM R, S WHERE R.A < S.A OR R.B IS NULL",
+    "SELECT DISTINCT R.B FROM R WHERE R.A IN (SELECT S.A FROM S WHERE S.A > R.B)",
+    "SELECT R.A FROM R WHERE EXISTS (SELECT R.B FROM S WHERE S.A = R.B AND S.A > 1)",
+    "SELECT R.A FROM R WHERE R.B > 0 AND R.A NOT IN (SELECT S.A FROM S)",
+    "SELECT R.A FROM R WHERE NOT (R.A <= 2 AND R.B <> 4)",
+    "SELECT R.A FROM R UNION SELECT S.A FROM S WHERE S.A < 3",
+    "SELECT N.X FROM (SELECT R.A, R.B FROM R WHERE R.B > 1) AS N(X, Y) WHERE N.Y < 4",
+    "SELECT R.A FROM R WHERE R.A IN (SELECT S.A FROM S, R AS T WHERE S.A = T.B)",
+]
+
+
+def test_scan_kernels_are_the_only_generated_code(monkeypatch):
+    """Every lowered plan — cached, single-use with kernels forced on, and
+    naive — holds no generated function but scan kernels: predicates,
+    probe values and projected rows are closures."""
+    monkeypatch.setattr(engine_module, "SINGLE_USE_COMPILE_ROWS", 0)
+    db = make_db([(1, 2), (2, NULL), (NULL, 4), (3, 3)], [(1,), (3,), (NULL,)])
+    engines = {
+        "cached": Engine(SCHEMA, "postgres"),
+        "single-use": Engine(SCHEMA, "postgres", plan_cache_size=0),
+        "naive": Engine(SCHEMA, "postgres", optimize=False),
+    }
+    kernels = dict.fromkeys(engines, 0)
+    for text in KERNEL_BATTERY:
+        query = annotate(text, SCHEMA)
+        results = []
+        for name, engine in engines.items():
+            results.append(engine.execute(query, db))
+            generated = generated_functions(engine._plan(query))
+            assert set(generated) <= {"_fsel"}, (name, text)
+            kernels[name] += len(generated)
+        assert all(result.same_as(results[0]) for result in results), text
+    # The walk does see kernels, where there are any.
+    assert kernels["cached"] >= 8 and kernels["single-use"] >= 8
+    assert kernels["naive"] == 0
+
+
 def test_single_use_plans_compile_at_the_break_even_constant():
-    """The same query on a cache-less engine: no generated code one bound
-    row below ``SINGLE_USE_COMPILE_ROWS``, generated code at it.  Bound
-    rows are summed per scan, subquery plans included."""
+    """The same query on a cache-less engine: no scan kernel one bound row
+    below ``SINGLE_USE_COMPILE_ROWS``, a kernel at it.  Bound rows are
+    summed per scan, subquery plans included."""
     limit = engine_module.SINGLE_USE_COMPILE_ROWS
     query = annotate(
-        "SELECT R.A FROM R WHERE R.A IN (SELECT S.A FROM S) AND R.B > 0", SCHEMA
+        "SELECT R.A FROM R WHERE R.B > 0 AND R.A IN (SELECT S.A FROM S)", SCHEMA
     )
     rows_s = [(i,) for i in range(10)]
     engine = Engine(SCHEMA, "postgres", plan_cache_size=0)
@@ -363,47 +523,38 @@ def test_code_cache_is_keyed_by_shape_not_literal(monkeypatch):
     assert len(cache) <= before + 2
 
 
-def _hoisted_values(fn):
-    return [d for d in fn.__defaults__ or () if not callable(d)]
-
-
-def test_null_and_boolean_literals_stay_folded_into_the_shape():
-    column = ColumnRef(0, 0)
-    for folded in (None, True, False):
-        pred = compile_predicate(ComparePred("<", column, LiteralExpr(folded)))
-        assert _hoisted_values(pred) == [0]  # the column index only
-    pred = compile_predicate(ComparePred("=", column, LiteralExpr(-7)))
-    assert _hoisted_values(pred) == [0, -7]
-    assert pred((-7,), ()) is True and pred((True,), ()) is False
-    assert compile_predicate(
-        ComparePred("=", column, LiteralExpr(True))
-    )((1,), ()) is True  # exactly what the interpreted ``_eq`` says
-
-
-def test_literals_columns_and_operators_share_one_compilation():
-    cache = compile_module._CODE_CACHE
-
-    def pred(op, index, literal):
-        return compile_predicate(
-            AndPred(
-                ComparePred(op, ColumnRef(0, index), LiteralExpr(literal)),
-                NotPred(ComparePred("=", ColumnRef(0, 0), LiteralExpr(1))),
-            )
+def _kernel(op, index, literal):
+    """The scan kernel of ``column op literal AND NOT (B = 1)``."""
+    return compile_module._compile_fused(
+        AndPred(
+            ComparePred(op, ColumnRef(0, index), LiteralExpr(literal)),
+            NotPred(ComparePred("=", ColumnRef(0, 1), LiteralExpr(1))),
         )
+    )
 
-    pred("=", 1, 0)  # a shape is cached from its second compilation on
-    first = pred("<", 0, 5)
+
+def _select(fused, rows):
+    kernel, columns = fused
+    vectors = {column: iter([row[column] for row in rows]) for column in columns}
+    return kernel(rows, vectors, ())
+
+
+def test_literals_and_columns_share_one_kernel_compilation():
+    cache = compile_module._CODE_CACHE
+    _kernel("<", 2, 0)  # a shape is cached from its second compilation on
+    first = _kernel("<", 0, 5)
     before = len(cache)
-    others = [pred(">=", 1, "x"), pred("LIKE", 1, "a%"), pred("<>", 0, 2.5)]
+    others = [_kernel("<", 2, "x"), _kernel("<", 0, 1.5)]
     assert len(cache) == before
-    assert all(other.__code__ is first.__code__ for other in others)
+    assert all(other[0].__code__ is first[0].__code__ for other in others)
     # ... and each still carries its own operands.
-    assert first((3, "x"), ()) is True
-    assert others[0]((3, "x"), ()) is True
-    assert others[0]((3, "a"), ()) is False
-    assert others[1]((3, "abc"), ()) is True
-    with pytest.raises(CompileError, match="type clash"):
-        first(("x", "y"), ())
+    rows = [(3, 1, "x"), (2, 0, "a"), (1, 2, "y")]
+    assert _select(first, rows) == [(2, 0, "a"), (1, 2, "y")]
+    assert _select(others[0], rows) == [(2, 0, "a")]
+    assert _select(others[1], rows) == [(1, 2, "y")]
+    # A type clash raises Python's own error, for the scan to replay.
+    with pytest.raises(TypeError):
+        _select(first, [("x", 0, "y")])
 
 
 def test_code_cache_admits_a_shape_the_second_time_it_is_compiled(monkeypatch):
@@ -448,9 +599,9 @@ def test_code_cache_overflow_drops_the_oldest_entry_only(monkeypatch):
 
 
 def test_compiled_single_use_plans_die_by_refcount(monkeypatch):
-    """A generated function's globals must not contain the function: that
-    cycle would leave every single-use plan (and the probe sets its
-    predicates captured) to the cyclic collector."""
+    """A generated kernel's globals must not contain the kernel: that cycle
+    would leave every single-use plan (and the probe sets its predicates
+    captured) to the cyclic collector."""
     import gc
     import weakref
 
@@ -465,7 +616,9 @@ def test_compiled_single_use_plans_die_by_refcount(monkeypatch):
     gc.collect()
     gc.disable()
     try:
-        pred = compile_predicate(ComparePred("<", ColumnRef(0, 0), LiteralExpr(3)))
+        pred, _columns = compile_module._compile_fused(
+            ComparePred("<", ColumnRef(0, 0), LiteralExpr(3))
+        )
         planned = engine._plan(query)
         assert planned.root is not None
         assert list(planned.run(db)) == [(1,)]

@@ -362,8 +362,39 @@ def test_an_eager_count_bag_would_exceed_the_bound(monkeypatch):
         init(self, records)
         self.counts()
 
+    adopt = Bag._adopt.__func__
+
+    def eager_adopt(cls, rows):
+        bag = adopt(cls, rows)
+        bag.counts()
+        return bag
+
     monkeypatch.setattr(Bag, "__init__", eager_init)
+    monkeypatch.setattr(Bag, "_adopt", classmethod(eager_adopt))
     assert held_per_row() > RESULT_BYTES_PER_ROW
+
+
+def test_execute_builds_one_list_of_its_result_rows():
+    """While ``execute`` runs a 20,000-row ``SELECT``, memory peaks within 4
+    bytes a row of what its result retains: the result's list of rows is
+    built once and kept by the bag, never copied (a copy is 8 bytes a
+    row)."""
+    rows = 20_000
+    schema = Schema({"R": ("A", "B")})
+    db = Database(schema, {"R": [(i, -i) for i in range(rows)]})
+    query = annotate("SELECT R.A, R.B FROM R", schema)
+    engine = Engine(schema)
+    engine.execute(query, db)  # plan, lower and convert the table first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = engine.execute(query, db)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == rows
+    assert peak - before <= retained - before + 4 * rows
 
 
 # Canaries: each seeds one result-path bug and must trip the battery above

@@ -1,6 +1,7 @@
 """Physical operators of the reference engine."""
 
-from repro.engine.expressions import ColumnRef, LiteralExpr, and3, compare, not3, or3
+from repro.engine.compile import _expr_fn
+from repro.engine.expressions import _OP_HELPERS, ColumnRef, LiteralExpr, and3, not3, or3
 from repro.engine.operators import (
     CrossJoin,
     DistinctOp,
@@ -97,6 +98,10 @@ class TestSetOps:
         assert run_rows(node) == [(1,)]
 
 
+def compare(op, a, b):
+    return _OP_HELPERS[op](a, b)
+
+
 class TestThreeValuedHelpers:
     def test_and3(self):
         assert and3(True, True) is True
@@ -130,9 +135,9 @@ class TestThreeValuedHelpers:
 
 
 def test_column_ref_depths():
-    ref0 = ColumnRef(0, 1)
-    ref1 = ColumnRef(1, 0)
-    ref2 = ColumnRef(2, 0)
+    ref0 = _expr_fn(ColumnRef(0, 1))
+    ref1 = _expr_fn(ColumnRef(1, 0))
+    ref2 = _expr_fn(ColumnRef(2, 0))
     outers = ((10,), (20,))
     assert ref0((5, 6), outers) == 6
     assert ref1((5, 6), outers) == 20  # innermost outer row

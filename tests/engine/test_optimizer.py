@@ -269,7 +269,7 @@ def formal_join(left, right, keys):
 def test_hash_join_keys_are_raw_values(case, codegen):
     left, right, keys = HASH_JOIN_CASES[case]
     node = HashJoin(StaticScan(left, arity=2), StaticScan(right, arity=2), keys, keys)
-    rows = run_rows(node, codegen=codegen)
+    rows = run_rows(node, kernels=codegen)
     assert Counter(rows) == formal_join(left, right, keys)
 
 

@@ -15,8 +15,9 @@ that lowering must keep:
 * a prefix kernel hands on the rows on which its conjuncts are UNKNOWN;
 * column vectors are a per-column memo on the ``Table``: pivoted on first
   touch, shared by every plan and run, referenced by no plan;
-* the row-wise predicate is compiled on the first fallback only, and the
-  kernel's source does not depend on literals or column positions;
+* a fallback replays through the predicate closures and generates no
+  code, and the kernel's source does not depend on literals or column
+  positions;
 * ``cache_info()["scan_kernels"]`` counts scans, rows, fallbacks and index
   lookups, and a scan is evaluated in growing batches, so an early stop
   stays cheap;
@@ -377,22 +378,25 @@ def test_one_lowered_scan_pivots_the_vectors_of_each_run_database():
 # -- code generation ----------------------------------------------------------
 
 
-def test_row_wise_predicate_is_compiled_on_the_first_fallback_only(monkeypatch):
-    compiled = []
-    real = compile_module._compile_folded
+def test_a_fallback_replays_without_generating_code(monkeypatch):
+    generated = []
+    real = compile_module._compiled_code
 
-    def spy(folded, stats):
-        compiled.append(folded)
-        return real(folded, stats)
+    def spy(source):
+        generated.append(source)
+        return real(source)
 
-    monkeypatch.setattr(compile_module, "_compile_folded", spy)
+    monkeypatch.setattr(compile_module, "_compiled_code", spy)
     engine = Engine(SCHEMA, plan_cache_size=0)
     query = annotate("SELECT R.A FROM R WHERE R.B >= 2 AND R.B < 9", SCHEMA)
     assert len(engine.execute(query, make_db([(1, 2, 3), (4, 5, 6)]))) == 2
-    assert compiled == []  # one code generation: the kernel's
+    assert len(generated) == 1  # one code generation: the kernel's
     with pytest.raises(CompileError):
         engine.execute(query, make_db([(1, "x", 3)]))
-    assert len(compiled) == 1
+    # The second single-use plan generates its kernel, and its fallback
+    # replays through the predicate closures: nothing else is generated.
+    assert len(generated) == 2 and generated[0] == generated[1]
+    assert engine.cache_info()["scan_kernels"]["fallbacks"] == 1
 
 
 def test_kernel_sources_are_literal_and_position_independent():

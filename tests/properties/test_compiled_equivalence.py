@@ -1,12 +1,12 @@
-"""Differential property tests for generated code (predicates, kernels).
+"""Differential property tests for generated code (the scan kernels).
 
 The paper's methodology, aimed at code generation: on ≥500 random
 query/database pairs per dialect variant — the second-generation
 set-op/subquery-tilted generator mix — the default engine, the
-codegen-off leg (the same optimized plans, closures over the predicate
-objects, :class:`~tests.executor.CodegenOffEngine`) and the naive engine
-(``optimize=False``) must produce the same bag (columns, rows,
-multiplicities) or the same error class.  Generated code is a pure
+codegen-off leg (the same optimized plans, filtering through the
+predicate closures alone, :class:`~tests.executor.CodegenOffEngine`) and
+the naive engine (``optimize=False``) must produce the same bag (columns,
+rows, multiplicities) or the same error class.  Generated code is a pure
 lowering of the same physical plan, so unlike the optimizer rewrites it
 has *no* error-order latitude: outcomes must match even where plans
 raise.  The same three engines also run the join workload of

@@ -47,7 +47,7 @@ def null_key_makes_exists_unknown(monkeypatch):
     def unknown_on_null_key(pred, probe):
         def buggy(row, outers):
             if pred.key_width == len(pred.exprs) and any(
-                expr(row, outers) is None for expr in pred.exprs
+                compile_module._expr_fn(expr)(row, outers) is None for expr in pred.exprs
             ):
                 return None
             return probe(row, outers)

@@ -165,10 +165,10 @@ def test_adhoc_queries_take_the_single_use_size_rule(monkeypatch):
     lowered = []
     real = engine_module.compile_plan
 
-    def spy(plan, stats, codegen):
-        if codegen:
+    def spy(plan, stats, kernels):
+        if kernels:
             lowered.append(plan)
-        return real(plan, stats, codegen)
+        return real(plan, stats, kernels)
 
     monkeypatch.setattr(engine_module, "compile_plan", spy)
     big = [[i, i % 7] for i in range(4 * engine_module.SINGLE_USE_COMPILE_ROWS)]

@@ -84,11 +84,11 @@ def test_trial_result_is_reproducible():
 
 @pytest.mark.parametrize("variant", ["postgres", "oracle"])
 def test_paper_trials_never_get_generated_code(variant, monkeypatch):
-    """The engine generates code for a single-use plan only from
+    """The engine generates scan kernels for a single-use plan only from
     SINGLE_USE_COMPILE_ROWS bound rows; the paper campaign (default 6-row
-    cap, at most a few dozen rows under any query's scans) must keep its
-    predicate objects — the lowering it was tuned on — however the
-    engine's rule evolves."""
+    cap, at most a few dozen rows under any query's scans) must filter
+    through its predicate closures alone — the lowering it was tuned on —
+    however the engine's rule evolves."""
     from repro.engine import engine as engine_module
     from repro.validation import DifferentialRunner
 
