@@ -12,10 +12,10 @@ Engine stages (written to ``BENCH_engine.json``)
 * ``query_generation``      — one random query (PAPER_CONFIG)
 * ``parse_print_roundtrip`` — parse+print of 50 pregenerated query texts
 * ``semantics_eval``        — formal semantics, the default evaluator
-  (subquery memo + cost-dispatched interleaved FROM/WHERE) on 20 pairs of
-  the paper's mix at a deliberate 5-row scale: mostly flat queries, where
-  neither shortcut can help.  Both routes are bit-identical, so this pair
-  measures what having the shortcuts *costs* — and it is gated: the script
+  (Figure 5's product-then-filter plus the ``param``-lemma subquery memo)
+  on 20 pairs of the paper's mix at a deliberate 5-row scale: mostly flat
+  queries, where the memo cannot help.  Both routes are bit-identical, so
+  this pair measures what having the memo *costs* — and it is gated: the script
   exits non-zero when ``semantics_eval > semantics_eval_naive * 1.05``
   (the recorded ``semantics_ratio``), so the default can never quietly
   bench slower than the literal route.
@@ -31,7 +31,7 @@ Engine stages (written to ``BENCH_engine.json``)
   message); the number of query evaluations each leg performs is recorded
   as ``query_evaluations``
 * ``semantics_eval_nested_naive`` — same workload, ``fast_from=False``
-  (the literal Figures 5–7 route: no memo, no interleaving)
+  (the literal Figures 5–7 route: no memo)
 * ``engine_optimized``      — reference engine, default optimizer
 * ``engine_naive``          — reference engine, ``optimize=False``
 * ``engine_compiled``       — the default engine, plan cache hot: plans

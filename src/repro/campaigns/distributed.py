@@ -357,9 +357,9 @@ class Coordinator:
         Unknown or expired lease ids are accepted too — their records are
         just as valid, and deduplication handles any overlap with the
         re-issued lease.  :class:`CheckpointConflict` is raised at the
-        first record that contradicts an already-folded outcome (records
-        checked *and* added are interleaved, so a batch that contradicts
-        itself is caught too); the valid records folded before the
+        first record that contradicts an already-folded outcome (each record
+        is checked *and* added before the next is checked, so a batch that
+        contradicts itself is caught too); the valid records folded before the
         conflict stay folded and checkpointed.
         """
         with self._lock:

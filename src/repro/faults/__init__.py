@@ -7,8 +7,8 @@ This module is the one place faults come from, so chaos runs are
 *reproducible*: a :class:`FaultPlan` is a pure function of ``(seed, site)``
 — each injection site draws from its own :class:`random.Random` stream
 seeded from the plan seed and the site name, so the decision sequence at a
-site depends only on how many times that site has fired, never on thread
-interleaving elsewhere.
+site depends only on how many times that site has fired, never on how
+threads are scheduled elsewhere.
 
 Sites are plain dotted strings; the hooks threaded through the stack are:
 

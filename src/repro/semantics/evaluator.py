@@ -26,9 +26,10 @@ Two star styles are supported (Section 4's "adjustments"):
 The logic (3VL, or either two-valued interpretation of Section 6) is a
 pluggable strategy; see :mod:`repro.semantics.logic`.
 
-Performance: the rules are executed as written, except where the paper
-itself says a shortcut is unobservable.  ``fast_from=False`` takes no
-shortcut at all — it is the literal Figures 5–7 route and the reference
+Performance: the rules are executed as written — ⟦FROM τ:β WHERE θ⟧ is the
+product of the FROM items filtered by θ, as in Figure 5 — with one shortcut,
+the one the paper itself proves unobservable (below).  ``fast_from=False``
+does not take it: it is the literal Figures 5–7 route and the reference
 every gate compares the default against.
 
 *The ``param`` lemma as evaluation strategy.*  ⟦Q⟧_{D,η,x} depends on η only
@@ -53,30 +54,10 @@ On the Section 4 campaign (6-row tables) the memo cuts query evaluations
 44,125 → 20,312 per 4,000 trials and the oracle's time from 3.1 to 1.6 s;
 the tail trials, where nested subqueries multiply, are where it comes from.
 
-*Interleaving.*  :meth:`SqlSemantics._from_where` filters while it builds
-the FROM product instead of computing the full Cartesian product first.
-Only WHERE conjuncts that are total (they can neither raise nor consult a
-subquery — constant conditions, ``IS NULL``, and the built-in total
-comparisons ``=`` / ``<>``), refer to unambiguous names, and are covered by
-a prefix of the FROM items are evaluated early, so results, multiplicities
-*and* error behaviour match Figures 5–7 bit for bit; any query outside that
-fragment falls back to the literal product-then-filter rule.  Which route
-runs is purely a cost decision: the interleaved one pays a fixed per-query
-overhead (staged binders, taint bookkeeping) that only amortizes on large
-products.  ``interleave_min_product`` (default 32) is the estimated
-FROM-product size below which the literal rule runs; a FROM-subquery item
-makes the estimate unbounded, keeping the fast path, and 0 forces
-interleaving wherever the analysis allows.  Re-measured under the memo,
-the threshold is a wash at campaign scale — 3,000 paper trials at 6 rows
-read 1.391 / 1.379 / 1.381 / 1.392 / 1.400 s with it at 0 / 8 / 32 / 128 /
-never (best of 5 per trial, the settings alternating; the literal route
-reads 3.186 s) — and still decides at 12 rows: 0.964 / 0.953 / 0.936 /
-1.070 / 1.076 s on the nested bench mix (literal 1.906 s).  So 32 stays.
-
-Everything env-independent about a node — ℓ(τ:β), the staging analysis,
-param(Q), the per-database cost verdict — is one :class:`_NodeAnalysis`
-record, computed when the node is first met: correlated subqueries
-re-enter here once per outer row.  ``scripts/bench.py`` gates both sides:
+Everything env-independent about a node — ℓ(τ:β) and param(Q), which
+depend only on the node and the schema — is one :class:`_NodeAnalysis`
+record, computed when the node is first met: correlated subqueries re-enter
+here once per outer row.  ``scripts/bench.py`` gates both sides:
 ``semantics_ratio <= 1.05`` on a flat mix (the default must cost nothing
 where it cannot help) and ``semantics_nested_ratio <= 0.8`` on a
 nesting-biased one (the win must not quietly disappear).
@@ -84,7 +65,7 @@ nesting-biased one (the win must not quietly disappear).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.bag import Bag
 from ..core.env import EMPTY_ENV, Environment
@@ -96,7 +77,7 @@ from ..core.errors import (
 )
 from ..core.schema import Database, Schema
 from ..core.table import Table
-from ..core.truth import FALSE, TRUE, UNKNOWN, Truth, conj_all
+from ..core.truth import FALSE, TRUE, Truth, conj_all
 from ..core.values import NULL, FullName, Name, Null, Record, Term, Value
 from ..sql.ast import (
     And,
@@ -115,37 +96,18 @@ from ..sql.ast import (
     TrueCond,
 )
 from ..sql.labels import (
-    from_item_labels,
     from_labels,
     query_labels,
     query_params,
     scope_full_names,
 )
 from .logic import Logic, THREE_VALUED, get_logic
-from .predicates import PredicateRegistry, default_registry, is_total_builtin
+from .predicates import PredicateRegistry, default_registry
 
 __all__ = ["SqlSemantics", "STAR_STANDARD", "STAR_COMPOSITIONAL"]
 
 STAR_STANDARD = "standard"
 STAR_COMPOSITIONAL = "compositional"
-
-
-def _conjuncts_of(condition: Condition) -> List[Condition]:
-    """The top-level AND conjuncts of a condition, in syntactic order."""
-    if isinstance(condition, And):
-        return _conjuncts_of(condition.left) + _conjuncts_of(condition.right)
-    return [condition]
-
-
-def _check_aliases(from_items: Tuple[FromItem, ...]) -> None:
-    """Reject a FROM clause that binds the same alias twice."""
-    seen_aliases = set()
-    for item in from_items:
-        if item.alias in seen_aliases:
-            raise DuplicateAliasError(
-                f"alias {item.alias} used twice in the same FROM clause"
-            )
-        seen_aliases.add(item.alias)
 
 
 #: ``_NodeAnalysis.params`` before param(Q) has been asked for.
@@ -156,28 +118,20 @@ class _NodeAnalysis:
     """What is known of a query node before any environment is: the
     env-independent half of evaluating it, computed once per node.
 
-    ``scope`` is ℓ(τ:β) and ``interleave`` the staging analysis of
-    :meth:`SqlSemantics._interleave_analysis`; both are None for a set
-    operation, and for a node whose labels do not compute (the literal
-    route then raises what Figure 5 raises, where it raises it).
-    ``params`` is param(Q) in a fixed order — the names whose binding
-    states key the memo — or None when the node must not be memoized; it
-    is computed when first asked for, which for a top-level query is never.
-    ``cost_db`` / ``worth`` memoize the per-database cost verdict.
+    ``scope`` is ℓ(τ:β), None for a set operation and for a node whose
+    labels do not compute (Figure 5 then raises what it raises, where it
+    raises it).  ``params`` is param(Q) in a fixed order — the names whose
+    binding states key the memo — or None when the node must not be
+    memoized; it is computed when first asked for, which for a top-level
+    query is never.
     """
 
-    __slots__ = (
-        "node", "version", "scope", "interleave", "params", "cost_db", "worth"
-    )
+    __slots__ = ("node", "scope", "params")
 
-    def __init__(self, node: Query, version: int):
+    def __init__(self, node: Query):
         self.node = node  # pinned: its id keys the record
-        self.version = version
         self.scope: Optional[Tuple[FullName, ...]] = None
-        self.interleave: Optional[tuple] = None
         self.params: object = _PENDING
-        self.cost_db: Optional[int] = None
-        self.worth = False
 
 
 class SqlSemantics:
@@ -198,6 +152,9 @@ class SqlSemantics:
     exists_constant, exists_label:
         The "arbitrary c ∈ C and N ∈ N" used when ``SELECT *`` occurs
         directly under EXISTS in the standard style.
+    fast_from:
+        Memoize subqueries by the ``param`` lemma (the default); False is
+        the literal Figures 5–7 route, the reference.
     """
 
     def __init__(
@@ -209,7 +166,6 @@ class SqlSemantics:
         exists_constant: Value = 1,
         exists_label: Name = "C",
         fast_from: bool = True,
-        interleave_min_product: int = 32,
     ):
         if star_style not in (STAR_STANDARD, STAR_COMPOSITIONAL):
             raise ValueError(f"unknown star style: {star_style!r}")
@@ -220,7 +176,6 @@ class SqlSemantics:
         self.exists_constant = exists_constant
         self.exists_label = exists_label
         self.fast_from = fast_from
-        self.interleave_min_product = interleave_min_product
         # The env-independent analysis of each query node met, keyed by id
         # (the record pins its node so the id cannot be reused): correlated
         # subqueries re-enter evaluate/_from_where once per outer row.
@@ -319,24 +274,16 @@ class SqlSemantics:
             return None
 
     def _analysis(self, query: Query) -> _NodeAnalysis:
-        """The :class:`_NodeAnalysis` of a node, computed on first sight.
-
-        Recomputed when stale: the staging analysis depends on the
-        predicate registry (a re-registered "=" may no longer be total),
-        so a record is validated against the registry version.
-        """
-        version = self.predicates.version
+        """The :class:`_NodeAnalysis` of a node, computed on first sight."""
         analysis = self._analyses.get(id(query))
-        if analysis is not None and analysis.version == version:
+        if analysis is not None:
             return analysis
         if len(self._analyses) > 4096:
             self._analyses.clear()
-        analysis = _NodeAnalysis(query, version)
+        analysis = _NodeAnalysis(query)
         if isinstance(query, Select):
             try:
-                scope = scope_full_names(query.from_items, self.schema)
-                analysis.interleave = self._interleave_analysis(query, scope)
-                analysis.scope = scope
+                analysis.scope = scope_full_names(query.from_items, self.schema)
             except ReproError:
                 pass  # an unknown table, a column-alias arity clash
         self._analyses[id(query)] = analysis
@@ -346,7 +293,13 @@ class SqlSemantics:
         self, from_items: Tuple[FromItem, ...], db: Database, env: Environment
     ) -> Bag:
         """⟦τ:β⟧_{D,η,x} = ⟦T1⟧_{D,η,0} × ⋯ × ⟦Tk⟧_{D,η,0}."""
-        _check_aliases(from_items)
+        seen_aliases = set()
+        for item in from_items:
+            if item.alias in seen_aliases:
+                raise DuplicateAliasError(
+                    f"alias {item.alias} used twice in the same FROM clause"
+                )
+            seen_aliases.add(item.alias)
         product: Optional[Bag] = None
         for item in from_items:
             if item.is_base_table:
@@ -361,25 +314,14 @@ class SqlSemantics:
     def _from_where(
         self, query: Select, db: Database, env: Environment
     ) -> list[tuple[Record, int, Environment]]:
-        """The ⟦FROM τ:β WHERE θ⟧ rule: rows of the product that satisfy θ.
+        """The ⟦FROM τ:β WHERE θ⟧ rule of Figure 5: the rows of the product
+        ⟦τ:β⟧ on which θ is true.
 
         Returns (record, multiplicity, revised environment η′) triples, where
         η′ = η ⊕r̄ ℓ(τ:β) is the environment against which the SELECT list is
         subsequently evaluated.
-
-        With ``fast_from`` (the default), WHERE clauses made entirely of
-        total, unambiguous conjuncts are filtered *while* the product is
-        built (see :meth:`_from_where_interleaved`); every other query takes
-        the literal Figure 5 route below.
         """
-        scope = None
-        if self.fast_from:
-            analysis = self._analysis(query)
-            scope = analysis.scope
-            if analysis.interleave is not None:
-                survivors = self._from_where_interleaved(query, db, env, analysis)
-                if survivors is not None:
-                    return survivors
+        scope = self._analysis(query).scope if self.fast_from else None
         if scope is None:
             scope = scope_full_names(query.from_items, self.schema)
         product = self._eval_from(query.from_items, db, env)
@@ -391,254 +333,6 @@ class SqlSemantics:
             if self.eval_condition(condition, db, revised).is_true:
                 survivors.append((record, count, revised))
         return survivors
-
-    # -- the interleaved FROM/WHERE fast path ---------------------------------
-
-    def _hoistable(
-        self, condition: Condition, names: List[FullName]
-    ) -> bool:
-        """Whether a conjunct is *total* (can never raise) and subquery-free,
-        collecting the full names it references.
-
-        Only such conjuncts may be evaluated early: evaluating a total
-        condition on more rows, fewer rows, or in a different order is
-        unobservable, which is what makes the interleaving bit-for-bit
-        faithful to Figures 5–7 — including error behaviour.
-        """
-        if isinstance(condition, (TrueCond, FalseCond)):
-            return True
-        if isinstance(condition, Predicate):
-            if len(condition.args) != 2 or not is_total_builtin(
-                self.predicates, condition.name
-            ):
-                return False
-            names.extend(t for t in condition.args if isinstance(t, FullName))
-            return True
-        if isinstance(condition, IsNull):
-            if isinstance(condition.term, FullName):
-                names.append(condition.term)
-            return True
-        if isinstance(condition, (And, Or)):
-            return self._hoistable(condition.left, names) and self._hoistable(
-                condition.right, names
-            )
-        if isinstance(condition, Not):
-            return self._hoistable(condition.operand, names)
-        return False
-
-    def _interleave_analysis(
-        self, query: Select, scope: Tuple[FullName, ...]
-    ) -> Optional[tuple]:
-        """The env-independent part of the interleaving decision.
-
-        Splits the WHERE conjuncts (syntactic order) into a *stageable
-        prefix* — total, subquery-free conjuncts over unambiguous local
-        names, each tagged with the earliest FROM prefix that covers it and
-        with the outer names it needs — and the *residual suffix*, which
-        starts at the first conjunct that is not stageable and is evaluated
-        the Figure 5 way.  The prefix restriction is what keeps error
-        behaviour exact: a residual conjunct is only ever skipped on rows
-        where a syntactically *earlier* conjunct was false, which is
-        precisely the naive short-circuit.
-
-        Returns ``(staged, residual, prefix_end)`` with ``staged`` a tuple
-        of (condition, stage, outer_names) triples, or None when no staging
-        is possible or nothing would be filtered before the last FROM item.
-        """
-        from_items = query.from_items
-        if not from_items or len(from_items) == 1:
-            return None
-        conjuncts = _conjuncts_of(query.where)
-        widths = [len(from_item_labels(item, self.schema)) for item in from_items]
-        prefix_end = []
-        total = 0
-        for w in widths:
-            total += w
-            prefix_end.append(total)
-        name_count: Dict[FullName, int] = {}
-        for name in scope:
-            name_count[name] = name_count.get(name, 0) + 1
-        position = {name: i for i, name in enumerate(scope)}
-
-        def covering_stage(pos: int) -> int:
-            for k, end in enumerate(prefix_end):
-                if pos < end:
-                    return k + 1
-            raise AssertionError("scope position out of range")
-
-        staged: List[tuple] = []
-        split = 0
-        for condition in conjuncts:
-            names: List[FullName] = []
-            if not self._hoistable(condition, names):
-                break
-            stage = 0
-            outer_names = []
-            ambiguous = False
-            for name in names:
-                if name in name_count:
-                    if name_count[name] > 1:
-                        ambiguous = True  # not total: lookup raises
-                        break
-                    stage = max(stage, covering_stage(position[name]))
-                else:
-                    outer_names.append(name)
-            if ambiguous:
-                break
-            staged.append((condition, stage, tuple(outer_names)))
-            split += 1
-        if not any(stage < len(from_items) for _c, stage, _n in staged):
-            # Nothing can be filtered before the last FROM item: the
-            # interleaving would just re-implement Figure 5 verbatim.
-            return None
-        return tuple(staged), tuple(conjuncts[split:]), tuple(prefix_end)
-
-    def _from_where_interleaved(
-        self,
-        query: Select,
-        db: Database,
-        env: Environment,
-        analysis: _NodeAnalysis,
-    ) -> Optional[list[tuple[Record, int, Environment]]]:
-        """Filter-during-product evaluation of ⟦FROM τ:β WHERE θ⟧.
-
-        Staged conjuncts are evaluated at the earliest FROM prefix that
-        binds their local names, and rows on which one is *false* are
-        dropped there — before later FROM items multiply them.  Rows on
-        which a staged conjunct is unknown cannot survive either, but they
-        are carried along (as "tainted") so the residual conjuncts are
-        still evaluated on exactly the rows the naive And-chain would reach:
-        staged conjuncts are total, so evaluating them early, on fewer rows,
-        or in a different order is unobservable, and results,
-        multiplicities, environments and error behaviour all match the
-        Figure 5 product-then-filter evaluation bit for bit.
-        """
-        if analysis.cost_db != id(db):
-            # Both routes are bit-identical, so this is purely a cost call:
-            # on a small product the staged binders and taint bookkeeping
-            # cost more than the filtering saves (the bench regression the
-            # dispatch exists to avoid).  The verdict depends only on this
-            # (query, database) pair, and correlated subqueries re-enter
-            # here per outer row, so it is memoized per database identity
-            # (a stale id hit could at worst pick the other, equally
-            # correct route).
-            analysis.cost_db = id(db)
-            analysis.worth = self._product_worth_interleaving(query.from_items, db)
-        if not analysis.worth:
-            return None
-        scope = analysis.scope
-        staged, residual, prefix_end = analysis.interleave
-        from_items = query.from_items
-        n_items = len(from_items)
-        # A staged conjunct whose outer names this environment does not bind
-        # would raise; it and everything after it must go the naive route.
-        usable = 0
-        for _condition, _stage, outer_names in staged:
-            if not all(env.defined_on(name) for name in outer_names):
-                break
-            usable += 1
-        if not any(stage < n_items for _c, stage, _n in staged[:usable]):
-            return None
-        residual = tuple(c for c, _s, _n in staged[usable:]) + residual
-        stages: List[List[Condition]] = [[] for _ in range(n_items + 1)]
-        for condition, stage, _outer in staged[:usable]:
-            stages[stage].append(condition)
-
-        _check_aliases(from_items)
-
-        # Outer-only staged conjuncts hold (or not) for every row alike.
-        outer = TRUE
-        for condition in stages[0]:
-            outer = outer & self.eval_condition(condition, db, env)
-            if outer is FALSE:
-                break
-
-        # One *ordered* map record -> (count, tainted): rows with a staged
-        # conjunct unknown cannot survive, but are carried — in product
-        # order, interleaved with the clean rows — so the residual is later
-        # evaluated on exactly the rows, and in exactly the order, the
-        # Figure 5 evaluation would visit (error fidelity).
-        partial: Dict[Record, tuple[int, bool]] = (
-            {(): (1, outer is UNKNOWN)} if outer is not FALSE else {}
-        )
-        for k, item in enumerate(from_items, start=1):
-            # Bags are still evaluated for *every* item, even when no rows
-            # survive: a subquery in FROM may raise, exactly as in Figure 5.
-            if item.is_base_table:
-                bag = db.table(item.table).bag
-            else:
-                bag = self.evaluate(item.table, db, env, exists_context=False).bag
-            counts = bag.counts()
-            if partial:
-                grown: Dict[Record, tuple[int, bool]] = {}
-                for record, (count, taint) in partial.items():
-                    for sub_record, sub_count in counts.items():
-                        grown[record + sub_record] = (count * sub_count, taint)
-                partial = grown
-            if stages[k] and partial:
-                binder = env.binder(scope[: prefix_end[k - 1]])
-                kept: Dict[Record, tuple[int, bool]] = {}
-                for record, (count, taint) in partial.items():
-                    truth = self._staged_truth(stages[k], db, binder, record)
-                    if truth is TRUE:
-                        kept[record] = (count, taint)
-                    elif truth is UNKNOWN:
-                        kept[record] = (count, True)
-                partial = kept
-        survivors: list[tuple[Record, int, Environment]] = []
-        full_binder = env.binder(scope)
-        if not residual:
-            return [
-                (record, count, full_binder.bind(record))
-                for record, (count, taint) in partial.items()
-                if not taint
-            ]
-        residual_cond = residual[0]
-        for condition in residual[1:]:
-            residual_cond = And(residual_cond, condition)
-        for record, (count, taint) in partial.items():
-            revised = full_binder.bind(record)
-            if self.eval_condition(residual_cond, db, revised).is_true and not taint:
-                survivors.append((record, count, revised))
-        return survivors
-
-    def _product_worth_interleaving(
-        self, from_items: Tuple[FromItem, ...], db: Database
-    ) -> bool:
-        """Whether the FROM product is big enough to amortize interleaving.
-
-        Multiplies the bound sizes of the base-table items; a FROM-subquery
-        makes the product unbounded a priori (its bag is not known before
-        evaluation), so it always qualifies.  Compared against
-        ``interleave_min_product``.
-        """
-        threshold = self.interleave_min_product
-        if threshold <= 0:
-            return True
-        estimate = 1
-        for item in from_items:
-            if not item.is_base_table:
-                return True
-            estimate *= len(db.table(item.table).bag)
-            if estimate >= threshold:
-                return True
-        return False
-
-    def _staged_truth(
-        self,
-        conditions: List[Condition],
-        db: Database,
-        binder,
-        record: Record,
-    ) -> Truth:
-        """The conjunction of staged conjuncts on a product prefix row."""
-        revised = binder.bind(record)
-        result = TRUE
-        for condition in conditions:
-            result = result & self.eval_condition(condition, db, revised)
-            if result is FALSE:
-                return FALSE
-        return result
 
     def _eval_select(
         self, query: Select, db: Database, env: Environment, exists_context: bool

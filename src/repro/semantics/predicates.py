@@ -20,7 +20,7 @@ from typing import Callable, Dict, Sequence, Tuple
 from ..core.errors import CompileError
 from ..core.values import Constant
 
-__all__ = ["PredicateRegistry", "default_registry", "sql_like", "is_total_builtin"]
+__all__ = ["PredicateRegistry", "default_registry", "sql_like"]
 
 
 def _same_type(a: Constant, b: Constant) -> None:
@@ -71,33 +71,16 @@ def sql_like(value: Constant, pattern: Constant) -> bool:
     return re.fullmatch(regex, value) is not None
 
 
-#: The built-in predicates that are total: no argument values can make them
-#: raise (the ordered comparisons and LIKE signal type clashes, these never do).
-_TOTAL_BUILTINS = {"=": _eq, "<>": _ne}
-
-
 class PredicateRegistry:
-    """A mapping from predicate names to (arity, Python function) pairs.
-
-    ``version`` counts mutations; analyses that depend on what a name is
-    bound to (e.g. the evaluator's hoisting analysis, which asks
-    :func:`is_total_builtin`) cache it to detect staleness.
-    """
+    """A mapping from predicate names to (arity, Python function) pairs."""
 
     def __init__(self) -> None:
         self._predicates: Dict[str, Tuple[int, Callable[..., bool]]] = {}
-        self._version = 0
-
-    @property
-    def version(self) -> int:
-        """Bumped on every (re-)registration."""
-        return self._version
 
     def register(self, name: str, arity: int, fn: Callable[..., bool]) -> None:
         if arity < 1:
             raise ValueError("predicates have arity >= 1")
         self._predicates[name] = (arity, fn)
-        self._version += 1
 
     def __contains__(self, name: str) -> bool:
         return name in self._predicates
@@ -120,18 +103,6 @@ class PredicateRegistry:
             return self._predicates[name]
         except KeyError:
             raise CompileError(f"unknown predicate: {name}") from None
-
-
-def is_total_builtin(registry: PredicateRegistry, name: str) -> bool:
-    """Whether ``name`` is bound to a built-in *total* binary predicate.
-
-    The evaluator's interleaved FROM/WHERE fast path may only hoist
-    conjuncts that provably cannot raise; ``=`` and ``<>`` are total (they
-    never signal a type clash), but only when the registry still maps them
-    to the functions of this module — a user registration voids the claim.
-    """
-    entry = registry._predicates.get(name)
-    return entry is not None and entry == (2, _TOTAL_BUILTINS.get(name))
 
 
 def default_registry() -> PredicateRegistry:

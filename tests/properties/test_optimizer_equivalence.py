@@ -1,12 +1,11 @@
-"""Differential property tests for the optimizing engine and the fast oracle.
+"""Differential property tests for the optimizing engine.
 
 The paper's methodology, turned on our own optimizations: on ≥500 random
 query/database pairs per dialect variant, the optimized engine, the naive
 engine, and the formal semantics must coincide — same tables (columns,
-rows, multiplicities) or the same error class.  A second battery pins the
-evaluator's interleaved FROM/WHERE fast path to the literal Figure 5
-evaluation, which must match bit for bit (``fast_from`` may not even change
-*which* error is raised).
+rows, multiplicities) or the same error class.  The oracle's own shortcut,
+the subquery memo, is held to the literal Figures 5–7 route in
+``test_semantics_memo_equivalence.py``.
 """
 
 import random
@@ -69,77 +68,4 @@ def test_optimized_naive_and_semantics_coincide(dialect, star_style):
             failures.append(f"seed {seed}: optimized vs naive engine differ")
         if not fast.agrees_with(formal):
             failures.append(f"seed {seed}: optimized engine vs semantics differ")
-    assert not failures, "; ".join(failures[:5])
-
-
-def test_interleaved_fast_path_preserves_error_order():
-    """Regression: residuals must be evaluated in *product order*.
-
-    Staged conjunct ``T1.A = 1`` is unknown on the NULL row and true on the
-    second; the residual ``T1.B < T2.C OR S.X = 1`` raises a type clash on
-    the first (tainted) row but an ambiguity error on the second (clean)
-    row.  Evaluating clean rows before tainted rows would surface the wrong
-    error class; the naive Figure 5 order hits the type clash first.
-    """
-    from repro.core import NULL, Database, Schema
-
-    schema = Schema({"T1": ("A", "B"), "T2": ("C",), "T3": ("E",)})
-    db = Database(
-        schema,
-        {"T1": [(NULL, "x"), (1, 7)], "T2": [(5,)], "T3": [(1,)]},
-    )
-    sql = (
-        "SELECT T1.A FROM T1, T2, (SELECT T3.E AS X, T3.E AS X FROM T3) AS S "
-        "WHERE T1.A = 1 AND (T1.B < T2.C OR S.X = 1)"
-    )
-    from repro.sql import annotate
-
-    query = annotate(sql, schema)
-    # interleave_min_product=0 forces the fast path on this tiny product
-    # (the cost dispatch would otherwise route it the literal way).
-    fast = capture(
-        lambda: SqlSemantics(schema, interleave_min_product=0).run(query, db)
-    )
-    slow = capture(lambda: SqlSemantics(schema, fast_from=False).run(query, db))
-    assert fast.error == slow.error == "compile"
-
-
-def test_interleave_cache_invalidated_on_registry_mutation():
-    """Regression: re-registering a predicate must discard cached analyses.
-
-    After ``register("=", ...)`` the builtin totality claim for ``=`` no
-    longer holds, so a previously-hoisted conjunct may not be evaluated
-    early any more (here: on an empty product, where the naive rule never
-    evaluates the condition at all)."""
-    from repro.core import Database, Schema
-    from repro.sql import annotate
-
-    schema = Schema({"R": ("A",)})
-    db = Database(schema, {"R": []})
-    query = annotate("SELECT S.A FROM R AS S, R AS T WHERE 1 = 2", schema)
-    sem = SqlSemantics(schema, interleave_min_product=0)
-    assert sem.run(query, db).is_empty()
-
-    def boom(a, b):
-        raise RuntimeError("user predicate must not be hoisted")
-
-    sem.predicates.register("=", 2, boom)
-    assert sem.run(query, db).is_empty()  # stale analysis would raise
-
-
-@pytest.mark.parametrize("star_style", [STAR_STANDARD, STAR_COMPOSITIONAL])
-def test_interleaved_fast_path_is_bit_for_bit(star_style):
-    # interleave_min_product=0 keeps the battery exercising the interleaved
-    # route on these small products despite the cost dispatch.
-    fast = SqlSemantics(SCHEMA, star_style=star_style, interleave_min_product=0)
-    slow = SqlSemantics(SCHEMA, star_style=star_style, fast_from=False)
-    failures = []
-    for seed in range(TRIALS):
-        query, db = _pair(seed)
-        a = capture(lambda: fast.run(query, db))
-        b = capture(lambda: slow.run(query, db))
-        # Identical tables *and* identical error classes: the fast path may
-        # not change anything observable, including which error surfaces.
-        if a.error != b.error or not a.agrees_with(b):
-            failures.append(f"seed {seed}: fast_from changed the outcome")
     assert not failures, "; ".join(failures[:5])

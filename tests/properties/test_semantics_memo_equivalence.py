@@ -3,12 +3,12 @@ canaries that show the comparison can fail.
 
 The default :class:`~repro.semantics.SqlSemantics` evaluates a subquery
 once per distinct binding of the names it reads (the ``param`` lemma of
-Section 5) and filters while it builds FROM products; ``fast_from=False``
-does neither and is the reference.  The battery asks for the same outcome
-from both — the same table, or the same error class with the same message
-— under both star styles and all three logics, on the paper's generator
-mix and on one biased toward nested, correlated subqueries over larger
-tables.  A random WHERE clause is rarely satisfied, so most top-level
+Section 5); ``fast_from=False`` does not and is the reference.  Both
+evaluate ⟦FROM τ:β WHERE θ⟧ by the one Figure 5 rule.  The battery asks
+for the same outcome from both — the same table, or the same error class
+with the same message — under both star styles and all three logics, on
+the paper's generator mix and on one biased toward nested, correlated
+subqueries over larger tables.  A random WHERE clause is rarely satisfied, so most top-level
 results would come out the same whatever a subquery had answered: the
 battery therefore also audits every answer the memo gives *when* it gives
 it, against the literal route on that subquery under that environment.

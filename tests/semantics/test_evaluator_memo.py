@@ -10,6 +10,7 @@ from repro.core.values import FullName
 from repro.semantics import SqlSemantics
 from repro.semantics import evaluator as evaluator_module
 from repro.sql import annotate
+from repro.validation.compare import capture
 
 
 class Counting(SqlSemantics):
@@ -153,3 +154,23 @@ def test_labels_that_do_not_compute_are_left_to_the_rules(schema, db):
     assert sem.run(query, db).same_as(literal)
     assert sorted(literal.bag) == [("ann",), ("bob",), ("cat",)]
     assert sem.evaluations == 1 + 4
+
+
+def test_both_routes_surface_the_first_error_in_product_order():
+    """``T1.A = 1`` is UNKNOWN on the product's first row and true on its
+    second; ``T1.B < T2.C OR S.X = 1`` raises a type clash on the first and
+    an ambiguity error on the second.  Figure 5 visits the product in order,
+    so the type clash surfaces, with the memo and without it."""
+    schema = Schema({"T1": ("A", "B"), "T2": ("C",), "T3": ("E",)})
+    db = Database(
+        schema,
+        {"T1": [(NULL, "x"), (1, 7)], "T2": [(5,)], "T3": [(1,)]},
+    )
+    query = annotate(
+        "SELECT T1.A FROM T1, T2, (SELECT T3.E AS X, T3.E AS X FROM T3) AS S "
+        "WHERE T1.A = 1 AND (T1.B < T2.C OR S.X = 1)",
+        schema,
+    )
+    memo = capture(lambda: SqlSemantics(schema).run(query, db))
+    literal = capture(lambda: SqlSemantics(schema, fast_from=False).run(query, db))
+    assert memo.error == literal.error == "compile"
