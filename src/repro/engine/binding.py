@@ -123,8 +123,8 @@ _share_serial = itertools.count(1)
 
 
 #: Maximum nesting ``estimate_bytes`` descends before treating a value as a
-#: leaf; build-side structures are at most (list of) tries of rows, so real
-#: values never hit it.
+#: leaf; build-side structures are at most tries of rows, so real values
+#: never hit it.
 _ESTIMATE_DEPTH = 8
 
 
@@ -170,8 +170,9 @@ class _Fingerprint(tuple):
 
 #: What a cache entry holds, for the per-kind ``entries``/``bytes``
 #: breakdown of :meth:`BuildSideCache.info`: hash-join build tables,
-#: generic-join tries, semi-join probe indexes, and subquery
-#: materializations and per-binding memos.
+#: generic-join tries of children other than a bare scan (those live on
+#: the table), semi-join probe indexes, and subquery materializations and
+#: per-binding memos.
 CARRIER_KINDS = ("hash_join", "tries", "probes", "memos")
 
 
@@ -314,12 +315,13 @@ class BuildSideCache:
 # ``share_signature`` renders the structure a cached value is a pure
 # function of into a canonical string: operator kinds, compiled (depth,
 # index) column positions, typed literals, predicate shapes — plus the
-# carrier configuration that shapes the value (hash-join build keys,
-# generic-join variables, memo reference positions).  Everything *not* in
-# the rendering is deliberately excluded because the value does not depend
-# on it: a ``SemiJoinProbe``'s index is a function of its subplan and the
-# grouping width only, so statements probing the same subquery with
-# different left-hand expressions — or as EXISTS and as IN — share it.  Anything the renderer cannot
+# carrier configuration that shapes the value (hash-join build keys, the
+# level layout of one generic-join child's trie, memo reference
+# positions).  Everything *not* in the rendering is deliberately excluded
+# because the value does not depend on it: a ``SemiJoinProbe``'s index is
+# a function of its subplan and the grouping width only, so statements
+# probing the same subquery with different left-hand expressions — or as
+# EXISTS and as IN — share it.  Anything the renderer cannot
 # prove pure (an opaque callable, an operator it does not know) gets a
 # fresh process-unique serial instead — private, never aliased.
 
@@ -420,7 +422,8 @@ def share_signature(carrier, subtree: PlanNode) -> str:
 
     Includes exactly the structure the value depends on: the feeding
     subtree's rendering plus the carrier configuration that shapes the
-    structure (build keys, join variables, memo reference positions) —
+    structure (build keys, a child's trie levels, memo reference
+    positions) —
     and *excludes* probe-side details the value does not depend on, so
     different statements sharing a subquery share the entry.
     """
@@ -433,9 +436,10 @@ def share_signature(carrier, subtree: PlanNode) -> str:
         # (probe) side is irrelevant, so different probe sides share.
         signature = ("build", carrier.right_keys, _plan_text(carrier.right))
     elif isinstance(carrier, GenericJoin):
-        signature = ("tries", carrier.variables) + tuple(
-            _plan_text(c) for c in carrier.children
-        )
+        # One child's trie: its level layout and its own rows; the
+        # siblings and the other variables only matter at enumeration.
+        child = next(i for i, c in enumerate(carrier.children) if c is subtree)
+        signature = ("trie", carrier._child_cols[child], _plan_text(subtree))
     elif isinstance(carrier, ExistsProbe):
         if carrier.closed:
             signature = ("exists1", _plan_text(carrier.subplan))

@@ -14,14 +14,15 @@ stack from its end (``o[-d]``), so they never see it.  The run holds the
 database its scans read and one *state slot* per stateful site the
 lowering numbered: the table each scan resolved (once per run, however
 often a correlated subplan calls the scan), ``CachedSubplan`` and
-``MemoSubplan`` materializations, closed ``HashJoin`` tables and
-``GenericJoin`` tries, ``ExistsProbe`` booleans and memos, ``InPred``
-memos and ``SemiJoinProbe`` builds.  Plan nodes hold none of it, so one
-plan runs over any number of databases, one after another or at once, and
-pins no database rows between runs.  Every closed build goes through one
-build site (:func:`_build_site`): a build over a bare base-table scan is
-memoized on the scanned table, and any other is shared across runs through
-the engine's :class:`~repro.engine.binding.BuildSideCache`.
+``MemoSubplan`` materializations, closed ``HashJoin`` tables, the trie
+of each closed ``GenericJoin`` child, ``ExistsProbe`` booleans and memos,
+``InPred`` memos and ``SemiJoinProbe`` builds.  Plan nodes hold none of
+it, so one plan runs over any number of databases, one after another or at
+once, and pins no database rows between runs.  Every closed build goes
+through one build site (:func:`_build_site`): a build over a bare
+base-table scan — a hash-join table, a generic-join child's trie, a probe
+set — is memoized on the scanned table, and any other is shared across
+runs through the engine's :class:`~repro.engine.binding.BuildSideCache`.
 
 Every predicate, in every plan, runs as **composed closures** ``(row,
 outers) -> truth`` (:func:`_pred_fn`), built once at lowering from the
@@ -1445,32 +1446,46 @@ def _compile_hash_join(node: HashJoin, low: _Lowering) -> IterFn:
 
 
 def _compile_generic_join(node: GenericJoin, low: _Lowering) -> IterFn:
-    """Native lowering of the worst-case-optimal join: children materialize
-    through their lowered ``rows`` functions into the node's trie kernel,
-    and the leapfrog enumeration is the node's own method.  Closed tries
-    are built once per run, at their build site, like a hash-join table."""
-    children_rows = [_rows_fn(child, low) for child in node.children]
-
-    def build(outers):
-        return node._build_tries([rows(outers) for rows in children_rows])
-
-    if node.free_refs() == frozenset():
-        slot, fill = _build_site(low, node, node, build)
-
-        def tries_of(outers):
-            tries = outers[0].slots[slot]
-            return fill(outers) if tries is None else tries
-
-    else:
-        tries_of = build
+    """Native lowering of the worst-case-optimal join: each child's trie
+    comes from its own lowered trie function (:func:`_child_trie`), and
+    the leapfrog enumeration is the node's own method."""
+    tries_of = [_child_trie(node, child, low) for child in range(len(node.children))]
 
     def generic_join_iter(outers):
-        tries = tries_of(outers)
-        if any(not trie for trie in tries):
+        tries = [trie_of(outers) for trie_of in tries_of]
+        if not all(tries):
             return iter(())
-        return node._solve(0, list(tries))
+        return node._solve(0, tries)
 
     return generic_join_iter
+
+
+def _child_trie(node: GenericJoin, child: int, low: _Lowering) -> Callable:
+    """The lowered trie of one child of ``node``: its lowered ``rows``
+    through the node's per-child kernel.  A closed child's trie is built
+    once per run at its own build site — on the table for a bare scan, in
+    the build-side cache otherwise — even when a sibling is correlated; a
+    bare scan binding no variable hands out its table's rows."""
+    subtree = node.children[child]
+    levels = node._child_cols[child]
+    rows_fn = _rows_fn(subtree, low)
+    is_scan = isinstance(subtree, TableScan)
+    if is_scan and not levels:
+        return rows_fn
+
+    def build(outers):
+        return node._build_trie(child, rows_fn(outers))
+
+    if subtree.free_refs() != frozenset():
+        return build
+    resident = (subtree, ("trie", levels)) if is_scan else None
+    slot, fill = _build_site(low, node, subtree, build, resident)
+
+    def trie_of(outers):
+        trie = outers[0].slots[slot]
+        return fill(outers) if trie is None else trie
+
+    return trie_of
 
 
 def _compile_hash_setop(node: HashSetOp, low: _Lowering) -> IterFn:

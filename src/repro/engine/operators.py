@@ -7,9 +7,11 @@ the one executor, and each execution keeps its build tables, tries,
 subquery caches and memos in its own run record
 (:class:`repro.engine.compile.Run`), so one plan can run over any number
 of databases, one after another or at once.  The build kernels
-(:meth:`HashJoin._build`, :meth:`GenericJoin._build_tries`,
-:meth:`SemiJoinProbe.index`), the hash probe and the leapfrog enumeration
-live here, beside the nodes whose configuration they read.
+(:meth:`HashJoin._build`, :meth:`GenericJoin._build_trie` — one child's
+trie, so a trie over a bare scan is a pure function of the table and its
+level layout — and :meth:`SemiJoinProbe.index`), the hash probe and the
+leapfrog enumeration live here, beside the nodes whose configuration they
+read.
 
 Besides the textbook operators (:class:`StaticScan`, :class:`CrossJoin`,
 :class:`FilterOp`, :class:`ProjectOp`, :class:`DistinctOp`,
@@ -434,24 +436,23 @@ class GenericJoin(PlanNode):
         self._child_cols = [tuple(levels) for levels in per_child]
         self._var_children = tuple(var_children)
 
-    def _build_tries(self, children_rows: List[List[Row]]) -> List[object]:
-        """One trie per child: nested dicts keyed by the child's variables
-        in order, leaf lists holding the rows (bag multiplicity); children
-        binding no variable contribute their plain row list.  Rows with a
-        NULL variable column — or two same-variable columns that differ —
-        can never match and are left out.  The join's build kernel."""
-        tries: List[object] = []
-        for levels, rows in zip(self._child_cols, children_rows):
-            if levels:
-                pairs = [(cols[0], extra) for cols in levels for extra in cols[1:]]
-                if pairs:
-                    # A NULL first column passes only beside a NULL, and a
-                    # NULL key is left out of the trie.
-                    rows = [r for r in rows if all(r[a] == r[b] for a, b in pairs)]
-                tries.append(_trie(rows, [itemgetter(cols[0]) for cols in levels]))
-            else:
-                tries.append(rows)
-        return tries
+    def _build_trie(self, child: int, rows: List[Row]) -> object:
+        """Child ``child``'s trie over its ``rows``: nested dicts keyed by
+        the variables it binds, in order, leaf lists holding the rows (bag
+        multiplicity); a child binding no variable contributes its plain
+        row list.  Rows with a NULL variable column — or two same-variable
+        columns that differ — can never match and are left out.  The
+        join's build kernel, one child at a time: a trie depends on its
+        child's rows and level layout (``_child_cols[child]``) only."""
+        levels = self._child_cols[child]
+        if not levels:
+            return rows
+        pairs = [(cols[0], extra) for cols in levels for extra in cols[1:]]
+        if pairs:
+            # A NULL first column passes only beside a NULL, and a NULL key
+            # is left out of the trie.
+            rows = [r for r in rows if all(r[a] == r[b] for a, b in pairs)]
+        return _trie(rows, [itemgetter(cols[0]) for cols in levels])
 
     def _solve(self, level: int, positions: List[object]) -> Iterator[Row]:
         """Assign variable ``level`` by intersecting the involved children's

@@ -543,8 +543,8 @@ def test_build_sides_served_again_answer_as_built():
         engine = Engine(schema)
         query = annotate(text, schema)
         expected = SqlSemantics(schema).run(query, db)
-        # Built, then served from the table memo (the hash join over a bare
-        # scan) or the build-side cache (the tries).
+        # Built, then served from the table memo: the hash join's build
+        # side and every child's trie are bare scans.
         for _ in range(3):
             assert engine.execute(query, db).same_as(expected), text
         plan = engine._plan(query).plan

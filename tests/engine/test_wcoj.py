@@ -4,8 +4,9 @@ cardinality-feedback loop.
 
 Covers operator selection (cyclic vs acyclic equality graphs), the
 leapfrog enumeration itself (NULL handling, multi-column variables,
-empty tries), both ablation knobs, build-side sharing of the tries
-across executions, and the feedback loop's re-optimization of
+empty tries), both ablation knobs, where each child's trie is kept
+across executions (on the table for a bare scan, in the build-side cache
+otherwise, once per run beside a correlated sibling), and the feedback loop's re-optimization of
 cached plans — including the PR's acceptance demo: a cached plan whose
 join order changes after the tables it was planned against reshape,
 with bit-identical output before and after.
@@ -18,6 +19,7 @@ import pytest
 
 from repro.core import NULL, Database, Schema
 from repro.engine import DIALECT_ORACLE, DIALECT_POSTGRES, Engine
+from repro.engine import operators
 from repro.engine.binding import iter_plan_nodes
 from repro.engine.operators import (
     CrossJoin,
@@ -287,18 +289,98 @@ def test_all_tiers_agree_on_cyclic_queries(dialect):
         assert got.same_as(expected), make.__name__
 
 
-def test_build_sides_shared_across_executions():
-    """Repeated executions over equal table contents: the GenericJoin's
-    tries are harvested into the build-side cache and restored instead of
-    rebuilt (hits appear from the third run — the cache follows the
-    established miss-harvest-hit protocol of the HashJoin carriers)."""
+def calls_of(monkeypatch, owner, name):
+    """The argument tuples of every call of ``owner.name`` from now on."""
+    calls = []
+    real = getattr(owner, name)
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, record)
+    return calls
+
+
+def children_built(monkeypatch):
+    """The child index of every ``GenericJoin._build_trie`` call from now on."""
+    calls = calls_of(monkeypatch, operators.GenericJoin, "_build_trie")
+    return lambda: [child for _node, child, _rows in calls]
+
+
+def formal(query, db):
+    from repro.semantics import SqlSemantics
+
+    return SqlSemantics(SCHEMA).run(query, db)
+
+
+def test_bare_scan_tries_live_on_the_table(monkeypatch):
+    """A trie over a bare scan is memoized on the scanned table under its
+    level layout: three executions through two engines build each child's
+    trie once, and none of them touches the build-side cache."""
+    builds = calls_of(monkeypatch, operators, "_trie")
     query = annotate(TRIANGLE, SCHEMA)
-    engine = Engine(SCHEMA, DIALECT_POSTGRES)
-    first = engine.execute(query, triangle_db())
-    for _ in range(2):
-        assert engine.execute(query, triangle_db()).same_as(first)
+    db = triangle_db()
+    cached, single_use = Engine(SCHEMA), Engine(SCHEMA, plan_cache_size=0)
+    expected = formal(query, db)
+    for engine in (cached, cached, single_use):
+        assert engine.execute(query, db).same_as(expected)
+    assert len(builds) == 3
+    # Variables in global column order: {R.A, T.B}, {R.B, S.A}, {S.B, T.A}.
+    layouts = {"R": ((0,), (1,)), "S": ((0,), (1,)), "T": ((1,), (0,))}
+    for name, levels in layouts.items():
+        memo = db.table(name)._scan_builds
+        assert set(memo) == {("trie", levels)}, name
+        assert isinstance(memo["trie", levels], dict)
+    for engine in (cached, single_use):
+        info = engine.build_cache_info()
+        assert info["hits"] == info["misses"] == info["entries"] == 0
+
+
+def test_a_filtered_child_shares_its_trie_through_the_build_cache(monkeypatch):
+    """Only the child that is not a bare scan goes to the build-side cache:
+    its trie misses once, then hits on the next run, under its own entry."""
+    builds = children_built(monkeypatch)
+    query = annotate(TRIANGLE + " AND S.B < 200", SCHEMA)
+    engine = Engine(SCHEMA)
+    db = triangle_db()
+    first = engine.execute(query, db)
+    assert first.same_as(formal(query, db)) and not first.is_empty()
     info = engine.build_cache_info()
-    assert info["hits"] >= 1 and info["misses"] >= 1
+    assert (info["hits"], info["misses"], info["entries"]) == (0, 1, 1)
+    assert engine.execute(query, triangle_db()).same_as(first)  # equal content
+    info = engine.build_cache_info()
+    assert (info["hits"], info["misses"]) == (1, 1)
+    assert info["kinds"]["tries"]["entries"] == 1
+    # The second database is new, so R and T build on its tables; S hits.
+    assert builds() == [0, 1, 2, 0, 2]
+
+
+def test_closed_children_of_a_correlated_join_build_once_per_run(monkeypatch):
+    """An EXISTS over a triangle whose outer reference lands in ``R``: the
+    correlated child is rebuilt per binding, the filtered closed child once
+    per run, and the bare one once for good."""
+    builds = children_built(monkeypatch)
+    query = annotate(
+        "SELECT U.A FROM U WHERE EXISTS (SELECT R.A FROM R, S, T "
+        "WHERE R.B = S.A AND S.B = T.A AND T.B = R.A AND S.B > 0 AND R.A < U.B)",
+        SCHEMA,
+    )
+    db = make_db(
+        R=[(1, 10), (2, 20), (3, 10), (NULL, 10)],
+        S=[(10, 100), (20, 100), (10, 200)],
+        T=[(100, 1), (100, 2), (200, 9), (100, NULL)],
+        U=[(1, 1), (2, 2), (3, 3), (4, 3), (5, NULL)],
+    )
+    engine = Engine(SCHEMA, build_cache_size=0)
+    expected = formal(query, db)
+    assert not expected.is_empty()
+    for runs in (1, 2):
+        assert engine.execute(query, db).same_as(expected)
+        # Four distinct bindings of U.B per run (NULL among them).
+        assert Counter(builds()) == {0: 4 * runs, 1: runs, 2: 1}
+    (join,) = [n for n in walk(engine._plan(query).plan) if isinstance(n, GenericJoin)]
+    assert [c.free_refs() == frozenset() for c in join.children] == [False, True, True]
 
 
 # -- the cardinality-feedback loop --------------------------------------------

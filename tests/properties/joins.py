@@ -5,9 +5,10 @@ second-generation or join-tilted mix plan 6–15 hash joins and no generic
 join at all — so every battery that gates the join operators also runs
 this workload.  The queries cover what the builds key on: triangles and
 4-cycles (``GenericJoin`` tries two levels deep), a variable bound by two
-columns of one child, a self-join cycle, acyclic chains (``HashJoin``),
-and a composite-key chain; the instances are small, collision-heavy and
-one cell in five NULL, so NULL keys meet on both sides of every build.
+columns of one child, self-join cycles (one table under two trie
+layouts), acyclic chains (``HashJoin``), and a composite-key chain; the
+instances are small, collision-heavy and one cell in five NULL, so NULL
+keys meet on both sides of every build.
 """
 
 import random
@@ -35,9 +36,13 @@ CYCLIC_SQL = (
     "SELECT R.A FROM R, S, T, U "
     "WHERE R.B = S.A AND S.B = T.A AND T.B = U.A AND U.B = R.A "
     "AND R.A = T.A",
-    # A self-join cycle: the same table twice under different aliases.
+    # Self-join cycles: the same table two and three times under different
+    # aliases; in the second, Z's trie is keyed (B, A) beside X's and Y's
+    # (A, B), so one table holds two tries of one plan.
     "SELECT X.A, Y.B FROM R AS X, R AS Y, S "
     "WHERE X.B = Y.A AND Y.B = S.A AND S.B = X.A",
+    "SELECT X.A, Y.A, Z.A FROM R AS X, R AS Y, R AS Z "
+    "WHERE X.B = Y.A AND Y.B = Z.A AND Z.B = X.A",
     # Cycle + chain tail: only the cyclic core goes multiway; the tail
     # hangs off the equality graph.
     "SELECT R.A, U.B FROM R, S, T, U "

@@ -12,8 +12,9 @@ per premise:
 * (b) a trie keeps rows whose same-variable columns differ;
 * (c) keys are stringified, so ``1`` meets ``'1'``.
 
-Every plan runs one build kernel per join, so (a) and (b) must trip the
-join-workload battery of ``test_compiled_equivalence``,
+Every join build runs one kernel (a hash-join table, or one child's
+trie), so (a) and (b) must trip the join-workload battery of
+``test_compiled_equivalence``,
 ``test_second_gen_equivalence`` and ``test_wcoj_equivalence`` with every
 optimizing engine as the batteries build it and, again, with every one
 forced onto the codegen-off leg.  The workloads are int-only, so (c) is
@@ -73,13 +74,11 @@ def null_keys_are_inserted(monkeypatch):
 def unequal_same_variable_rows_kept(monkeypatch):
     """Seeded bug (b): a trie is keyed by each variable's first column only."""
 
-    def build_tries(self, children_rows):
-        return [
-            operators._trie(rows, [itemgetter(c[0]) for c in levels]) if levels else rows
-            for levels, rows in zip(self._child_cols, children_rows)
-        ]
+    def build_trie(self, child, rows):
+        levels = self._child_cols[child]
+        return operators._trie(rows, [itemgetter(c[0]) for c in levels]) if levels else rows
 
-    monkeypatch.setattr(operators.GenericJoin, "_build_tries", build_tries)
+    monkeypatch.setattr(operators.GenericJoin, "_build_trie", build_trie)
 
 
 def keys_stringified(monkeypatch):

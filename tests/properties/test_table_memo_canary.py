@@ -7,32 +7,39 @@ immutable :class:`~repro.core.table.Table` under its signature, by the one
 site every closed build goes through (``compile._build_site``, given the
 scan and the signature).  That is exact only while the signature names
 everything the build reads besides the rows, and the memo lives on the
-table itself.  Three bugs, one per premise:
+table itself.  Four bugs, one per premise:
 
 * (a) the hash-join signature drops the key columns, so a join on
   ``T.D`` reads the partition a join on ``T.C`` left;
 * (b) the memo is one process-wide dict keyed by table *name*, so it goes
   stale as soon as another database names the same table;
 * (c) the probe-set signature drops the projected column indices, so
-  ``IN (SELECT T.D …)`` reads the set ``IN (SELECT T.C …)`` left.
+  ``IN (SELECT T.D …)`` reads the set ``IN (SELECT T.C …)`` left;
+* (d) the trie signature drops the level layout, so one generic-join
+  child reads the trie a sibling over the same table left under another
+  variable order.
 
 (a) must trip the live-SQLite battery (single-use statements over one
 fixed database) and the directed tests; (b) the join legs of
 ``test_compiled_equivalence`` and ``test_second_gen_equivalence``, which
 draw fresh tables per trial; (c) the decorrelation battery, whose queries
-also run one after another over shared databases.  A gate no bug can trip
-would be gating nothing.
+also run one after another over shared databases; (d) the self-join
+cycles of the wcoj battery, whose children ``R X, R Y, R Z`` share a table
+but not a level layout, and the directed test of table-resident tries.  A
+gate no bug can trip would be gating nothing.
 """
 
 import re
+
+import pytest
 
 from repro.engine import DIALECT_POSTGRES
 from repro.engine import compile as compile_module
 from repro.semantics import STAR_COMPOSITIONAL
 
-from ..engine import test_build_cache
+from ..engine import test_build_cache, test_wcoj
 from . import test_compiled_equivalence, test_live_sqlite_equivalence
-from . import test_second_gen_equivalence
+from . import test_second_gen_equivalence, test_wcoj_equivalence
 from .decorrelation import battery
 
 
@@ -79,6 +86,11 @@ def projection_dropped(monkeypatch):
     """Seeded bug (c): ``("probe", key_width, width, indices)`` loses the
     indices."""
     signature_narrowed(monkeypatch, "probe", 3)
+
+
+def trie_levels_dropped(monkeypatch):
+    """Seeded bug (d): ``("trie", levels)`` becomes ``("trie",)``."""
+    signature_narrowed(monkeypatch, "trie", 1)
 
 
 #: The directed tests of the table memo that take a single-use engine
@@ -135,3 +147,17 @@ def test_dropped_projection_trips_the_decorrelation_battery(monkeypatch):
     failures, _ = battery(DIALECT_POSTGRES, STAR_COMPOSITIONAL, 500)
     caught = [f for f in failures if "single-use differs over shared db" in f]
     assert len(caught) >= 3, failures[:8]
+
+
+def test_dropped_trie_levels_trip_the_self_join_cycles(monkeypatch):
+    trie_levels_dropped(monkeypatch)
+    try:
+        test_wcoj_equivalence.test_optimizer_ablations_coincide_on_cyclic_workload(
+            DIALECT_POSTGRES
+        )
+        report = ""
+    except AssertionError as exc:
+        report = str(exc)
+    assert report.count("default differs from") >= 3, report
+    with pytest.raises(AssertionError):
+        test_wcoj.test_bare_scan_tries_live_on_the_table(monkeypatch)

@@ -15,19 +15,23 @@ raise.
 A hand-built cyclic battery (the join workload of ``joins.py``) then
 drives the ``GenericJoin`` path directly — triangles, 4-cycles,
 self-join cycles, a multi-column variable, NULL-heavy data, residual
-non-equality predicates — which the random mix never reaches.  Finally a hot-plan-cache battery executes the cyclic
-workload through one engine across *reshaped* databases (small tables
-grown 100x between passes, tripping the cardinality-feedback
-re-optimization) and demands bit-identical outcomes before and after
-the re-planning.
+non-equality predicates — which the random mix never reaches; a second
+leg runs it over tables that repeat rows on purpose, checking the default,
+codegen-off and naive engines against the formal semantics, so bag
+multiplicity in the leaves of the tries is exercised.  Finally a
+hot-plan-cache battery executes the cyclic workload through one engine
+across *reshaped* databases (small tables grown 100x between passes,
+tripping the cardinality-feedback re-optimization) and demands
+bit-identical outcomes before and after the re-planning.
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from repro.core import validation_schema
+from repro.core import NULL, Database, validation_schema
 from repro.engine import DIALECT_ORACLE, DIALECT_POSTGRES, Engine
 from repro.generator import (
     DataFillerConfig,
@@ -35,8 +39,11 @@ from repro.generator import (
     QueryGenerator,
     fill_database,
 )
+from repro.semantics import STAR_COMPOSITIONAL, SqlSemantics
+from repro.sql.typecheck import check_query
 from repro.validation.compare import capture
 
+from ..executor import CodegenOffEngine
 from .joins import CYCLIC_SCHEMA, cyclic_db, join_pairs, join_queries
 
 SCHEMA = validation_schema()
@@ -112,6 +119,66 @@ def test_optimizer_ablations_coincide_on_random_workload(dialect):
 @pytest.mark.parametrize("dialect", DIALECTS)
 def test_optimizer_ablations_coincide_on_cyclic_workload(dialect):
     run_battery(make_engines(CYCLIC_SCHEMA, dialect), join_pairs())
+
+
+def duplicate_db(seed, rows=6, domain=2, null_rate=0.1):
+    """A join-workload instance whose every table draws its 2 to ``rows``
+    rows from a pool of two to four rows over a two-value domain, so
+    nearly every table repeats a row, the cycles close often, and the
+    leaves of the tries hold several copies."""
+    rng = random.Random(seed)
+
+    def cell():
+        return NULL if rng.random() < null_rate else rng.randrange(domain)
+
+    def table():
+        pool = [(cell(), cell()) for _ in range(rng.randint(2, 4))]
+        return [rng.choice(pool) for _ in range(rng.randint(2, rows))]
+
+    return Database(
+        CYCLIC_SCHEMA, {name: table() for name in CYCLIC_SCHEMA.table_names}
+    )
+
+
+def repeats_a_row(table) -> bool:
+    return max(Counter(table.bag).values(), default=0) > 1
+
+
+@pytest.mark.parametrize("dialect", DIALECTS)
+def test_cyclic_workload_over_duplicate_rows_matches_the_formal_semantics(dialect):
+    """Bag multiplicity through the tries: the join workload over tables
+    that repeat rows on purpose, on the default, codegen-off and naive
+    engines, each against the formal semantics."""
+    engines = {
+        "default": Engine(CYCLIC_SCHEMA, dialect),
+        "codegen-off": CodegenOffEngine(CYCLIC_SCHEMA, dialect),
+        "naive": Engine(CYCLIC_SCHEMA, dialect, optimize=False),
+    }
+    semantics = SqlSemantics(CYCLIC_SCHEMA, star_style=STAR_COMPOSITIONAL)
+    queries = join_queries()
+    failures, pairs, with_duplicates, repeated_results = [], 0, 0, 0
+    for seed in range(40):
+        db = duplicate_db(seed)
+        tables = [db.table(name) for name in CYCLIC_SCHEMA.table_names]
+        with_duplicates += len(queries) * any(map(repeats_a_row, tables))
+        for q, query in enumerate(queries):
+            pairs += 1
+
+            def oracle():
+                check_query(query, CYCLIC_SCHEMA, star_style=STAR_COMPOSITIONAL)
+                return semantics.run(query, db)
+
+            expected = capture(oracle)
+            repeated_results += not expected.is_error and repeats_a_row(expected.table)
+            for name, engine in engines.items():
+                outcome = capture(lambda: engine.execute(query, db))
+                if outcome.error != expected.error or not outcome.agrees_with(expected):
+                    failures.append(f"query {q} db {seed}: {name} differs from semantics")
+    assert not failures, "; ".join(failures[:5])
+    # The data repeats rows, and so do the answers: multiplicity is what
+    # the leg is about, not an accident of a few pairs.
+    assert 2 * with_duplicates >= pairs, (with_duplicates, pairs)
+    assert 5 * repeated_results >= pairs, (repeated_results, pairs)
 
 
 @pytest.mark.parametrize("dialect", DIALECTS)
