@@ -5,11 +5,12 @@ cardinality-feedback loop.
 Covers operator selection (cyclic vs acyclic equality graphs), the
 leapfrog enumeration itself (NULL handling, multi-column variables,
 empty tries), both ablation knobs, where each child's trie is kept
-across executions (on the table for a bare scan, in the build-side cache
-otherwise, once per run beside a correlated sibling), and the feedback loop's re-optimization of
-cached plans — including the PR's acceptance demo: a cached plan whose
-join order changes after the tables it was planned against reshape,
-with bit-identical output before and after.
+across executions (on the table for a bare scan, one per level layout;
+in the build-side cache otherwise; once per run beside a correlated
+sibling), and the feedback loop's re-optimization of cached plans —
+including the PR's acceptance demo: a cached plan whose join order
+changes after the tables it was planned against reshape, with
+bit-identical output before and after.
 """
 
 import itertools
@@ -335,6 +336,30 @@ def test_bare_scan_tries_live_on_the_table(monkeypatch):
     for engine in (cached, single_use):
         info = engine.build_cache_info()
         assert info["hits"] == info["misses"] == info["entries"] == 0
+
+
+SELF_TRIANGLE = (
+    "SELECT X.A, Y.A, Z.A FROM R AS X, R AS Y, R AS Z "
+    "WHERE X.B = Y.A AND Y.B = Z.A AND Z.B = X.A"
+)
+
+
+def test_self_join_children_keep_their_own_tries():
+    """Three children over one table: ``Z``'s trie is keyed ``(B, A)``
+    beside the ``(A, B)`` of ``X`` and ``Y``, so reading a sibling's trie
+    walks ``R``'s edges backwards.  Over an asymmetric, duplicated ``R``
+    every engine returns the formal semantics' bag."""
+    query = annotate(SELF_TRIANGLE, SCHEMA)
+    db = make_db(R=[(1, 2), (1, 2), (2, 3), (3, 1), (1, 1), (3, 2), (2, 4)])
+    expected = formal(query, db)
+    assert not expected.is_empty()
+    for make in (Engine, CodegenOffEngine):
+        engine = make(SCHEMA)
+        assert any(isinstance(n, GenericJoin) for n in walk(engine._plan(query).plan))
+        got = engine.execute(query, db)
+        assert got.same_as(expected), (
+            f"{make.__name__} differs from the formal semantics: {got} != {expected}"
+        )
 
 
 def test_a_filtered_child_shares_its_trie_through_the_build_cache(monkeypatch):

@@ -25,8 +25,9 @@ fixed database) and the directed tests; (b) the join legs of
 draw fresh tables per trial; (c) the decorrelation battery, whose queries
 also run one after another over shared databases; (d) the self-join
 cycles of the wcoj battery, whose children ``R X, R Y, R Z`` share a table
-but not a level layout, and the directed test of table-resident tries.  A
-gate no bug can trip would be gating nothing.
+but not a level layout, and the directed self-join test, which compares
+rows with the formal semantics.  A gate no bug can trip would be gating
+nothing.
 """
 
 import re
@@ -159,5 +160,5 @@ def test_dropped_trie_levels_trip_the_self_join_cycles(monkeypatch):
     except AssertionError as exc:
         report = str(exc)
     assert report.count("default differs from") >= 3, report
-    with pytest.raises(AssertionError):
-        test_wcoj.test_bare_scan_tries_live_on_the_table(monkeypatch)
+    with pytest.raises(AssertionError, match="differs from the formal semantics"):
+        test_wcoj.test_self_join_children_keep_their_own_tries()
